@@ -76,9 +76,6 @@ class ExtTModule:
     def codimension(self) -> int:
         return self.ci.codimension
 
-    def piece_dim(self, n: int) -> int:
-        return self.betti[n]
-
     def operator(self, j: int, n: int) -> DenseMatrix:
         return self.operators[j][n]
 

@@ -238,9 +238,6 @@ class HomSpace:
 
     # -- classes and representatives ------------------------------------
 
-    def reduce_flat(self, flat):
-        return self.trivial.reduce(flat)
-
     def coords(self, flat):
         red = self.trivial.reduce(flat)
         piv = self.space.pivots()

@@ -2,9 +2,15 @@
 
 Everything downstream (normal forms, Hom spaces, resolutions) reduces to
 row operations on dense matrices.  Over GF(p) the data lives in numpy
-int64 arrays with entries in [0, p); products of two entries stay far
-below 2**63, so arithmetic is exact.  Over the rationals we fall back to
-Fraction lists, which is plenty for the small characteristic-zero demos.
+int64 arrays with entries in [0, p).  ``PrimeField`` accepts only moduli
+with (p-1)**2 < 2**63, so the product of two entries (rref, ``RowSpace``
+reductions, ``scale``) is exact.  A dot product of length n can reach
+n*(p-1)**2, so ``PrimeField.matmul`` reduces its partial sums mod p after
+every floor((2**63-1) / (p-1)**2) terms of the inner dimension (delayed
+reduction, Dumas, Giorgi and Pernet, "FFLAS-FFPACK", ACM TOMS 35(3),
+2008); for the small moduli in use that is a single block.  Over the
+rationals we fall back to Fraction lists, which is plenty for the small
+characteristic-zero demos.
 
 Matrices are immutable by convention: no method mutates ``self`` and the
 constructors copy their input.
@@ -14,6 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -44,13 +51,22 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+_INT64_MAX = 2**63 - 1
+_MAX_MODULUS = isqrt(_INT64_MAX) + 1  # the largest p with (p-1)**2 < 2**63
+
+
 class PrimeField:
-    """The field GF(p) for a prime p."""
+    """The field GF(p) for a prime p with (p-1)**2 < 2**63."""
 
     def __init__(self, p: int):
+        if p > _MAX_MODULUS:
+            raise UsageError(f"modulus {p} is too large: exact int64 arithmetic "
+                             f"needs (p-1)^2 < 2^63, that is p <= {_MAX_MODULUS}")
         if not _is_prime(p):
             raise UsageError(f"modulus {p} is not prime")
         self.p = p
+        # inner-dimension terms a dot product may sum before it must be reduced
+        self.dot_block = _INT64_MAX // (p - 1) ** 2
 
     @property
     def characteristic(self) -> int:
@@ -68,6 +84,16 @@ class PrimeField:
         if x == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(x, self.p - 2, self.p)
+
+    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """a @ b mod p, reduced after every ``dot_block`` inner terms."""
+        n, step, p = a.shape[1], self.dot_block, self.p
+        if n <= step:
+            return (a @ b) % p
+        out = (a[:, :step] @ b[:step]) % p
+        for k in range(step, n, step):
+            out = (out + (a[:, k:k + step] @ b[k:k + step]) % p) % p
+        return out
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -91,6 +117,9 @@ class RationalField:
 
     def inv(self, x):
         return 1 / Fraction(x)
+
+    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return a @ b
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -196,7 +225,7 @@ class DenseMatrix:
     def zeros(cls, field, nrows: int, ncols: int) -> "DenseMatrix":
         if isinstance(field, PrimeField):
             return cls(field, np.zeros((nrows, ncols), dtype=np.int64), _internal=True)
-        return cls(field, [[Fraction(0)] * ncols for _ in range(nrows)], _internal=True)
+        return cls._of_array(field, np.full((nrows, ncols), Fraction(0), dtype=object))
 
     @classmethod
     def identity(cls, field, n: int) -> "DenseMatrix":
@@ -221,7 +250,39 @@ class DenseMatrix:
     def column(cls, field, entries: Sequence) -> "DenseMatrix":
         return cls(field, [[e] for e in entries])
 
+    @classmethod
+    def block_diag(cls, field, blocks: Sequence["DenseMatrix"]) -> "DenseMatrix":
+        """The blocks along the diagonal, zeros elsewhere."""
+        out = cls.zeros(field, sum(b.nrows for b in blocks), sum(b.ncols for b in blocks))._array()
+        r = c = 0
+        for b in blocks:
+            out[r:r + b.nrows, c:c + b.ncols] = b._array()
+            r += b.nrows
+            c += b.ncols
+        return cls._of_array(field, out)
+
+    @classmethod
+    def _of_array(cls, field, arr: np.ndarray) -> "DenseMatrix":
+        """Wrap a 2-D array laid out as ``_array`` returns it, keeping its shape."""
+        if isinstance(field, PrimeField):
+            return cls(field, arr, _internal=True)
+        out = cls(field, arr.tolist(), _internal=True)
+        out.nrows, out.ncols = arr.shape
+        return out
+
     # -- raw access --------------------------------------------------
+
+    def _array(self) -> np.ndarray:
+        """The entries as a 2-D array: int64 over GF(p), Fractions (object) over QQ.
+
+        Over GF(p) this is the matrix's own array, not a copy.
+        """
+        if isinstance(self.field, PrimeField):
+            return self._a
+        arr = np.empty(self.shape, dtype=object)
+        if self.nrows and self.ncols:
+            arr[:] = self._a
+        return arr
 
     def numpy(self) -> np.ndarray:
         return self._a.copy()
@@ -245,27 +306,14 @@ class DenseMatrix:
     def __matmul__(self, other: "DenseMatrix") -> "DenseMatrix":
         if self.field != other.field or self.ncols != other.nrows:
             raise UsageError("matmul shape/field mismatch")
-        if isinstance(self.field, PrimeField):
-            return DenseMatrix(self.field, (self._a @ other._a) % self.field.p, _internal=True)
-        out = [
-            [
-                sum(self._a[i][k] * other._a[k][j] for k in range(self.ncols))
-                for j in range(other.ncols)
-            ]
-            for i in range(self.nrows)
-        ]
-        return DenseMatrix(self.field, out, _internal=True)
+        return DenseMatrix._of_array(self.field, self.field.matmul(self._array(), other._array()))
 
     def __add__(self, other: "DenseMatrix") -> "DenseMatrix":
         if self.field != other.field or self.shape != other.shape:
             raise UsageError("add shape/field mismatch")
         if isinstance(self.field, PrimeField):
             return DenseMatrix(self.field, (self._a + other._a) % self.field.p, _internal=True)
-        return DenseMatrix(
-            self.field,
-            [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(self._a, other._a)],
-            _internal=True,
-        )
+        return DenseMatrix._of_array(self.field, self._array() + other._array())
 
     def __sub__(self, other: "DenseMatrix") -> "DenseMatrix":
         return self + other.scale(-1)
@@ -274,33 +322,24 @@ class DenseMatrix:
         if isinstance(self.field, PrimeField):
             c = self.field.element(c)
             return DenseMatrix(self.field, (self._a * c) % self.field.p, _internal=True)
-        c = Fraction(c)
-        return DenseMatrix(self.field, [[c * x for x in row] for row in self._a], _internal=True)
+        return DenseMatrix._of_array(self.field, Fraction(c) * self._array())
 
     def transpose(self) -> "DenseMatrix":
-        if isinstance(self.field, PrimeField):
-            return DenseMatrix(self.field, self._a.T.copy(), _internal=True)
-        return DenseMatrix(
-            self.field,
-            [[self._a[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-            _internal=True,
-        )
+        return DenseMatrix._of_array(self.field, self._array().T.copy())
+
+    def take_columns(self, cols: Sequence[int]) -> "DenseMatrix":
+        """The submatrix of the given columns, in the given order."""
+        return DenseMatrix._of_array(self.field, self._array()[:, list(cols)])
 
     def hstack(self, other: "DenseMatrix") -> "DenseMatrix":
         if self.nrows != other.nrows:
             raise UsageError("hstack row mismatch")
-        if isinstance(self.field, PrimeField):
-            return DenseMatrix(self.field, np.hstack([self._a, other._a]), _internal=True)
-        return DenseMatrix(
-            self.field, [r1 + r2 for r1, r2 in zip(self._a, other._a)], _internal=True
-        )
+        return DenseMatrix._of_array(self.field, np.hstack([self._array(), other._array()]))
 
     def vstack(self, other: "DenseMatrix") -> "DenseMatrix":
         if self.ncols != other.ncols:
             raise UsageError("vstack column mismatch")
-        if isinstance(self.field, PrimeField):
-            return DenseMatrix(self.field, np.vstack([self._a, other._a]), _internal=True)
-        return DenseMatrix(self.field, self.rows() + other.rows(), _internal=True)
+        return DenseMatrix._of_array(self.field, np.vstack([self._array(), other._array()]))
 
     def is_zero(self) -> bool:
         if isinstance(self.field, PrimeField):
@@ -418,6 +457,19 @@ class RowSpace:
                 return v.astype(np.int64) % self.field.p
             return np.array([self.field.element(x) for x in v], dtype=np.int64)
         return [Fraction(x) for x in v]
+
+    def reduce_rows(self, m: DenseMatrix) -> DenseMatrix:
+        """Canonical residue of every row of m modulo the space.
+
+        Row by row this equals ``reduce``.  The echelon rows are fully
+        reduced (each pivot column is zero in every other row), so the
+        coefficient of echelon row i in a residue is the input's entry in
+        pivot column i, and the whole batch is one product:
+        m - m[:, pivots] @ basis.
+        """
+        if not self._rows:
+            return m
+        return m - m.take_columns(self.pivots()) @ self.basis_matrix()
 
     def reduce(self, v):
         """Canonical residue of v modulo the space."""

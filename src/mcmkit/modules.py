@@ -58,8 +58,7 @@ class _ModulePiece:
     def coords(self, vec):
         """Quotient coordinates of a vector on the free cover."""
         red = self.rel_space.reduce(vec)
-        return np.array([red[c] for c in self.std], dtype=red.dtype) if isinstance(red, np.ndarray) \
-            else [red[c] for c in self.std]
+        return red[list(self.std)] if isinstance(red, np.ndarray) else [red[c] for c in self.std]
 
     def lift(self, coords):
         """Canonical free-cover vector with the given quotient coordinates."""
@@ -141,15 +140,6 @@ class GradedModule:
     @property
     def num_rels(self) -> int:
         return len(self.rel_degs)
-
-    def is_zero_module(self) -> bool:
-        if self.num_gens == 0:
-            return True
-        return all(
-            self.hilbert_function(d) == 0
-            for d in range(self.min_gen_degree(),
-                           self.max_gen_degree() + self.ring.max_weight + 1)
-        )
 
     def min_gen_degree(self) -> int:
         return min(self.gen_degs) if self.gen_degs else 0
@@ -257,26 +247,12 @@ class GradedModule:
             self._mult_cache[key] = out
             return out
         tgt = self.piece(d + e)
-        cols = []
-        for pos in range(src.dim):
-            unit = [self.ring.field.element(0)] * src.dim
-            unit[pos] = self.ring.field.element(1)
-            fvec = src.lift(unit)
-            out_vec = [self.ring.field.element(0)] * tgt.total
-            for i in range(self.num_gens):
-                seg = fvec[src.offsets[i]: src.offsets[i] + src.block_dims[i]]
-                if not any(seg):
-                    continue
-                mm = self.ring.mult_matrix(entry.poly, d - self.gen_degs[i])
-                img = mm @ DenseMatrix.column(self.ring.field, list(seg))
-                off = tgt.offsets[i]
-                for t in range(img.nrows):
-                    out_vec[off + t] = out_vec[off + t] + img[t, 0]
-            cols.append(list(tgt.coords(out_vec)))
-        if cols:
-            mat = DenseMatrix.from_rows(self.ring.field, cols, tgt.dim).transpose()
-        else:
-            mat = DenseMatrix.zeros(self.ring.field, tgt.dim, 0)
+        # the free cover multiplies block by block; its std columns are the
+        # lifts of the quotient basis, so each row of images is one image
+        cover = DenseMatrix.block_diag(self.ring.field, [
+            self.ring.mult_matrix(entry.poly, d - a) for a in self.gen_degs])
+        images = cover.take_columns(src.std).transpose()
+        mat = tgt.rel_space.reduce_rows(images).take_columns(tgt.std).transpose()
         self._mult_cache[key] = mat
         return mat
 
@@ -368,9 +344,6 @@ class GradedModule:
         M = GradedModule(self.ring, gen_degs, rel_degs, P, label=self.label, check=False)
         return _drop_redundant_relations(M)
 
-    def presentation_matrix_transpose(self) -> List[List[RingElement]]:
-        return [[self.presentation[i][j] for i in range(self.num_gens)] for j in range(self.num_rels)]
-
 
 def _vstack_all(blocks: List[DenseMatrix]) -> DenseMatrix:
     out = blocks[0]
@@ -451,9 +424,17 @@ def maximal_ideal_module(ring: QuotientRing) -> GradedModule:
 class SubmoduleTracker:
     """Degreewise span of the submodule generated by given elements.
 
-    Maintains, for each degree, a RowSpace in the quotient coordinates
-    of the ambient module.  Extending to a new degree uses the variable
-    multiplication operators, so the cost is one rref per degree.
+    Maintains, for each degree up to a frontier, a RowSpace in the
+    quotient coordinates of the ambient module.  Extending to a new degree
+    adds the images of the span one degree of each variable below under
+    the variable multiplication operators, then the generators of that
+    degree.
+
+    A generator of the frontier degree goes straight into that degree's
+    RowSpace: nothing above the frontier is computed yet, and the reduced
+    echelon form of a span is unique, so the rows are those a rebuild
+    would give.  A generator below the frontier drops every span from its
+    degree up; they are rebuilt on the next request.
     """
 
     def __init__(self, module: GradedModule, start_degree: Optional[int] = None):
@@ -462,11 +443,16 @@ class SubmoduleTracker:
         self.gens_by_degree: Dict[int, List] = {}
         self.min_degree = start_degree if start_degree is not None else module.min_gen_degree()
         self._frontier = self.min_degree - 1
+        ring = module.ring
+        self._variables = [(ring.element(v), w) for v, w in zip(ring.variables, ring.weights)]
 
     def add_generator(self, elem: MElem):
-        coords = list(elem.coords())
+        coords = elem.coords()
         self.gens_by_degree.setdefault(elem.degree, []).append(coords)
-        if elem.degree <= self._frontier:
+        top = self.spaces.get(elem.degree)
+        if elem.degree == self._frontier and top is not None:
+            top.add(coords)
+        elif elem.degree <= self._frontier:
             # re-propagate: clear everything above
             for d in list(self.spaces):
                 if d >= elem.degree:
@@ -486,13 +472,12 @@ class SubmoduleTracker:
     def _extend(self, d: int):
         if d in self.spaces:
             return
-        ring = self.module.ring
-        space = RowSpace(ring.field, self.module.piece(d).dim)
-        for var, w in zip(ring.variables, ring.weights):
+        space = RowSpace(self.module.ring.field, self.module.piece(d).dim)
+        for var, w in self._variables:
             prev = self.spaces.get(d - w)
             if prev is None or prev.dim == 0:
                 continue
-            op = self.module.mult_operator(ring.element(var), d - w)
+            op = self.module.mult_operator(var, d - w)
             img = op @ prev.basis_matrix().transpose()
             space.add_matrix(img.transpose())
         for coords in self.gens_by_degree.get(d, []):
@@ -503,7 +488,7 @@ class SubmoduleTracker:
         return self.space(d).dim
 
     def contains(self, elem: MElem) -> bool:
-        return self.space(elem.degree).contains(list(elem.coords()))
+        return self.space(elem.degree).contains(elem.coords())
 
 
 def submodule_presentation(C: GradedModule, elements: Sequence[MElem],
@@ -569,7 +554,7 @@ def submodule_presentation(C: GradedModule, elements: Sequence[MElem],
         for col in ker.transpose().rows():
             if span.contains(col):
                 continue
-            fvec = F.piece(d).lift(list(col))
+            fvec = F.piece(d).lift(col)
             elem = MElem(F, d, F.piece(d).reduce(fvec))
             rel_tracker.add_generator(elem)
             rel_cols.append(elem)

@@ -121,7 +121,7 @@ def kernel_step(ring: QuotientRing, row_degs: Sequence[int], col_degs: Sequence[
                 for col in ker.transpose().rows():
                     if span.contains(col):
                         continue
-                    vec = src_pc.lift(list(col))
+                    vec = src_pc.lift(col)
                     elem = MElem(src, d, src_pc.reduce(vec))
                     tracker.add_generator(elem)
                     found.append(elem)
@@ -240,9 +240,13 @@ class FreeResolution:
 
 def resolve(M: GradedModule, H: int, degree_cap: Optional[int] = None,
             stall: Optional[int] = None) -> FreeResolution:
-    """Minimal resolution window of M with H differentials."""
+    """Minimal resolution window of M with H differentials.
+
+    The window is cached on M and reused only by calls with the same
+    ``degree_cap`` and ``stall``; other bounds rebuild it.
+    """
     cache = getattr(M, "_resolution", None)
-    if cache is None or (degree_cap is not None and cache.degree_cap not in (None, degree_cap)):
+    if cache is None or (cache.degree_cap, cache.stall) != (degree_cap, stall):
         cache = FreeResolution(M, degree_cap, stall)
         M._resolution = cache
     cache.extend(H)

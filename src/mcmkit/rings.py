@@ -389,9 +389,6 @@ class QuotientRing:
     def max_weight(self) -> int:
         return max(self.weights)
 
-    def is_trivial_quotient(self) -> bool:
-        return not self.relations
-
     # -- degreewise pieces ----------------------------------------------
 
     def piece(self, d: int) -> _Piece:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -148,3 +149,63 @@ def test_rowspace_canonical_reduction_is_idempotent():
     r1 = s.reduce(v)
     r2 = s.reduce(r1)
     assert (r1 == r2).all()
+
+
+def _exact_product(a, b, p):
+    return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]
+
+
+def test_matmul_large_prime_does_not_overflow():
+    p = 2**31 - 1
+    a = DenseMatrix(GF(p), [[p - 1] * 3])
+    b = DenseMatrix(GF(p), [[p - 1]] * 3)
+    assert (a @ b)[0, 0] == 3
+
+
+@pytest.mark.parametrize("p", [2**31 - 1, 3037000493])
+def test_matmul_long_inner_dimension_is_exact(p):
+    # 3037000493 is the largest prime with (p-1)^2 < 2^63: one term a block
+    rng = random.Random(p)
+    a = [[rng.choice([p - 1, p - 2, rng.randrange(p)]) for _ in range(23)] for _ in range(3)]
+    b = [[rng.choice([p - 1, rng.randrange(p)]) for _ in range(4)] for _ in range(23)]
+    got = DenseMatrix(GF(p), a) @ DenseMatrix(GF(p), b)
+    assert got == DenseMatrix(GF(p), _exact_product(a, b, p))
+
+
+def test_modulus_too_large_for_int64_is_rejected():
+    with pytest.raises(UsageError):
+        GF(3037000507)  # prime, but (p-1)^2 >= 2^63
+    with pytest.raises(UsageError):
+        GF(2**61 - 1)
+
+
+@pytest.mark.parametrize("field", [GF(7), GF(2**31 - 1), QQ])
+def test_reduce_rows_equals_rowwise_reduce(field):
+    rng = random.Random(5)
+    n = 9
+
+    def entry():
+        x = rng.choice([0, 0, 1, 2, 5, -3])
+        return Fraction(x, rng.choice([1, 2, 3])) if field == QQ else x
+
+    space = RowSpace(field, n)
+    for _ in range(5):
+        space.add([entry() for _ in range(n)])
+    assert space.dim >= 3
+    m = DenseMatrix(field, [[entry() for _ in range(n)] for _ in range(7)])
+    want = [list(space.reduce(row)) for row in m.rows()]
+    assert [list(row) for row in space.reduce_rows(m).rows()] == want
+    empty = DenseMatrix.zeros(field, 0, n)
+    assert space.reduce_rows(empty).shape == (0, n)
+    assert RowSpace(field, n).reduce_rows(m) == m
+
+
+@pytest.mark.parametrize("field", [GF(5), QQ])
+def test_block_diag_and_take_columns(field):
+    a = DenseMatrix(field, [[1, 2], [3, 4]])
+    b = DenseMatrix(field, [[4]])
+    empty = DenseMatrix.zeros(field, 0, 2)
+    d = DenseMatrix.block_diag(field, [a, empty, b])
+    assert d == DenseMatrix(field, [[1, 2, 0, 0, 0], [3, 4, 0, 0, 0], [0, 0, 0, 0, 4]])
+    assert d.take_columns([4, 0]) == DenseMatrix(field, [[0, 1], [0, 3], [4, 0]])
+    assert d.take_columns([]).shape == (3, 0)

@@ -1,7 +1,14 @@
+import random
 from fractions import Fraction
 
+import pytest
+
+from mcmkit.catalog import load_catalog
+from mcmkit.linalg import DenseMatrix
+from mcmkit.mf import MatrixFactorization, coker_module
 from mcmkit.modules import (
     GradedModule,
+    SubmoduleTracker,
     free_module,
     invariants,
     maximal_ideal_module,
@@ -158,3 +165,92 @@ def test_invariants_m_over_cusp_is_ulrich_data():
     assert inv.mu == 2
     assert inv.dim == 1
     assert inv.multiplicity_e == 2  # e = mu: Ulrich
+
+
+def _unit_vector_mult_operator(M, entry, d):
+    """Reference: lift each quotient basis vector, multiply block by block, reduce."""
+    field = M.ring.field
+    src = M.piece(d)
+    tgt = M.piece(d + M.ring.ambient.poly_degree(entry.poly))
+    images = []
+    for pos in range(src.dim):
+        unit = [field.element(0)] * src.dim
+        unit[pos] = field.element(1)
+        fvec = src.lift(unit)
+        out = [field.element(0)] * tgt.total
+        for i, a in enumerate(M.gen_degs):
+            seg = fvec[src.offsets[i]: src.offsets[i] + src.block_dims[i]]
+            if not any(seg):
+                continue
+            img = M.ring.mult_matrix(entry.poly, d - a) @ DenseMatrix.column(field, list(seg))
+            for t in range(img.nrows):
+                out[tgt.offsets[i] + t] += img[t, 0]
+        images.append(list(tgt.coords(out)))
+    return images
+
+
+def _curve_module_over_qq(n, j):
+    """coker of the A_n curve factorization I_j over QQ (needs no sqrt(-1))."""
+    R = WeightedPolyRing(0, ["x", "y"], [n + 1, 2])
+    f = f"x^2+y^{n + 1}"
+    phi = [["x", f"y^{j}"], [f"y^{n + 1 - j}", "-x"]]
+    M, _ = coker_module(MatrixFactorization(R, f, phi, phi), ring=R.quotient([f])).normalized()
+    M.label = f"A{n}:I{j}"
+    return M
+
+
+def _multi_degree_modules():
+    out = []
+    for name, p in [("ade:A3:dim1", 5), ("ade:A2:dim2", 5), ("ade:A3:dim2", 13)]:
+        out.extend(M for _, M in load_catalog(name, p).modules())
+    out.extend(_curve_module_over_qq(n, j) for n, j in [(3, 1), (4, 1), (4, 2)])
+    out = [M for M in out if M.num_rels and len(set(M.gen_degs)) >= 2]
+    assert {M.ring.characteristic for M in out} == {0, 5, 13}
+    return out
+
+
+def _module_id(M):
+    return f"{M.label}{list(M.gen_degs)}-char{M.ring.characteristic}"
+
+
+@pytest.mark.parametrize("M", _multi_degree_modules(), ids=_module_id)
+def test_mult_operator_equals_unit_vector_definition(M):
+    ring = M.ring
+    lo = M.min_gen_degree()
+    for var in ring.variables:
+        x = ring.element(var)
+        for d in range(lo - 1, M.max_gen_degree() + 6):
+            got = M.mult_operator(x, d)
+            want = _unit_vector_mult_operator(M, x, d)
+            assert got.shape[1] == len(want)
+            assert [list(col) for col in got.transpose().rows()] == want
+
+
+def _random_elements(M, degrees, seed):
+    rng = random.Random(seed)
+    out = []
+    for d in degrees:
+        total = M.piece(d).total
+        e = M.element(d, [rng.choice([0, 1, 2, 3]) for _ in range(total)])
+        if not e.is_zero():
+            out.append(e)
+    return out
+
+
+@pytest.mark.parametrize("M", _multi_degree_modules(), ids=_module_id)
+def test_tracker_grown_in_place_matches_tracker_built_from_scratch(M):
+    lo = M.min_gen_degree()
+    top = lo + 5
+    gens = _random_elements(M, [lo, lo, lo + 1, lo + 3, lo + 3, lo + 4], seed=M.ring.characteristic)
+    grown = SubmoduleTracker(M, start_degree=lo)
+    for e in gens:
+        space = grown.space(e.degree)  # the generator's degree is now the frontier
+        grown.add_generator(e)
+        assert grown.spaces[e.degree] is space  # extended in place, not rebuilt
+    fresh = SubmoduleTracker(M, start_degree=lo)
+    for e in gens:
+        fresh.add_generator(e)
+    for d in range(lo, top + 1):
+        a, b = grown.space(d), fresh.space(d)
+        assert a.pivots() == b.pivots()
+        assert a.basis_matrix() == b.basis_matrix()

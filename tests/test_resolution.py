@@ -1,3 +1,6 @@
+import pytest
+
+from mcmkit.errors import DegreeBoundExceeded
 from mcmkit.homs import is_isomorphic
 from mcmkit.modules import (
     GradedModule,
@@ -195,3 +198,33 @@ def test_depth_of_k_is_zero():
     A = cusp()
     k = residue_field_module(A)
     assert depth(k) == 0
+
+
+def koszul_quotient(a, b):
+    """A/(x^a, y^b) over A = GF(7)[x,y,z]/(z^2): a Koszul syzygy in degree a+b."""
+    A = WeightedPolyRing(7, ["x", "y", "z"]).quotient(["z^2"])
+    return GradedModule(A, [0], [a, b], [[f"x^{a}", f"y^{b}"]])
+
+
+def test_resolve_cache_rebuilds_for_another_stall():
+    M = koszul_quotient(4, 4)
+    assert resolve(M, 3, stall=3).betti_numbers(3) == [1, 2, 0, 0]  # stopped short
+    fresh = resolve(koszul_quotient(4, 4), 3, stall=10).betti_numbers(3)
+    assert fresh == [1, 2, 1, 0]
+    assert resolve(M, 3, stall=10).betti_numbers(3) == fresh
+
+
+def test_resolve_cache_without_cap_does_not_serve_an_explicit_cap():
+    with pytest.raises(DegreeBoundExceeded):
+        resolve(koszul_quotient(4, 4), 3, degree_cap=5)
+    M = koszul_quotient(4, 4)
+    resolve(M, 3)
+    with pytest.raises(DegreeBoundExceeded):
+        resolve(M, 3, degree_cap=5)
+
+
+def test_resolve_cache_reused_under_the_same_bounds():
+    M = koszul_quotient(2, 2)
+    res = resolve(M, 3, stall=6)
+    assert resolve(M, 4, stall=6) is res
+    assert resolve(M, 4) is not res
