@@ -24,7 +24,7 @@ import numpy as np
 from .errors import Inconclusive, UsageError
 from .linalg import QQ, DenseMatrix, RowSpace
 from .modules import GradedModule, MElem, submodule_presentation
-from .rings import RingElement
+from .rings import RingElement, poly_mul
 
 __all__ = [
     "Hom",
@@ -97,17 +97,12 @@ class Hom:
                 e = self.phi[k][i]
                 if e.is_zero():
                     continue
-                prod = M.ring.normal_form(_pmul(M.ring, e.poly, poly))
+                prod = M.ring.normal_form(poly_mul(e.poly, poly, M.ring.field))
                 coords = M.ring.std_coords(prod, d - N.gen_degs[k])
                 off = tgt.offsets[k]
                 for t, c in enumerate(coords):
                     out[off + t] = out[off + t] + c
         return N.element(d, out)
-
-
-def _pmul(ring, a, b):
-    from .rings import poly_mul
-    return poly_mul(a, b, ring.field)
 
 
 class HomSpace:
@@ -217,7 +212,7 @@ class HomSpace:
                         entry = N.presentation[k][l]
                         if entry.is_zero():
                             continue
-                        prod = ring.normal_form(_pmul(ring, entry.poly, upoly))
+                        prod = ring.normal_form(poly_mul(entry.poly, upoly, field))
                         o, bdim, bd = self._block_index[(k, i)]
                         cc = ring.std_coords(prod, bd)
                         for t, c in enumerate(cc):

@@ -385,17 +385,16 @@ class DenseMatrix:
     def kernel_basis(self) -> "DenseMatrix":
         """Columns form a basis of the right null space."""
         reduced, pivots, rank = self.rref()
-        free = [c for c in range(self.ncols) if c not in set(pivots)]
-        cols = []
-        for fc in free:
-            v = [self.field.element(0)] * self.ncols
-            v[fc] = self.field.element(1)
-            for r, pc in enumerate(pivots):
-                v[pc] = -reduced[r, fc] if self.field == QQ else (-reduced[r, fc]) % self.field.p
-            cols.append(v)
-        if not cols:
-            return DenseMatrix.zeros(self.field, self.ncols, 0)
-        return DenseMatrix.from_rows(self.field, cols).transpose()
+        pivot_set = set(pivots)
+        free = [c for c in range(self.ncols) if c not in pivot_set]
+        out = DenseMatrix.zeros(self.field, self.ncols, len(free))._array()
+        out[free, np.arange(len(free))] = self.field.element(1)
+        if rank:
+            rest = -reduced._array()[:rank][:, free]
+            if isinstance(self.field, PrimeField):
+                rest %= self.field.p
+            out[list(pivots)] = rest
+        return DenseMatrix._of_array(self.field, out)
 
     def solve(self, rhs: "DenseMatrix") -> Optional["DenseMatrix"]:
         """One solution X of self @ X = rhs, or None if inconsistent."""

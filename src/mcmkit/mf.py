@@ -170,7 +170,10 @@ def from_resolution_tail(M: GradedModule, H: int = 8,
     Returns (mf, n) with coker(mf) isomorphic to Syz_n(M).  The lift of
     the differential to the polynomial ring is the normal form itself;
     the companion matrix is solved from phi psi = f . Id, which succeeds
-    exactly once the resolution has stabilized.
+    exactly once the resolution has stabilized.  The resolution is
+    extended only as far as the differentials inspected, so steps beyond
+    the one returned are never computed and cannot raise
+    ``DegreeBoundExceeded``.
     """
     from .resolution import resolve
 
@@ -181,7 +184,7 @@ def from_resolution_tail(M: GradedModule, H: int = 8,
     poly_ring = ring.ambient.quotient([])
     f = poly_ring.element(fpoly)
     df = f.degree
-    res = resolve(M, H + 1, degree_cap=degree_cap)
+    res = resolve(M, 1, degree_cap=degree_cap)
     for n in range(H - 1):
         step = res.differential(n + 1)
         bn, bn1 = len(step.row_degs), len(step.col_degs)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DegreeBoundExceeded, UsageError
 from .linalg import DenseMatrix, RowSpace
-from .rings import QuotientRing, RingElement, fit_hilbert_samuel
+from .rings import QuotientRing, RingElement, fit_hilbert_samuel, poly_mul
 
 __all__ = [
     "GradedModule",
@@ -373,7 +373,7 @@ def _drop_redundant_relations(M: GradedModule) -> GradedModule:
                         if entry.is_zero():
                             continue
                         prod = M.ring.normal_form(
-                            _poly_mul_ring(M.ring, entry.poly, upoly))
+                            poly_mul(entry.poly, upoly, M.ring.field))
                         coords = M.ring.std_coords(prod, d - M.gen_degs[i])
                         off = free.piece(d).offsets[i]
                         for t, c in enumerate(coords):
@@ -390,11 +390,6 @@ def _drop_redundant_relations(M: GradedModule) -> GradedModule:
                 break
         if not dropped:
             return M
-
-
-def _poly_mul_ring(ring, a, b):
-    from .rings import poly_mul
-    return poly_mul(a, b, ring.field)
 
 
 def free_module(ring: QuotientRing, gen_degs: Sequence[int], label: str = "") -> GradedModule:
@@ -594,7 +589,7 @@ def _scale_elem_by_mono(C: GradedModule, e: MElem, mono, d: int):
         if not any(seg):
             continue
         poly = ring.poly_from_std_coords(seg, e.degree - C.gen_degs[i])
-        prod = ring.normal_form(_poly_mul_ring(ring, poly, upoly))
+        prod = ring.normal_form(poly_mul(poly, upoly, ring.field))
         coords = ring.std_coords(prod, d - C.gen_degs[i])
         off = tgt.offsets[i]
         for t, c in enumerate(coords):

@@ -9,6 +9,14 @@ input presentations are minimal and kernel generators are taken
 minimally, every differential has entries in the maximal ideal, so the
 window is a minimal resolution and Betti numbers are just rank counts.
 
+Kernel capture reads only degree differences, so a step whose input
+equals an earlier step's input with every degree shifted by s has the
+earlier output shifted by s as its output.  ``FreeResolution.extend``
+reuses such a step instead of capturing its kernel again, whenever the
+shifted scan stays within the step's degree cap.  Over a hypersurface
+the resolution of an MCM module is 2-periodic up to shift (Eisenbud,
+Trans. AMS 260, 1980), so each period is computed once.
+
 The dualized complex gives Ext^i(M, A), the depth test, and the MCM
 test (Ext^i(M, A) = 0 for 1 <= i <= dim A over a Gorenstein quotient).
 """
@@ -16,7 +24,7 @@ test (Ext^i(M, A) = 0 for 1 <= i <= dim A over a Gorenstein quotient).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DegreeBoundExceeded, UsageError
 from .linalg import DenseMatrix
@@ -28,7 +36,7 @@ from .modules import (
     invariants,
     submodule_presentation,
 )
-from .rings import QuotientRing, RingElement
+from .rings import QuotientRing, RingElement, poly_key
 
 __all__ = [
     "FreeResolution",
@@ -57,6 +65,7 @@ class Step:
     row_degs: Tuple[int, ...]
     col_degs: Tuple[int, ...]
     entries: Tuple[Tuple[RingElement, ...], ...]  # len(row_degs) x len(col_degs)
+    scanned_to: Optional[int] = None  # last degree the kernel scan reached; None if none ran
 
     def transpose_data(self):
         rows = len(self.row_degs)
@@ -90,6 +99,7 @@ def kernel_step(ring: QuotientRing, row_degs: Sequence[int], col_degs: Sequence[
         )
         return Step(tuple(col_degs), tuple(col_degs), ident)
     src = free_module(ring, col_degs)
+    tgt = free_module(ring, row_degs)
     tracker = SubmoduleTracker(src, start_degree=min(col_degs))
     found: List[MElem] = []
     d = min(col_degs)
@@ -97,25 +107,16 @@ def kernel_step(ring: QuotientRing, row_degs: Sequence[int], col_degs: Sequence[
     while d <= degree_cap:
         src_pc = src.piece(d)
         if src_pc.total:
-            blocks = []
-            for j, c in enumerate(col_degs):
-                cdim = ring.hilbert_function(d - c)
-                col_blocks = []
-                for k, r in enumerate(row_degs):
+            # one array per degree: block (k, j) is multiplication by entry (k, j)
+            row_offs, row_dims, nrows = tgt.free_layout(d)
+            arr = DenseMatrix.zeros(field, nrows, src_pc.total)._array()
+            for k, (r0, rdim) in enumerate(zip(row_offs, row_dims)):
+                for j, c in enumerate(col_degs):
                     e = entries[k][j]
-                    tdim = ring.hilbert_function(d - r)
-                    if e.is_zero() or cdim == 0 or tdim == 0:
-                        col_blocks.append(DenseMatrix.zeros(field, tdim, cdim))
-                    else:
-                        col_blocks.append(ring.mult_matrix(e.poly, d - c))
-                blk = col_blocks[0]
-                for b in col_blocks[1:]:
-                    blk = blk.vstack(b)
-                blocks.append(blk)
-            mat = blocks[0]
-            for b in blocks[1:]:
-                mat = mat.hstack(b)
-            ker = mat.kernel_basis()
+                    c0, cdim = src_pc.offsets[j], src_pc.block_dims[j]
+                    if rdim and cdim and not e.is_zero():
+                        arr[r0:r0 + rdim, c0:c0 + cdim] = ring.mult_matrix(e.poly, d - c)._array()
+            ker = DenseMatrix._of_array(field, arr).kernel_basis()
             if ker.ncols:
                 span = tracker.space(d)
                 for col in ker.transpose().rows():
@@ -144,7 +145,7 @@ def kernel_step(ring: QuotientRing, row_degs: Sequence[int], col_degs: Sequence[
             poly = ring.poly_from_std_coords(seg, e.degree - col_degs[k])
             row.append(RingElement(ring, poly, e.degree - col_degs[k] if poly else None))
         rows.append(tuple(row))
-    return Step(tuple(col_degs), new_col_degs, tuple(rows))
+    return Step(tuple(col_degs), new_col_degs, tuple(rows), scanned_to=d)
 
 
 class FreeResolution:
@@ -162,6 +163,8 @@ class FreeResolution:
             self.minimal.presentation,
         )
         self.steps: List[Step] = [first]
+        # scanned kernel_step input, shifted so that col_degs[0] = 0 -> index of its output
+        self._outputs: Dict[tuple, int] = {}
 
     def _auto_cap(self, H: int) -> int:
         if self.degree_cap is not None:
@@ -172,16 +175,37 @@ class FreeResolution:
         return base + (H + 2) * max(rd, 2 * ring.max_weight) + 8
 
     def extend(self, H: int):
-        """Ensure differentials up to step H are computed."""
+        """Ensure differentials up to step H are computed.
+
+        A step whose input repeats an earlier input shifted by s is the
+        earlier output shifted by s (see the module docstring).  It is
+        reused only if the earlier scan end plus s is within this step's
+        cap; otherwise kernel_step runs and raises as it would have.
+        """
         while len(self.steps) < H:
             prev = self.steps[-1]
             if not prev.col_degs:
                 # already hit a zero step: free tail
                 self.steps.append(Step(prev.col_degs, (), ()))
                 continue
-            nxt = kernel_step(
-                self.ring, prev.row_degs, prev.col_degs, prev.entries,
-                degree_cap=self._auto_cap(len(self.steps) + 2), stall=self.stall)
+            cap = self._auto_cap(len(self.steps) + 2)
+            base = prev.col_degs[0]
+            key = (tuple(r - base for r in prev.row_degs),
+                   tuple(c - base for c in prev.col_degs),
+                   tuple(tuple(poly_key(e.poly) for e in row) for row in prev.entries))
+            seen = self._outputs.get(key)
+            if seen is not None:
+                old = self.steps[seen]
+                shift = base - old.row_degs[0]
+                if old.scanned_to + shift <= cap:
+                    self.steps.append(Step(
+                        prev.col_degs, tuple(c + shift for c in old.col_degs), old.entries,
+                        scanned_to=old.scanned_to + shift))
+                    continue
+            nxt = kernel_step(self.ring, prev.row_degs, prev.col_degs, prev.entries,
+                              degree_cap=cap, stall=self.stall)
+            if nxt.scanned_to is not None:
+                self._outputs[key] = len(self.steps)
             self.steps.append(nxt)
 
     def betti(self, i: int) -> int:

@@ -242,9 +242,7 @@ class WeightedPolyRing:
 
     def __repr__(self):
         w = "" if all(x == 1 for x in self.weights) else f", weights={list(self.weights)}"
-        return f"GF({self.characteristic})" if False else (
-            f"k[{','.join(self.variables)}](char {self.characteristic}{w})"
-        )
+        return f"k[{','.join(self.variables)}](char {self.characteristic}{w})"
 
     def wdeg(self, mono: Mono) -> int:
         return sum(e * w for e, w in zip(mono, self.weights))

@@ -209,3 +209,33 @@ def test_block_diag_and_take_columns(field):
     assert d == DenseMatrix(field, [[1, 2, 0, 0, 0], [3, 4, 0, 0, 0], [0, 0, 0, 0, 4]])
     assert d.take_columns([4, 0]) == DenseMatrix(field, [[0, 1], [0, 3], [4, 0]])
     assert d.take_columns([]).shape == (3, 0)
+
+
+def _loop_kernel_basis(m):
+    """The kernel basis built one entry at a time from the rref."""
+    reduced, pivots, rank = m.rref()
+    cols = []
+    for fc in (c for c in range(m.ncols) if c not in pivots):
+        v = [m.field.element(0)] * m.ncols
+        v[fc] = m.field.element(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = m.field.element(-reduced[r, fc])
+        cols.append(v)
+    return cols
+
+
+@pytest.mark.parametrize("field", [GF(7), GF(2**31 - 1), QQ])
+def test_kernel_basis_equals_entrywise_construction(field):
+    rng = random.Random(11)
+
+    def entry():
+        x = rng.choice([0, 0, 0, 1, 2, 5, -3])
+        return Fraction(x, rng.choice([1, 2, 3])) if field == QQ else x
+
+    for nrows, ncols in [(0, 4), (3, 0), (4, 7), (7, 4), (5, 5), (2, 9)]:
+        m = DenseMatrix(field, [[entry() for _ in range(ncols)] for _ in range(nrows)]) \
+            if nrows else DenseMatrix.zeros(field, 0, ncols)
+        k = m.kernel_basis()
+        want = _loop_kernel_basis(m)
+        assert k.shape == (ncols, len(want))
+        assert [list(col) for col in k.transpose().rows()] == want

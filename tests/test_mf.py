@@ -5,7 +5,7 @@ from mcmkit.errors import UsageError
 from mcmkit.homs import decompose, is_isomorphic
 from mcmkit.mf import MatrixFactorization, coker_module, from_resolution_tail, mf_shift, mf_transpose
 from mcmkit.modules import residue_field_module
-from mcmkit.resolution import mcm_test, syzygy, ulrich_test
+from mcmkit.resolution import mcm_test, resolve, syzygy, ulrich_test
 from mcmkit.rings import WeightedPolyRing
 
 
@@ -132,6 +132,29 @@ def test_from_resolution_tail_maximal_ideal_cusp():
     assert mf.size == 2
     assert mf.validate()
     assert is_isomorphic(coker_module(mf, ring=A), syzygy(m, n))
+
+
+def _tail_data(mf, n):
+    return n, [[e.poly for e in row] for row in mf.phi], [[e.poly for e in row] for row in mf.psi]
+
+
+@pytest.mark.parametrize("which", ["I1", "k"])
+def test_from_resolution_tail_extends_only_as_far_as_it_inspects(which, request):
+    def fresh():
+        cat = load_catalog("ade:A3:dim1")
+        return residue_field_module(cat.ring) if which == "k" else dict(cat.modules())[which]
+
+    extended = fresh()
+    resolve(extended, 9)
+    want = _tail_data(*from_resolution_tail(extended, H=8))
+    calls = request.getfixturevalue("kernel_step_calls")
+    got = _tail_data(*from_resolution_tail(fresh(), H=8))
+    assert got == want
+    if which == "I1":
+        assert got[0] == 0
+        assert calls == []
+    else:
+        assert 0 < len(calls) <= got[0]
 
 
 def test_catalog_a1_curve_two_indecomposables():

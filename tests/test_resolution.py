@@ -1,5 +1,6 @@
 import pytest
 
+from mcmkit.catalog import load_catalog
 from mcmkit.errors import DegreeBoundExceeded
 from mcmkit.homs import is_isomorphic
 from mcmkit.modules import (
@@ -8,18 +9,22 @@ from mcmkit.modules import (
     maximal_ideal_module,
     residue_field_module,
 )
+from mcmkit.mf import MatrixFactorization, coker_module
 from mcmkit.resolution import (
+    FreeResolution,
+    Step,
     depth,
     detect_period,
     ext_is_zero,
     ext_module,
     growth_report,
+    kernel_step,
     mcm_test,
     resolve,
     syzygy,
     ulrich_test,
 )
-from mcmkit.rings import WeightedPolyRing
+from mcmkit.rings import WeightedPolyRing, poly_key
 
 
 def dual_numbers(p=7):
@@ -228,3 +233,69 @@ def test_resolve_cache_reused_under_the_same_bounds():
     res = resolve(M, 3, stall=6)
     assert resolve(M, 4, stall=6) is res
     assert resolve(M, 4) is not res
+
+
+def cold_chain(M, H, degree_cap=None, stall=None):
+    """The first H steps rebuilt by kernel_step on each previous step, without reuse."""
+    res = FreeResolution(M, degree_cap, stall)
+    steps = [res.steps[0]]
+    while len(steps) < H:
+        prev = steps[-1]
+        if not prev.col_degs:
+            steps.append(Step(prev.col_degs, (), ()))
+            continue
+        steps.append(kernel_step(M.ring, prev.row_degs, prev.col_degs, prev.entries,
+                                 degree_cap=res._auto_cap(len(steps) + 2), stall=stall))
+    return steps
+
+
+def step_data(step):
+    entries = tuple(tuple(poly_key(e.poly) for e in row) for row in step.entries)
+    return step.row_degs, step.col_degs, entries, step.scanned_to
+
+
+def reuse_cases():
+    out = []
+    for name in ("ade:A3:dim1", "ade:A2:dim2"):
+        cat = load_catalog(name)
+        out.extend(pytest.param(M, id=f"{name}/{label}") for label, M in cat.modules())
+        out.append(pytest.param(residue_field_module(cat.ring), id=f"{name}/k"))
+        out.append(pytest.param(maximal_ideal_module(cat.ring), id=f"{name}/m"))
+    R = WeightedPolyRing(0, ["x", "y"], [4, 2])
+    f = "x^2+y^4"
+    I1 = MatrixFactorization(R, f, [["x", "y"], ["y^3", "-x"]], [["x", "y"], ["y^3", "-x"]])
+    out.append(pytest.param(coker_module(I1, ring=R.quotient([f])), id="QQ:A3:dim1/I1"))
+    return out
+
+
+@pytest.mark.parametrize("M", reuse_cases())
+def test_reused_steps_match_the_cold_chain(M, request):
+    want = [step_data(s) for s in cold_chain(M, 12)]
+    calls = request.getfixturevalue("kernel_step_calls")
+    got = [step_data(s) for s in resolve(M, 12).steps]
+    assert got == want
+    # every input here is periodic up to shift from step 4 on at the latest
+    assert len(calls) <= 5
+
+
+@pytest.mark.parametrize("name,label", [("ade:A3:dim1", "N+"), ("ade:A4:dim1", "k")])
+def test_reuse_raises_at_exactly_the_caps_the_cold_chain_does(name, label):
+    def fresh():
+        cat = load_catalog(name)
+        return residue_field_module(cat.ring) if label == "k" else dict(cat.modules())[label]
+
+    outcomes = set()
+    for cap in range(24, 76):
+        try:
+            cold_chain(fresh(), 12, degree_cap=cap)
+            cold = "ok"
+        except DegreeBoundExceeded:
+            cold = "raises"
+        try:
+            resolve(fresh(), 12, degree_cap=cap)
+            reused = "ok"
+        except DegreeBoundExceeded:
+            reused = "raises"
+        assert reused == cold, cap
+        outcomes.add(cold)
+    assert outcomes == {"ok", "raises"}
