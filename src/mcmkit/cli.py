@@ -5,6 +5,9 @@ one operation, and emits CSV, DOT or JSON artifacts.  Every artifact
 records the seed; identical inputs, bounds and seed give byte-identical
 output.  Exit codes: 0 success, 1 error, 2 inconclusive (a bounded
 search ran out of budget without an answer).
+
+Each command imports the layers it uses when it runs, so a run loads only
+what its subcommand needs.
 """
 
 from __future__ import annotations
@@ -12,26 +15,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .catalog import catalog_names, load_catalog
-from .cisupport import CIPresentation, eisenbud_operators, support_annihilator_window
 from .errors import Inconclusive, MCMError, UsageError
-from .functors import cosyzygy, dual, link, mcm_approx, stable_part, syzygy_signed, transpose
-from .homs import is_isomorphic
-from .mf import MatrixFactorization, from_resolution_tail
-from .modules import (
-    GradedModule,
-    free_module,
-    invariants,
-    maximal_ideal_module,
-    residue_field_module,
-)
-from .quiver import build_quiver, component_classify, middle_term, reverse_iso_check
-from .resolution import detect_period, growth_report, resolve
-from .rings import QuotientRing, WeightedPolyRing
+
+if TYPE_CHECKING:
+    from .mf import MatrixFactorization
+    from .modules import GradedModule
+    from .rings import QuotientRing
 
 
 # ---------------------------------------------------------------------------
@@ -49,6 +41,8 @@ def _read_json(path: str):
 
 
 def load_ring(spec, modulus: Optional[int] = None) -> QuotientRing:
+    from .rings import WeightedPolyRing
+
     if isinstance(spec, str):
         spec = _read_json(spec)
     if not isinstance(spec, dict):
@@ -63,6 +57,8 @@ def load_ring(spec, modulus: Optional[int] = None) -> QuotientRing:
 
 
 def load_module(spec, modulus: Optional[int] = None) -> GradedModule:
+    from .modules import GradedModule, free_module, maximal_ideal_module, residue_field_module
+
     if isinstance(spec, str):
         if spec.startswith("ade:"):
             return _catalog_module(spec, modulus)
@@ -96,6 +92,9 @@ def load_module(spec, modulus: Optional[int] = None) -> GradedModule:
 
 def _catalog_module(ref: str, modulus: Optional[int]) -> GradedModule:
     """Resolve "ade:A3:dim1/I1" to the named catalog cokernel."""
+    from .catalog import load_catalog
+    from .modules import maximal_ideal_module, residue_field_module
+
     if "/" not in ref:
         raise UsageError("catalog module reference must look like ade:A3:dim1/I1")
     cat_name, mod_name = ref.split("/", 1)
@@ -113,6 +112,9 @@ def _catalog_module(ref: str, modulus: Optional[int]) -> GradedModule:
 
 
 def load_mf(spec, modulus: Optional[int] = None) -> MatrixFactorization:
+    from .mf import MatrixFactorization
+    from .rings import WeightedPolyRing
+
     if isinstance(spec, str):
         spec = _read_json(spec)
     ring_spec = spec.get("ring")
@@ -195,6 +197,8 @@ def emit_dot(dot_text: str, args):
 # ---------------------------------------------------------------------------
 
 def cmd_resolve(args) -> int:
+    from .resolution import resolve
+
     M = load_module(args.module, args.modulus)
     res = resolve(M, args.hom_bound, degree_cap=args.degree_bound)
     rows = [
@@ -206,6 +210,8 @@ def cmd_resolve(args) -> int:
 
 
 def cmd_syzygy(args) -> int:
+    from .functors import syzygy_signed
+
     M = load_module(args.module, args.modulus)
     S = syzygy_signed(M, args.n, degree_cap=args.degree_bound)
     emit_json({"module": module_to_json(S.minimized())}, args)
@@ -225,18 +231,26 @@ def _functor_command(args, fn, name: str) -> int:
 
 
 def cmd_dual(args) -> int:
+    from .functors import dual
+
     return _functor_command(args, lambda m: dual(m, degree_cap=args.degree_bound), "dual")
 
 
 def cmd_transpose(args) -> int:
+    from .functors import transpose
+
     return _functor_command(args, lambda m: transpose(m, degree_cap=args.degree_bound), "transpose")
 
 
 def cmd_link(args) -> int:
+    from .functors import link
+
     return _functor_command(args, lambda m: link(m, degree_cap=args.degree_bound), "link")
 
 
 def cmd_approx(args) -> int:
+    from .functors import mcm_approx, stable_part
+
     M = load_module(args.module, args.modulus)
     X = mcm_approx(M, degree_cap=args.degree_bound)
     stable, frees = stable_part(X)
@@ -249,6 +263,8 @@ def cmd_approx(args) -> int:
 
 
 def cmd_period(args) -> int:
+    from .resolution import detect_period
+
     M = load_module(args.module, args.modulus)
     got = detect_period(M, p_max=args.p_max, n_max=args.n_max,
                         degree_cap=args.degree_bound, seed=args.seed)
@@ -260,6 +276,8 @@ def cmd_period(args) -> int:
 
 
 def cmd_growth(args) -> int:
+    from .resolution import growth_report
+
     M = load_module(args.module, args.modulus)
     rep = growth_report(M, H=args.hom_bound, degree_cap=args.degree_bound,
                         compare_with_k=True)
@@ -268,6 +286,8 @@ def cmd_growth(args) -> int:
 
 
 def cmd_invariants(args) -> int:
+    from .modules import invariants
+
     M = load_module(args.module, args.modulus)
     emit_json(invariants(M).as_dict(), args)
     return 0
@@ -285,6 +305,8 @@ def cmd_mf_validate(args) -> int:
 
 
 def cmd_mf_extract(args) -> int:
+    from .mf import from_resolution_tail
+
     M = load_module(args.module, args.modulus)
     mf, n = from_resolution_tail(M, H=args.hom_bound, degree_cap=args.degree_bound)
     emit_json({"tail_index": n, "mf": mf_to_json(mf)}, args)
@@ -292,6 +314,9 @@ def cmd_mf_extract(args) -> int:
 
 
 def cmd_quiver(args) -> int:
+    from .catalog import load_catalog
+    from .quiver import build_quiver
+
     cat = load_catalog(args.catalog, args.modulus)
     q = build_quiver(cat, seed=args.seed)
     if args.format == "dot":
@@ -318,6 +343,9 @@ def cmd_quiver(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from .catalog import load_catalog
+    from .quiver import build_quiver, component_classify
+
     cat = load_catalog(args.catalog, args.modulus)
     q = build_quiver(cat, seed=args.seed)
     prop = args.property
@@ -332,6 +360,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_ci_operators(args) -> int:
+    from .cisupport import CIPresentation, eisenbud_operators
+
     M = load_module(args.module, args.modulus)
     ci = CIPresentation.from_ring(M.ring)
     ext = eisenbud_operators(ci, M, H=args.hom_bound, degree_cap=args.degree_bound)
@@ -351,6 +381,8 @@ def cmd_ci_operators(args) -> int:
 
 
 def cmd_support(args) -> int:
+    from .cisupport import CIPresentation, eisenbud_operators, support_annihilator_window
+
     M = load_module(args.module, args.modulus)
     ci = CIPresentation.from_ring(M.ring)
     ext = eisenbud_operators(ci, M, H=args.hom_bound, degree_cap=args.degree_bound)
@@ -359,36 +391,33 @@ def cmd_support(args) -> int:
     return 0
 
 
+def cmd_catalogs(args) -> int:
+    from .catalog import catalog_names
+
+    emit_json({"catalogs": catalog_names()}, args)
+    return 0
+
+
 # ---------------------------------------------------------------------------
 # verification suites
 # ---------------------------------------------------------------------------
 
-def _suite_symmetry(cat, q, seed, jobs):
+def _suite_symmetry(cat, q, seed):
+    from .functors import cosyzygy, dual, link
+    from .homs import is_isomorphic
+    from .quiver import reverse_iso_check
+    from .resolution import syzygy
+
     checks = []
-    mods = cat.modules()
-
-    def per_module(item):
-        name, M = item
-        out = []
-        out.append((f"link_involution[{name}]", is_isomorphic(link(link(M)), M, seed=seed)))
-        out.append((f"double_dual[{name}]", is_isomorphic(dual(dual(M)), M, seed=seed)))
-        out.append((f"cosyzygy_dual_is_link[{name}]",
-                    is_isomorphic(cosyzygy(dual(M), 1), link(M), seed=seed)))
-        from .resolution import syzygy
-
-        out.append((f"syz3_is_syz1[{name}]",
-                    is_isomorphic(syzygy(M, 3), syzygy(M, 1), seed=seed)))
+    for name, M in cat.modules():
+        checks.append((f"link_involution[{name}]", is_isomorphic(link(link(M)), M, seed=seed)))
+        checks.append((f"double_dual[{name}]", is_isomorphic(dual(dual(M)), M, seed=seed)))
+        checks.append((f"cosyzygy_dual_is_link[{name}]",
+                       is_isomorphic(cosyzygy(dual(M), 1), link(M), seed=seed)))
+        checks.append((f"syz3_is_syz1[{name}]",
+                       is_isomorphic(syzygy(M, 3), syzygy(M, 1), seed=seed)))
         if cat.dim == 2:
-            out.append((f"self_linkage[{name}]", is_isomorphic(link(M), M, seed=seed)))
-        return out
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for out in pool.map(per_module, mods):
-                checks.extend(out)
-    else:
-        for item in mods:
-            checks.extend(per_module(item))
+            checks.append((f"self_linkage[{name}]", is_isomorphic(link(M), M, seed=seed)))
     okD, _ = reverse_iso_check(q, "D", seed=seed)
     okL, _ = reverse_iso_check(q, "lambda", seed=seed)
     checks.append(("reverse_iso_D", okD))
@@ -396,7 +425,9 @@ def _suite_symmetry(cat, q, seed, jobs):
     return sorted(checks)
 
 
-def _suite_periodicity(cat, q, seed, jobs):
+def _suite_periodicity(cat, q, seed):
+    from .resolution import detect_period
+
     checks = []
     for name, M in cat.modules():
         got = detect_period(M, p_max=2, n_max=4, seed=seed)
@@ -404,7 +435,9 @@ def _suite_periodicity(cat, q, seed, jobs):
     return sorted(checks)
 
 
-def _suite_middle(cat, q, seed, jobs):
+def _suite_middle(cat, q, seed):
+    from .quiver import middle_term
+
     checks = []
     fi = q.free_index
     for j, v in enumerate(q.vertices):
@@ -421,7 +454,9 @@ def _suite_middle(cat, q, seed, jobs):
     return sorted(checks)
 
 
-def _suite_classify(cat, q, seed, jobs):
+def _suite_classify(cat, q, seed):
+    from .quiver import component_classify
+
     checks = []
     for prop, value in (("periodic", None), ("ulrich", None), ("cx_equals", 1)):
         rep = component_classify(q, prop, value=value, seed=seed)
@@ -439,6 +474,9 @@ _SUITES = {
 
 
 def cmd_verify(args) -> int:
+    from .catalog import load_catalog
+    from .quiver import build_quiver
+
     cat = load_catalog(args.catalog, args.modulus)
     q = build_quiver(cat, seed=args.seed)
     names = list(_SUITES) if args.suite == "all" else [args.suite]
@@ -447,7 +485,7 @@ def cmd_verify(args) -> int:
     for sname in names:
         if sname not in _SUITES:
             raise UsageError(f"unknown suite {sname!r}; known: {', '.join(_SUITES)} or 'all'")
-        for check, ok in _SUITES[sname](cat, q, args.seed, args.jobs):
+        for check, ok in _SUITES[sname](cat, q, args.seed):
             lines.append(f"{'pass' if ok else 'FAIL'}  {sname}:{check}")
             if not ok:
                 bad.append(check)
@@ -469,7 +507,6 @@ def _add_common(sp):
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default=None)
     sp.add_argument("--format", choices=("csv", "dot", "json"), default=None)
-    sp.add_argument("--jobs", type=int, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -528,8 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--catalog", required=True)
     sp.add_argument("--suite", default="all",
                     help=f"one of: {', '.join(_SUITES)} or 'all'")
-    sp = add("catalogs", lambda args: (emit_json({"catalogs": catalog_names()}, args), 0)[1],
-             help="list shipped catalogs")
+    sp = add("catalogs", cmd_catalogs, help="list shipped catalogs")
     return ap
 
 
@@ -540,7 +576,7 @@ def main(argv=None) -> int:
         args.format = "dot" if args.command == "quiver" else (
             "csv" if args.command in ("resolve", "betti") else "json")
     try:
-        if args.hom_bound < 1 or args.jobs < 1 or (
+        if args.hom_bound < 1 or (
                 args.degree_bound is not None and args.degree_bound < 1):
             raise UsageError("bounds must be positive")
         return args.fn(args)

@@ -73,6 +73,8 @@ class PrimeField:
         return self.p
 
     def element(self, x) -> int:
+        if type(x) is int:  # the common case, without Fraction's ABC instance check
+            return x % self.p
         if isinstance(x, Fraction):
             if x.denominator % self.p == 0:
                 raise UsageError(f"denominator of {x} not invertible mod {self.p}")
@@ -431,60 +433,67 @@ def solve(m: DenseMatrix, rhs: DenseMatrix) -> Optional[DenseMatrix]:
 class RowSpace:
     """A subspace of k^n maintained in reduced echelon form.
 
-    Supports incremental span growth, canonical reduction of vectors
-    modulo the space, and membership tests.  The workhorse behind
-    normal forms, kernel capture and Hom-space quotients.
+    Supports span growth by whole blocks, canonical reduction of vectors
+    modulo the space, and membership tests.  The workhorse behind normal
+    forms, kernel capture and Hom-space quotients.
+
+    The echelon rows are one 2-D array laid out as ``DenseMatrix._array``
+    returns it, one row per pivot column in ``_pivots`` (ascending).  The
+    rows are fully reduced: each pivot column is zero in every other row,
+    so the coefficient of echelon row i in a vector is the vector's entry
+    in pivot column i, and reducing is one product.  The array is replaced,
+    never written in place, so a ``basis_matrix`` handed out stays valid.
     """
 
     def __init__(self, field, ncols: int):
         self.field = field
         self.ncols = ncols
-        self._rows = []  # list of (pivot_col, vector) sorted by pivot_col
+        self._basis = DenseMatrix.zeros(field, 0, ncols)._array()
+        self._pivots = ()
 
     @property
     def dim(self) -> int:
-        return len(self._rows)
+        return len(self._pivots)
 
     def copy(self) -> "RowSpace":
         s = RowSpace(self.field, self.ncols)
-        s._rows = [(p, v.copy() if isinstance(self.field, PrimeField) else list(v)) for p, v in self._rows]
+        s._basis, s._pivots = self._basis, self._pivots
         return s
 
     def _as_vec(self, v):
         if isinstance(self.field, PrimeField):
-            if isinstance(v, np.ndarray):
-                return v.astype(np.int64) % self.field.p
+            a = np.asarray(v)
+            # int64 or uint64: one conversion.  Fractions, ints past 2**64 and
+            # lists mixing negatives with ints past 2**63 (object or float
+            # dtype) go entry by entry.
+            if a.dtype.kind in "iu":
+                return (a % self.field.p).astype(np.int64)
             return np.array([self.field.element(x) for x in v], dtype=np.int64)
         return [Fraction(x) for x in v]
 
     def reduce_rows(self, m: DenseMatrix) -> DenseMatrix:
         """Canonical residue of every row of m modulo the space.
 
-        Row by row this equals ``reduce``.  The echelon rows are fully
-        reduced (each pivot column is zero in every other row), so the
-        coefficient of echelon row i in a residue is the input's entry in
-        pivot column i, and the whole batch is one product:
-        m - m[:, pivots] @ basis.
+        Row by row this equals ``reduce``: m - m[:, pivots] @ basis.
         """
-        if not self._rows:
+        if not self._pivots:
             return m
-        return m - m.take_columns(self.pivots()) @ self.basis_matrix()
+        a = m._array()
+        out = a - self.field.matmul(a[:, list(self._pivots)], self._basis)
+        if isinstance(self.field, PrimeField):
+            out %= self.field.p
+        return DenseMatrix._of_array(self.field, out)
 
     def reduce(self, v):
         """Canonical residue of v modulo the space."""
         v = self._as_vec(v)
-        if isinstance(self.field, PrimeField):
-            p = self.field.p
-            for pc, row in self._rows:
-                c = v[pc]
-                if c:
-                    v = (v - c * row) % p
+        if not self._pivots:
             return v
-        for pc, row in self._rows:
-            c = v[pc]
-            if c:
-                v = [x - c * y for x, y in zip(v, row)]
-        return v
+        if isinstance(self.field, PrimeField):
+            coeffs = v[list(self._pivots)]
+            return (v - self.field.matmul(coeffs[None], self._basis)[0]) % self.field.p
+        coeffs = np.array([v[c] for c in self._pivots], dtype=object)
+        return (np.array(v, dtype=object) - coeffs @ self._basis).tolist()
 
     def contains(self, v) -> bool:
         r = self.reduce(v)
@@ -494,45 +503,39 @@ class RowSpace:
 
     def add(self, v) -> bool:
         """Add one vector; True if it enlarged the space."""
-        r = self.reduce(v)
-        if isinstance(self.field, PrimeField):
-            nz = np.nonzero(r)[0]
-            if nz.size == 0:
-                return False
-            pc = int(nz[0])
-            r = (r * pow(int(r[pc]), self.field.p - 2, self.field.p)) % self.field.p
-            for i, (qc, row) in enumerate(self._rows):
-                c = row[pc]
-                if c:
-                    self._rows[i] = (qc, (row - c * r) % self.field.p)
-        else:
-            pc = next((i for i, x in enumerate(r) if x != 0), None)
-            if pc is None:
-                return False
-            inv = 1 / r[pc]
-            r = [x * inv for x in r]
-            for i, (qc, row) in enumerate(self._rows):
-                c = row[pc]
-                if c:
-                    self._rows[i] = (qc, [x - c * y for x, y in zip(row, r)])
-        self._rows.append((pc, r))
-        self._rows.sort(key=lambda t: t[0])
-        return True
+        return self.add_matrix(DenseMatrix._of_array(self.field, np.array([self._as_vec(v)]))) == 1
 
     def add_matrix(self, m: DenseMatrix) -> int:
-        added = 0
-        for row in m.rows():
-            if self.add(row):
-                added += 1
-        return added
+        """Add every row of m; the number of dimensions gained.
+
+        The residues of m go to reduced echelon form in one ``rref``.  Their
+        rows are zero on the old pivot columns, so the old rows need only be
+        cleared on the new pivot columns: one product.  The merged rows are
+        the reduced echelon form of the grown span, which is unique: the
+        same rows as adding m one row at a time.
+        """
+        if m.ncols != self.ncols:
+            raise UsageError("add_matrix column mismatch")
+        residues = self.reduce_rows(m)
+        if residues.is_zero():
+            return 0
+        reduced, pivots, rank = residues.rref()
+        rows = reduced._array()[:rank].copy()  # a copy keeps no zero rows alive
+        if self._pivots:
+            old = self._basis - self.field.matmul(self._basis[:, list(pivots)], rows)
+            if isinstance(self.field, PrimeField):
+                old %= self.field.p
+            pivots = self._pivots + pivots
+            order = sorted(range(len(pivots)), key=pivots.__getitem__)
+            rows, pivots = np.vstack([old, rows])[order], tuple(pivots[i] for i in order)
+        self._basis, self._pivots = rows, pivots
+        return rank
 
     def basis_matrix(self) -> DenseMatrix:
-        if not self._rows:
-            return DenseMatrix.zeros(self.field, 0, self.ncols)
-        return DenseMatrix.from_rows(self.field, [v for _, v in self._rows], self.ncols)
+        return DenseMatrix._of_array(self.field, self._basis)
 
     def pivots(self):
-        return tuple(p for p, _ in self._rows)
+        return self._pivots
 
 
 def intersect_rowspaces(U: RowSpace, V: RowSpace, field, n: int) -> RowSpace:

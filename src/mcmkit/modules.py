@@ -168,21 +168,20 @@ class GradedModule:
         if got is not None:
             return got
         offsets, dims, total = self.free_layout(d)
-        space = RowSpace(self.ring.field, total)
-        for j, b in enumerate(self.rel_degs):
-            src_dim = self.ring.hilbert_function(d - b)
-            if src_dim == 0:
-                continue
-            blocks = []
+        # one row per (relation j, basis monomial of A_{d - b_j}): its image
+        # in the free cover, block by block
+        src_dims = [self.ring.hilbert_function(d - b) for b in self.rel_degs]
+        rows = DenseMatrix.zeros(self.ring.field, sum(src_dims), total)._array()
+        r0 = 0
+        for j, (b, src_dim) in enumerate(zip(self.rel_degs, src_dims)):
             for i in range(self.num_gens):
                 entry = self.presentation[i][j]
-                if entry.is_zero():
-                    blocks.append(DenseMatrix.zeros(self.ring.field, dims[i], src_dim))
-                else:
-                    blocks.append(self.ring.mult_matrix(entry.poly, d - b))
-            col_mat = blocks[0] if len(blocks) == 1 else _vstack_all(blocks)
-            for col in col_mat.transpose().rows():
-                space.add(col)
+                if src_dim and not entry.is_zero():
+                    block = self.ring.mult_matrix(entry.poly, d - b)._array()
+                    rows[r0:r0 + src_dim, offsets[i]:offsets[i] + dims[i]] = block.T
+            r0 += src_dim
+        space = RowSpace(self.ring.field, total)
+        space.add_matrix(DenseMatrix._of_array(self.ring.field, rows))
         pivots = set(space.pivots())
         std = tuple(c for c in range(total) if c not in pivots)
         piece = _ModulePiece(d, offsets, dims, total, space, std)
@@ -345,11 +344,8 @@ class GradedModule:
         return _drop_redundant_relations(M)
 
 
-def _vstack_all(blocks: List[DenseMatrix]) -> DenseMatrix:
-    out = blocks[0]
-    for b in blocks[1:]:
-        out = out.vstack(b)
-    return out
+def _vstack_all(field, blocks: List[DenseMatrix]) -> DenseMatrix:
+    return DenseMatrix._of_array(field, np.vstack([b._array() for b in blocks]))
 
 
 def _drop_redundant_relations(M: GradedModule) -> GradedModule:
@@ -467,16 +463,20 @@ class SubmoduleTracker:
     def _extend(self, d: int):
         if d in self.spaces:
             return
-        space = RowSpace(self.module.ring.field, self.module.piece(d).dim)
+        field, n = self.module.ring.field, self.module.piece(d).dim
+        blocks = []
         for var, w in self._variables:
             prev = self.spaces.get(d - w)
             if prev is None or prev.dim == 0:
                 continue
             op = self.module.mult_operator(var, d - w)
-            img = op @ prev.basis_matrix().transpose()
-            space.add_matrix(img.transpose())
-        for coords in self.gens_by_degree.get(d, []):
-            space.add(coords)
+            blocks.append(prev.basis_matrix() @ op.transpose())
+        gens = self.gens_by_degree.get(d)
+        if gens:
+            blocks.append(DenseMatrix.from_rows(field, gens, n))
+        space = RowSpace(field, n)
+        if blocks:
+            space.add_matrix(_vstack_all(field, blocks))
         self.spaces[d] = space
 
     def dim(self, d: int) -> int:
@@ -672,15 +672,16 @@ def hs_lengths(M: GradedModule, s_max: int) -> List[int]:
         got = level.get(d)
         if got is not None:
             return got
-        pc = M.piece(d)
-        sp = RowSpace(ring.field, pc.dim)
+        blocks = []
         for var, w in zip(ring.variables, ring.weights):
             prev = space(s - 1, d - w)
             if prev.dim == 0:
                 continue
             op = M.mult_operator(ring.element(var), d - w)
-            img = op @ prev.basis_matrix().transpose()
-            sp.add_matrix(img.transpose())
+            blocks.append(prev.basis_matrix() @ op.transpose())
+        sp = RowSpace(ring.field, M.piece(d).dim)
+        if blocks:
+            sp.add_matrix(_vstack_all(ring.field, blocks))
         level[d] = sp
         return sp
 

@@ -17,6 +17,8 @@ import re
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .errors import DegreeBoundExceeded, UsageError
 from .linalg import (
     QQ,
@@ -395,20 +397,25 @@ class QuotientRing:
             return got
         monos = self.ambient.monomials(d) if d >= 0 else ()
         index = {m: i for i, m in enumerate(monos)}
+        multiples = [poly_mul({u: self.field.element(1)}, rel, self.field)
+                     for rel, rd in zip(self.relations, self.relation_degrees)
+                     for u in self.ambient.monomials(d - rd)]
         space = RowSpace(self.field, len(monos))
-        for rel, rd in zip(self.relations, self.relation_degrees):
-            for u in self.ambient.monomials(d - rd):
-                prod = poly_mul({u: self.field.element(1)}, rel, self.field)
-                vec = [self.field.element(0)] * len(monos)
-                for m, c in prod.items():
-                    vec[index[m]] = c
-                space.add(vec)
+        space.add_matrix(self._monomial_rows(multiples, index, len(monos)))
         pivots = set(space.pivots())
         std = tuple(i for i in range(len(monos)) if i not in pivots)
         std_index = {c: i for i, c in enumerate(std)}
         piece = _Piece(d, monos, index, space, std, std_index)
         self._pieces[d] = piece
         return piece
+
+    def _monomial_rows(self, polys: Sequence[Poly], index: Dict[Mono, int], n: int) -> DenseMatrix:
+        """The polynomials as the rows of a matrix, columns indexed by ``index``."""
+        rows = DenseMatrix.zeros(self.field, len(polys), n)._array()
+        for r, poly in enumerate(polys):
+            for m, c in poly.items():
+                rows[r, index[m]] = c
+        return DenseMatrix._of_array(self.field, rows)
 
     def degree_basis(self, d: int) -> Tuple[Mono, ...]:
         """Standard-monomial basis of the degree-d piece."""
@@ -509,15 +516,11 @@ class QuotientRing:
             return got
         src = self.piece(srcdeg)
         tgt = self.piece(srcdeg + e)
-        cols = []
-        for ci in src.std:
-            mono = src.monos[ci]
-            prod = self.normal_form(poly_mul({mono: self.field.element(1)}, poly, self.field))
-            cols.append(self.std_coords(prod, srcdeg + e))
-        if cols:
-            mat = DenseMatrix.from_rows(self.field, cols, tgt.dim).transpose()
-        else:
-            mat = DenseMatrix.zeros(self.field, tgt.dim, 0)
+        # the products of the basis monomials, reduced to normal form in one product
+        prods = [poly_mul({src.monos[ci]: self.field.element(1)}, poly, self.field)
+                 for ci in src.std]
+        rows = self._monomial_rows(prods, tgt.index, len(tgt.monos))
+        mat = tgt.rel_space.reduce_rows(rows).take_columns(tgt.std).transpose()
         self._mult_cache[key] = mat
         return mat
 
@@ -613,18 +616,16 @@ class QuotientRing:
         """Span of (m^s)_d as std coordinates inside A_d."""
         pc = self.piece(d)
         space = RowSpace(self.field, pc.dim)
-        for i in pc.std:
-            mono = pc.monos[i]
-            if sum(mono) >= s:
-                vec = [self.field.element(0)] * pc.dim
-                vec[pc.std_index[i]] = self.field.element(1)
-                space.add(vec)
-        # pieces of the ideal generated by non-standard monomials of big support
-        for i, mono in enumerate(pc.monos):
-            if i in pc.std_index or sum(mono) < s:
-                continue
-            nf = self.normal_form({mono: self.field.element(1)})
-            space.add(self.std_coords(nf, d))
+        # (m^s)_d is spanned by the normal forms of the monomials of total
+        # degree >= s.  A standard monomial is its own normal form; a pivot
+        # monomial's is minus its echelon row on the standard columns (the
+        # sign does not change the span).
+        std_rows = [r for r, i in enumerate(pc.std) if sum(pc.monos[i]) >= s]
+        pivot_rows = [r for r, i in enumerate(pc.rel_space.pivots()) if sum(pc.monos[i]) >= s]
+        gens = np.vstack([
+            DenseMatrix.identity(self.field, pc.dim)._array()[std_rows],
+            pc.rel_space.basis_matrix().take_columns(pc.std)._array()[pivot_rows]])
+        space.add_matrix(DenseMatrix._of_array(self.field, gens))
         return space
 
     def hs_length(self, s: int) -> int:

@@ -165,3 +165,59 @@ def test_catalogs_listing(capsys):
     assert main(["catalogs"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert "ade:A3:dim1" in data["catalogs"]
+
+
+def _subcommands():
+    import argparse
+
+    from mcmkit.cli import build_parser
+
+    action = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sorted(action.choices)
+
+
+def test_every_subcommand_runs(tmp_path):
+    # Commands import their layers inside the function: running each one
+    # once catches an import left out.
+    ring = tmp_path / "ci.json"
+    ring.write_text(json.dumps({"char": 7, "vars": ["x", "y"], "relations": ["x^2", "y^2"]}))
+    ax = tmp_path / "ax.json"
+    ax.write_text(json.dumps({"ring": str(ring), "gen_degs": [0], "rel_degs": [1],
+                              "presentation": [["x"]]}))
+    mf = tmp_path / "mf.json"
+    mf.write_text(json.dumps({"ring": {"char": 7, "vars": ["x", "y"], "weights": [3, 2]},
+                              "f": "x^2+y^3", "phi": [["x", "y"], ["y^2", "-x"]],
+                              "psi": [["x", "y"], ["y^2", "-x"]]}))
+    module = ["--module", "ade:A2:dim1/I1"]
+    catalog = ["--catalog", "ade:A2:dim1"]
+    argv = {
+        "resolve": module + ["-H", "3"],
+        "betti": module + ["-H", "3"],
+        "syzygy": module,
+        "cosyzygy": module,
+        "dual": module,
+        "transpose": module,
+        "link": module,
+        "approx": module,
+        "period": module,
+        "growth": module + ["-H", "4"],
+        "invariants": module,
+        "mf-validate": ["--mf", str(mf)],
+        "mf-extract": ["--module", "ade:A2:dim1/m", "-H", "4"],
+        "quiver": catalog,
+        "classify": catalog + ["--property", "periodic"],
+        "ci-operators": ["--module", str(ax), "-H", "3"],
+        "support": ["--module", str(ax), "-H", "4"],
+        "verify": catalog + ["--suite", "periodicity"],
+        "catalogs": [],
+    }
+    assert sorted(argv) == _subcommands()
+    for name, rest in argv.items():
+        out = tmp_path / f"{name}.out"
+        assert main([name] + rest + ["--out", str(out)]) == 0, name
+        assert out.read_text()
+
+
+def test_jobs_flag_is_gone():
+    with pytest.raises(SystemExit):
+        main(["catalogs", "--jobs", "2"])

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -239,3 +240,62 @@ def test_kernel_basis_equals_entrywise_construction(field):
         want = _loop_kernel_basis(m)
         assert k.shape == (ncols, len(want))
         assert [list(col) for col in k.transpose().rows()] == want
+
+
+def test_element_keeps_fraction_handling():
+    F = GF(7)
+    assert F.element(-3) == 4 and F.element(Fraction(1, 2)) == 4
+    assert F.element(Fraction(-4, 2)) == 5
+    with pytest.raises(UsageError):
+        F.element(Fraction(1, 14))
+
+
+@pytest.mark.parametrize("v", [
+    [3, -1, 0, 12, 7],
+    [2**63, 5, 1],  # uint64
+    [-1, 2**63 + 1],  # float64 dtype: inexact
+    [2**63 + 1, -1, 2**70],  # object dtype
+    [Fraction(1, 2), -3, np.int64(9), 2**64],
+    [np.int64(-8), np.int32(3), -(2**62)],
+    [True, False, 5],
+    [],
+])
+@pytest.mark.parametrize("p", [7, 2**31 - 1])
+def test_as_vec_matches_elementwise_conversion(v, p):
+    field = GF(p)
+    got = RowSpace(field, len(v))._as_vec(v)
+    assert got.dtype == np.int64
+    assert got.tolist() == [field.element(x) for x in v]
+    assert RowSpace(field, len(v))._as_vec(np.array(v, dtype=object)).tolist() == got.tolist()
+
+
+@pytest.mark.parametrize("field", [GF(5), GF(2**31 - 1), QQ])
+def test_add_matrix_equals_rowwise_add(field):
+    rng = random.Random(17)
+
+    def entry():
+        x = rng.choice([0, 0, 0, 1, 2, 4, -3])
+        return Fraction(x, rng.choice([1, 2, 3])) if field == QQ else x
+
+    def block(nrows, n, rank):
+        # a random rank <= `rank` block: products of random factors
+        a = [[entry() for _ in range(rank)] for _ in range(nrows)]
+        b = [[entry() for _ in range(n)] for _ in range(rank)]
+        return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+    for trial in range(40):
+        n = rng.randrange(1, 9)
+        rowwise, batched = RowSpace(field, n), RowSpace(field, n)
+        every_row = []
+        for _ in range(3):
+            rows = block(rng.randrange(0, 7), n, rng.randrange(1, n + 1))
+            every_row += rows
+            gained = sum(rowwise.add(row) for row in rows)
+            m = DenseMatrix.from_rows(field, rows, n)
+            assert batched.add_matrix(m) == gained
+            assert batched.pivots() == rowwise.pivots()
+            assert batched.basis_matrix() == rowwise.basis_matrix()
+        # both are the reduced echelon form of everything added
+        reduced, pivots, rank = DenseMatrix.from_rows(field, every_row, n).rref()
+        assert batched.pivots() == pivots
+        assert batched.basis_matrix() == DenseMatrix.from_rows(field, reduced.rows()[:rank], n)
