@@ -1,7 +1,19 @@
-"""Golden artifacts and the characteristic-zero path."""
+"""Golden artifacts and the characteristic-zero path.
 
+``tests/data/golden/<catalog>.json`` maps each CLI command line of
+``golden_argvs(catalog)`` to the stdout of an in-process ``main`` run.
+Regenerate the files with ``PYTHONPATH=src python tests/test_golden.py``,
+and only for a change that is meant to alter these outputs.
+"""
+
+import contextlib
+import io
+import json
 from pathlib import Path
 
+import pytest
+
+from mcmkit.catalog import catalog_names, load_catalog
 from mcmkit.cli import main
 from mcmkit.homs import hom_space, is_isomorphic
 from mcmkit.modules import invariants, maximal_ideal_module, residue_field_module
@@ -9,6 +21,36 @@ from mcmkit.resolution import mcm_test, resolve
 from mcmkit.rings import WeightedPolyRing
 
 GOLDEN = Path(__file__).parent / "data"
+
+
+def golden_argvs(catalog: str):
+    """The quiver, every Betti table (and k's), and every dual and link of a catalog."""
+    names = [name for name, _ in load_catalog(catalog).modules()]
+    argvs = [["quiver", "--catalog", catalog, "--format", "json"]]
+    argvs += [["resolve", "--module", f"{catalog}/{name}", "-H", "6", "--format", "csv"]
+              for name in names + ["k"]]
+    argvs += [[cmd, "--module", f"{catalog}/{name}"] for cmd in ("dual", "link") for name in names]
+    return argvs
+
+
+def run_cli(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0, argv
+    return out.getvalue()
+
+
+def golden_path(catalog: str) -> Path:
+    return GOLDEN / "golden" / f"{catalog.replace(':', '_')}.json"
+
+
+@pytest.mark.parametrize("catalog", catalog_names())
+def test_catalog_outputs_match_golden(catalog):
+    golden = json.loads(golden_path(catalog).read_text())
+    argvs = golden_argvs(catalog)
+    assert sorted(golden) == sorted(" ".join(a) for a in argvs)
+    for argv in argvs:
+        assert run_cli(argv) == golden[" ".join(argv)], argv
 
 
 def test_quiver_dot_matches_golden(tmp_path):
@@ -28,3 +70,11 @@ def test_rational_coefficients_end_to_end():
     assert is_isomorphic(m, m)
     inv = invariants(m)
     assert (inv.mu, inv.multiplicity_e, inv.dim) == (2, 2, 1)
+
+
+if __name__ == "__main__":
+    for name in catalog_names():
+        path = golden_path(name)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        data = {" ".join(argv): run_cli(argv) for argv in golden_argvs(name)}
+        path.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
