@@ -24,7 +24,7 @@ from .errors import UsageError
 from .linalg import DenseMatrix, RowSpace, intersect_rowspaces
 from .modules import GradedModule
 from .resolution import growth_report, resolve
-from .rings import QuotientRing, WeightedPolyRing
+from .rings import QuotientRing, RingElement, WeightedPolyRing, grid_mul
 
 __all__ = [
     "CIPresentation",
@@ -119,70 +119,39 @@ def eisenbud_operators(ci: CIPresentation, M: GradedModule, H: int,
     betti = res.betti_numbers(H + 2)
     operators: List[Dict[int, DenseMatrix]] = [dict() for _ in range(c)]
     field = Q.field
+    u_degs = [u.degree for u in us]
+
+    def lift(entries):
+        return [[RingElement(Q, e.poly, e.degree) for e in row] for row in entries]
 
     for pos in range(2, H + 3):
         # D2 = lift(d_{pos-1}) . lift(d_pos): F_pos -> F_{pos-2}
         s_hi = res.differential(pos)
         s_lo = res.differential(pos - 1)
-        rows = len(s_lo.row_degs)
-        mid = len(s_lo.col_degs)
-        cols = len(s_hi.col_degs)
+        D2 = grid_mul(Q, lift(s_lo.entries), lift(s_hi.entries))
         # scalar parts of the operators at this position
-        t_scalar = [DenseMatrix.zeros(field, cols, rows) for _ in range(c)]
-        t_arrays = [m.numpy() if field.characteristic else m.rows() for m in t_scalar]
-        for r in range(rows):
-            for s in range(cols):
-                acc = Q.zero()
-                for m in range(mid):
-                    x = s_lo.entries[r][m]
-                    y = s_hi.entries[m][s]
-                    if x.is_zero() or y.is_zero():
-                        continue
-                    term = Q.element(x.poly) * Q.element(y.poly)
-                    acc = term if acc.is_zero() else acc + term
+        t_arrays = [DenseMatrix.zeros(field, len(s_hi.col_degs), len(s_lo.row_degs))._array()
+                    for _ in range(c)]
+        for r, row in enumerate(D2):
+            for s, acc in enumerate(row):
                 if acc.is_zero():
                     continue
-                D = Q.ambient.poly_degree(acc.poly)
-                layout = []
-                off = 0
-                for u in us:
-                    dim = Q.hilbert_function(D - u.degree)
-                    layout.append((off, dim, D - u.degree))
-                    off += dim
-                if off == 0:
+                D = acc.degree
+                mat = Q.block_matrix([us], [0], u_degs, D)
+                if mat.ncols == 0:
                     raise UsageError(
                         "square of lifted differential has no u-decomposition: "
                         "not a regular sequence presentation")
-                blocks = []
-                for u, (o, dim, dd) in zip(us, layout):
-                    if dim == 0:
-                        blocks.append(DenseMatrix.zeros(field, Q.hilbert_function(D), 0))
-                    else:
-                        blocks.append(Q.mult_matrix(u.poly, dd))
-                mat = blocks[0]
-                for b in blocks[1:]:
-                    mat = mat.hstack(b)
-                rhs = DenseMatrix.column(field, Q.std_coords(acc.poly, D))
-                sol = mat.solve(rhs)
+                sol = mat.solve(Q.block_matrix([[acc]], [0], [D], D))
                 if sol is None:
                     raise UsageError(
                         "square of lifted differential is not in (u): "
                         "not a regular sequence presentation")
-                for j, (o, dim, dd) in enumerate(layout):
-                    if dim == 0 or dd != 0:
-                        continue
-                    # constant part of t_j entry (r, s): only degree-0 coefficient
-                    val = sol[o, 0]
-                    if field.characteristic:
-                        t_arrays[j][s, r] = val
-                    else:
-                        t_arrays[j][s][r] = val
+                # constant part of each t_j entry (r, s)
+                for j, t in enumerate(Q.split_coords(sol._array()[:, 0], [D - e for e in u_degs])):
+                    t_arrays[j][s, r] = t.constant_coefficient()
         for j in range(c):
-            if field.characteristic:
-                t_scalar[j] = DenseMatrix(field, t_arrays[j], _internal=True)
-            else:
-                t_scalar[j] = DenseMatrix(field, t_arrays[j], _internal=True)
-            operators[j][pos - 2] = t_scalar[j]
+            operators[j][pos - 2] = DenseMatrix._of_array(field, t_arrays[j])
     return ExtTModule(ci, M, H, betti, operators)
 
 

@@ -15,11 +15,10 @@ import warnings
 from typing import Optional, Tuple
 
 from .errors import UsageError
-from .homs import Hom, hom_space, strip_free_summands
-from .linalg import DenseMatrix
+from .homs import Hom, _left_mul, hom_space, strip_free_summands
 from .modules import GradedModule, free_module, invariants
 from .resolution import ext_module, mcm_test, resolve, syzygy
-from .rings import RingElement
+from .rings import grid_mul
 
 __all__ = [
     "dual",
@@ -167,7 +166,6 @@ def lift_map(h: Hom, degree_cap: Optional[int] = None) -> Hom:
     """
     M, N = h.source, h.target
     ring = M.ring
-    field = ring.field
     resM = resolve(M, 2, degree_cap=degree_cap)
     resN = resolve(N, 2, degree_cap=degree_cap)
     Mm, Nm = resM.minimal, resN.minimal
@@ -175,73 +173,17 @@ def lift_map(h: Hom, degree_cap: Optional[int] = None) -> Hom:
         raise UsageError("lift_map expects minimally presented source and target")
     SM = resM.syzygy_module(1)
     SN = resN.syzygy_module(1)
-    # unknown Psi: N.num_rels x M.num_rels
-    layout = []
-    off = 0
-    for l in range(Nm.num_rels):
-        for j in range(Mm.num_rels):
-            d = Mm.rel_degs[j] - Nm.rel_degs[l]
-            dim = ring.hilbert_function(d)
-            layout.append((l, j, off, dim, d))
-            off += dim
-    nunk = off
-    eqs = []
-    rhs_parts = []
-    for k in range(Nm.num_gens):
-        for j in range(Mm.num_rels):
-            d_eq = Mm.rel_degs[j] - Nm.gen_degs[k]
-            eq_dim = ring.hilbert_function(d_eq)
-            if eq_dim == 0:
-                continue
-            row = DenseMatrix.zeros(field, eq_dim, nunk)
-            arr = row.numpy() if field.characteristic else row.rows()
-            for (l, jj, o, dim, d) in layout:
-                if jj != j or dim == 0:
-                    continue
-                q = Nm.presentation[k][l]
-                if q.is_zero():
-                    continue
-                mm = ring.mult_matrix(q.poly, d)
-                if field.characteristic:
-                    arr[:, o:o + dim] = (arr[:, o:o + dim] + mm.numpy()) % field.p
-                else:
-                    mrows = mm.rows()
-                    for r in range(eq_dim):
-                        for c in range(dim):
-                            arr[r][o + c] = arr[r][o + c] + mrows[r][c]
-            if field.characteristic:
-                row = DenseMatrix(field, arr, _internal=True)
-            else:
-                row = DenseMatrix(field, arr, _internal=True)
-            # rhs: coords of (Phi P)_{k j}
-            acc = ring.zero()
-            for i in range(Mm.num_gens):
-                a, b = h.phi[k][i], Mm.presentation[i][j]
-                if a.is_zero() or b.is_zero():
-                    continue
-                term = a * b
-                acc = term if acc.is_zero() else acc + term
-            coords = ring.std_coords(acc.poly, d_eq) if not acc.is_zero() else \
-                [field.element(0)] * eq_dim
-            eqs.append(row)
-            rhs_parts.append(DenseMatrix.column(field, coords))
-    if not eqs:
-        sol = DenseMatrix.zeros(field, nunk, 1)
-    else:
-        mat = eqs[0]
-        rhs = rhs_parts[0]
-        for m_, r_ in zip(eqs[1:], rhs_parts[1:]):
-            mat = mat.vstack(m_)
-            rhs = rhs.vstack(r_)
-        sol = mat.solve(rhs)
-        if sol is None:
-            raise UsageError("input map does not carry relations into relations")
-    phi = [[None] * SM.num_gens for _ in range(SN.num_gens)]
-    for (l, j, o, dim, d) in layout:
-        coeffs = [sol[o + t, 0] for t in range(dim)] if dim else []
-        poly = ring.poly_from_std_coords(coeffs, d) if dim else {}
-        phi[l][j] = RingElement(ring, poly, d if poly else None)
-    return Hom(SM, SN, tuple(tuple(r) for r in phi))
+    # unknown Psi (Nm.num_rels x Mm.num_rels) with Q Psi = Phi P
+    grid, row_degs, col_degs = _left_mul(Nm, Mm.rel_degs)
+    rhs = [[e] for row in grid_mul(ring, h.phi, Mm.presentation) for e in row]
+    sol = ring.block_matrix(grid, row_degs, col_degs, 0).solve(
+        ring.block_matrix(rhs, row_degs, [0], 0))
+    if sol is None:
+        raise UsageError("input map does not carry relations into relations")
+    entries = ring.split_coords(sol._array()[:, 0], [-d for d in col_degs])
+    n = Mm.num_rels
+    phi = tuple(tuple(entries[l * n:(l + 1) * n]) for l in range(Nm.num_rels))
+    return Hom(SM, SN, phi)
 
 
 def stable_hom_dims(M: GradedModule, N: GradedModule) -> Tuple[int, int, int]:

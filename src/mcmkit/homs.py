@@ -1,10 +1,14 @@
 """Degree-zero Hom spaces, isomorphism testing, Krull-Schmidt splitting.
 
 A degree-0 homomorphism M -> N is a matrix Phi on the free covers that
-carries relations into relations: Phi P = Q Psi for some Psi.  Two
-matrices induce the same map iff they differ by Q Theta.  All three
-conditions are linear over k, so Hom(M, N) is the kernel of one linear
-system modulo the span of another; everything is a finite rref.
+carries relations into relations: Phi P = Q Psi for some Psi, where P and
+Q present M and N.  Two matrices induce the same map iff they differ by
+Q Theta.  Both conditions are one block system each, built by
+``QuotientRing.block_matrix`` at degree 0: the unknowns (Phi, Psi) of
+Phi P - Q Psi = 0 (the sign of Psi does not change the kernel's Phi
+part), and the image of Theta -> Q Theta, the trivial span.  Hom(M, N)
+is the Phi part of the kernel modulo the trivial span; everything is a
+finite rref.
 
 The endomorphism algebra End(M) is a finite-dimensional k-algebra.
 Splitting M is done by factoring minimal polynomials of endomorphisms
@@ -24,7 +28,7 @@ import numpy as np
 from .errors import Inconclusive, UsageError
 from .linalg import QQ, DenseMatrix, RowSpace
 from .modules import GradedModule, MElem, submodule_presentation
-from .rings import RingElement, poly_mul
+from .rings import RingElement, grid_mul
 
 __all__ = [
     "Hom",
@@ -85,33 +89,22 @@ class Hom:
         if elem.module is not M:
             raise UsageError("element not in the source module")
         d = elem.degree
-        src = M.piece(d)
-        tgt = N.piece(d)
-        out = [M.ring.field.element(0)] * tgt.total
-        for i in range(M.num_gens):
-            seg = list(elem.vec[src.offsets[i]: src.offsets[i] + src.block_dims[i]])
-            if not any(seg):
-                continue
-            poly = M.ring.poly_from_std_coords(seg, d - M.gen_degs[i])
-            for k in range(N.num_gens):
-                e = self.phi[k][i]
-                if e.is_zero():
-                    continue
-                prod = M.ring.normal_form(poly_mul(e.poly, poly, M.ring.field))
-                coords = M.ring.std_coords(prod, d - N.gen_degs[k])
-                off = tgt.offsets[k]
-                for t, c in enumerate(coords):
-                    out[off + t] = out[off + t] + c
-        return N.element(d, out)
+        images = M.ring.block_matrix(self.phi, N.gen_degs, M.gen_degs, d)._array()
+        return N.element(d, M.ring.field.matmul(images, np.asarray(elem.vec)))
 
 
 class HomSpace:
     """The k-space of degree-0 homomorphisms M -> N.
 
-    ``basis`` spans Hom(M, N); ``beta_dim``/``beta_space`` give the
-    subspace of maps factoring through a free module.  Coordinates of
-    arbitrary maps are read off after reduction modulo the trivial span
-    (matrices of the form Q Theta).
+    Phi lives in the flat layout of ``phi_degs``: entry Phi[k][i] has
+    degree M.gen_degs[i] - N.gen_degs[k], and the entries follow one
+    another row by row, each as its coordinates over the standard
+    monomials.  ``trivial`` is the span of the maps Q Theta, and
+    ``space`` holds the Phi parts of the kernel of Phi P - Q Psi reduced
+    modulo it: its canonical basis is ``basis``.  ``beta_dim``/
+    ``beta_space`` give the subspace of maps factoring through a free
+    module, the Phi with Phi P = 0.  Coordinates of arbitrary maps are
+    read off after reduction modulo the trivial span.
     """
 
     def __init__(self, source: GradedModule, target: GradedModule):
@@ -123,106 +116,24 @@ class HomSpace:
         self.ring = ring
         self.field = ring.field
         M, N = source, target
-        # Phi layout
-        self.blocks = []  # (k, i, offset, dim, degree)
-        off = 0
-        for k in range(N.num_gens):
-            for i in range(M.num_gens):
-                d = M.gen_degs[i] - N.gen_degs[k]
-                dim = ring.hilbert_function(d)
-                self.blocks.append((k, i, off, dim, d))
-                off += dim
-        self.phi_dim = off
-        self._block_index = {(k, i): (o, dim, d) for (k, i, o, dim, d) in self.blocks}
+        # Phi[k][i] is the degree-0 block_matrix column of degree N.gen_degs[k] - M.gen_degs[i]
+        self.phi_degs = _pair_degs(N.gen_degs, M.gen_degs)
+        self.phi_dim = sum(ring.hilbert_function(-d) for d in self.phi_degs)
         self._solve()
 
     # -- system assembly ------------------------------------------------
 
     def _solve(self):
         M, N, ring = self.source, self.target, self.ring
-        field = self.field
-        # Psi layout
-        psi_blocks = []
-        off = 0
-        for l in range(N.num_rels):
-            for j in range(M.num_rels):
-                d = M.rel_degs[j] - N.rel_degs[l]
-                dim = ring.hilbert_function(d)
-                psi_blocks.append((l, j, off, dim, d))
-                off += dim
-        psi_dim = off
-        # equations: for each (k, j), coords in A_{bM_j - aN_k}
-        eq_rows = 0
-        eq_offsets = {}
-        for k in range(N.num_gens):
-            for j in range(M.num_rels):
-                d = M.rel_degs[j] - N.gen_degs[k]
-                eq_offsets[(k, j)] = (eq_rows, ring.hilbert_function(d), d)
-                eq_rows += ring.hilbert_function(d)
-        nunk = self.phi_dim + psi_dim
-
-        if eq_rows == 0 or nunk == 0:
-            sys_mat = DenseMatrix.zeros(field, max(eq_rows, 0), nunk)
-        else:
-            if field != QQ:
-                arr = np.zeros((eq_rows, nunk), dtype=np.int64)
-            else:
-                arr = [[field.element(0)] * nunk for _ in range(eq_rows)]
-            # Phi P terms
-            for (k, i, o, dim, d) in self.blocks:
-                if dim == 0:
-                    continue
-                for j in range(M.num_rels):
-                    entry = M.presentation[i][j]
-                    if entry.is_zero():
-                        continue
-                    r0, rdim, _ = eq_offsets[(k, j)]
-                    mm = ring.mult_matrix(entry.poly, d)
-                    _acc_block(arr, field, r0, o, mm, +1)
-            # -Q Psi terms
-            for (l, j, o, dim, d) in psi_blocks:
-                if dim == 0:
-                    continue
-                for k in range(N.num_gens):
-                    entry = N.presentation[k][l]
-                    if entry.is_zero():
-                        continue
-                    r0, rdim, _ = eq_offsets[(k, j)]
-                    mm = ring.mult_matrix(entry.poly, d)
-                    _acc_block(arr, field, r0, self.phi_dim + o, mm, -1)
-            if field != QQ:
-                sys_mat = DenseMatrix(field, arr % field.p, _internal=True)
-            else:
-                sys_mat = DenseMatrix(field, arr, _internal=True)
-
-        ker = sys_mat.kernel_basis()  # columns
-        # trivial span: Phi = Q Theta
-        self.trivial = RowSpace(field, self.phi_dim)
-        for l in range(N.num_rels):
-            for i in range(M.num_gens):
-                d = M.gen_degs[i] - N.rel_degs[l]
-                for upos in range(ring.hilbert_function(d)):
-                    vec = [field.element(0)] * self.phi_dim
-                    coords_u = [field.element(0)] * ring.hilbert_function(d)
-                    coords_u[upos] = field.element(1)
-                    upoly = ring.poly_from_std_coords(coords_u, d)
-                    if not upoly:
-                        continue
-                    for k in range(N.num_gens):
-                        entry = N.presentation[k][l]
-                        if entry.is_zero():
-                            continue
-                        prod = ring.normal_form(poly_mul(entry.poly, upoly, field))
-                        o, bdim, bd = self._block_index[(k, i)]
-                        cc = ring.std_coords(prod, bd)
-                        for t, c in enumerate(cc):
-                            vec[o + t] = vec[o + t] + c
-                    self.trivial.add(vec)
+        system = ring.block_matrix(*_right_mul(M, N.gen_degs), 0).hstack(
+            ring.block_matrix(*_left_mul(N, M.rel_degs), 0))
+        ker = system.kernel_basis()  # columns (Phi, Psi)
+        self.trivial = RowSpace(self.field, self.phi_dim)
+        self.trivial.add_matrix(ring.block_matrix(*_left_mul(N, M.gen_degs), 0).transpose())
         # canonical basis of Hom = kernel projections reduced mod trivial
-        self.space = RowSpace(field, self.phi_dim)
-        for col in ker.transpose().rows():
-            proj = col[: self.phi_dim]
-            self.space.add(self.trivial.reduce(proj))
+        self.space = RowSpace(self.field, self.phi_dim)
+        self.space.add_matrix(self.trivial.reduce_rows(
+            ker.transpose().take_columns(range(self.phi_dim))))
         self._basis_homs: Optional[List[Hom]] = None
         # beta subspace: maps with a representative satisfying Phi P = 0
         self._beta: Optional[RowSpace] = None
@@ -246,33 +157,14 @@ class HomSpace:
 
     def from_flat(self, flat) -> Hom:
         flat = self.trivial.reduce(flat)
-        ring = self.ring
-        phi = []
-        for k in range(self.target.num_gens):
-            row = []
-            for i in range(self.source.num_gens):
-                o, dim, d = self._block_index[(k, i)]
-                seg = list(flat[o: o + dim])
-                poly = ring.poly_from_std_coords(seg, d)
-                row.append(RingElement(ring, poly, d if poly else None))
-            phi.append(row)
-        return Hom(self.source, self.target, tuple(tuple(r) for r in phi), flat=flat)
+        entries = self.ring.split_coords(flat, [-d for d in self.phi_degs])
+        n = self.source.num_gens
+        phi = tuple(tuple(entries[k * n:(k + 1) * n]) for k in range(self.target.num_gens))
+        return Hom(self.source, self.target, phi, flat=flat)
 
-    def flat_of_phi(self, phi) -> list:
-        ring = self.ring
-        vec = [self.field.element(0)] * self.phi_dim
-        for (k, i, o, dim, d) in self.blocks:
-            entry = phi[k][i]
-            if isinstance(entry, RingElement):
-                poly = entry.poly
-            else:
-                poly = ring.normal_form(ring.ambient.parse(entry)) if isinstance(entry, str) else entry
-            if not poly:
-                continue
-            cc = ring.std_coords(poly, d)
-            for t, c in enumerate(cc):
-                vec[o + t] = c
-        return vec
+    def flat_of_phi(self, phi):
+        column = [[e] for row in phi for e in row]
+        return self.ring.block_matrix(column, self.phi_degs, [0], 0)._array()[:, 0]
 
     def basis(self) -> List[Hom]:
         if self._basis_homs is None:
@@ -280,18 +172,8 @@ class HomSpace:
         return self._basis_homs
 
     def element_from_coords(self, coeffs) -> Hom:
-        rows = self.space.basis_matrix().rows()
-        field = self.field
-        flat = [field.element(0)] * self.phi_dim
-        for c, row in zip(coeffs, rows):
-            c = field.element(c)
-            if c == 0:
-                continue
-            for t in range(self.phi_dim):
-                flat[t] = flat[t] + c * row[t]
-        if field != QQ:
-            flat = [int(x) % field.p for x in flat]
-        return self.from_flat(flat)
+        row = DenseMatrix.from_rows(self.field, [list(coeffs)], self.dim)
+        return self.from_flat((row @ self.space.basis_matrix())._array()[0])
 
     def zero(self) -> Hom:
         return self.from_flat([self.field.element(0)] * self.phi_dim)
@@ -300,45 +182,12 @@ class HomSpace:
 
     def beta_space(self) -> RowSpace:
         """Span of classes of maps factoring through a free module."""
-        if self._beta is not None:
-            return self._beta
-        M, N, ring = self.source, self.target, self.ring
-        field = self.field
-        # Hom(M, N-cover): matrices H with H P = 0 exactly
-        eq_rows = 0
-        eq_offsets = {}
-        for k in range(N.num_gens):
-            for j in range(M.num_rels):
-                d = M.rel_degs[j] - N.gen_degs[k]
-                eq_offsets[(k, j)] = (eq_rows, d)
-                eq_rows += ring.hilbert_function(d)
-        if eq_rows and self.phi_dim:
-            if field != QQ:
-                arr = np.zeros((eq_rows, self.phi_dim), dtype=np.int64)
-            else:
-                arr = [[field.element(0)] * self.phi_dim for _ in range(eq_rows)]
-            for (k, i, o, dim, d) in self.blocks:
-                if dim == 0:
-                    continue
-                for j in range(M.num_rels):
-                    entry = M.presentation[i][j]
-                    if entry.is_zero():
-                        continue
-                    r0, _ = eq_offsets[(k, j)]
-                    mm = ring.mult_matrix(entry.poly, d)
-                    _acc_block(arr, field, r0, o, mm, +1)
-            if field != QQ:
-                mat = DenseMatrix(field, arr % field.p, _internal=True)
-            else:
-                mat = DenseMatrix(field, arr, _internal=True)
-            ker = mat.kernel_basis()
-        else:
-            ker = DenseMatrix.identity(field, self.phi_dim)
-        beta = RowSpace(field, self.phi_dim)
-        for col in ker.transpose().rows():
-            beta.add(self.trivial.reduce(col))
-        self._beta = beta
-        return beta
+        if self._beta is None:
+            M, N = self.source, self.target
+            ker = self.ring.block_matrix(*_right_mul(M, N.gen_degs), 0).kernel_basis()
+            self._beta = RowSpace(self.field, self.phi_dim)
+            self._beta.add_matrix(self.trivial.reduce_rows(ker.transpose()))
+        return self._beta
 
     def beta_dim(self) -> int:
         return self.beta_space().dim
@@ -347,16 +196,35 @@ class HomSpace:
         return self.dim - self.beta_dim()
 
 
-def _acc_block(arr, field, r0, c0, mm: DenseMatrix, sign: int):
-    if mm.nrows == 0 or mm.ncols == 0:
-        return
-    if field != QQ:
-        arr[r0: r0 + mm.nrows, c0: c0 + mm.ncols] += sign * mm.numpy()
-    else:
-        rows = mm.rows()
-        for r in range(mm.nrows):
-            for c in range(mm.ncols):
-                arr[r0 + r][c0 + c] = arr[r0 + r][c0 + c] + sign * rows[r][c]
+def _pair_degs(xs, ys) -> List[int]:
+    return [x - y for x in xs for y in ys]
+
+
+def _left_mul(N: GradedModule, degs):
+    """X -> Q X for the presentation Q of N, as ``block_matrix`` input at degree 0.
+
+    X has one column per entry of degs: X[l][j] has degree
+    degs[j] - N.rel_degs[l] and (Q X)[k][j] has degree degs[j] - N.gen_degs[k].
+    Both grids are flattened row by row.  Returns (grid, row_degs, col_degs).
+    """
+    zero = N.ring.zero()
+    n = range(len(degs))
+    grid = [[q if jj == j else zero for q in row for jj in n] for row in N.presentation for j in n]
+    return grid, _pair_degs(N.gen_degs, degs), _pair_degs(N.rel_degs, degs)
+
+
+def _right_mul(M: GradedModule, degs):
+    """X -> X P for the presentation P of M, as ``block_matrix`` input at degree 0.
+
+    X has one row per entry of degs: X[k][i] has degree M.gen_degs[i] - degs[k]
+    and (X P)[k][j] has degree M.rel_degs[j] - degs[k].  Both grids are
+    flattened row by row.  Returns (grid, row_degs, col_degs).
+    """
+    zero = M.ring.zero()
+    n = range(len(degs))
+    grid = [[P_i[j] if kk == k else zero for kk in n for P_i in M.presentation]
+            for k in n for j in range(M.num_rels)]
+    return grid, _pair_degs(degs, M.rel_degs), _pair_degs(degs, M.gen_degs)
 
 
 def hom_space(M: GradedModule, N: GradedModule) -> HomSpace:
@@ -387,21 +255,7 @@ def compose(g: Hom, f: Hom) -> Hom:
     """g after f."""
     if g.source is not f.target and g.source.gen_degs != f.target.gen_degs:
         raise UsageError("composition mismatch")
-    M, L = f.source, g.target
-    ring = M.ring
-    phi = []
-    for l in range(L.num_gens):
-        row = []
-        for i in range(M.num_gens):
-            acc = ring.zero(degree=M.gen_degs[i] - L.gen_degs[l])
-            for k in range(f.target.num_gens):
-                a, b = g.phi[l][k], f.phi[k][i]
-                if a.is_zero() or b.is_zero():
-                    continue
-                acc = acc + a * b
-            row.append(acc)
-        phi.append(row)
-    return Hom(M, L, tuple(tuple(r) for r in phi))
+    return Hom(f.source, g.target, grid_mul(f.source.ring, g.phi, f.phi))
 
 
 # ---------------------------------------------------------------------------
@@ -600,96 +454,24 @@ def end_algebra(M: GradedModule) -> EndAlgebra:
     return EndAlgebra(M)
 
 
-# -- univariate polynomial helpers over GF(p) -------------------------------
-
-def _poly_trim(c):
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _poly_divmod(a, b, p):
-    a = list(a)
-    out = [0] * max(0, len(a) - len(b) + 1)
-    binv = pow(b[-1], p - 2, p)
-    while len(a) >= len(b) and any(a):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        shift = len(a) - len(b)
-        q = (a[-1] * binv) % p
-        out[shift] = q
-        for i, bc in enumerate(b):
-            a[shift + i] = (a[shift + i] - q * bc) % p
-        _poly_trim(a)
-    return _poly_trim(out), _poly_trim(a)
-
-
-def _poly_mulp(a, b, p):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
-
-
-def _poly_xgcd(a, b, p):
-    r0, r1 = list(a), list(b)
-    s0, s1 = [1], []
-    t0, t1 = [], [1]
-    while r1:
-        q, r = _poly_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_sub(s0, _poly_mulp(q, s1, p), p)
-        t0, t1 = t1, _poly_sub(t0, _poly_mulp(q, t1, p), p)
-    lead = r0[-1]
-    inv = pow(lead, p - 2, p)
-    return ([c * inv % p for c in r0], [c * inv % p for c in s0], [c * inv % p for c in t0])
-
-
-def _poly_sub(a, b, p):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i in range(n):
-        out[i] = ((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p
-    return _poly_trim(out)
-
-
-def _factor_min_poly(coeffs, p):
-    """Factor a monic polynomial over GF(p) via sympy; list of (coeffs, mult)."""
-    from sympy import Poly, symbols
-
-    t = symbols("t")
-    f = Poly(list(reversed(coeffs)), t, modulus=p)
-    _, factors = f.factor_list()
-    out = []
-    for poly, mult in factors:
-        cs = [int(c) % p for c in reversed(poly.all_coeffs())]
-        out.append((cs, mult))
-    return out
-
-
 def splitting_idempotent(E: EndAlgebra, x) -> Optional[list]:
     """A nontrivial idempotent in k[x], or None when k[x] is local."""
     if E.field == QQ:
         raise Inconclusive("inconclusive: decomposition over QQ not supported")
+    from sympy import Poly, symbols
+
     p = E.field.p
-    mp = [int(c) % p for c in E.min_poly(x)]
-    factors = _factor_min_poly(mp, p)
+    mp = Poly([int(c) % p for c in reversed(E.min_poly(x))], symbols("t"), modulus=p)
+    _, factors = mp.factor_list()
     if len(factors) < 2:
         return None
-    q_c, q_mult = factors[0]
-    q_power = [1]
-    for _ in range(q_mult):
-        q_power = _poly_mulp(q_power, q_c, p)
-    rest, remainder = _poly_divmod(mp, q_power, p)
-    assert not remainder
-    g, u, v = _poly_xgcd(q_power, rest, p)
-    assert g == [1]
+    q_power = factors[0][0] ** factors[0][1]
+    rest = mp.exquo(q_power)
+    _, v, g = q_power.gcdex(rest)
+    assert g.is_one
     # e = v * rest mod mp: congruent to 1 mod q^mult, 0 mod rest
-    _, e_poly = _poly_divmod(_poly_mulp(v, rest, p), mp, p)
-    e = E.evaluate_poly(e_poly, x)
+    e_poly = (v * rest).rem(mp)
+    e = E.evaluate_poly([int(c) % p for c in reversed(e_poly.all_coeffs())], x)
     check = E.mul(e, e)
     assert check == e, "CRT idempotent failed to square to itself"
     if all(c == 0 for c in e) or e == E.one:

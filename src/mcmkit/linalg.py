@@ -34,9 +34,6 @@ __all__ = [
     "RationalField",
     "DenseMatrix",
     "RowSpace",
-    "rref",
-    "kernel_basis",
-    "solve",
 ]
 
 
@@ -416,18 +413,6 @@ class DenseMatrix:
         for r, pc in enumerate(pivots):
             rows[pc] = list(reduced._a[r][self.ncols:])
         return DenseMatrix(self.field, rows, _internal=True)
-
-
-def rref(m: DenseMatrix):
-    return m.rref()
-
-
-def kernel_basis(m: DenseMatrix) -> DenseMatrix:
-    return m.kernel_basis()
-
-
-def solve(m: DenseMatrix, rhs: DenseMatrix) -> Optional[DenseMatrix]:
-    return m.solve(rhs)
 
 
 class RowSpace:

@@ -15,9 +15,8 @@ from __future__ import annotations
 from typing import Optional, Sequence, Tuple
 
 from .errors import Inconclusive, UsageError
-from .linalg import DenseMatrix
 from .modules import GradedModule
-from .rings import QuotientRing, RingElement, WeightedPolyRing
+from .rings import QuotientRing, RingElement, WeightedPolyRing, grid_mul
 
 __all__ = [
     "MatrixFactorization",
@@ -100,20 +99,11 @@ class MatrixFactorization:
 
     def validate(self) -> bool:
         """Both products equal f . Id exactly."""
-        for a, b in ((self.phi, self.psi), (self.psi, self.phi)):
-            for i in range(self.size):
-                for j in range(self.size):
-                    acc = self.poly_ring.zero()
-                    for k in range(self.size):
-                        x, y = a[i][k], b[k][j]
-                        if x.is_zero() or y.is_zero():
-                            continue
-                        term = x * y
-                        acc = term if acc.is_zero() else acc + term
-                    expect = self.f if i == j else self.poly_ring.zero()
-                    if not (acc - expect).is_zero():
-                        return False
-        return True
+        zero = self.poly_ring.zero()
+        return all(e == (self.f if i == j else zero)
+                   for a, b in ((self.phi, self.psi), (self.psi, self.phi))
+                   for i, row in enumerate(grid_mul(self.poly_ring, a, b))
+                   for j, e in enumerate(row))
 
     def is_reduced(self) -> bool:
         """No unit entries in either matrix."""
@@ -183,7 +173,6 @@ def from_resolution_tail(M: GradedModule, H: int = 8,
     fpoly = ring.relations[0]
     poly_ring = ring.ambient.quotient([])
     f = poly_ring.element(fpoly)
-    df = f.degree
     res = resolve(M, 1, degree_cap=degree_cap)
     for n in range(H - 1):
         step = res.differential(n + 1)
@@ -207,62 +196,17 @@ def from_resolution_tail(M: GradedModule, H: int = 8,
 
 def _solve_companion(poly_ring: QuotientRing, f: RingElement, phi,
                      row_degs: Sequence[int], col_degs: Sequence[int]):
-    """Solve phi psi = f . Id for psi over the polynomial ring."""
+    """Solve phi psi = f . Id for psi over the polynomial ring, one column at a time."""
     n = len(phi)
-    df = f.degree
-    field = poly_ring.field
-    psi = [[None] * n for _ in range(n)]
+    zero = poly_ring.zero()
+    columns = []
     for j in range(n):
-        # unknown column j of psi: entries psi[k][j] of degree df + row_degs[j] - col_degs[k]
-        layout = []
-        off = 0
-        for k in range(n):
-            d = df + row_degs[j] - col_degs[k]
-            dim = poly_ring.hilbert_function(d)
-            layout.append((off, dim, d))
-            off += dim
-        nunk = off
-        eq_rows = []
-        rhs_rows = []
-        for i in range(n):
-            d_eq = df + row_degs[j] - row_degs[i]
-            eq_dim = poly_ring.hilbert_function(d_eq)
-            row_block = DenseMatrix.zeros(field, eq_dim, nunk)
-            for k in range(n):
-                e = phi[i][k]
-                o, dim, d = layout[k]
-                if e.is_zero() or dim == 0 or eq_dim == 0:
-                    continue
-                mm = poly_ring.mult_matrix(e.poly, d)
-                sub = DenseMatrix.zeros(field, eq_dim, nunk)
-                if field.characteristic:
-                    arr = sub.numpy()
-                    arr[:, o:o + dim] = mm.numpy()
-                    sub = DenseMatrix(field, arr, _internal=True)
-                else:
-                    rows = sub.rows()
-                    mrows = mm.rows()
-                    for r in range(eq_dim):
-                        for c in range(dim):
-                            rows[r][o + c] = mrows[r][c]
-                    sub = DenseMatrix(field, rows, _internal=True)
-                row_block = row_block + sub
-            eq_rows.append(row_block)
-            target = [field.element(0)] * eq_dim
-            if i == j and eq_dim:
-                target = poly_ring.std_coords(f.poly, df)
-            rhs_rows.append(DenseMatrix.column(field, target))
-        mat = eq_rows[0]
-        rhs = rhs_rows[0]
-        for blk, rb in zip(eq_rows[1:], rhs_rows[1:]):
-            mat = mat.vstack(blk)
-            rhs = rhs.vstack(rb)
-        sol = mat.solve(rhs)
+        # psi[k][j] has degree d - col_degs[k], and (phi psi)[i][j] degree d - row_degs[i]
+        d = f.degree + row_degs[j]
+        rhs = [[f if i == j else zero] for i in range(n)]
+        sol = poly_ring.block_matrix(phi, row_degs, col_degs, d).solve(
+            poly_ring.block_matrix(rhs, row_degs, [d], d))
         if sol is None:
             return None
-        for k in range(n):
-            o, dim, d = layout[k]
-            coeffs = [sol[o + t, 0] for t in range(dim)]
-            poly = poly_ring.poly_from_std_coords(coeffs, d)
-            psi[k][j] = RingElement(poly_ring, poly, d if poly else None)
-    return psi
+        columns.append(poly_ring.split_coords(sol._array()[:, 0], [d - c for c in col_degs]))
+    return [[col[k] for col in columns] for k in range(n)]

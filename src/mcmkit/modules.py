@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DegreeBoundExceeded, UsageError
 from .linalg import DenseMatrix, RowSpace
-from .rings import QuotientRing, RingElement, fit_hilbert_samuel, poly_mul
+from .rings import QuotientRing, RingElement, fit_hilbert_samuel
 
 __all__ = [
     "GradedModule",
@@ -168,20 +168,10 @@ class GradedModule:
         if got is not None:
             return got
         offsets, dims, total = self.free_layout(d)
-        # one row per (relation j, basis monomial of A_{d - b_j}): its image
-        # in the free cover, block by block
-        src_dims = [self.ring.hilbert_function(d - b) for b in self.rel_degs]
-        rows = DenseMatrix.zeros(self.ring.field, sum(src_dims), total)._array()
-        r0 = 0
-        for j, (b, src_dim) in enumerate(zip(self.rel_degs, src_dims)):
-            for i in range(self.num_gens):
-                entry = self.presentation[i][j]
-                if src_dim and not entry.is_zero():
-                    block = self.ring.mult_matrix(entry.poly, d - b)._array()
-                    rows[r0:r0 + src_dim, offsets[i]:offsets[i] + dims[i]] = block.T
-            r0 += src_dim
         space = RowSpace(self.ring.field, total)
-        space.add_matrix(DenseMatrix._of_array(self.ring.field, rows))
+        # the relation columns' images in the free cover, one row each
+        space.add_matrix(self.ring.block_matrix(
+            self.presentation, self.gen_degs, self.rel_degs, d).transpose())
         pivots = set(space.pivots())
         std = tuple(c for c in range(total) if c not in pivots)
         piece = _ModulePiece(d, offsets, dims, total, space, std)
@@ -202,13 +192,9 @@ class GradedModule:
 
     def generator(self, i: int) -> MElem:
         d = self.gen_degs[i]
-        pc = self.piece(d)
-        vec = [self.ring.field.element(0)] * pc.total
-        # the constant monomial sits somewhere in block i; find its coordinate
-        unit = self.ring.std_coords({self.ring.ambient.unit_mono: self.ring.field.element(1)}, 0)
-        off = pc.offsets[i]
-        for t, c in enumerate(unit):
-            vec[off + t] = c
+        one, zero = self.ring.one(), self.ring.zero()
+        column = [[one if k == i else zero] for k in range(self.num_gens)]
+        vec = self.ring.block_matrix(column, self.gen_degs, [d], d)._array()[:, 0]
         return self.element(d, vec)
 
     def generators(self) -> List[MElem]:
@@ -217,16 +203,8 @@ class GradedModule:
     def column_element(self, j: int) -> MElem:
         """Relation column j as an element of the free cover module."""
         d = self.rel_degs[j]
-        pc = self.piece(d)
-        vec = [self.ring.field.element(0)] * pc.total
-        for i in range(self.num_gens):
-            entry = self.presentation[i][j]
-            if entry.is_zero():
-                continue
-            coords = self.ring.std_coords(entry.poly, d - self.gen_degs[i])
-            off = pc.offsets[i]
-            for t, c in enumerate(coords):
-                vec[off + t] = c
+        column = [[row[j]] for row in self.presentation]
+        vec = self.ring.block_matrix(column, self.gen_degs, [d], d)._array()[:, 0]
         return MElem(self, d, vec)  # NOT reduced: used on the free cover
 
     def mult_operator(self, poly_entry, d: int) -> DenseMatrix:
@@ -357,31 +335,13 @@ def _drop_redundant_relations(M: GradedModule) -> GradedModule:
             others = [l for l in range(M.num_rels) if l != j]
             d = M.rel_degs[j]
             # span of the other columns at degree d, inside the free cover
-            free = free_module(M.ring, M.gen_degs)
-            span = RowSpace(M.ring.field, free.piece(d).total)
-            for l in others:
-                b = M.rel_degs[l]
-                for u in M.ring.degree_basis(d - b):
-                    upoly = {u: M.ring.field.element(1)}
-                    vec = [M.ring.field.element(0)] * free.piece(d).total
-                    for i in range(M.num_gens):
-                        entry = M.presentation[i][l]
-                        if entry.is_zero():
-                            continue
-                        prod = M.ring.normal_form(
-                            poly_mul(entry.poly, upoly, M.ring.field))
-                        coords = M.ring.std_coords(prod, d - M.gen_degs[i])
-                        off = free.piece(d).offsets[i]
-                        for t, c in enumerate(coords):
-                            vec[off + t] = vec[off + t] + c
-                    span.add(vec)
-            target = M.column_element(j).vec
-            if span.contains(target):
-                keep = others
-                M = GradedModule(
-                    M.ring, M.gen_degs, [M.rel_degs[l] for l in keep],
-                    [[row[l] for l in keep] for row in M.presentation],
-                    label=M.label, check=False)
+            rel_degs = [M.rel_degs[l] for l in others]
+            grid = [[row[l] for l in others] for row in M.presentation]
+            images = M.ring.block_matrix(grid, M.gen_degs, rel_degs, d)
+            span = RowSpace(M.ring.field, images.nrows)
+            span.add_matrix(images.transpose())
+            if span.contains(M.column_element(j).vec):
+                M = GradedModule(M.ring, M.gen_degs, rel_degs, grid, label=M.label, check=False)
                 dropped = True
                 break
         if not dropped:
@@ -486,16 +446,67 @@ class SubmoduleTracker:
         return self.space(elem.degree).contains(elem.coords())
 
 
+def default_stall(ring: QuotientRing) -> int:
+    """Degrees a kernel scan runs past its last new generator before it stops."""
+    rd = max(ring.relation_degrees) if ring.relation_degrees else 2
+    return max(rd, 2 * ring.max_weight) + 1
+
+
+def capture_kernel(ring: QuotientRing, col_degs: Sequence[int], matrix_at, degree_cap: int,
+                   stall: Optional[int] = None):
+    """Minimal generators of the kernel of a map out of F = (+)_j A(-col_degs[j]).
+
+    ``matrix_at(d)`` is the map in degree d; its columns are F_d laid out
+    block by block, as ``block_matrix`` lays out its columns.  Degrees are
+    scanned upward from min(col_degs): a kernel vector outside the span of
+    the generators found so far is a new generator.  The scan stops once
+    ``stall`` degrees pass without one, and no earlier than
+    max(col_degs) + stall; it raises ``DegreeBoundExceeded`` past
+    ``degree_cap``.
+
+    Returns ``(gen_degs, grid, scanned_to)``: column g of the grid holds
+    the ring-element coordinates of generator g over the generators of F,
+    and scanned_to is the last degree scanned.
+    """
+    if stall is None:
+        stall = default_stall(ring)
+    F = free_module(ring, col_degs)
+    tracker = SubmoduleTracker(F, start_degree=min(col_degs))
+    found: List[MElem] = []
+    d = min(col_degs)
+    last_event = max(col_degs)
+    while d <= degree_cap:
+        ker = matrix_at(d).kernel_basis()
+        if ker.ncols:
+            span = tracker.space(d)
+            for col in ker.transpose().rows():
+                if span.contains(col):
+                    continue
+                elem = MElem(F, d, col)
+                tracker.add_generator(elem)
+                found.append(elem)
+                span = tracker.space(d)
+                last_event = d
+        if d >= last_event + stall and d >= max(col_degs) + stall:
+            break
+        d += 1
+    else:
+        raise DegreeBoundExceeded(
+            f"inconclusive: degree bound (kernel capture still active at degree {degree_cap})")
+    columns = [ring.split_coords(e.vec, [e.degree - c for c in col_degs]) for e in found]
+    grid = tuple(tuple(col[k] for col in columns) for k in range(len(col_degs)))
+    return tuple(e.degree for e in found), grid, d
+
+
 def submodule_presentation(C: GradedModule, elements: Sequence[MElem],
                            label: str = "",
                            degree_cap: Optional[int] = None,
                            stall: Optional[int] = None) -> Tuple[GradedModule, List[MElem]]:
     """Minimal presentation of the submodule of C generated by elements.
 
-    Generators are pruned to a minimal generating set; relations are
-    captured degree by degree until a stall window passes with no new
-    relation generators (every scanned degree is certified by comparing
-    span dimensions against exact kernel dimensions).
+    Generators are pruned to a minimal generating set; the relations are
+    the kernel of the evaluation map from their free cover to C, captured
+    by ``capture_kernel``.
     """
     ring = C.ring
     elems = [e for e in elements if not e.is_zero()]
@@ -513,88 +524,23 @@ def submodule_presentation(C: GradedModule, elements: Sequence[MElem],
         return GradedModule(ring, [], [], [], label=label, check=False), []
 
     gen_degs = [e.degree for e in kept]
-    maxw = ring.max_weight
     if stall is None:
-        stall = max((max(ring.relation_degrees) if ring.relation_degrees else 2), 2 * maxw) + 1
+        stall = default_stall(ring)
     if degree_cap is None:
-        degree_cap = max(gen_degs) + 6 * maxw + stall + 8
+        degree_cap = max(gen_degs) + 6 * ring.max_weight + stall + 8
+    # generator g of the cover goes to kept[g]: column g of a grid over C's free cover
+    images = [ring.split_coords(e.vec, [e.degree - a for a in C.gen_degs]) for e in kept]
+    grid = [[img[i] for img in images] for i in range(C.num_gens)]
 
-    # free cover of the submodule and the relation tracker inside it
-    F = free_module(ring, gen_degs)
-    rel_tracker = SubmoduleTracker(F, start_degree=min(gen_degs))
-    rel_cols: List[MElem] = []
-
-    d = min(gen_degs)
-    last_event = max(gen_degs)
-    while d <= degree_cap:
-        # matrix of the evaluation map F_d -> C_d in quotient coords
+    def evaluation(d: int) -> DenseMatrix:
+        """The evaluation map in degree d, into the quotient coordinates of C_d."""
         tgt = C.piece(d)
-        blocks = []
-        for e in kept:
-            src_dim = ring.hilbert_function(d - e.degree)
-            if src_dim == 0:
-                blocks.append(DenseMatrix.zeros(ring.field, tgt.dim, src_dim))
-                continue
-            cols = []
-            for u in ring.degree_basis(d - e.degree):
-                prod_vec = _scale_elem_by_mono(C, e, u, d)
-                cols.append(list(tgt.coords(prod_vec)))
-            blocks.append(DenseMatrix.from_rows(ring.field, cols, tgt.dim).transpose())
-        mat = blocks[0]
-        for b in blocks[1:]:
-            mat = mat.hstack(b)
-        ker = mat.kernel_basis()
-        span = rel_tracker.space(d)
-        new = []
-        for col in ker.transpose().rows():
-            if span.contains(col):
-                continue
-            fvec = F.piece(d).lift(col)
-            elem = MElem(F, d, F.piece(d).reduce(fvec))
-            rel_tracker.add_generator(elem)
-            rel_cols.append(elem)
-            span = rel_tracker.space(d)
-            new.append(elem)
-        if new:
-            last_event = d
-        if d >= last_event + stall and d >= max(gen_degs) + stall:
-            break
-        d += 1
-    else:
-        raise DegreeBoundExceeded(
-            f"inconclusive: degree bound (submodule relations still appearing at {degree_cap})")
+        cover = ring.block_matrix(grid, C.gen_degs, gen_degs, d)
+        return tgt.rel_space.reduce_rows(cover.transpose()).take_columns(tgt.std).transpose()
 
-    # assemble presentation columns as ring elements
-    rel_degs = [e.degree for e in rel_cols]
-    rows: List[List[RingElement]] = [[] for _ in kept]
-    for e in rel_cols:
-        pc = F.piece(e.degree)
-        for i in range(len(kept)):
-            seg = list(e.vec[pc.offsets[i]: pc.offsets[i] + pc.block_dims[i]])
-            poly = ring.poly_from_std_coords(seg, e.degree - gen_degs[i])
-            rows[i].append(RingElement(ring, poly, e.degree - gen_degs[i] if poly else None))
+    rel_degs, rows, _ = capture_kernel(ring, gen_degs, evaluation, degree_cap, stall)
     N = GradedModule(ring, gen_degs, rel_degs, rows, label=label, check=False)
     return N, kept
-
-
-def _scale_elem_by_mono(C: GradedModule, e: MElem, mono, d: int):
-    """u * e inside C, as a free-cover vector of degree d = deg(e) + wdeg(u)."""
-    ring = C.ring
-    src = C.piece(e.degree)
-    tgt = C.piece(d)
-    out = [ring.field.element(0)] * tgt.total
-    upoly = {mono: ring.field.element(1)}
-    for i in range(C.num_gens):
-        seg = list(e.vec[src.offsets[i]: src.offsets[i] + src.block_dims[i]])
-        if not any(seg):
-            continue
-        poly = ring.poly_from_std_coords(seg, e.degree - C.gen_degs[i])
-        prod = ring.normal_form(poly_mul(poly, upoly, ring.field))
-        coords = ring.std_coords(prod, d - C.gen_degs[i])
-        off = tgt.offsets[i]
-        for t, c in enumerate(coords):
-            out[off + t] = out[off + t] + c
-    return out
 
 
 @dataclass

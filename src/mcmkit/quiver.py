@@ -17,16 +17,17 @@ components by periodicity / Ulrich / complexity live here too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .catalog import CatalogData
 from .errors import Inconclusive, UsageError
 from .homs import Hom, end_algebra, hom_space, is_isomorphic, local_certificate
 from .linalg import RowSpace
-from .modules import GradedModule, invariants
-from .resolution import default_stall, detect_period, growth_report, ulrich_test
+from .modules import GradedModule, default_stall, invariants
+from .resolution import detect_period, growth_report, ulrich_test
 from .functors import dual, link, syzygy_signed, tau
+from .rings import grid_mul
 
 __all__ = [
     "ARVertex",
@@ -148,27 +149,6 @@ class ARQuiver:
                 f'    "{self.vertices[a].name}" -> "{self.vertices[b].name}" [label="{m}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
-
-
-def _mul_grids(ring, A, B):
-    """Matrix product of two RingElement grids (rows x mid) . (mid x cols)."""
-    rows = len(A)
-    mid = len(B)
-    cols = len(B[0]) if B else 0
-    out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            acc = ring.zero()
-            for k in range(mid):
-                x, y = A[i][k], B[k][j]
-                if x.is_zero() or y.is_zero():
-                    continue
-                t = x * y
-                acc = t if acc.is_zero() else acc + t
-            row.append(acc)
-        out.append(row)
-    return out
 
 
 def _scale_grid_by_var(ring, grid, var_elem):
@@ -301,7 +281,7 @@ class _QuiverBuilder:
                     continue
                 for g in gs:
                     for f in fs:
-                        comp = _mul_grids(ring, g, f)
+                        comp = grid_mul(ring, g, f)
                         span2.add(hs.trivial.reduce(hs.flat_of_phi(comp)))
         return space1.dim - span2.dim
 
@@ -532,7 +512,7 @@ def _noniso_grids(P: GradedModule, Q: GradedModule, seed: int = 0):
     grids = []
     for row in rad.basis_matrix().rows():
         r = E.hs.from_flat(E.hs.element_from_coords([int(c) for c in row]).flat)
-        grids.append(_mul_grids(P.ring, v.phi, r.phi))
+        grids.append(grid_mul(P.ring, v.phi, r.phi))
     return grids
 
 
@@ -562,7 +542,7 @@ def lifted_arrows_remain_irreducible(q: ARQuiver, seed: int = 0) -> List[Tuple[s
                 gs = builder.space1_grids(xk, j, t - s)
                 for g in gs:
                     for f in fs:
-                        span2.add(hs.trivial.reduce(hs.flat_of_phi(_mul_grids(q.ring, g, f))))
+                        span2.add(hs.trivial.reduce(hs.flat_of_phi(grid_mul(q.ring, g, f))))
         rep = None
         for h in builder.space1_grids(i, j, t):
             if not span2.contains(hs.trivial.reduce(hs.flat_of_phi(h))):
@@ -600,7 +580,7 @@ def lifted_arrows_remain_irreducible(q: ARQuiver, seed: int = 0) -> List[Tuple[s
                 for g in gs:
                     for f in fs:
                         span2s.add(hs1.trivial.reduce(
-                            hs1.flat_of_phi(_mul_grids(q.ring, g, f))))
+                            hs1.flat_of_phi(grid_mul(q.ring, g, f))))
         in_second = span2s.contains(flat)
         results.append((name, bool(in_first and not in_second)))
     return results

@@ -26,17 +26,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import DegreeBoundExceeded, UsageError
-from .linalg import DenseMatrix
+from .errors import UsageError
 from .modules import (
     GradedModule,
     MElem,
-    SubmoduleTracker,
+    capture_kernel,
+    default_stall,
     free_module,
     invariants,
     submodule_presentation,
 )
-from .rings import QuotientRing, RingElement, poly_key
+from .rings import QuotientRing, RingElement, grid_mul, poly_key
 
 __all__ = [
     "FreeResolution",
@@ -51,11 +51,6 @@ __all__ = [
     "mcm_test",
     "ulrich_test",
 ]
-
-
-def default_stall(ring: QuotientRing) -> int:
-    rd = max(ring.relation_degrees) if ring.relation_degrees else 2
-    return max(rd, 2 * ring.max_weight) + 1
 
 
 @dataclass
@@ -84,9 +79,6 @@ def kernel_step(ring: QuotientRing, row_degs: Sequence[int], col_degs: Sequence[
     column (entries[k][j])_k in the target.  Returns the next
     differential as a Step with row_degs = col_degs.
     """
-    if stall is None:
-        stall = default_stall(ring)
-    field = ring.field
     if not col_degs:
         return Step(tuple(col_degs), (), ())
     if not row_degs:
@@ -98,54 +90,10 @@ def kernel_step(ring: QuotientRing, row_degs: Sequence[int], col_degs: Sequence[
             for i in range(len(col_degs))
         )
         return Step(tuple(col_degs), tuple(col_degs), ident)
-    src = free_module(ring, col_degs)
-    tgt = free_module(ring, row_degs)
-    tracker = SubmoduleTracker(src, start_degree=min(col_degs))
-    found: List[MElem] = []
-    d = min(col_degs)
-    last_event = max(col_degs)
-    while d <= degree_cap:
-        src_pc = src.piece(d)
-        if src_pc.total:
-            # one array per degree: block (k, j) is multiplication by entry (k, j)
-            row_offs, row_dims, nrows = tgt.free_layout(d)
-            arr = DenseMatrix.zeros(field, nrows, src_pc.total)._array()
-            for k, (r0, rdim) in enumerate(zip(row_offs, row_dims)):
-                for j, c in enumerate(col_degs):
-                    e = entries[k][j]
-                    c0, cdim = src_pc.offsets[j], src_pc.block_dims[j]
-                    if rdim and cdim and not e.is_zero():
-                        arr[r0:r0 + rdim, c0:c0 + cdim] = ring.mult_matrix(e.poly, d - c)._array()
-            ker = DenseMatrix._of_array(field, arr).kernel_basis()
-            if ker.ncols:
-                span = tracker.space(d)
-                for col in ker.transpose().rows():
-                    if span.contains(col):
-                        continue
-                    vec = src_pc.lift(col)
-                    elem = MElem(src, d, src_pc.reduce(vec))
-                    tracker.add_generator(elem)
-                    found.append(elem)
-                    span = tracker.space(d)
-                    last_event = d
-        if d >= last_event + stall and d >= max(col_degs) + stall:
-            break
-        d += 1
-    else:
-        raise DegreeBoundExceeded(
-            f"inconclusive: degree bound (kernel capture still active at degree {degree_cap})")
-
-    new_col_degs = tuple(e.degree for e in found)
-    rows = []
-    for k in range(len(col_degs)):
-        row = []
-        for e in found:
-            pc = src.piece(e.degree)
-            seg = list(e.vec[pc.offsets[k]: pc.offsets[k] + pc.block_dims[k]])
-            poly = ring.poly_from_std_coords(seg, e.degree - col_degs[k])
-            row.append(RingElement(ring, poly, e.degree - col_degs[k] if poly else None))
-        rows.append(tuple(row))
-    return Step(tuple(col_degs), new_col_degs, tuple(rows), scanned_to=d)
+    gen_degs, grid, scanned_to = capture_kernel(
+        ring, col_degs, lambda d: ring.block_matrix(entries, row_degs, col_degs, d),
+        degree_cap, stall)
+    return Step(tuple(col_degs), gen_degs, grid, scanned_to=scanned_to)
 
 
 class FreeResolution:
@@ -246,20 +194,9 @@ class FreeResolution:
     def verify_exactness(self, H: int) -> bool:
         """d_i . d_{i+1} = 0 exactly, for every computed adjacent pair."""
         self.extend(H)
-        for i in range(len(self.steps) - 1):
-            a, b = self.steps[i], self.steps[i + 1]
-            for r in range(len(a.row_degs)):
-                for c in range(len(b.col_degs)):
-                    acc = self.ring.zero()
-                    for m in range(len(a.col_degs)):
-                        x, y = a.entries[r][m], b.entries[m][c]
-                        if x.is_zero() or y.is_zero():
-                            continue
-                        term = x * y
-                        acc = term if acc.is_zero() else acc + term
-                    if not acc.is_zero():
-                        return False
-        return True
+        return all(e.is_zero()
+                   for a, b in zip(self.steps, self.steps[1:])
+                   for row in grid_mul(self.ring, a.entries, b.entries) for e in row)
 
 
 def resolve(M: GradedModule, H: int, degree_cap: Optional[int] = None,
@@ -408,32 +345,14 @@ def _dual_kernel_elements(res: FreeResolution, i: int, degree_cap: Optional[int]
     """
     ring = res.ring
     step = res.differential(i + 1)
-    src_degs = tuple(-c for c in ((res.minimal.gen_degs) if i == 0 else res.differential(i).col_degs))
+    src_degs = tuple(-r for r in step.row_degs)
     tgt_degs = tuple(-c for c in step.col_degs)
-    # T_{i+1} entry (row over F_{i+1}*, col over F_i*) = d_{i+1}[col][row]
-    rows = len(tgt_degs)
-    cols = len(src_degs)
-    entries = tuple(
-        tuple(step.entries[c][r] for c in range(cols)) for r in range(rows)
-    )
     cap = degree_cap if degree_cap is not None else (
         max(src_degs, default=0) + 4 * default_stall(ring) + 8)
-    ker_step = kernel_step(ring, tgt_degs, src_degs, entries, degree_cap=cap)
-    src = free_module(ring, src_degs)
-    out = []
-    for idx, d in enumerate(ker_step.col_degs):
-        pc = src.piece(d)
-        vec = [ring.field.element(0)] * pc.total
-        for k in range(len(src_degs)):
-            e = ker_step.entries[k][idx]
-            if e.is_zero():
-                continue
-            coords = ring.std_coords(e.poly, d - src_degs[k])
-            off = pc.offsets[k]
-            for t, c in enumerate(coords):
-                vec[off + t] = vec[off + t] + c
-        out.append(target.element(d, vec))
-    return out
+    ker_step = kernel_step(ring, tgt_degs, src_degs, step.transpose_data(), degree_cap=cap)
+    return [target.element(d, ring.block_matrix([[row[g]] for row in ker_step.entries],
+                                                src_degs, [d], d)._array()[:, 0])
+            for g, d in enumerate(ker_step.col_degs)]
 
 
 def ext_is_zero(M: GradedModule, i: int, degree_cap: Optional[int] = None) -> bool:

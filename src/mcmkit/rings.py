@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import accumulate
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -524,6 +525,44 @@ class QuotientRing:
         self._mult_cache[key] = mat
         return mat
 
+    # -- linear systems ----------------------------------------------------
+
+    def block_matrix(self, grid, row_degs: Sequence[int], col_degs: Sequence[int],
+                     d: int) -> DenseMatrix:
+        """The map of free modules (+)_j A(-col_degs[j]) -> (+)_k A(-row_degs[k]) in degree d.
+
+        Block (k, j) is ``mult_matrix(grid[k][j], d - col_degs[j])``, from
+        A_{d - col_degs[j]} to A_{d - row_degs[k]}; blocks of zero entries
+        stay zero.  Every Hom, kernel and lifting system of the package is
+        one such matrix.  With ``col_degs = [d]`` the one column holds the
+        coordinates of the ring elements ``grid[k][0]``, block by block.
+        """
+        row_dims = [self.hilbert_function(d - r) for r in row_degs]
+        col_dims = [self.hilbert_function(d - c) for c in col_degs]
+        out = DenseMatrix.zeros(self.field, sum(row_dims), sum(col_dims))._array()
+        col_offs = list(zip(accumulate(col_dims, initial=0), col_dims, col_degs))
+        for r0, rdim, row in zip(accumulate(row_dims, initial=0), row_dims, grid):
+            if not rdim:
+                continue
+            for (c0, cdim, c), e in zip(col_offs, row):
+                if cdim and e.poly:
+                    out[r0:r0 + rdim, c0:c0 + cdim] = self.mult_matrix(e.poly, d - c)._array()
+        return DenseMatrix._of_array(self.field, out)
+
+    def split_coords(self, vec, degs: Sequence[int]) -> List["RingElement"]:
+        """The ring elements of degrees degs whose coordinates, block after block, are vec.
+
+        The inverse of a one-column ``block_matrix``.
+        """
+        out = []
+        r0 = 0
+        for d in degs:
+            dim = self.hilbert_function(d)
+            poly = self.poly_from_std_coords(vec[r0:r0 + dim], d) if dim else {}
+            out.append(RingElement(self, poly, d if poly else None))
+            r0 += dim
+        return out
+
     # -- ring invariants -----------------------------------------------------
 
     def hilbert_series_ci(self, bound: int) -> List[int]:
@@ -669,6 +708,30 @@ def fit_hilbert_samuel(values: List[int], tail: int = 3):
         if not diffs:
             break
     raise DegreeBoundExceeded("inconclusive: Hilbert-Samuel window too short to stabilize")
+
+
+def grid_mul(ring: QuotientRing, A, B) -> Tuple[Tuple["RingElement", ...], ...]:
+    """The product of two grids of ring elements, (rows x mid) . (mid x cols).
+
+    Each entry is summed in the ambient ring and reduced to normal form
+    once.  The column count is read from the first row of B, so a B with
+    no rows gives a product with no columns.
+    """
+    field = ring.field
+    cols = range(len(B[0])) if B else range(0)
+    out = []
+    for row in A:
+        out_row = []
+        for j in cols:
+            acc: Poly = {}
+            for x, brow in zip(row, B):
+                y = brow[j]
+                if x.poly and y.poly:
+                    acc = poly_add(acc, poly_mul(x.poly, y.poly, field), field)
+            poly = ring.normal_form(acc)
+            out_row.append(RingElement(ring, poly, ring.ambient.poly_degree(poly)))
+        out.append(tuple(out_row))
+    return tuple(out)
 
 
 class RingElement:

@@ -211,7 +211,8 @@ def test_lifted_arrows_stay_irreducible():
     # a representative of each arrow lifts to a map in (Syz M, Syz N)_1 \ ()_2
     from mcmkit.homs import hom_space
     from mcmkit.linalg import RowSpace
-    from mcmkit.quiver import _QuiverBuilder, _mul_grids
+    from mcmkit.quiver import _QuiverBuilder
+    from mcmkit.rings import grid_mul
 
     q = quiver("ade:A4:dim1")
     names = ["I1", "I2"]
@@ -227,7 +228,7 @@ def test_lifted_arrows_stay_irreducible():
         for s in range(lo, hi + 1):
             for g in builder.space1_grids(xk, j, t - s):
                 for f in builder.space1_grids(i, xk, s):
-                    span2.add(hs.trivial.reduce(hs.flat_of_phi(_mul_grids(q.ring, g, f))))
+                    span2.add(hs.trivial.reduce(hs.flat_of_phi(grid_mul(q.ring, g, f))))
     rep = None
     for h in hs.basis():
         if not span2.contains(hs.trivial.reduce(hs.flat_of_phi(h.phi))):
