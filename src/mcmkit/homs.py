@@ -255,7 +255,10 @@ def compose(g: Hom, f: Hom) -> Hom:
     """g after f."""
     if g.source is not f.target and g.source.gen_degs != f.target.gen_degs:
         raise UsageError("composition mismatch")
-    return Hom(f.source, g.target, grid_mul(f.source.ring, g.phi, f.phi))
+    M, ring = f.source, f.source.ring
+    if not f.phi:  # through a module without generators: no row of f.phi gives the width
+        return Hom(M, g.target, tuple((ring.zero(),) * M.num_gens for _ in g.phi))
+    return Hom(M, g.target, grid_mul(ring, g.phi, f.phi))
 
 
 # ---------------------------------------------------------------------------

@@ -106,9 +106,10 @@ def test_grid_mul_matches_the_triple_loop(char, shape):
     A = ring_over(char)
     rng = random.Random(hash(shape) + char)
     rows, mid, cols = shape
-    left = [rng.randrange(0, 3) for _ in range(rows)]
-    middle = [rng.randrange(0, 3) for _ in range(mid)]
-    right = [rng.randrange(0, 3) for _ in range(cols)]
+    # degrees rising left to right, so that the products need reducing
+    left = [rng.randrange(0, 2) for _ in range(rows)]
+    middle = [rng.randrange(1, 4) for _ in range(mid)]
+    right = [rng.randrange(2, 6) for _ in range(cols)]
     X = random_grid(A, left, middle, rng)
     Y = random_grid(A, middle, right, rng)
     got = grid_mul(A, X, Y)
@@ -119,3 +120,14 @@ def test_grid_mul_matches_the_triple_loop(char, shape):
         for c, e in zip(right, row):
             assert e.degree == (None if e.is_zero() else c - r)
     assert all(isinstance(e, RingElement) for row in got for e in row)
+
+
+def test_compose_through_a_module_without_generators():
+    from mcmkit.homs import compose, hom_space
+    from mcmkit.modules import GradedModule, residue_field_module
+
+    A = ring_over(5)
+    k = residue_field_module(A)
+    Z = GradedModule(A, [], [], [], check=False)
+    h = compose(hom_space(Z, k).zero(), hom_space(k, Z).zero())
+    assert [[e.is_zero() for e in row] for row in h.phi] == [[True]]
