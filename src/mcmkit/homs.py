@@ -116,7 +116,7 @@ class HomSpace:
         self.ring = ring
         self.field = ring.field
         M, N = source, target
-        # Phi[k][i] is the degree-0 block_matrix column of degree N.gen_degs[k] - M.gen_degs[i]
+        # minus the degree of each Phi[k][i]: its block_matrix row degree at d = 0
         self.phi_degs = _pair_degs(N.gen_degs, M.gen_degs)
         self.phi_dim = sum(ring.hilbert_function(-d) for d in self.phi_degs)
         self._solve()

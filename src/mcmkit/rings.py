@@ -718,7 +718,7 @@ def grid_mul(ring: QuotientRing, A, B) -> Tuple[Tuple["RingElement", ...], ...]:
     no rows gives a product with no columns.
     """
     field = ring.field
-    cols = range(len(B[0])) if B else range(0)
+    cols = range(len(B[0]) if B else 0)
     out = []
     for row in A:
         out_row = []
