@@ -1,9 +1,11 @@
 """Golden artifacts and the characteristic-zero path.
 
 ``tests/data/golden/<catalog>.json`` maps each CLI command line of
-``golden_argvs(catalog)`` to the stdout of an in-process ``main`` run.
-Regenerate the files with ``PYTHONPATH=src python tests/test_golden.py``,
-and only for a change that is meant to alter these outputs.
+``golden_argvs(catalog)`` to the stdout of an in-process ``main`` run, and
+``tests/data/golden/qq.json`` does the same for ``QQ_ARGVS``, the commands
+over the rationals on the inputs in ``tests/data/qq``.  Regenerate the
+files with ``PYTHONPATH=src python tests/test_golden.py``, and only for a
+change that is meant to alter these outputs.
 """
 
 import contextlib
@@ -33,6 +35,19 @@ def golden_argvs(catalog: str):
     return argvs
 
 
+# the cusp x^2 + y^3 with weights (3, 2), its k, m and a matrix factorization,
+# and k over x^2, y^2; input paths are relative to tests/data
+QQ_ARGVS = (
+    [["mf-validate", "--mf", "qq/cusp_mf.json"]]
+    + [cmd + ["--module", "qq/cusp_m.json"] for cmd in (
+        ["resolve", "-H", "6"], ["dual"], ["link"], ["transpose"], ["syzygy", "--n", "2"],
+        ["cosyzygy"], ["invariants"], ["period"], ["mf-extract"])]
+    + [cmd + ["--module", f"qq/{name}.json"] for name in ("cusp_k", "squares_k") for cmd in (
+        ["resolve", "-H", "6"], ["growth"], ["ci-operators", "-H", "6"], ["support", "-H", "6"])]
+    + [["approx", "--module", "qq/cusp_k.json"]]
+)
+
+
 def run_cli(argv) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -51,6 +66,17 @@ def test_catalog_outputs_match_golden(catalog):
     assert sorted(golden) == sorted(" ".join(a) for a in argvs)
     for argv in argvs:
         assert run_cli(argv) == golden[" ".join(argv)], argv
+
+
+def run_qq(argv) -> str:
+    return run_cli([str(GOLDEN / a) if a.startswith("qq/") else a for a in argv])
+
+
+def test_rational_outputs_match_golden():
+    golden = json.loads((GOLDEN / "golden" / "qq.json").read_text())
+    assert sorted(golden) == sorted(" ".join(a) for a in QQ_ARGVS)
+    for argv in QQ_ARGVS:
+        assert run_qq(argv) == golden[" ".join(argv)], argv
 
 
 def test_quiver_dot_matches_golden(tmp_path):
@@ -78,3 +104,5 @@ if __name__ == "__main__":
         path.parent.mkdir(parents=True, exist_ok=True)
         data = {" ".join(argv): run_cli(argv) for argv in golden_argvs(name)}
         path.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+    data = {" ".join(argv): run_qq(argv) for argv in QQ_ARGVS}
+    (GOLDEN / "golden" / "qq.json").write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
