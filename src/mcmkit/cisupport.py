@@ -219,12 +219,7 @@ def _ann_space(ext: ExtTModule, D: int) -> RowSpace:
     for n in range(0, ext.H - 2 * D + 1):
         for ai, alpha in enumerate(monos):
             op = ext.monomial_operator(alpha, n)
-            flat = []
-            if field.characteristic:
-                flat = [int(x) for x in op.numpy().reshape(-1)]
-            else:
-                flat = [x for row in op.rows() for x in row]
-            eq_cols[ai].extend(flat)
+            eq_cols[ai].extend(op.numpy().reshape(-1).tolist())
     if not eq_cols[0]:
         space = RowSpace(field, len(monos))
         space.add_matrix(DenseMatrix.identity(field, len(monos)))
@@ -270,7 +265,7 @@ def support_annihilator_window(ext: ExtTModule, tdeg_max: int = 2) -> SupportVar
         gens = []
         for row in space.basis_matrix().rows():
             red = known.reduce(row)
-            nz = [(int(x) if field.characteristic else x) for x in red]
+            nz = red.tolist()
             if not any(nz):
                 continue
             known.add(red)

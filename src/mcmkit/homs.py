@@ -23,8 +23,6 @@ import itertools
 import random
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from .errors import Inconclusive, UsageError
 from .linalg import QQ, DenseMatrix, RowSpace
 from .modules import GradedModule, MElem, submodule_presentation
@@ -90,7 +88,7 @@ class Hom:
             raise UsageError("element not in the source module")
         d = elem.degree
         images = M.ring.block_matrix(self.phi, N.gen_degs, M.gen_degs, d)._array()
-        return N.element(d, M.ring.field.matmul(images, np.asarray(elem.vec)))
+        return N.element(d, M.ring.field.matmul(images, elem.vec))
 
 
 class HomSpace:
@@ -148,10 +146,7 @@ class HomSpace:
         red = self.trivial.reduce(flat)
         piv = self.space.pivots()
         c = [red[p] for p in piv]
-        remainder = self.space.reduce(red)
-        if (isinstance(remainder, np.ndarray) and remainder.any()) or (
-            not isinstance(remainder, np.ndarray) and any(x != 0 for x in remainder)
-        ):
+        if self.space.reduce(red).any():
             raise UsageError("vector is not a homomorphism class in this space")
         return c
 
@@ -382,9 +377,7 @@ class EndAlgebra:
                 tij = self.table[i][j]
                 for l in range(self.dim):
                     out[l] = out[l] + c * tij[l]
-        if field != QQ:
-            out = [int(v) % field.p for v in out]
-        return out
+        return [field.element(v) for v in out]
 
     def power(self, x, n: int):
         out = list(self.one)
@@ -400,10 +393,7 @@ class EndAlgebra:
         """a*x + y"""
         field = self.field
         a = field.element(a)
-        out = [a * xi + yi for xi, yi in zip(x, y)]
-        if field != QQ:
-            out = [int(v) % field.p for v in out]
-        return out
+        return [field.element(a * xi + yi) for xi, yi in zip(x, y)]
 
     def zero(self):
         return [self.field.element(0)] * self.dim
@@ -424,8 +414,6 @@ class EndAlgebra:
         rhs = DenseMatrix.column(self.field, cur)
         sol = mat.solve(rhs)
         coeffs = [self.field.element(-sol[i, 0]) for i in range(len(powers))]
-        if self.field != QQ:
-            coeffs = [int(c) % self.field.p for c in coeffs]
         coeffs.append(self.field.element(1))
         return coeffs  # x^n - sum c_i x^i ; stored low-first
 
@@ -666,9 +654,8 @@ def decompose(M: GradedModule, seed: int = 0, tries: int = 24,
             return Decomposition([(Mm, 1)], True, [s])
         return Decomposition([(Mm, 1)], False, [0])
     e_hom = E.hs.element_from_coords(idem)
-    one_minus = E.hs.element_from_coords(
-        _poly_sub_vec(E.one, idem, E.field.p) if E.field != QQ
-        else [a - b for a, b in zip(E.one, idem)])
+    # splitting_idempotent raises over QQ, so the field here is GF(p)
+    one_minus = E.hs.element_from_coords(_poly_sub_vec(E.one, idem, E.field.p))
     part1 = _image_module(Mm, e_hom, f"{Mm.label}.1" if Mm.label else "part1")
     part2 = _image_module(Mm, one_minus, f"{Mm.label}.2" if Mm.label else "part2")
     d1 = decompose(part1, seed=seed, tries=tries, _depth=_depth + 1)

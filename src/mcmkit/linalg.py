@@ -1,16 +1,21 @@
 """Exact dense linear algebra over prime fields GF(p) and the rationals.
 
 Everything downstream (normal forms, Hom spaces, resolutions) reduces to
-row operations on dense matrices.  Over GF(p) the data lives in numpy
-int64 arrays with entries in [0, p).  ``PrimeField`` accepts only moduli
-with (p-1)**2 < 2**63, so the product of two entries (rref, ``RowSpace``
-reductions, ``scale``) is exact.  A dot product of length n can reach
-n*(p-1)**2, so ``PrimeField.matmul`` reduces its partial sums mod p after
-every floor((2**63-1) / (p-1)**2) terms of the inner dimension (delayed
-reduction, Dumas, Giorgi and Pernet, "FFLAS-FFPACK", ACM TOMS 35(3),
-2008); for the small moduli in use that is a single block.  Over the
-rationals we fall back to Fraction lists, which is plenty for the small
-characteristic-zero demos.
+row operations on dense matrices.  Every matrix and row space holds one
+2-D numpy array of its field's ``dtype``: int64 with entries in [0, p)
+over GF(p), object holding exact ``Fraction``s over QQ, which is plenty
+for the small characteristic-zero demos.  The two field classes own what
+differs between them (``zeros``, ``reduce``, ``vector``, ``inv``,
+``element``, ``matmul``), so every elimination and product below has one
+code path.
+
+``PrimeField`` accepts only moduli with (p-1)**2 < 2**63, so the product
+of two entries (rref, ``RowSpace`` reductions, ``scale``) is exact.  A
+dot product of length n can reach n*(p-1)**2, so ``PrimeField.matmul``
+reduces its partial sums mod p after every floor((2**63-1) / (p-1)**2)
+terms of the inner dimension (delayed reduction, Dumas, Giorgi and
+Pernet, "FFLAS-FFPACK", ACM TOMS 35(3), 2008); for the small moduli in
+use that is a single block.
 
 Matrices are immutable by convention: no method mutates ``self`` and the
 constructors copy their input.
@@ -53,7 +58,12 @@ _MAX_MODULUS = isqrt(_INT64_MAX) + 1  # the largest p with (p-1)**2 < 2**63
 
 
 class PrimeField:
-    """The field GF(p) for a prime p with (p-1)**2 < 2**63."""
+    """The field GF(p) for a prime p with (p-1)**2 < 2**63.
+
+    Arrays over GF(p) are int64 with entries in [0, p).
+    """
+
+    dtype = np.dtype(np.int64)
 
     def __init__(self, p: int):
         if p > _MAX_MODULUS:
@@ -78,11 +88,29 @@ class PrimeField:
             return (x.numerator * self.inv(x.denominator % self.p)) % self.p
         return int(x) % self.p
 
-    def inv(self, x: int) -> int:
-        x %= self.p
+    def inv(self, x) -> int:
+        x = int(x) % self.p
         if x == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(x, self.p - 2, self.p)
+
+    def zeros(self, shape) -> np.ndarray:
+        return np.zeros(shape, dtype=np.int64)
+
+    def reduce(self, arr: np.ndarray) -> np.ndarray:
+        """Entries of an int64 array brought back into [0, p)."""
+        return arr % self.p
+
+    def vector(self, v) -> np.ndarray:
+        """The entries of an array-like as an int64 array, reduced mod p."""
+        a = np.asarray(v)
+        # int64 or uint64: one conversion.  Fractions, ints past 2**64 and
+        # lists mixing negatives with ints past 2**63 (object or float
+        # dtype) go entry by entry, exactly.
+        if a.dtype.kind in "iu":
+            return (a % self.p).astype(np.int64)
+        a = np.asarray(v, dtype=object)
+        return np.array([self.element(x) for x in a.flat], dtype=np.int64).reshape(a.shape)
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """a @ b mod p, reduced after every ``dot_block`` inner terms."""
@@ -105,7 +133,9 @@ class PrimeField:
 
 
 class RationalField:
-    """The field of rational numbers (exact Fractions)."""
+    """The field of rational numbers: object arrays of exact Fractions."""
+
+    dtype = np.dtype(object)
 
     @property
     def characteristic(self) -> int:
@@ -116,6 +146,19 @@ class RationalField:
 
     def inv(self, x):
         return 1 / Fraction(x)
+
+    def zeros(self, shape) -> np.ndarray:
+        return np.full(shape, Fraction(0), dtype=object)
+
+    def reduce(self, arr: np.ndarray) -> np.ndarray:
+        return arr
+
+    def vector(self, v) -> np.ndarray:
+        """The entries of an array-like as an object array of Fractions."""
+        a = np.asarray(v, dtype=object)
+        out = np.empty(a.shape, dtype=object)
+        out.flat[:] = [Fraction(x) for x in a.flat]
+        return out
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return a @ b
@@ -142,8 +185,8 @@ def field_of_characteristic(char: int):
     return QQ if char == 0 else GF(char)
 
 
-def _rref_gfp(a: np.ndarray, p: int):
-    """In-place rref of an int64 array mod p.  Returns (pivots, rank)."""
+def _rref(a: np.ndarray, field):
+    """In-place rref of an array of ``field.dtype``.  Returns (pivots, rank)."""
     m, n = a.shape
     pivots = []
     r = 0
@@ -156,85 +199,48 @@ def _rref_gfp(a: np.ndarray, p: int):
         i = r + int(nz[0])
         if i != r:
             a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
+        inv = field.inv(a[r, c])
         if inv != 1:
-            a[r] = (a[r] * inv) % p
+            a[r] = field.reduce(a[r] * inv)
         col = a[:, c].copy()
         col[r] = 0
         rows = np.nonzero(col)[0]
         if rows.size:
-            a[rows] = (a[rows] - np.outer(col[rows], a[r])) % p
+            a[rows] = field.reduce(a[rows] - np.outer(col[rows], a[r]))
         pivots.append(c)
         r += 1
     return pivots, r
 
 
-def _rref_qq(rows, n):
-    """rref of a list of Fraction lists.  Returns (rows, pivots, rank)."""
-    rows = [list(row) for row in rows]
-    m = len(rows)
-    pivots = []
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        pr = next((i for i in range(r, m) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = 1 / rows[r][c]
-        if inv != 1:
-            rows[r] = [x * inv for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return rows, pivots, r
-
-
 class DenseMatrix:
-    """Immutable dense matrix over GF(p) or QQ."""
+    """Immutable dense matrix over GF(p) or QQ: one 2-D array of ``field.dtype``."""
 
     __slots__ = ("field", "nrows", "ncols", "_a")
 
     def __init__(self, field, data, _internal=False):
         self.field = field
-        if _internal:
-            self._a = data
-        elif isinstance(field, PrimeField):
-            arr = np.array(data, dtype=np.int64)
-            if arr.ndim != 2:
-                raise UsageError("matrix data must be two-dimensional")
-            self._a = arr % field.p
-        else:
-            self._a = [[Fraction(x) for x in row] for row in data]
-        if isinstance(field, PrimeField):
-            self.nrows, self.ncols = self._a.shape
-        else:
-            self.nrows = len(self._a)
-            self.ncols = len(self._a[0]) if self._a else 0
-            if any(len(row) != self.ncols for row in self._a):
-                raise UsageError("ragged matrix data")
+        if not _internal:
+            try:
+                ndim = np.ndim(data)
+            except ValueError:  # ragged rows
+                ndim = None
+            if ndim != 2:
+                raise UsageError("matrix data must be a two-dimensional, rectangular array")
+            data = field.vector(data)
+        self._a = data
+        self.nrows, self.ncols = data.shape
 
     # -- constructors ------------------------------------------------
 
     @classmethod
     def zeros(cls, field, nrows: int, ncols: int) -> "DenseMatrix":
-        if isinstance(field, PrimeField):
-            return cls(field, np.zeros((nrows, ncols), dtype=np.int64), _internal=True)
-        return cls._of_array(field, np.full((nrows, ncols), Fraction(0), dtype=object))
+        return cls(field, field.zeros((nrows, ncols)), _internal=True)
 
     @classmethod
     def identity(cls, field, n: int) -> "DenseMatrix":
-        if isinstance(field, PrimeField):
-            return cls(field, np.eye(n, dtype=np.int64), _internal=True)
-        return cls(
-            field,
-            [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)],
-            _internal=True,
-        )
+        a = field.zeros((n, n))
+        a[range(n), range(n)] = field.element(1)
+        return cls(field, a, _internal=True)
 
     @classmethod
     def from_rows(cls, field, rows: Iterable[Sequence], ncols: Optional[int] = None) -> "DenseMatrix":
@@ -252,49 +258,33 @@ class DenseMatrix:
     @classmethod
     def block_diag(cls, field, blocks: Sequence["DenseMatrix"]) -> "DenseMatrix":
         """The blocks along the diagonal, zeros elsewhere."""
-        out = cls.zeros(field, sum(b.nrows for b in blocks), sum(b.ncols for b in blocks))._array()
+        out = field.zeros((sum(b.nrows for b in blocks), sum(b.ncols for b in blocks)))
         r = c = 0
         for b in blocks:
-            out[r:r + b.nrows, c:c + b.ncols] = b._array()
+            out[r:r + b.nrows, c:c + b.ncols] = b._a
             r += b.nrows
             c += b.ncols
         return cls._of_array(field, out)
 
     @classmethod
     def _of_array(cls, field, arr: np.ndarray) -> "DenseMatrix":
-        """Wrap a 2-D array laid out as ``_array`` returns it, keeping its shape."""
-        if isinstance(field, PrimeField):
-            return cls(field, arr, _internal=True)
-        out = cls(field, arr.tolist(), _internal=True)
-        out.nrows, out.ncols = arr.shape
-        return out
+        """Wrap a 2-D array of ``field.dtype``, reduced, without a copy."""
+        return cls(field, arr, _internal=True)
 
     # -- raw access --------------------------------------------------
 
     def _array(self) -> np.ndarray:
-        """The entries as a 2-D array: int64 over GF(p), Fractions (object) over QQ.
-
-        Over GF(p) this is the matrix's own array, not a copy.
-        """
-        if isinstance(self.field, PrimeField):
-            return self._a
-        arr = np.empty(self.shape, dtype=object)
-        if self.nrows and self.ncols:
-            arr[:] = self._a
-        return arr
+        """The matrix's own 2-D array of ``field.dtype``, not a copy."""
+        return self._a
 
     def numpy(self) -> np.ndarray:
         return self._a.copy()
 
     def rows(self):
-        if isinstance(self.field, PrimeField):
-            return [self._a[i].copy() for i in range(self.nrows)]
-        return [list(r) for r in self._a]
+        return [row.copy() for row in self._a]
 
     def __getitem__(self, ij):
-        i, j = ij
-        x = self._a[i][j] if not isinstance(self.field, PrimeField) else self._a[i, j]
-        return int(x) if isinstance(self.field, PrimeField) else x
+        return self._a.item(*ij)
 
     @property
     def shape(self):
@@ -305,59 +295,48 @@ class DenseMatrix:
     def __matmul__(self, other: "DenseMatrix") -> "DenseMatrix":
         if self.field != other.field or self.ncols != other.nrows:
             raise UsageError("matmul shape/field mismatch")
-        return DenseMatrix._of_array(self.field, self.field.matmul(self._array(), other._array()))
+        return DenseMatrix._of_array(self.field, self.field.matmul(self._a, other._a))
 
     def __add__(self, other: "DenseMatrix") -> "DenseMatrix":
         if self.field != other.field or self.shape != other.shape:
             raise UsageError("add shape/field mismatch")
-        if isinstance(self.field, PrimeField):
-            return DenseMatrix(self.field, (self._a + other._a) % self.field.p, _internal=True)
-        return DenseMatrix._of_array(self.field, self._array() + other._array())
+        return DenseMatrix._of_array(self.field, self.field.reduce(self._a + other._a))
 
     def __sub__(self, other: "DenseMatrix") -> "DenseMatrix":
         return self + other.scale(-1)
 
     def scale(self, c) -> "DenseMatrix":
-        if isinstance(self.field, PrimeField):
-            c = self.field.element(c)
-            return DenseMatrix(self.field, (self._a * c) % self.field.p, _internal=True)
-        return DenseMatrix._of_array(self.field, Fraction(c) * self._array())
+        return DenseMatrix._of_array(self.field, self.field.reduce(self._a * self.field.element(c)))
 
     def transpose(self) -> "DenseMatrix":
-        return DenseMatrix._of_array(self.field, self._array().T.copy())
+        return DenseMatrix._of_array(self.field, self._a.T.copy())
 
     def take_columns(self, cols: Sequence[int]) -> "DenseMatrix":
         """The submatrix of the given columns, in the given order."""
-        return DenseMatrix._of_array(self.field, self._array()[:, list(cols)])
+        return DenseMatrix._of_array(self.field, self._a[:, list(cols)])
 
     def hstack(self, other: "DenseMatrix") -> "DenseMatrix":
         if self.nrows != other.nrows:
             raise UsageError("hstack row mismatch")
-        return DenseMatrix._of_array(self.field, np.hstack([self._array(), other._array()]))
+        return DenseMatrix._of_array(self.field, np.hstack([self._a, other._a]))
 
     def vstack(self, other: "DenseMatrix") -> "DenseMatrix":
         if self.ncols != other.ncols:
             raise UsageError("vstack column mismatch")
-        return DenseMatrix._of_array(self.field, np.vstack([self._array(), other._array()]))
+        return DenseMatrix._of_array(self.field, np.vstack([self._a, other._a]))
 
     def is_zero(self) -> bool:
-        if isinstance(self.field, PrimeField):
-            return not self._a.any()
-        return all(x == 0 for row in self._a for x in row)
+        return not self._a.any()
 
     def __eq__(self, other):
         if not isinstance(other, DenseMatrix):
             return NotImplemented
         if self.field != other.field or self.shape != other.shape:
             return False
-        if isinstance(self.field, PrimeField):
-            return bool((self._a == other._a).all())
-        return self._a == other._a
+        return bool((self._a == other._a).all())
 
     def __hash__(self):
-        if isinstance(self.field, PrimeField):
-            return hash((self.field, self.shape, self._a.tobytes()))
-        return hash((self.field, self.shape, tuple(tuple(r) for r in self._a)))
+        return hash((self.field, self.shape, tuple(self._a.ravel().tolist())))
 
     def __repr__(self):
         return f"DenseMatrix({self.field}, {self.nrows}x{self.ncols})"
@@ -371,12 +350,9 @@ class DenseMatrix:
         same shape as the input (zero rows at the bottom) and
         ``pivots`` lists the pivot column indices.
         """
-        if isinstance(self.field, PrimeField):
-            a = self._a.copy()
-            pivots, rank = _rref_gfp(a, self.field.p)
-            return DenseMatrix(self.field, a, _internal=True), tuple(pivots), rank
-        rows, pivots, rank = _rref_qq(self.rows(), self.ncols)
-        return DenseMatrix(self.field, rows, _internal=True), tuple(pivots), rank
+        a = self._a.copy()
+        pivots, rank = _rref(a, self.field)
+        return DenseMatrix._of_array(self.field, a), tuple(pivots), rank
 
     def rank(self) -> int:
         return self.rref()[2]
@@ -386,33 +362,22 @@ class DenseMatrix:
         reduced, pivots, rank = self.rref()
         pivot_set = set(pivots)
         free = [c for c in range(self.ncols) if c not in pivot_set]
-        out = DenseMatrix.zeros(self.field, self.ncols, len(free))._array()
+        out = self.field.zeros((self.ncols, len(free)))
         out[free, np.arange(len(free))] = self.field.element(1)
         if rank:
-            rest = -reduced._array()[:rank][:, free]
-            if isinstance(self.field, PrimeField):
-                rest %= self.field.p
-            out[list(pivots)] = rest
+            out[list(pivots)] = self.field.reduce(-reduced._a[:rank][:, free])
         return DenseMatrix._of_array(self.field, out)
 
     def solve(self, rhs: "DenseMatrix") -> Optional["DenseMatrix"]:
         """One solution X of self @ X = rhs, or None if inconsistent."""
         if rhs.nrows != self.nrows:
             raise UsageError("solve: rhs row count mismatch")
-        aug = self.hstack(rhs)
-        reduced, pivots, rank = aug.rref()
+        reduced, pivots, rank = self.hstack(rhs).rref()
         if any(p >= self.ncols for p in pivots):
             return None
-        out = DenseMatrix.zeros(self.field, self.ncols, rhs.ncols)
-        if isinstance(self.field, PrimeField):
-            a = out._a
-            for r, pc in enumerate(pivots):
-                a[pc] = reduced._a[r, self.ncols:]
-            return DenseMatrix(self.field, a % self.field.p, _internal=True)
-        rows = out._a
-        for r, pc in enumerate(pivots):
-            rows[pc] = list(reduced._a[r][self.ncols:])
-        return DenseMatrix(self.field, rows, _internal=True)
+        out = self.field.zeros((self.ncols, rhs.ncols))
+        out[list(pivots)] = reduced._a[:rank, self.ncols:]
+        return DenseMatrix._of_array(self.field, out)
 
 
 class RowSpace:
@@ -422,18 +387,18 @@ class RowSpace:
     modulo the space, and membership tests.  The workhorse behind normal
     forms, kernel capture and Hom-space quotients.
 
-    The echelon rows are one 2-D array laid out as ``DenseMatrix._array``
-    returns it, one row per pivot column in ``_pivots`` (ascending).  The
-    rows are fully reduced: each pivot column is zero in every other row,
-    so the coefficient of echelon row i in a vector is the vector's entry
-    in pivot column i, and reducing is one product.  The array is replaced,
-    never written in place, so a ``basis_matrix`` handed out stays valid.
+    The echelon rows are one 2-D array of ``field.dtype``, one row per
+    pivot column in ``_pivots`` (ascending).  The rows are fully reduced:
+    each pivot column is zero in every other row, so the coefficient of
+    echelon row i in a vector is the vector's entry in pivot column i, and
+    reducing is one product.  The array is replaced, never written in
+    place, so a ``basis_matrix`` handed out stays valid.
     """
 
     def __init__(self, field, ncols: int):
         self.field = field
         self.ncols = ncols
-        self._basis = DenseMatrix.zeros(field, 0, ncols)._array()
+        self._basis = field.zeros((0, ncols))
         self._pivots = ()
 
     @property
@@ -445,17 +410,6 @@ class RowSpace:
         s._basis, s._pivots = self._basis, self._pivots
         return s
 
-    def _as_vec(self, v):
-        if isinstance(self.field, PrimeField):
-            a = np.asarray(v)
-            # int64 or uint64: one conversion.  Fractions, ints past 2**64 and
-            # lists mixing negatives with ints past 2**63 (object or float
-            # dtype) go entry by entry.
-            if a.dtype.kind in "iu":
-                return (a % self.field.p).astype(np.int64)
-            return np.array([self.field.element(x) for x in v], dtype=np.int64)
-        return [Fraction(x) for x in v]
-
     def reduce_rows(self, m: DenseMatrix) -> DenseMatrix:
         """Canonical residue of every row of m modulo the space.
 
@@ -465,30 +419,22 @@ class RowSpace:
             return m
         a = m._array()
         out = a - self.field.matmul(a[:, list(self._pivots)], self._basis)
-        if isinstance(self.field, PrimeField):
-            out %= self.field.p
-        return DenseMatrix._of_array(self.field, out)
+        return DenseMatrix._of_array(self.field, self.field.reduce(out))
 
-    def reduce(self, v):
-        """Canonical residue of v modulo the space."""
-        v = self._as_vec(v)
+    def reduce(self, v) -> np.ndarray:
+        """Canonical residue of v modulo the space, as a 1-D array."""
+        v = self.field.vector(v)
         if not self._pivots:
             return v
-        if isinstance(self.field, PrimeField):
-            coeffs = v[list(self._pivots)]
-            return (v - self.field.matmul(coeffs[None], self._basis)[0]) % self.field.p
-        coeffs = np.array([v[c] for c in self._pivots], dtype=object)
-        return (np.array(v, dtype=object) - coeffs @ self._basis).tolist()
+        coeffs = v[list(self._pivots)]
+        return self.field.reduce(v - self.field.matmul(coeffs[None], self._basis)[0])
 
     def contains(self, v) -> bool:
-        r = self.reduce(v)
-        if isinstance(self.field, PrimeField):
-            return not r.any()
-        return all(x == 0 for x in r)
+        return not self.reduce(v).any()
 
     def add(self, v) -> bool:
         """Add one vector; True if it enlarged the space."""
-        return self.add_matrix(DenseMatrix._of_array(self.field, np.array([self._as_vec(v)]))) == 1
+        return self.add_matrix(DenseMatrix._of_array(self.field, self.field.vector(v)[None])) == 1
 
     def add_matrix(self, m: DenseMatrix) -> int:
         """Add every row of m; the number of dimensions gained.
@@ -507,9 +453,8 @@ class RowSpace:
         reduced, pivots, rank = residues.rref()
         rows = reduced._array()[:rank].copy()  # a copy keeps no zero rows alive
         if self._pivots:
-            old = self._basis - self.field.matmul(self._basis[:, list(pivots)], rows)
-            if isinstance(self.field, PrimeField):
-                old %= self.field.p
+            old = self.field.reduce(
+                self._basis - self.field.matmul(self._basis[:, list(pivots)], rows))
             pivots = self._pivots + pivots
             order = sorted(range(len(pivots)), key=pivots.__getitem__)
             rows, pivots = np.vstack([old, rows])[order], tuple(pivots[i] for i in order)
@@ -531,9 +476,7 @@ def intersect_rowspaces(U: RowSpace, V: RowSpace, field, n: int) -> RowSpace:
     if BU.nrows == 0 or BV.nrows == 0:
         return out
     stacked = BU.transpose().hstack(BV.transpose().scale(-1))
-    ker = stacked.kernel_basis()
-    for col in ker.transpose().rows():
-        a = list(col[: BU.nrows])
-        x = DenseMatrix.from_rows(field, [a], BU.nrows) @ BU
-        out.add(x.rows()[0])
+    # each kernel column (a, b) has a @ BU = b @ BV in both spaces
+    a = stacked.kernel_basis().transpose().take_columns(range(BU.nrows))
+    out.add_matrix(a @ BU)
     return out

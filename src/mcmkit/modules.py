@@ -35,14 +35,12 @@ __all__ = [
 
 
 class _ModulePiece:
-    """Degree-d data of a module: free-cover layout and relation span."""
+    """Degree-d data of a module: free-cover size and relation span."""
 
-    __slots__ = ("degree", "offsets", "block_dims", "total", "rel_space", "std", "std_index")
+    __slots__ = ("degree", "total", "rel_space", "std", "std_index")
 
-    def __init__(self, degree, offsets, block_dims, total, rel_space, std):
+    def __init__(self, degree, total, rel_space, std):
         self.degree = degree
-        self.offsets = offsets
-        self.block_dims = block_dims
         self.total = total
         self.rel_space = rel_space
         self.std = std
@@ -57,18 +55,7 @@ class _ModulePiece:
 
     def coords(self, vec):
         """Quotient coordinates of a vector on the free cover."""
-        red = self.rel_space.reduce(vec)
-        return red[list(self.std)] if isinstance(red, np.ndarray) else [red[c] for c in self.std]
-
-    def lift(self, coords):
-        """Canonical free-cover vector with the given quotient coordinates."""
-        if isinstance(coords, np.ndarray):
-            vec = np.zeros(self.total, dtype=np.int64)
-        else:
-            vec = [0] * self.total
-        for c, x in zip(self.std, coords):
-            vec[c] = x
-        return vec
+        return self.rel_space.reduce(vec)[list(self.std)]
 
 
 class MElem:
@@ -82,9 +69,7 @@ class MElem:
         self.vec = vec
 
     def is_zero(self) -> bool:
-        if isinstance(self.vec, np.ndarray):
-            return not self.vec.any()
-        return all(x == 0 for x in self.vec)
+        return not self.vec.any()
 
     def coords(self):
         return self.module.piece(self.degree).coords(self.vec)
@@ -153,28 +138,18 @@ class GradedModule:
 
     # -- degreewise pieces ------------------------------------------------
 
-    def free_layout(self, d: int):
-        offsets, dims = [], []
-        total = 0
-        for a in self.gen_degs:
-            offsets.append(total)
-            k = self.ring.hilbert_function(d - a)
-            dims.append(k)
-            total += k
-        return offsets, dims, total
-
     def piece(self, d: int) -> _ModulePiece:
         got = self._pieces.get(d)
         if got is not None:
             return got
-        offsets, dims, total = self.free_layout(d)
+        total = sum(self.ring.hilbert_function(d - a) for a in self.gen_degs)
         space = RowSpace(self.ring.field, total)
         # the relation columns' images in the free cover, one row each
         space.add_matrix(self.ring.block_matrix(
             self.presentation, self.gen_degs, self.rel_degs, d).transpose())
         pivots = set(space.pivots())
         std = tuple(c for c in range(total) if c not in pivots)
-        piece = _ModulePiece(d, offsets, dims, total, space, std)
+        piece = _ModulePiece(d, total, space, std)
         self._pieces[d] = piece
         return piece
 
@@ -366,8 +341,7 @@ def maximal_ideal_module(ring: QuotientRing) -> GradedModule:
     gens = []
     for v, w in zip(ring.variables, ring.weights):
         poly = ring.normal_form(ring.ambient.parse(v))
-        vec = ring.std_coords(poly, w)
-        gens.append(MElem(A, w, list(vec)))
+        gens.append(A.element(w, ring.std_coords(poly, w)))
     N, _ = submodule_presentation(A, gens, label="m")
     return N
 

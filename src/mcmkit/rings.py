@@ -353,16 +353,14 @@ class QuotientRing:
             rels.append(poly)
         self.relations = tuple(rels)
         self.relation_degrees = tuple(ambient.poly_degree(r) for r in self.relations)
+        # identity of the ring, read on every element check and comparison
+        self.key = (ambient.key, tuple(poly_key(r) for r in self.relations))
         self._pieces: Dict[int, _Piece] = {}
         self._mult_cache: Dict[tuple, DenseMatrix] = {}
         self._dim_cache: Optional[int] = None
         self._e_cache: Optional[int] = None
 
     # -- identity ------------------------------------------------------
-
-    @property
-    def key(self):
-        return (self.ambient.key, tuple(poly_key(r) for r in self.relations))
 
     def __eq__(self, other):
         return isinstance(other, QuotientRing) and other.key == self.key
@@ -445,11 +443,11 @@ class QuotientRing:
             vec = [self.field.element(0)] * len(pc.monos)
             for m, c in part.items():
                 vec[pc.index[m]] = c
-            red = pc.rel_space.reduce(vec)
+            red = pc.rel_space.reduce(vec).tolist()
             for i in pc.std:
                 c = red[i]
                 if c:
-                    out[pc.monos[i]] = int(c) if self.field != QQ else c
+                    out[pc.monos[i]] = c
         return out
 
     def std_coords(self, poly: Poly, d: int):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcmkit.errors import UsageError
-from mcmkit.linalg import GF, QQ, DenseMatrix, RowSpace
+from mcmkit.linalg import GF, QQ, DenseMatrix, RowSpace, intersect_rowspaces
 
 
 def test_rref_identity_gf5():
@@ -263,10 +263,10 @@ def test_element_keeps_fraction_handling():
 @pytest.mark.parametrize("p", [7, 2**31 - 1])
 def test_as_vec_matches_elementwise_conversion(v, p):
     field = GF(p)
-    got = RowSpace(field, len(v))._as_vec(v)
+    got = field.vector(v)
     assert got.dtype == np.int64
     assert got.tolist() == [field.element(x) for x in v]
-    assert RowSpace(field, len(v))._as_vec(np.array(v, dtype=object)).tolist() == got.tolist()
+    assert field.vector(np.array(v, dtype=object)).tolist() == got.tolist()
 
 
 @pytest.mark.parametrize("field", [GF(5), GF(2**31 - 1), QQ])
@@ -299,3 +299,87 @@ def test_add_matrix_equals_rowwise_add(field):
         reduced, pivots, rank = DenseMatrix.from_rows(field, every_row, n).rref()
         assert batched.pivots() == pivots
         assert batched.basis_matrix() == DenseMatrix.from_rows(field, reduced.rows()[:rank], n)
+
+
+@pytest.mark.parametrize("field", [GF(5), QQ], ids=repr)
+@pytest.mark.parametrize("data", [[[1, 2], [3]], [1, 2], [], 7, [[[1]]]],
+                         ids=["ragged", "one-dim", "empty", "scalar", "three-dim"])
+def test_bad_matrix_data_raises_usage_error(field, data):
+    with pytest.raises(UsageError):
+        DenseMatrix(field, data)
+
+
+@pytest.mark.parametrize("x", [np.int64(3), np.int32(-2), np.uint8(8), 3])
+def test_inv_takes_numpy_integers(x):
+    assert GF(5).inv(x) * int(x) % 5 == 1
+    assert QQ.inv(x) == Fraction(1, int(x))
+    with pytest.raises(ZeroDivisionError):
+        GF(5).inv(np.int64(10))
+
+
+@pytest.mark.parametrize("field", [GF(5), GF(2**31 - 1), QQ], ids=repr)
+def test_every_matrix_is_a_two_dim_array_of_the_field_dtype(field):
+    def check(m):
+        assert isinstance(m, DenseMatrix)
+        assert isinstance(m._a, np.ndarray) and m._a.ndim == 2 and m._a.dtype == field.dtype
+        assert m._a.shape == m.shape
+        return m
+
+    def check_space(s):
+        assert isinstance(s._basis, np.ndarray) and s._basis.ndim == 2
+        assert s._basis.dtype == field.dtype and s._basis.shape == (s.dim, s.ncols)
+        check(s.basis_matrix())
+        return s
+
+    a = check(DenseMatrix(field, [[1, 2, 0], [2, 4, 0]]))
+    b = check(DenseMatrix(field, np.array([[3, -1, 2**40]])))
+    c = check(DenseMatrix(field, [[Fraction(1, 2), 0, 1]]))
+    made = [
+        DenseMatrix.zeros(field, 2, 3), DenseMatrix.zeros(field, 0, 0),
+        DenseMatrix.identity(field, 3), DenseMatrix.identity(field, 0),
+        DenseMatrix.from_rows(field, [[1, 2], [3, 4]]), DenseMatrix.from_rows(field, [], 3),
+        DenseMatrix.column(field, [1, 2]),
+        DenseMatrix.block_diag(field, [a, DenseMatrix.zeros(field, 0, 2), b]),
+        DenseMatrix._of_array(field, field.zeros((2, 2))),
+        a + a, a - c.vstack(c), a.scale(3), a.transpose(), a.take_columns([2, 0]),
+        a.hstack(a), a.vstack(b), a @ a.transpose(),
+        DenseMatrix.zeros(field, 2, 0) @ DenseMatrix.zeros(field, 0, 3),
+        a.rref()[0], a.kernel_basis(), DenseMatrix.zeros(field, 0, 3).kernel_basis(),
+        a.solve(DenseMatrix.column(field, [1, 2])), a.solve(DenseMatrix.zeros(field, 2, 0)),
+    ]
+    for m in made:
+        check(m)
+    for row in a.rows():
+        assert isinstance(row, np.ndarray) and row.ndim == 1 and row.dtype == field.dtype
+
+    s = check_space(RowSpace(field, 3))
+    assert s.reduce([1, 2, 3]).dtype == field.dtype
+    s.add([1, 2, 0])
+    check_space(s)
+    s.add_matrix(DenseMatrix(field, [[0, 1, 1], [1, 3, 1]]))
+    check_space(s)
+    check_space(s.copy())
+    check(s.reduce_rows(a))
+    r = s.reduce([4, 0, 1])
+    assert isinstance(r, np.ndarray) and r.ndim == 1 and r.dtype == field.dtype
+    t = RowSpace(field, 3)
+    t.add([0, 0, 1])
+    check_space(intersect_rowspaces(s, t, field, 3))
+
+
+@pytest.mark.parametrize("field", [GF(5), GF(2**31 - 1), QQ], ids=repr)
+def test_intersection_lies_in_both_spaces_with_the_right_dimension(field):
+    rng = random.Random(23)
+    n = 6
+    for _ in range(20):
+        shared = [[rng.choice([0, 1, 2, -1]) for _ in range(n)] for _ in range(rng.randrange(0, 3))]
+        U, V, both = RowSpace(field, n), RowSpace(field, n), RowSpace(field, n)
+        for space in (U, V):
+            for row in shared + [[rng.choice([0, 1, 3]) for _ in range(n)]
+                                 for _ in range(rng.randrange(0, 3))]:
+                space.add(row)
+                both.add(row)
+        inter = intersect_rowspaces(U, V, field, n)
+        assert inter.dim == U.dim + V.dim - both.dim
+        for row in inter.basis_matrix().rows():
+            assert U.contains(row) and V.contains(row)

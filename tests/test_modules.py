@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
@@ -170,21 +171,23 @@ def test_invariants_m_over_cusp_is_ulrich_data():
 def _unit_vector_mult_operator(M, entry, d):
     """Reference: lift each quotient basis vector, multiply block by block, reduce."""
     field = M.ring.field
-    src = M.piece(d)
-    tgt = M.piece(d + M.ring.ambient.poly_degree(entry.poly))
+    e = M.ring.ambient.poly_degree(entry.poly)
+    src, tgt = M.piece(d), M.piece(d + e)
+    # generator i's block of the free cover starts at offsets[i]
+    src_offsets = [0, *accumulate(M.ring.hilbert_function(d - a) for a in M.gen_degs)]
+    tgt_offsets = [0, *accumulate(M.ring.hilbert_function(d + e - a) for a in M.gen_degs)]
     images = []
-    for pos in range(src.dim):
-        unit = [field.element(0)] * src.dim
-        unit[pos] = field.element(1)
-        fvec = src.lift(unit)
+    for c in src.std:
+        fvec = [field.element(0)] * src.total
+        fvec[c] = field.element(1)
         out = [field.element(0)] * tgt.total
         for i, a in enumerate(M.gen_degs):
-            seg = fvec[src.offsets[i]: src.offsets[i] + src.block_dims[i]]
+            seg = fvec[src_offsets[i]: src_offsets[i + 1]]
             if not any(seg):
                 continue
             img = M.ring.mult_matrix(entry.poly, d - a) @ DenseMatrix.column(field, list(seg))
             for t in range(img.nrows):
-                out[tgt.offsets[i] + t] += img[t, 0]
+                out[tgt_offsets[i] + t] += img[t, 0]
         images.append(list(tgt.coords(out)))
     return images
 
