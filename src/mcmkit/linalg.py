@@ -156,9 +156,7 @@ class RationalField:
     def vector(self, v) -> np.ndarray:
         """The entries of an array-like as an object array of Fractions."""
         a = np.asarray(v, dtype=object)
-        out = np.empty(a.shape, dtype=object)
-        out.flat[:] = [Fraction(x) for x in a.flat]
-        return out
+        return np.array([Fraction(x) for x in a.flat], dtype=object).reshape(a.shape)
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return a @ b

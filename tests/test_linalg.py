@@ -267,6 +267,8 @@ def test_as_vec_matches_elementwise_conversion(v, p):
     assert got.dtype == np.int64
     assert got.tolist() == [field.element(x) for x in v]
     assert field.vector(np.array(v, dtype=object)).tolist() == got.tolist()
+    # the matrix constructor converts the same way (Fractions were truncated to ints)
+    assert DenseMatrix(field, [v]).rows()[0].tolist() == got.tolist()
 
 
 @pytest.mark.parametrize("field", [GF(5), GF(2**31 - 1), QQ])
