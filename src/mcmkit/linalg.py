@@ -474,7 +474,7 @@ def intersect_rowspaces(U: RowSpace, V: RowSpace, field, n: int) -> RowSpace:
     if BU.nrows == 0 or BV.nrows == 0:
         return out
     stacked = BU.transpose().hstack(BV.transpose().scale(-1))
-    # each kernel column (a, b) has a @ BU = b @ BV in both spaces
+    # each kernel column (a, b) gives a @ BU = b @ BV, a vector of both spaces
     a = stacked.kernel_basis().transpose().take_columns(range(BU.nrows))
     out.add_matrix(a @ BU)
     return out
