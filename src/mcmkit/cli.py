@@ -365,11 +365,15 @@ def cmd_ci_operators(args) -> int:
     M = load_module(args.module, args.modulus)
     ci = CIPresentation.from_ring(M.ring)
     ext = eisenbud_operators(ci, M, H=args.hom_bound, degree_cap=args.degree_bound)
+
+    def entry(x):
+        # an int, or "n/d" as ``poly_to_str`` writes a fractional coefficient
+        return int(x) if x.denominator == 1 else str(x)
+
     ops = {}
     for j in range(ext.codimension):
         ops[f"t{j + 1}"] = {
-            str(n): [[int(ext.operator(j, n)[r, c]) for c in range(ext.operator(j, n).ncols)]
-                     for r in range(ext.operator(j, n).nrows)]
+            str(n): [[entry(x) for x in row] for row in ext.operator(j, n).numpy().tolist()]
             for n in range(0, max(0, args.hom_bound - 1))
         }
     emit_json({

@@ -188,7 +188,7 @@ class GradedModule:
         Returns the matrix M_d -> M_{d+e} in quotient coordinates.
         """
         entry = poly_entry if isinstance(poly_entry, RingElement) else self.ring.element(poly_entry)
-        e = self.ring.ambient.poly_degree(entry.poly)
+        e = entry.degree if entry.poly else None
         key = (tuple(sorted(entry.poly.items())), d)
         got = self._mult_cache.get(key)
         if got is not None:
@@ -202,7 +202,7 @@ class GradedModule:
         # the free cover multiplies block by block; its std columns are the
         # lifts of the quotient basis, so each row of images is one image
         cover = DenseMatrix.block_diag(self.ring.field, [
-            self.ring.mult_matrix(entry.poly, d - a) for a in self.gen_degs])
+            self.ring.mult_matrix(entry.poly, d - a, e) for a in self.gen_degs])
         images = cover.take_columns(src.std).transpose()
         mat = tgt.rel_space.reduce_rows(images).take_columns(tgt.std).transpose()
         self._mult_cache[key] = mat
@@ -564,53 +564,49 @@ def module_length(M: GradedModule, horizon: Optional[int] = None) -> Optional[in
 
 
 def hs_lengths(M: GradedModule, s_max: int) -> List[int]:
-    """Hilbert-Samuel values length(M / m^s M) for s = 1..s_max."""
-    ring = M.ring
+    """Hilbert-Samuel values length(M / m^s M) for s = 1..s_max.
+
+    (m^s M)_d is spanned by the products u * g_i of the generators g_i with
+    the monomials u of weighted degree d - deg g_i and total degree >= s.
+    In each degree d, every such product is one row: the normal form of u
+    (a row of ``QuotientRing.normal_form_matrix``) in g_i's block of the free
+    cover, reduced into M_d's quotient coordinates with one ``reduce_rows``.
+    One ``RowSpace`` then grows by the rows of total degree s_max and more,
+    then s_max - 1, and so on down, and after each group its dimension is
+    dim (m^s M)_d.  Length(M / m^s M) sums dim M_d - dim (m^s M)_d over
+    min_gen <= d < max_gen + s * max_weight: from there on every monomial
+    of weighted degree d - deg g_i has total degree >= s, so the term is 0.
+    """
+    ring, field = M.ring, M.ring.field
     maxw = ring.max_weight
-    lo = M.min_gen_degree()
     hi = M.max_gen_degree()
-    out = []
-    # frontier spaces: B[0] = full piece; B[s] = m * B[s-1]
-    spaces: Dict[int, Dict[int, RowSpace]] = {0: {}}
-
-    def full_space(d: int) -> RowSpace:
-        got = spaces[0].get(d)
-        if got is None:
-            pc = M.piece(d)
-            got = RowSpace(ring.field, pc.dim)
-            ident = DenseMatrix.identity(ring.field, pc.dim)
-            got.add_matrix(ident)
-            spaces[0][d] = got
-        return got
-
-    def space(s: int, d: int) -> RowSpace:
-        if d < lo:
-            return RowSpace(ring.field, M.piece(d).dim)
-        if s == 0:
-            return full_space(d)
-        level = spaces.setdefault(s, {})
-        got = level.get(d)
-        if got is not None:
-            return got
-        blocks = []
-        for var, w in zip(ring.variables, ring.weights):
-            prev = space(s - 1, d - w)
-            if prev.dim == 0:
+    out = [0] * s_max
+    for d in range(M.min_gen_degree(), hi + s_max * maxw):
+        pc = M.piece(d)
+        if not pc.dim:
+            continue
+        s_min = max(1, (d - hi) // maxw + 1)  # the least s whose sum reaches d
+        blocks, tags = [], []
+        offset = 0
+        for a in M.gen_degs:
+            if not ring.hilbert_function(d - a):
                 continue
-            op = M.mult_operator(ring.element(var), d - w)
-            blocks.append(prev.basis_matrix() @ op.transpose())
-        sp = RowSpace(ring.field, M.piece(d).dim)
-        if blocks:
-            sp.add_matrix(_vstack_all(ring.field, blocks))
-        level[d] = sp
-        return sp
-
-    for s in range(1, s_max + 1):
-        cutoff = hi + s * maxw
-        total = 0
-        for d in range(lo, cutoff):
-            total += M.piece(d).dim - space(s, d).dim
-        out.append(total)
+            rp = ring.piece(d - a)
+            keep = [i for i, u in enumerate(rp.monos) if sum(u) >= s_min]
+            block = field.zeros((len(keep), pc.total))
+            block[:, offset:offset + rp.dim] = ring.normal_form_matrix(d - a)._array()[keep]
+            blocks.append(block)
+            tags.extend(min(sum(rp.monos[i]), s_max) for i in keep)
+            offset += rp.dim
+        cover = DenseMatrix._of_array(field, np.vstack(blocks))
+        rows = pc.rel_space.reduce_rows(cover).take_columns(pc.std)._array()
+        tags = np.array(tags)
+        space = RowSpace(field, pc.dim)
+        for s in range(s_max, s_min - 1, -1):
+            group = rows[tags == s]
+            if len(group) and space.dim < pc.dim:
+                space.add_matrix(DenseMatrix._of_array(field, group))
+            out[s - 1] += pc.dim - space.dim
     return out
 
 

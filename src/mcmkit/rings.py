@@ -16,9 +16,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import accumulate
+from operator import add
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .errors import DegreeBoundExceeded, UsageError
 from .linalg import (
@@ -314,9 +313,13 @@ class WeightedPolyRing:
 
 
 class _Piece:
-    """Degree-d data of a quotient ring: monomials, ideal span, basis."""
+    """Degree-d data of a quotient ring: monomials, ideal span, basis.
 
-    __slots__ = ("degree", "monos", "index", "rel_space", "std", "std_index")
+    ``normal_forms``, built on first use by ``QuotientRing.normal_form_matrix``,
+    holds the std coordinates of the normal form of every monomial.
+    """
+
+    __slots__ = ("degree", "monos", "index", "rel_space", "std", "std_index", "normal_forms")
 
     def __init__(self, degree, monos, index, rel_space, std, std_index):
         self.degree = degree
@@ -325,6 +328,7 @@ class _Piece:
         self.rel_space = rel_space
         self.std = std
         self.std_index = std_index
+        self.normal_forms = None
 
     @property
     def dim(self) -> int:
@@ -408,6 +412,24 @@ class QuotientRing:
         self._pieces[d] = piece
         return piece
 
+    def normal_form_matrix(self, d: int) -> DenseMatrix:
+        """Row i: the std coordinates of the normal form of the i-th monomial of degree d.
+
+        The rows follow ``ambient.monomials(d)``.  A standard monomial's row
+        is a unit row.  The ideal's echelon rows are fully reduced, so a pivot
+        monomial is congruent to minus the rest of its echelon row, which
+        lies on the standard columns.  Cached next to the piece.
+        """
+        pc = self.piece(d)
+        if pc.normal_forms is None:
+            nf = self.field.zeros((len(pc.monos), pc.dim))
+            nf[list(pc.std), range(pc.dim)] = self.field.element(1)
+            if pc.rel_space.dim:
+                echelon = pc.rel_space.basis_matrix().take_columns(pc.std)._array()
+                nf[list(pc.rel_space.pivots())] = self.field.reduce(-echelon)
+            pc.normal_forms = DenseMatrix._of_array(self.field, nf)
+        return pc.normal_forms
+
     def _monomial_rows(self, polys: Sequence[Poly], index: Dict[Mono, int], n: int) -> DenseMatrix:
         """The polynomials as the rows of a matrix, columns indexed by ``index``."""
         rows = DenseMatrix.zeros(self.field, len(polys), n)._array()
@@ -440,12 +462,11 @@ class QuotientRing:
         out: Poly = {}
         for d, part in by_deg.items():
             pc = self.piece(d)
-            vec = [self.field.element(0)] * len(pc.monos)
-            for m, c in part.items():
-                vec[pc.index[m]] = c
-            red = pc.rel_space.reduce(vec).tolist()
-            for i in pc.std:
-                c = red[i]
+            # the coefficients times the normal forms of their monomials
+            rows = self.normal_form_matrix(d)._array()[[pc.index[m] for m in part]]
+            coeffs = self.field.vector(list(part.values()))
+            red = self.field.matmul(coeffs[None], rows)[0].tolist()
+            for i, c in zip(pc.std, red):
                 if c:
                     out[pc.monos[i]] = c
         return out
@@ -500,26 +521,30 @@ class QuotientRing:
 
     # -- multiplication operators ------------------------------------------
 
-    def mult_matrix(self, poly: Poly, srcdeg: int) -> DenseMatrix:
+    def mult_matrix(self, poly: Poly, srcdeg: int, degree: Optional[int] = None) -> DenseMatrix:
         """Matrix of multiplication by a homogeneous normal-form poly.
 
         Maps std coords of A_srcdeg to std coords of A_{srcdeg+deg}.
+        ``degree`` is the weighted degree of a nonzero poly, when the caller
+        knows it (a ``RingElement``'s ``degree``); otherwise it is computed.
         """
-        e = self.ambient.poly_degree(poly)
-        if e is None:
-            src = self.piece(srcdeg)
-            return DenseMatrix.zeros(self.field, 0, src.dim)
+        if not poly:
+            return DenseMatrix.zeros(self.field, 0, self.hilbert_function(srcdeg))
         key = (poly_key(poly), srcdeg)
         got = self._mult_cache.get(key)
         if got is not None:
             return got
+        e = self.ambient.poly_degree(poly) if degree is None else degree
         src = self.piece(srcdeg)
         tgt = self.piece(srcdeg + e)
-        # the products of the basis monomials, reduced to normal form in one product
-        prods = [poly_mul({src.monos[ci]: self.field.element(1)}, poly, self.field)
-                 for ci in src.std]
-        rows = self._monomial_rows(prods, tgt.index, len(tgt.monos))
-        mat = tgt.rel_space.reduce_rows(rows).take_columns(tgt.std).transpose()
+        nf = self.normal_form_matrix(srcdeg + e)._array()
+        basis = [src.monos[i] for i in src.std]
+        # row i: the normal form of basis monomial i times poly, one gather
+        # of normal-form rows per term of poly
+        out = self.field.reduce(sum(
+            self.field.reduce(nf[[tgt.index[tuple(map(add, m, u))] for m in basis]] * c)
+            for u, c in poly.items()))
+        mat = DenseMatrix._of_array(self.field, out.T.copy())
         self._mult_cache[key] = mat
         return mat
 
@@ -544,7 +569,7 @@ class QuotientRing:
                 continue
             for (c0, cdim, c), e in zip(col_offs, row):
                 if cdim and e.poly:
-                    out[r0:r0 + rdim, c0:c0 + cdim] = self.mult_matrix(e.poly, d - c)._array()
+                    out[r0:r0 + rdim, c0:c0 + cdim] = self.mult_matrix(e.poly, d - c, e.degree)._array()
         return DenseMatrix._of_array(self.field, out)
 
     def split_coords(self, vec, degs: Sequence[int]) -> List["RingElement"]:
@@ -649,36 +674,15 @@ class QuotientRing:
             return self.socle_dimension() == 1
         return False
 
-    def maximal_ideal_piece(self, s: int, d: int):
-        """Span of (m^s)_d as std coordinates inside A_d."""
-        pc = self.piece(d)
-        space = RowSpace(self.field, pc.dim)
-        # (m^s)_d is spanned by the normal forms of the monomials of total
-        # degree >= s.  A standard monomial is its own normal form; a pivot
-        # monomial's is minus its echelon row on the standard columns (the
-        # sign does not change the span).
-        std_rows = [r for r, i in enumerate(pc.std) if sum(pc.monos[i]) >= s]
-        pivot_rows = [r for r, i in enumerate(pc.rel_space.pivots()) if sum(pc.monos[i]) >= s]
-        gens = np.vstack([
-            DenseMatrix.identity(self.field, pc.dim)._array()[std_rows],
-            pc.rel_space.basis_matrix().take_columns(pc.std)._array()[pivot_rows]])
-        space.add_matrix(DenseMatrix._of_array(self.field, gens))
-        return space
-
-    def hs_length(self, s: int) -> int:
-        """Length of A/m^s."""
-        total = 0
-        d = 0
-        cutoff = s * self.max_weight
-        while d < cutoff:
-            total += self.piece(d).dim - self.maximal_ideal_piece(s, d).dim
-            d += 1
-        return total
-
     def hilbert_samuel_fit(self, s_max: int = 14):
-        """(dim, e) from the Hilbert-Samuel function of the ring."""
-        values = [self.hs_length(s) for s in range(1, s_max + 1)]
-        return fit_hilbert_samuel(values)
+        """(dim, e) from the Hilbert-Samuel function of the ring.
+
+        The values length(A/m^s), s = 1..s_max, are ``modules.hs_lengths``
+        of A as a free module on one generator of degree 0.
+        """
+        from .modules import free_module, hs_lengths
+
+        return fit_hilbert_samuel(hs_lengths(free_module(self, [0]), s_max))
 
     def multiplicity(self) -> int:
         if self._e_cache is None:

@@ -221,3 +221,26 @@ def test_every_subcommand_runs(tmp_path):
 def test_jobs_flag_is_gone():
     with pytest.raises(SystemExit):
         main(["catalogs", "--jobs", "2"])
+
+
+def test_ci_operators_keeps_fractional_entries(tmp_path):
+    from mcmkit.cisupport import CIPresentation, eisenbud_operators
+
+    ring = tmp_path / "r.json"
+    ring.write_text(json.dumps({"char": 0, "vars": ["x", "y"], "relations": ["2*x^2", "3*y^2"]}))
+    mod = tmp_path / "k.json"
+    mod.write_text(json.dumps({"ring": str(ring), "builtin": "k"}))
+    out = tmp_path / "ops.json"
+    assert main(["ci-operators", "--module", str(mod), "-H", "3", "--out", str(out)]) == 0
+    got = json.loads(out.read_text())["operators"]
+    k = load_module(str(mod))
+    ext = eisenbud_operators(CIPresentation.from_ring(k.ring), k, H=3)
+    want = {
+        f"t{j + 1}": {str(n): [[str(x) for x in row] for row in ext.operator(j, n).rows()]
+                      for n in range(2)}
+        for j in range(ext.codimension)}
+    assert {t: {n: [[str(x) for x in row] for row in m] for n, m in ops.items()}
+            for t, ops in got.items()} == want
+    entries = [x for ops in got.values() for m in ops.values() for row in m for x in row]
+    assert "1/2" in entries and "1/3" in entries
+    assert all(isinstance(x, int) or "/" in x for x in entries)

@@ -5,12 +5,13 @@ from itertools import accumulate
 import pytest
 
 from mcmkit.catalog import load_catalog
-from mcmkit.linalg import DenseMatrix
+from mcmkit.linalg import DenseMatrix, RowSpace
 from mcmkit.mf import MatrixFactorization, coker_module
 from mcmkit.modules import (
     GradedModule,
     SubmoduleTracker,
     free_module,
+    hs_lengths,
     invariants,
     maximal_ideal_module,
     module_length,
@@ -257,3 +258,56 @@ def test_tracker_grown_in_place_matches_tracker_built_from_scratch(M):
         a, b = grown.space(d), fresh.space(d)
         assert a.pivots() == b.pivots()
         assert a.basis_matrix() == b.basis_matrix()
+
+
+def _hs_lengths_by_brute_force(M, s_max):
+    """length(M / m^s M), with (m^s M)_d the span of every u * g_i, total degree of u >= s."""
+    ring = M.ring
+    maxw, hi = ring.max_weight, M.max_gen_degree()
+    normal_forms = {}
+    out = []
+    for s in range(1, s_max + 1):
+        total = 0
+        for d in range(M.min_gen_degree(), hi + s * maxw + 1):
+            pc = M.piece(d)
+            if not pc.dim:
+                continue
+            offsets = list(accumulate((ring.hilbert_function(d - a) for a in M.gen_degs), initial=0))
+            span = RowSpace(ring.field, pc.dim)
+            for i, a in enumerate(M.gen_degs):
+                if not ring.hilbert_function(d - a):
+                    continue
+                for u in ring.ambient.monomials(d - a):
+                    if sum(u) < s:
+                        continue
+                    if u not in normal_forms:
+                        nf = ring.normal_form({u: ring.field.element(1)})
+                        normal_forms[u] = ring.std_coords(nf, d - a) if nf else []
+                    fvec = [ring.field.element(0)] * pc.total
+                    for k, c in enumerate(normal_forms[u]):
+                        fvec[offsets[i] + k] = c
+                    span.add(M.element(d, fvec).coords())
+            if d == hi + s * maxw:  # past the sum's range m^s M fills M_d
+                assert span.dim == pc.dim, (s, d)
+            else:
+                total += pc.dim - span.dim
+        out.append(total)
+    return out
+
+
+@pytest.mark.parametrize("char", [5, 2**31 - 1, 0])
+def test_hs_lengths_match_brute_force_span(char):
+    # weights (3, 2), (1, 1, 2) and (1, 1); generators in degrees 0 to 5
+    cusp_ring = WeightedPolyRing(char, ["x", "y"], [3, 2]).quotient(["x^2+y^3"])
+    artinian = WeightedPolyRing(char, ["x", "y", "z"], [1, 1, 2]).quotient(
+        ["x^2-y^2", "x*y*z", "z^2+x^3*y"])
+    node = WeightedPolyRing(char, ["x", "y"]).quotient(["x*y"])
+    for A in (cusp_ring, artinian, node):
+        M = GradedModule.direct_sum([
+            free_module(A, [0]),
+            residue_field_module(A).degree_shift(1),
+            maximal_ideal_module(A).degree_shift(3),
+            GradedModule(A, [2], [2 + A.weights[0]], [[A.variables[0]]]),
+        ])
+        assert len(set(M.gen_degs)) >= 3
+        assert hs_lengths(M, 6) == _hs_lengths_by_brute_force(M, 6)

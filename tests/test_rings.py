@@ -151,3 +151,53 @@ def test_artinian_detection():
     assert A.is_artinian()
     assert A.krull_dim() == 0
     assert not cusp_ring().is_artinian()
+
+
+@pytest.mark.parametrize("name", [f"ade:A{n}:dim1" for n in range(1, 9)]
+                         + [f"ade:A{n}:dim2" for n in range(1, 5)])
+def test_multiplicity_of_an_hypersurfaces_is_two(name):
+    # e(k[[x..]]/(f)) = ord(f): x^2 + y^2 + z^(n+1) and x^2 + y^(n+1) have order 2
+    from mcmkit.catalog import load_catalog
+
+    assert load_catalog(name).ring.multiplicity() == 2
+
+
+@pytest.mark.parametrize("char", [5, 7, 0])
+def test_multiplicity_is_the_order_of_the_equation(char):
+    cubic = WeightedPolyRing(char, ["x", "y", "z"]).quotient(["x^3+y^3+z^3"])
+    assert cubic.multiplicity() == 3
+    # ord(x^2 + y^3) = 2 although x has weight 3: e reads the m-adic, not the weighted, order
+    cusp = WeightedPolyRing(char, ["x", "y"], [3, 2]).quotient(["x^2+y^3"])
+    assert cusp.multiplicity() == 2
+
+
+def _mult_matrix_by_definition(A, poly, d):
+    """Column j: std coords of the normal form of poly times basis monomial j of A_d."""
+    e = A.ambient.poly_degree(poly)
+    cols = [A.std_coords(A.normal_form(poly_mul(poly, {m: A.field.element(1)}, A.field)), d + e)
+            for m in A.degree_basis(d)]
+    return [[col[i] for col in cols] for i in range(A.hilbert_function(d + e))]
+
+
+@pytest.mark.parametrize("name", ["ade:A3:dim1", "ade:A2:dim2"])
+@pytest.mark.parametrize("char", [None, 0])
+def test_mult_matrix_matches_its_definition_in_every_degree(name, char):
+    from mcmkit.catalog import load_catalog
+
+    cat = load_catalog(name)
+    A = cat.ring
+    if char == 0:  # the same equation over QQ
+        A = WeightedPolyRing(0, A.variables, A.weights).quotient([cat.f])
+    rng = random.Random(name)
+    top = 4 * max(A.relation_degrees)
+    for d in range(-1, top + 1):
+        for e in range(0, 2 * A.max_weight + 1):
+            monos = A.ambient.monomials(e)
+            if not monos:
+                continue
+            poly = A.normal_form({m: A.field.element(rng.randrange(-3, 4)) for m in monos})
+            poly = poly or {monos[0]: A.field.element(1)}
+            got = A.mult_matrix(poly, d)
+            want = _mult_matrix_by_definition(A, poly, d)
+            assert got.shape == (len(want), A.hilbert_function(d)), (d, e)
+            assert [list(r) for r in got.rows()] == want, (d, e)

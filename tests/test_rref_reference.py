@@ -5,7 +5,8 @@ independently of mcmkit.  With ``divide_last=True`` its nullspace rows
 are scaled like ``kernel_basis``'s columns: each has a 1 in its free
 column, its last nonzero entry, so the two agree entry for entry.  The
 random matrices are low-rank products, with zero rows and columns spliced
-in, and include the empty shapes.
+in, and include the empty shapes.  Matrices just below and just above the
+cutover in cell count check both elimination paths.
 """
 
 import random
@@ -16,7 +17,7 @@ from sympy import GF as SympyGF
 from sympy import QQ as SympyQQ
 from sympy.polys.matrices import DomainMatrix
 
-from mcmkit.linalg import GF, QQ, DenseMatrix
+from mcmkit.linalg import _LIST_RREF_CELLS, GF, QQ, DenseMatrix
 
 FIELDS = [GF(5), GF(2**31 - 1), QQ]
 
@@ -121,3 +122,29 @@ def test_solve_matches_sympy(field):
             want[c] = _from_sympy(field, want_reduced)[r][ncols:]
         assert got is not None and _entries(got) == want
         assert m @ got == rhs
+
+
+def _cutover_shapes():
+    """Shapes of at most ``_LIST_RREF_CELLS`` cells (the list path) and just past it (numpy)."""
+    c = _LIST_RREF_CELLS
+    below = [(1, c), (c, 1), (8, c // 8), (32, c // 32), (c // 32 - 1, 33)]
+    above = [(1, c + 1), (c + 1, 1), (8, c // 8 + 1), (33, c // 32), (c // 32 + 1, 33)]
+    assert all(m * n <= c for m, n in below) and all(m * n > c for m, n in above)
+    return below + above
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_rref_on_both_sides_of_the_cutover_matches_sympy(field):
+    rng = random.Random(89 + field.characteristic)
+    for nrows, ncols in _cutover_shapes():
+        k = min(nrows, ncols, rng.choice([5, 12]))
+        rows = _product(field, _dense(rng, field, nrows, k), _dense(rng, field, k, ncols), ncols)
+        m = DenseMatrix(field, rows)
+        dm = _to_sympy(field, rows, (nrows, ncols))
+        want_reduced, want_pivots = dm.rref()
+        reduced, pivots, rank = m.rref()
+        assert pivots == tuple(want_pivots), (nrows, ncols)
+        assert _entries(reduced) == _from_sympy(field, want_reduced), (nrows, ncols)
+        if ncols <= 64:  # a wide matrix's kernel is large and checks nothing new
+            assert _entries(m.kernel_basis().transpose()) == _from_sympy(
+                field, dm.nullspace(divide_last=True)), (nrows, ncols)
