@@ -6,8 +6,8 @@ row operations on dense matrices.  Every matrix and row space holds one
 over GF(p), object holding exact ``Fraction``s over QQ, which is plenty
 for the small characteristic-zero demos.  The two field classes own what
 differs between them (``zeros``, ``reduce``, ``vector``, ``inv``,
-``element``, ``matmul``), so every elimination and product below has one
-code path.
+``element``, ``matmul`` and the list row operations ``scale_list`` and
+``sub_scaled_at``), so no elimination or product below tests the field.
 
 Eliminations come in two paths, picked by ``_rref`` from the cell count
 alone.  Most eliminations are tiny (two thirds of those in a resolution

@@ -462,10 +462,16 @@ class QuotientRing:
         out: Poly = {}
         for d, part in by_deg.items():
             pc = self.piece(d)
-            # the coefficients times the normal forms of their monomials
-            rows = self.normal_form_matrix(d)._array()[[pc.index[m] for m in part]]
-            coeffs = self.field.vector(list(part.values()))
-            red = self.field.matmul(coeffs[None], rows)[0].tolist()
+            if pc.rel_space.dim:
+                # the coefficients times the normal forms of their monomials
+                rows = self.normal_form_matrix(d)._array()[[pc.index[m] for m in part]]
+                coeffs = self.field.vector(list(part.values()))
+                red = self.field.matmul(coeffs[None], rows)[0].tolist()
+            else:  # no relation reaches degree d: every monomial is standard
+                red = [self.field.element(0)] * pc.dim
+                for m, c in part.items():
+                    red[pc.index[m]] = c
+                red = self.field.vector(red).tolist()
             for i, c in zip(pc.std, red):
                 if c:
                     out[pc.monos[i]] = c

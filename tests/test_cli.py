@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from mcmkit.cisupport import CIPresentation, eisenbud_operators
 from mcmkit.cli import load_module, main, module_to_json
 
 
@@ -224,8 +225,6 @@ def test_jobs_flag_is_gone():
 
 
 def test_ci_operators_keeps_fractional_entries(tmp_path):
-    from mcmkit.cisupport import CIPresentation, eisenbud_operators
-
     ring = tmp_path / "r.json"
     ring.write_text(json.dumps({"char": 0, "vars": ["x", "y"], "relations": ["2*x^2", "3*y^2"]}))
     mod = tmp_path / "k.json"

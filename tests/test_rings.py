@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from mcmkit.catalog import load_catalog
 from mcmkit.errors import UsageError
 from mcmkit.linalg import QQ
 from mcmkit.rings import WeightedPolyRing, poly_mul
@@ -157,8 +158,6 @@ def test_artinian_detection():
                          + [f"ade:A{n}:dim2" for n in range(1, 5)])
 def test_multiplicity_of_an_hypersurfaces_is_two(name):
     # e(k[[x..]]/(f)) = ord(f): x^2 + y^2 + z^(n+1) and x^2 + y^(n+1) have order 2
-    from mcmkit.catalog import load_catalog
-
     assert load_catalog(name).ring.multiplicity() == 2
 
 
@@ -182,8 +181,6 @@ def _mult_matrix_by_definition(A, poly, d):
 @pytest.mark.parametrize("name", ["ade:A3:dim1", "ade:A2:dim2"])
 @pytest.mark.parametrize("char", [None, 0])
 def test_mult_matrix_matches_its_definition_in_every_degree(name, char):
-    from mcmkit.catalog import load_catalog
-
     cat = load_catalog(name)
     A = cat.ring
     if char == 0:  # the same equation over QQ
