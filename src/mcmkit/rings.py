@@ -575,7 +575,8 @@ class QuotientRing:
                 continue
             for (c0, cdim, c), e in zip(col_offs, row):
                 if cdim and e.poly:
-                    out[r0:r0 + rdim, c0:c0 + cdim] = self.mult_matrix(e.poly, d - c, e.degree)._array()
+                    block = self.mult_matrix(e.poly, d - c, e.degree)
+                    out[r0:r0 + rdim, c0:c0 + cdim] = block._array()
         return DenseMatrix._of_array(self.field, out)
 
     def split_coords(self, vec, degs: Sequence[int]) -> List["RingElement"]:

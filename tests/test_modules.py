@@ -280,9 +280,11 @@ def _hs_lengths_by_brute_force(M, s_max):
                 for u in ring.ambient.monomials(d - a):
                     if sum(u) < s:
                         continue
-                    if u not in normal_forms:
-                        nf = ring.normal_form({u: ring.field.element(1)})
-                        normal_forms[u] = ring.std_coords(nf, d - a) if nf else []
+                    if u not in normal_forms:  # u reduced against the ideal's echelon rows
+                        rp = ring.piece(d - a)
+                        unit = [ring.field.element(0)] * len(rp.monos)
+                        unit[rp.index[u]] = ring.field.element(1)
+                        normal_forms[u] = rp.rel_space.reduce(unit)[list(rp.std)].tolist()
                     fvec = [ring.field.element(0)] * pc.total
                     for k, c in enumerate(normal_forms[u]):
                         fvec[offsets[i] + k] = c

@@ -170,11 +170,28 @@ def test_multiplicity_is_the_order_of_the_equation(char):
     assert cusp.multiplicity() == 2
 
 
+def _reduced_coords(A, poly, d):
+    """Std coords of the canonical residue of poly modulo the ideal's degree-d echelon rows."""
+    pc = A.piece(d)
+    vec = [A.field.element(0)] * len(pc.monos)
+    for m, c in poly.items():
+        vec[pc.index[m]] = c
+    return pc.rel_space.reduce(vec)[list(pc.std)].tolist()
+
+
 def _mult_matrix_by_definition(A, poly, d):
-    """Column j: std coords of the normal form of poly times basis monomial j of A_d."""
+    """Column j: the reduced product of poly and basis monomial j of A_d.
+
+    Reduces against the ideal's echelon rows, not through the normal-form
+    matrix that ``mult_matrix`` and ``normal_form`` share, and checks that
+    ``normal_form`` -> ``std_coords`` gives the same coordinates.
+    """
     e = A.ambient.poly_degree(poly)
-    cols = [A.std_coords(A.normal_form(poly_mul(poly, {m: A.field.element(1)}, A.field)), d + e)
-            for m in A.degree_basis(d)]
+    cols = []
+    for m in A.degree_basis(d):
+        prod = poly_mul(poly, {m: A.field.element(1)}, A.field)
+        cols.append(_reduced_coords(A, prod, d + e))
+        assert A.std_coords(A.normal_form(prod), d + e) == cols[-1]
     return [[col[i] for col in cols] for i in range(A.hilbert_function(d + e))]
 
 
