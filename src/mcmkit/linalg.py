@@ -323,17 +323,6 @@ class DenseMatrix:
         return cls(field, [[e] for e in entries])
 
     @classmethod
-    def block_diag(cls, field, blocks: Sequence["DenseMatrix"]) -> "DenseMatrix":
-        """The blocks along the diagonal, zeros elsewhere."""
-        out = field.zeros((sum(b.nrows for b in blocks), sum(b.ncols for b in blocks)))
-        r = c = 0
-        for b in blocks:
-            out[r:r + b.nrows, c:c + b.ncols] = b._a
-            r += b.nrows
-            c += b.ncols
-        return cls._of_array(field, out)
-
-    @classmethod
     def _of_array(cls, field, arr: np.ndarray) -> "DenseMatrix":
         """Wrap a 2-D array of ``field.dtype``, reduced, without a copy."""
         return cls(field, arr, _internal=True)
@@ -424,16 +413,26 @@ class DenseMatrix:
     def rank(self) -> int:
         return self.rref()[2]
 
-    def kernel_basis(self) -> "DenseMatrix":
-        """Columns form a basis of the right null space."""
+    def kernel_rows(self):
+        """A basis of the right null space as rows, and the free columns.
+
+        Returns ``(rows, free)``: ``free`` lists the non-pivot columns in
+        ascending order, and row i is 1 in column free[i] and 0 in every
+        other free column, so a null vector's coordinates in this basis
+        are its entries on the free columns.
+        """
         reduced, pivots, rank = self.rref()
         pivot_set = set(pivots)
         free = [c for c in range(self.ncols) if c not in pivot_set]
-        out = self.field.zeros((self.ncols, len(free)))
-        out[free, np.arange(len(free))] = self.field.element(1)
+        out = self.field.zeros((len(free), self.ncols))
+        out[np.arange(len(free)), free] = self.field.element(1)
         if rank:
-            out[list(pivots)] = self.field.reduce(-reduced._a[:rank][:, free])
-        return DenseMatrix._of_array(self.field, out)
+            out[:, list(pivots)] = self.field.reduce(-reduced._a[:rank][:, free]).T
+        return DenseMatrix._of_array(self.field, out), free
+
+    def kernel_basis(self) -> "DenseMatrix":
+        """Columns form a basis of the right null space."""
+        return self.kernel_rows()[0].transpose()
 
     def solve(self, rhs: "DenseMatrix") -> Optional["DenseMatrix"]:
         """One solution X of self @ X = rhs, or None if inconsistent."""
@@ -480,21 +479,24 @@ class RowSpace:
     def reduce_rows(self, m: DenseMatrix) -> DenseMatrix:
         """Canonical residue of every row of m modulo the space.
 
-        Row by row this equals ``reduce``: m - m[:, pivots] @ basis.
+        Row by row this equals ``reduce``: m - m[:, pivots] @ basis.  The
+        product runs only over the echelon rows whose pivot column is
+        nonzero in some row of m; the others would add zero.
         """
         if not self._pivots:
             return m
         a = m._array()
-        out = a - self.field.matmul(a[:, list(self._pivots)], self._basis)
+        coeffs = a[:, list(self._pivots)]
+        used = np.flatnonzero((coeffs != 0).any(axis=0))
+        if not used.size:
+            return m
+        out = a - self.field.matmul(coeffs[:, used], self._basis[used])
         return DenseMatrix._of_array(self.field, self.field.reduce(out))
 
     def reduce(self, v) -> np.ndarray:
         """Canonical residue of v modulo the space, as a 1-D array."""
-        v = self.field.vector(v)
-        if not self._pivots:
-            return v
-        coeffs = v[list(self._pivots)]
-        return self.field.reduce(v - self.field.matmul(coeffs[None], self._basis)[0])
+        v = self.field.vector(v)[None]
+        return self.reduce_rows(DenseMatrix._of_array(self.field, v))._array()[0]
 
     def contains(self, v) -> bool:
         return not self.reduce(v).any()

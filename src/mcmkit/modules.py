@@ -201,8 +201,8 @@ class GradedModule:
         tgt = self.piece(d + e)
         # the free cover multiplies block by block; its std columns are the
         # lifts of the quotient basis, so each row of images is one image
-        cover = DenseMatrix.block_diag(self.ring.field, [
-            self.ring.mult_matrix(entry.poly, d - a, e) for a in self.gen_degs])
+        cover = self.ring.block_matrix(_diagonal(self.ring, entry, self.num_gens), self.gen_degs,
+                                       [a + e for a in self.gen_degs], d + e)
         images = cover.take_columns(src.std).transpose()
         mat = tgt.rel_space.reduce_rows(images).take_columns(tgt.std).transpose()
         self._mult_cache[key] = mat
@@ -297,8 +297,10 @@ class GradedModule:
         return _drop_redundant_relations(M)
 
 
-def _vstack_all(field, blocks: List[DenseMatrix]) -> DenseMatrix:
-    return DenseMatrix._of_array(field, np.vstack([b._array() for b in blocks]))
+def _diagonal(ring: QuotientRing, entry: RingElement, n: int):
+    """The n x n grid with entry on the diagonal: multiplication by entry on a free module."""
+    zero = ring.zero()
+    return [[entry if i == j else zero for j in range(n)] for i in range(n)]
 
 
 def _drop_redundant_relations(M: GradedModule) -> GradedModule:
@@ -348,6 +350,10 @@ def maximal_ideal_module(ring: QuotientRing) -> GradedModule:
 
 class SubmoduleTracker:
     """Degreewise span of the submodule generated by given elements.
+
+    ``submodule_presentation`` prunes its generators with it.  Kernel
+    capture needs no tracker: its span in each scanned degree is the whole
+    kernel there (see ``capture_kernel``).
 
     Maintains, for each degree up to a frontier, a RowSpace in the
     quotient coordinates of the ambient module.  Extending to a new degree
@@ -410,11 +416,8 @@ class SubmoduleTracker:
             blocks.append(DenseMatrix.from_rows(field, gens, n))
         space = RowSpace(field, n)
         if blocks:
-            space.add_matrix(_vstack_all(field, blocks))
+            space.add_matrix(DenseMatrix._of_array(field, np.vstack([b._array() for b in blocks])))
         self.spaces[d] = space
-
-    def dim(self, d: int) -> int:
-        return self.space(d).dim
 
     def contains(self, elem: MElem) -> bool:
         return self.space(elem.degree).contains(elem.coords())
@@ -438,38 +441,61 @@ def capture_kernel(ring: QuotientRing, col_degs: Sequence[int], matrix_at, degre
     max(col_degs) + stall; it raises ``DegreeBoundExceeded`` past
     ``degree_cap``.
 
+    Every kernel vector outside the span is taken, so once degree e is
+    scanned the generators found span all of K_e = ker matrix_at(e); in
+    degree d the generators of lower degree span the sum of x K_{d-w}
+    over the variables x of weight w.  One ``kernel_rows`` of
+    ``matrix_at(d)`` gives a basis of K_d that is the identity on the
+    free (non-pivot) columns, so a vector of K_d has its entries there as
+    coordinates.  The images x K_{d-w}, cut to the free columns, are
+    eliminated once with their columns reversed, so each pivot is the
+    last nonzero column of its row.  Basis row j lies in the span of the
+    images and rows 0..j-1 exactly when j is such a trailing pivot; the
+    other rows are the new generators, the same vectors in the same
+    order as adding the rows one by one to a span would keep.  K is kept
+    for the last ``max_weight`` degrees only.
+
     Returns ``(gen_degs, grid, scanned_to)``: column g of the grid holds
     the ring-element coordinates of generator g over the generators of F,
     and scanned_to is the last degree scanned.
     """
     if stall is None:
         stall = default_stall(ring)
-    F = free_module(ring, col_degs)
-    tracker = SubmoduleTracker(F, start_degree=min(col_degs))
-    found: List[MElem] = []
+    field = ring.field
+    multipliers = [(_diagonal(ring, ring.element(v), len(col_degs)), w)
+                   for v, w in zip(ring.variables, ring.weights)]
+    kernels: Dict[int, np.ndarray] = {}  # degree -> kernel rows, for the last max_weight degrees
+    found: List[Tuple[int, np.ndarray]] = []
     d = min(col_degs)
     last_event = max(col_degs)
     while d <= degree_cap:
-        ker = matrix_at(d).kernel_basis()
-        if ker.ncols:
-            span = tracker.space(d)
-            for col in ker.transpose().rows():
-                if span.contains(col):
-                    continue
-                elem = MElem(F, d, col)
-                tracker.add_generator(elem)
-                found.append(elem)
-                span = tracker.space(d)
-                last_event = d
+        ker, free = matrix_at(d).kernel_rows()
+        kernels[d] = ker._array()
+        if free:
+            images = []
+            for diag, w in multipliers:
+                prev = kernels.get(d - w)
+                if prev is not None and len(prev):
+                    mult = ring.block_matrix(diag, col_degs, [c + w for c in col_degs], d)
+                    images.append(field.matmul(prev, mult._array()[free].T))
+            reached = set()
+            if images:
+                coords = DenseMatrix._of_array(field, np.vstack(images)[:, ::-1])
+                reached = {len(free) - 1 - p for p in coords.rref()[1]}
+            for j, vec in enumerate(kernels[d]):
+                if j not in reached:
+                    found.append((d, vec.copy()))
+                    last_event = d
+        kernels.pop(d - ring.max_weight, None)  # degree d + 1 reads back to d + 1 - max_weight
         if d >= last_event + stall and d >= max(col_degs) + stall:
             break
         d += 1
     else:
         raise DegreeBoundExceeded(
             f"inconclusive: degree bound (kernel capture still active at degree {degree_cap})")
-    columns = [ring.split_coords(e.vec, [e.degree - c for c in col_degs]) for e in found]
+    columns = [ring.split_coords(vec, [e - c for c in col_degs]) for e, vec in found]
     grid = tuple(tuple(col[k] for col in columns) for k in range(len(col_degs)))
-    return tuple(e.degree for e in found), grid, d
+    return tuple(e for e, _ in found), grid, d
 
 
 def submodule_presentation(C: GradedModule, elements: Sequence[MElem],

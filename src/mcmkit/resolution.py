@@ -1,9 +1,10 @@
 """Minimal graded free resolutions, syzygies, Ext, and Betti growth.
 
 A resolution window is built one homological step at a time.  Each step
-captures the kernel of the previous differential degree by degree: the
-kernel piece in a given degree is an exact rref computation, new minimal
-generators are the part not yet reached by lower-degree generators, and
+captures the kernel of the previous differential degree by degree
+(``modules.capture_kernel``): the kernel piece in a given degree is an
+exact rref computation, new minimal generators are the part not reached
+by multiplying the kernel pieces of lower degrees by the variables, and
 the scan stops once a stall window passes with nothing new.  Because the
 input presentations are minimal and kernel generators are taken
 minimally, every differential has entries in the maximal ideal, so the

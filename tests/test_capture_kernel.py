@@ -1,0 +1,155 @@
+"""Kernel capture in kernel coordinates against the tracker-based scan.
+
+``modules.capture_kernel`` reads each degree's new generators off one
+elimination of the previous kernels' images, taken on the free columns of
+the current kernel basis.  The reference below is the scan it replaced: a
+``SubmoduleTracker`` over the free module F keeps the span of the
+generators found so far, and every kernel column outside it is added, one
+at a time.  Both must return the same ``(gen_degs, grid, scanned_to)`` and
+raise ``DegreeBoundExceeded`` at the same ``degree_cap``.
+"""
+
+from typing import List
+
+import pytest
+
+import mcmkit.modules
+import mcmkit.resolution
+from mcmkit.catalog import load_catalog
+from mcmkit.errors import DegreeBoundExceeded
+from mcmkit.mf import MatrixFactorization, coker_module
+from mcmkit.modules import (
+    GradedModule,
+    MElem,
+    SubmoduleTracker,
+    capture_kernel,
+    default_stall,
+    free_module,
+    maximal_ideal_module,
+    residue_field_module,
+)
+from mcmkit.resolution import resolve
+from mcmkit.rings import WeightedPolyRing
+
+
+def tracker_capture_kernel(ring, col_degs, matrix_at, degree_cap, stall=None):
+    """The tracker-based scan: add each kernel column the span does not contain."""
+    if stall is None:
+        stall = default_stall(ring)
+    F = free_module(ring, col_degs)
+    tracker = SubmoduleTracker(F, start_degree=min(col_degs))
+    found: List[MElem] = []
+    d = min(col_degs)
+    last_event = max(col_degs)
+    while d <= degree_cap:
+        ker = matrix_at(d).kernel_basis()
+        if ker.ncols:
+            span = tracker.space(d)
+            for col in ker.transpose().rows():
+                if span.contains(col):
+                    continue
+                elem = MElem(F, d, col)
+                tracker.add_generator(elem)
+                found.append(elem)
+                span = tracker.space(d)
+                last_event = d
+        if d >= last_event + stall and d >= max(col_degs) + stall:
+            break
+        d += 1
+    else:
+        raise DegreeBoundExceeded(
+            f"inconclusive: degree bound (kernel capture still active at degree {degree_cap})")
+    columns = [ring.split_coords(e.vec, [e.degree - c for c in col_degs]) for e in found]
+    grid = tuple(tuple(col[k] for col in columns) for k in range(len(col_degs)))
+    return tuple(e.degree for e in found), grid, d
+
+
+@pytest.fixture
+def compared(monkeypatch):
+    """Every capture_kernel call also runs the reference; the list holds one entry per call."""
+    calls = []
+
+    def checked(ring, col_degs, matrix_at, degree_cap, stall=None):
+        got = capture_kernel(ring, col_degs, matrix_at, degree_cap, stall)
+        want = tracker_capture_kernel(ring, col_degs, matrix_at, degree_cap, stall)
+        assert got == want, (col_degs, got[0], want[0])
+        calls.append(len(got[0]))
+        return got
+
+    monkeypatch.setattr(mcmkit.modules, "capture_kernel", checked)
+    monkeypatch.setattr(mcmkit.resolution, "capture_kernel", checked)
+    return calls
+
+
+def _catalog_inputs(name, p):
+    cat = load_catalog(name, p)
+    out = [M for _, M in cat.modules()]
+    out.append(residue_field_module(cat.ring))
+    out.append(maximal_ideal_module(cat.ring))
+    return out
+
+
+@pytest.mark.parametrize("name", ["ade:A3:dim1", "ade:A2:dim2"])
+def test_kernel_step_chains_of_a_catalog(compared, name):
+    for M in _catalog_inputs(name, 5):
+        resolve(M, 4)
+    assert len(compared) >= 8 and sum(compared) > 0
+
+
+def test_residue_field_of_two_products(compared):
+    A = WeightedPolyRing(5, ["x", "y", "z", "w"]).quotient(["x*y", "z*w"])
+    # Tate: (1+t)^4 / (1-t^2)^2
+    assert resolve(residue_field_module(A), 5).betti_numbers(5) == [1, 4, 8, 12, 16, 20]
+    assert len(compared) >= 4
+
+
+def test_curve_module_over_qq(compared):
+    R = WeightedPolyRing(0, ["x", "y"], [4, 2])
+    f = "x^2+y^4"
+    phi = [["x", "y"], ["y^3", "-x"]]
+    M, _ = coker_module(MatrixFactorization(R, f, phi, phi), ring=R.quotient([f])).normalized()
+    assert resolve(M, 3).betti_numbers(3) == [2, 2, 2, 2]
+    assert compared
+
+
+def test_weighted_ring_over_a_large_prime(compared):
+    # the weight-2 variable makes the scan read kernels two degrees back
+    A = WeightedPolyRing(2**31 - 1, ["x", "y", "z"], [1, 1, 2]).quotient(
+        ["x^2-y^2", "x*y*z", "z^2+x^3*y"])
+    resolve(residue_field_module(A), 3)
+    resolve(GradedModule(A, [0], [2], [["z"]]), 3)
+    assert len(compared) >= 4
+
+
+def test_maximal_ideal_through_submodule_presentation(compared):
+    A = WeightedPolyRing(7, ["x", "y", "z"], [1, 1, 2]).quotient(["x*z-y^3"])
+    m = maximal_ideal_module(A)
+    assert m.gen_degs == (1, 1, 2) and compared
+
+
+def test_koszul_family_keeps_the_stalled_betti_numbers(compared):
+    A = WeightedPolyRing(7, ["x", "y", "z"]).quotient(["z^2"])
+    stalled = {(4, 4), (4, 5), (5, 5)}  # the Koszul syzygy of degree a+b lies past the stop
+    for a in range(1, 6):
+        for b in range(a, 6):
+            M = GradedModule(A, [0], [a, b], [[f"x^{a}", f"y^{b}"]])
+            got = resolve(M, 3).betti_numbers(3)
+            assert got == ([1, 2, 0, 0] if (a, b) in stalled else [1, 2, 1, 0]), (a, b)
+    assert len(compared) >= 15
+
+
+def test_degree_bound_is_raised_at_the_same_cap():
+    A = WeightedPolyRing(5, ["x", "y", "z"], [1, 1, 2]).quotient(["x^2", "y*z"])
+    k = residue_field_module(A)
+    row_degs, col_degs = k.gen_degs, k.rel_degs
+
+    def matrix_at(d):
+        return A.block_matrix(k.presentation, row_degs, col_degs, d)
+
+    _, _, scanned_to = tracker_capture_kernel(A, col_degs, matrix_at, 100)
+    for cap in (scanned_to - 1, min(col_degs) + 1):
+        for scan in (capture_kernel, tracker_capture_kernel):
+            with pytest.raises(DegreeBoundExceeded):
+                scan(A, col_degs, matrix_at, cap)
+    assert capture_kernel(A, col_degs, matrix_at, scanned_to) == \
+        tracker_capture_kernel(A, col_degs, matrix_at, scanned_to)

@@ -201,13 +201,34 @@ def test_reduce_rows_equals_rowwise_reduce(field):
     assert RowSpace(field, n).reduce_rows(m) == m
 
 
+@pytest.mark.parametrize("field", [GF(5), GF(2**31 - 1), QQ], ids=repr)
+def test_sparse_reduction_equals_product_with_every_echelon_row(field):
+    rng = random.Random(9)
+    n = 10
+    space = RowSpace(field, n)
+    for _ in range(6):
+        space.add([rng.choice([0, 0, 1, 2, -1]) for _ in range(n)])
+    pivots = list(space.pivots())
+    assert space.dim >= 4
+    basis = space.basis_matrix()
+    rows = [[rng.choice([0, 1, 3]) for _ in range(n)] for _ in range(4)]
+    # row 0 is zero on every pivot column but the first, row 1 on all of them
+    for row in rows[:2]:
+        for c in pivots[1:]:
+            row[c] = 0
+    rows[1][pivots[0]] = 0
+    m = DenseMatrix(field, rows)
+    # the dense definition: subtract the product with all echelon rows
+    want = m - m.take_columns(pivots) @ basis
+    assert space.reduce_rows(m) == want
+    for row, expected in zip(m.rows(), want.rows()):
+        assert list(space.reduce(row)) == list(expected)
+    assert space.reduce_rows(DenseMatrix(field, rows[1:2])) == DenseMatrix(field, rows[1:2])
+
+
 @pytest.mark.parametrize("field", [GF(5), QQ])
-def test_block_diag_and_take_columns(field):
-    a = DenseMatrix(field, [[1, 2], [3, 4]])
-    b = DenseMatrix(field, [[4]])
-    empty = DenseMatrix.zeros(field, 0, 2)
-    d = DenseMatrix.block_diag(field, [a, empty, b])
-    assert d == DenseMatrix(field, [[1, 2, 0, 0, 0], [3, 4, 0, 0, 0], [0, 0, 0, 0, 4]])
+def test_take_columns(field):
+    d = DenseMatrix(field, [[1, 2, 0, 0, 0], [3, 4, 0, 0, 0], [0, 0, 0, 0, 4]])
     assert d.take_columns([4, 0]) == DenseMatrix(field, [[0, 1], [0, 3], [4, 0]])
     assert d.take_columns([]).shape == (3, 0)
 
@@ -240,6 +261,9 @@ def test_kernel_basis_equals_entrywise_construction(field):
         want = _loop_kernel_basis(m)
         assert k.shape == (ncols, len(want))
         assert [list(col) for col in k.transpose().rows()] == want
+        rows, free = m.kernel_rows()
+        assert [list(row) for row in rows.rows()] == want
+        assert free == [c for c in range(ncols) if c not in m.rref()[1]]
 
 
 def test_element_keeps_fraction_handling():
@@ -341,7 +365,7 @@ def test_every_matrix_is_a_two_dim_array_of_the_field_dtype(field):
         DenseMatrix.identity(field, 3), DenseMatrix.identity(field, 0),
         DenseMatrix.from_rows(field, [[1, 2], [3, 4]]), DenseMatrix.from_rows(field, [], 3),
         DenseMatrix.column(field, [1, 2]),
-        DenseMatrix.block_diag(field, [a, DenseMatrix.zeros(field, 0, 2), b]),
+        a.kernel_rows()[0], DenseMatrix.zeros(field, 0, 3).kernel_rows()[0],
         DenseMatrix._of_array(field, field.zeros((2, 2))),
         a + a, a - c.vstack(c), a.scale(3), a.transpose(), a.take_columns([2, 0]),
         a.hstack(a), a.vstack(b), a @ a.transpose(),
