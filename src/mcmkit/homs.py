@@ -116,7 +116,8 @@ class HomSpace:
         M, N = source, target
         # minus the degree of each Phi[k][i]: its block_matrix row degree at d = 0
         self.phi_degs = _pair_degs(N.gen_degs, M.gen_degs)
-        self.phi_dim = sum(ring.hilbert_function(-d) for d in self.phi_degs)
+        self._entry_degs = [-d for d in self.phi_degs]
+        self.phi_dim = sum(ring.hilbert_function(d) for d in self._entry_degs)
         self._solve()
 
     # -- system assembly ------------------------------------------------
@@ -152,14 +153,13 @@ class HomSpace:
 
     def from_flat(self, flat) -> Hom:
         flat = self.trivial.reduce(flat)
-        entries = self.ring.split_coords(flat, [-d for d in self.phi_degs])
+        entries = self.ring.split_coords(flat, self._entry_degs)
         n = self.source.num_gens
         phi = tuple(tuple(entries[k * n:(k + 1) * n]) for k in range(self.target.num_gens))
         return Hom(self.source, self.target, phi, flat=flat)
 
     def flat_of_phi(self, phi):
-        column = [[e] for row in phi for e in row]
-        return self.ring.block_matrix(column, self.phi_degs, [0], 0)._array()[:, 0]
+        return self.ring.join_coords([e for row in phi for e in row], self._entry_degs)
 
     def basis(self) -> List[Hom]:
         if self._basis_homs is None:

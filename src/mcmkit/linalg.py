@@ -22,7 +22,10 @@ the list path falls behind from about 256 cells (2.2x slower at 1,024), so
 the cutover sits at 1,024 cells: the real gain above it is small, and a
 dense input pays at most about twice the numpy time.  The reduced echelon
 form of a matrix is unique, so both paths return the same array and
-pivots; only their cost differs.
+pivots; only their cost differs.  ``kernel_rows`` follows the same
+cutover: a matrix on the list path gets its kernel rows built on the
+eliminated lists as well, so a small kernel costs no array operation
+beyond the final conversion.
 
 ``PrimeField`` accepts only moduli with (p-1)**2 < 2**63, so the product
 of two entries (rref, ``RowSpace`` reductions, ``scale``) is exact.  A
@@ -223,7 +226,12 @@ def _rref(a: np.ndarray, field):
     """In-place rref of an array of ``field.dtype``.  Returns (pivots, rank)."""
     m, n = a.shape
     if m * n <= _LIST_RREF_CELLS:
-        return _rref_lists(a, field) if m * n else ([], 0)
+        if not m * n:
+            return [], 0
+        rows = a.tolist()
+        pivots = _rref_rows(rows, n, field)
+        a[:] = rows
+        return pivots, len(pivots)
     pivots = []
     r = 0
     for c in range(n):
@@ -248,10 +256,9 @@ def _rref(a: np.ndarray, field):
     return pivots, r
 
 
-def _rref_lists(a: np.ndarray, field):
-    """``_rref`` on the rows as Python lists, written back into a."""
-    rows = a.tolist()
-    m, n = a.shape
+def _rref_rows(rows: list, n: int, field) -> list:
+    """``_rref`` on a list of n-entry Python lists, in place.  Returns the pivots."""
+    m = len(rows)
     pivots = []
     r = 0
     for c in range(n):
@@ -275,8 +282,7 @@ def _rref_lists(a: np.ndarray, field):
                 field.sub_scaled_at(rows[k], f, piv, cols)
         pivots.append(c)
         r += 1
-    a[:] = rows
-    return pivots, r
+    return pivots
 
 
 class DenseMatrix:
@@ -419,16 +425,36 @@ class DenseMatrix:
         Returns ``(rows, free)``: ``free`` lists the non-pivot columns in
         ascending order, and row i is 1 in column free[i] and 0 in every
         other free column, so a null vector's coordinates in this basis
-        are its entries on the free columns.
+        are its entries on the free columns.  Its entry in the column of
+        pivot r is minus entry free[i] of row r of the reduced echelon
+        form.  A matrix that ``_rref`` eliminates on Python lists also gets
+        its kernel rows built on those lists, with no ``rref`` arrays.
         """
-        reduced, pivots, rank = self.rref()
+        field, n = self.field, self.ncols
+        on_lists = self.nrows * n <= _LIST_RREF_CELLS
+        if on_lists:
+            reduced = self._a.tolist()
+            pivots = _rref_rows(reduced, n, field)
+        else:
+            reduced, pivots, _ = self.rref()
         pivot_set = set(pivots)
-        free = [c for c in range(self.ncols) if c not in pivot_set]
-        out = self.field.zeros((len(free), self.ncols))
-        out[np.arange(len(free)), free] = self.field.element(1)
-        if rank:
-            out[:, list(pivots)] = self.field.reduce(-reduced._a[:rank][:, free]).T
-        return DenseMatrix._of_array(self.field, out), free
+        free = [c for c in range(n) if c not in pivot_set]
+        if not on_lists:
+            out = field.zeros((len(free), n))
+            out[np.arange(len(free)), free] = field.element(1)
+            if pivots:
+                out[:, list(pivots)] = field.reduce(-reduced._a[:len(pivots)][:, free]).T
+            return DenseMatrix._of_array(field, out), free
+        zero, one = field.element(0), field.element(1)
+        rows = []
+        for f in free:
+            row = [zero] * n
+            row[f] = one
+            for c, x in zip(pivots, field.scale_list([r[f] for r in reduced[:len(pivots)]], -1)):
+                row[c] = x
+            rows.append(row)
+        out = np.array(rows, dtype=field.dtype) if rows else field.zeros((0, n))
+        return DenseMatrix._of_array(field, out), free
 
     def kernel_basis(self) -> "DenseMatrix":
         """Columns form a basis of the right null space."""

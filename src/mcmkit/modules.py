@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -168,9 +169,8 @@ class GradedModule:
     def generator(self, i: int) -> MElem:
         d = self.gen_degs[i]
         one, zero = self.ring.one(), self.ring.zero()
-        column = [[one if k == i else zero] for k in range(self.num_gens)]
-        vec = self.ring.block_matrix(column, self.gen_degs, [d], d)._array()[:, 0]
-        return self.element(d, vec)
+        column = [one if k == i else zero for k in range(self.num_gens)]
+        return self.element(d, self.ring.join_coords(column, [d - a for a in self.gen_degs]))
 
     def generators(self) -> List[MElem]:
         return [self.generator(i) for i in range(self.num_gens)]
@@ -178,8 +178,8 @@ class GradedModule:
     def column_element(self, j: int) -> MElem:
         """Relation column j as an element of the free cover module."""
         d = self.rel_degs[j]
-        column = [[row[j]] for row in self.presentation]
-        vec = self.ring.block_matrix(column, self.gen_degs, [d], d)._array()[:, 0]
+        column = [row[j] for row in self.presentation]
+        vec = self.ring.join_coords(column, [d - a for a in self.gen_degs])
         return MElem(self, d, vec)  # NOT reduced: used on the free cover
 
     def mult_operator(self, poly_entry, d: int) -> DenseMatrix:
@@ -200,10 +200,19 @@ class GradedModule:
             return out
         tgt = self.piece(d + e)
         # the free cover multiplies block by block; its std columns are the
-        # lifts of the quotient basis, so each row of images is one image
-        cover = self.ring.block_matrix(_diagonal(self.ring, entry, self.num_gens), self.gen_degs,
-                                       [a + e for a in self.gen_degs], d + e)
-        images = cover.take_columns(src.std).transpose()
+        # lifts of the quotient basis, so row i of images is the image of
+        # basis vector i, read off the columns of the cached block it lies in
+        src_offs = _block_offsets(self.ring, self.gen_degs, d)
+        tgt_offs = _block_offsets(self.ring, self.gen_degs, d + e)
+        std = np.array(src.std, dtype=np.intp)
+        cuts = np.searchsorted(std, src_offs).tolist()
+        images = self.ring.field.zeros((src.dim, tgt.total))
+        for j, a in enumerate(self.gen_degs):
+            lo, hi = cuts[j], cuts[j + 1]
+            if lo < hi and tgt_offs[j] < tgt_offs[j + 1]:
+                block = self.ring.mult_matrix(entry.poly, d - a, e)._array()
+                images[lo:hi, tgt_offs[j]:tgt_offs[j + 1]] = block[:, std[lo:hi] - src_offs[j]].T
+        images = DenseMatrix._of_array(self.ring.field, images)
         mat = tgt.rel_space.reduce_rows(images).take_columns(tgt.std).transpose()
         self._mult_cache[key] = mat
         return mat
@@ -297,10 +306,9 @@ class GradedModule:
         return _drop_redundant_relations(M)
 
 
-def _diagonal(ring: QuotientRing, entry: RingElement, n: int):
-    """The n x n grid with entry on the diagonal: multiplication by entry on a free module."""
-    zero = ring.zero()
-    return [[entry if i == j else zero for j in range(n)] for i in range(n)]
+def _block_offsets(ring: QuotientRing, degs: Sequence[int], d: int) -> List[int]:
+    """Where each block of (+)_j A(-degs[j]) starts in degree d, then the total size."""
+    return list(accumulate((ring.hilbert_function(d - c) for c in degs), initial=0))
 
 
 def _drop_redundant_relations(M: GradedModule) -> GradedModule:
@@ -331,19 +339,13 @@ def free_module(ring: QuotientRing, gen_degs: Sequence[int], label: str = "") ->
 
 def residue_field_module(ring: QuotientRing) -> GradedModule:
     """k = A/m as a graded module (generator in degree 0)."""
-    gens = [ring.element(v) for v in ring.variables]
-    return GradedModule(
-        ring, [0], list(ring.weights), [[g for g in gens]], label="k", check=False
-    )
+    return GradedModule(ring, [0], list(ring.weights), [list(ring.gens())], label="k", check=False)
 
 
 def maximal_ideal_module(ring: QuotientRing) -> GradedModule:
     """The maximal ideal m as a module: submodule of A generated by the variables."""
     A = free_module(ring, [0], label="A")
-    gens = []
-    for v, w in zip(ring.variables, ring.weights):
-        poly = ring.normal_form(ring.ambient.parse(v))
-        gens.append(A.element(w, ring.std_coords(poly, w)))
+    gens = [A.element(w, ring.std_coords(x.poly, w)) for x, w in zip(ring.gens(), ring.weights)]
     N, _ = submodule_presentation(A, gens, label="m")
     return N
 
@@ -375,7 +377,7 @@ class SubmoduleTracker:
         self.min_degree = start_degree if start_degree is not None else module.min_gen_degree()
         self._frontier = self.min_degree - 1
         ring = module.ring
-        self._variables = [(ring.element(v), w) for v, w in zip(ring.variables, ring.weights)]
+        self._variables = list(zip(ring.gens(), ring.weights))
 
     def add_generator(self, elem: MElem):
         coords = elem.coords()
@@ -447,7 +449,10 @@ def capture_kernel(ring: QuotientRing, col_degs: Sequence[int], matrix_at, degre
     over the variables x of weight w.  One ``kernel_rows`` of
     ``matrix_at(d)`` gives a basis of K_d that is the identity on the
     free (non-pivot) columns, so a vector of K_d has its entries there as
-    coordinates.  The images x K_{d-w}, cut to the free columns, are
+    coordinates.  The images x K_{d-w} are formed block by block: block j
+    of a row of K_{d-w} times the cached ``ring.mult_matrix`` of x from
+    degree d-w-col_degs[j], cut to the free columns inside block j, so no
+    matrix of the whole free module is built.  They are
     eliminated once with their columns reversed, so each pivot is the
     last nonzero column of its row.  Basis row j lies in the span of the
     images and rows 0..j-1 exactly when j is such a trailing pivot; the
@@ -461,9 +466,9 @@ def capture_kernel(ring: QuotientRing, col_degs: Sequence[int], matrix_at, degre
     """
     if stall is None:
         stall = default_stall(ring)
-    field = ring.field
-    multipliers = [(_diagonal(ring, ring.element(v), len(col_degs)), w)
-                   for v, w in zip(ring.variables, ring.weights)]
+    field, maxw = ring.field, ring.max_weight
+    variables = [(x, x.degree) for x in ring.gens() if x.poly]
+    offsets: Dict[int, List[int]] = {}  # degree -> block offsets of F there
     kernels: Dict[int, np.ndarray] = {}  # degree -> kernel rows, for the last max_weight degrees
     found: List[Tuple[int, np.ndarray]] = []
     d = min(col_degs)
@@ -471,13 +476,24 @@ def capture_kernel(ring: QuotientRing, col_degs: Sequence[int], matrix_at, degre
     while d <= degree_cap:
         ker, free = matrix_at(d).kernel_rows()
         kernels[d] = ker._array()
+        tgt = offsets[d] = _block_offsets(ring, col_degs, d)
         if free:
+            free = np.array(free)
+            cuts = np.searchsorted(free, tgt).tolist()  # block j's free columns: cuts[j]:cuts[j+1]
             images = []
-            for diag, w in multipliers:
+            for x, w in variables:
                 prev = kernels.get(d - w)
-                if prev is not None and len(prev):
-                    mult = ring.block_matrix(diag, col_degs, [c + w for c in col_degs], d)
-                    images.append(field.matmul(prev, mult._array()[free].T))
+                if prev is None or not len(prev):
+                    continue
+                src = offsets[d - w]
+                image = field.zeros((len(prev), len(free)))
+                for j, c in enumerate(col_degs):
+                    lo, hi = cuts[j], cuts[j + 1]
+                    if lo < hi and src[j] < src[j + 1]:
+                        block = ring.mult_matrix(x.poly, d - w - c, w)._array()
+                        image[:, lo:hi] = field.matmul(prev[:, src[j]:src[j + 1]],
+                                                       block[free[lo:hi] - tgt[j]].T)
+                images.append(image)
             reached = set()
             if images:
                 coords = DenseMatrix._of_array(field, np.vstack(images)[:, ::-1])
@@ -486,7 +502,8 @@ def capture_kernel(ring: QuotientRing, col_degs: Sequence[int], matrix_at, degre
                 if j not in reached:
                     found.append((d, vec.copy()))
                     last_event = d
-        kernels.pop(d - ring.max_weight, None)  # degree d + 1 reads back to d + 1 - max_weight
+        kernels.pop(d - maxw, None)  # degree d + 1 reads back to d + 1 - max_weight
+        offsets.pop(d - maxw, None)
         if d >= last_event + stall and d >= max(col_degs) + stall:
             break
         d += 1

@@ -19,6 +19,8 @@ from itertools import accumulate
 from operator import add
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .errors import DegreeBoundExceeded, UsageError
 from .linalg import (
     QQ,
@@ -315,11 +317,13 @@ class WeightedPolyRing:
 class _Piece:
     """Degree-d data of a quotient ring: monomials, ideal span, basis.
 
-    ``normal_forms``, built on first use by ``QuotientRing.normal_form_matrix``,
-    holds the std coordinates of the normal form of every monomial.
+    ``dim`` is the number of standard monomials.  ``normal_forms``, built on
+    first use by ``QuotientRing.normal_form_matrix``, holds the std
+    coordinates of the normal form of every monomial.
     """
 
-    __slots__ = ("degree", "monos", "index", "rel_space", "std", "std_index", "normal_forms")
+    __slots__ = ("degree", "monos", "index", "rel_space", "std", "std_index", "dim",
+                 "normal_forms")
 
     def __init__(self, degree, monos, index, rel_space, std, std_index):
         self.degree = degree
@@ -328,11 +332,8 @@ class _Piece:
         self.rel_space = rel_space
         self.std = std
         self.std_index = std_index
+        self.dim = len(std)
         self.normal_forms = None
-
-    @property
-    def dim(self) -> int:
-        return len(self.std)
 
 
 class QuotientRing:
@@ -363,6 +364,7 @@ class QuotientRing:
         self._mult_cache: Dict[tuple, DenseMatrix] = {}
         self._dim_cache: Optional[int] = None
         self._e_cache: Optional[int] = None
+        self._gens: Optional[Tuple["RingElement", ...]] = None
 
     # -- identity ------------------------------------------------------
 
@@ -446,9 +448,10 @@ class QuotientRing:
         return tuple(pc.monos[i] for i in pc.std)
 
     def hilbert_function(self, d: int) -> int:
-        if d < 0:
-            return 0
-        return self.piece(d).dim
+        got = self._pieces.get(d)
+        if got is not None:
+            return got.dim
+        return self.piece(d).dim if d >= 0 else 0
 
     # -- normal forms -----------------------------------------------------
 
@@ -485,15 +488,6 @@ class QuotientRing:
             vec[pc.std_index[pc.index[m]]] = c
         return vec
 
-    def poly_from_std_coords(self, coords, d: int) -> Poly:
-        pc = self.piece(d)
-        out: Poly = {}
-        for i, c in enumerate(coords):
-            c = self.field.element(c)
-            if c:
-                out[pc.monos[pc.std[i]]] = c
-        return out
-
     # -- elements ---------------------------------------------------------
 
     def element(self, value, degree: Optional[int] = None) -> "RingElement":
@@ -523,7 +517,10 @@ class QuotientRing:
         return self.element(1)
 
     def gens(self) -> Tuple["RingElement", ...]:
-        return tuple(self.element(v) for v in self.variables)
+        """The variables as ring elements, parsed once per ring."""
+        if self._gens is None:
+            self._gens = tuple(self.element(v) for v in self.variables)
+        return self._gens
 
     # -- multiplication operators ------------------------------------------
 
@@ -582,15 +579,34 @@ class QuotientRing:
     def split_coords(self, vec, degs: Sequence[int]) -> List["RingElement"]:
         """The ring elements of degrees degs whose coordinates, block after block, are vec.
 
-        The inverse of a one-column ``block_matrix``.
+        The inverse of ``join_coords``.  One ``flatnonzero`` over the whole
+        vector finds every nonzero coordinate, and each goes to the block it
+        falls in as the coefficient of that block's standard monomial, in
+        ascending order.  A zero element has degree None.
         """
-        out = []
-        r0 = 0
-        for d in degs:
-            dim = self.hilbert_function(d)
-            poly = self.poly_from_std_coords(vec[r0:r0 + dim], d) if dim else {}
-            out.append(RingElement(self, poly, d if poly else None))
-            r0 += dim
+        offsets = list(accumulate((self.hilbert_function(d) for d in degs), initial=0))
+        vec = self.field.vector(vec[:offsets[-1]])
+        nonzero = np.flatnonzero(vec)
+        blocks = np.searchsorted(offsets, nonzero, side="right") - 1
+        polys: List[Poly] = [{} for _ in degs]
+        for i, j, c in zip(nonzero.tolist(), blocks.tolist(), vec[nonzero].tolist()):
+            pc = self._pieces[degs[j]]
+            polys[j][pc.monos[pc.std[i - offsets[j]]]] = c
+        return [RingElement(self, poly, d if poly else None) for poly, d in zip(polys, degs)]
+
+    def join_coords(self, elements: Sequence["RingElement"], degs: Sequence[int]):
+        """The coordinates of ring elements of degrees degs, block after block, as one vector.
+
+        The inverse of ``split_coords``: each coefficient goes straight to
+        its standard monomial's place in one preallocated vector.
+        """
+        dims = [self.hilbert_function(d) for d in degs]
+        out = self.field.zeros(sum(dims))
+        for r0, d, e in zip(accumulate(dims, initial=0), degs, elements):
+            if e.poly:
+                pc = self._pieces[d]
+                for m, c in e.poly.items():
+                    out[r0 + pc.std_index[pc.index[m]]] = c
         return out
 
     # -- ring invariants -----------------------------------------------------

@@ -15,7 +15,7 @@ import pytest
 
 import mcmkit.modules
 import mcmkit.resolution
-from mcmkit.catalog import load_catalog
+from mcmkit.catalog import load_catalog, nonci_gorenstein_ring
 from mcmkit.errors import DegreeBoundExceeded
 from mcmkit.mf import MatrixFactorization, coker_module
 from mcmkit.modules import (
@@ -101,6 +101,20 @@ def test_residue_field_of_two_products(compared):
     # Tate: (1+t)^4 / (1-t^2)^2
     assert resolve(residue_field_module(A), 5).betti_numbers(5) == [1, 4, 8, 12, 16, 20]
     assert len(compared) >= 4
+
+
+def test_residue_field_of_two_products_to_six(compared):
+    # many blocks of F share a degree: the images run block by block over them
+    A = WeightedPolyRing(5, ["x", "y", "z", "w"]).quotient(["x*y", "z*w"])
+    assert resolve(residue_field_module(A), 6).betti_numbers(6) == [1, 4, 8, 12, 16, 20, 24]
+    assert max(compared) >= 20
+
+
+def test_residue_field_of_a_non_ci_gorenstein_ring(compared):
+    # exponential growth: the last captures have 55 and 144 generators
+    A = nonci_gorenstein_ring()
+    assert resolve(residue_field_module(A), 5).betti_numbers(5) == [1, 3, 8, 21, 55, 144]
+    assert max(compared) == 144
 
 
 def test_curve_module_over_qq(compared):

@@ -1,5 +1,7 @@
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from mcmkit.catalog import load_catalog
@@ -215,3 +217,51 @@ def test_mult_matrix_matches_its_definition_in_every_degree(name, char):
             want = _mult_matrix_by_definition(A, poly, d)
             assert got.shape == (len(want), A.hilbert_function(d)), (d, e)
             assert [list(r) for r in got.rows()] == want, (d, e)
+
+
+def _split_block_by_block(A, vec, degs):
+    """The per-block read-back: each coordinate through ``field.element``, block after block."""
+    out, r0 = [], 0
+    for d in degs:
+        dim = A.hilbert_function(d)
+        poly = {}
+        for i, c in enumerate(vec[r0:r0 + dim]):
+            c = A.field.element(c)
+            if c:
+                pc = A.piece(d)
+                poly[pc.monos[pc.std[i]]] = c
+        out.append((poly, d if poly else None))
+        r0 += dim
+    return out
+
+
+@pytest.mark.parametrize("char", [5, 2**31 - 1, 0])
+def test_split_coords_matches_the_block_by_block_read_back(char):
+    # weights (1, 1, 2) and a cubic relation: blocks of negative degree and
+    # of degree 1 and 3 beside wider ones; the ring is Artinian, so high
+    # degrees have zero-dimensional blocks too
+    A = WeightedPolyRing(char, ["x", "y", "z"], [1, 1, 2]).quotient(
+        ["x^2-y^2", "x*y*z", "z^2+x^3*y", "y^3"])
+    rng = random.Random(char + 3)
+    degs = [-1, 0, 3, 1, -2, 2, 4, 9, 3, 0, 12]
+    n = sum(A.hilbert_function(d) for d in degs)
+    assert A.hilbert_function(12) == 0 and n > 10
+    for trial in range(12):
+        ints = [rng.choice([0, 0, 0, 1, 2, -3, 7 * char + 1]) for _ in range(n)]
+        if trial == 0:
+            ints = [0] * n
+        if char:
+            p = A.field.p
+            inputs = [ints, np.array([x % p for x in ints], dtype=np.int64)]
+        else:
+            inputs = [ints, np.array([Fraction(x, rng.choice([1, 2, 3])) for x in ints],
+                                     dtype=object)]
+        for vec in inputs:
+            want = _split_block_by_block(A, vec, degs)
+            got = A.split_coords(vec, degs)
+            # the same dicts, in the same insertion order, with the same coefficient types
+            assert [(list(e.poly.items()), e.degree) for e in got] == \
+                [(list(poly.items()), d) for poly, d in want]
+            assert [type(c) for e in got for c in e.poly.values()] == \
+                [type(c) for poly, _ in want for c in poly.values()]
+            assert list(A.join_coords(got, degs)) == [A.field.element(x) for x in vec]

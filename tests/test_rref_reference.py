@@ -6,7 +6,8 @@ are scaled like ``kernel_basis``'s columns: each has a 1 in its free
 column, its last nonzero entry, so the two agree entry for entry.  The
 random matrices are low-rank products, with zero rows and columns spliced
 in, and include the empty shapes.  Matrices just below and just above the
-cutover in cell count check both elimination paths.
+cutover in cell count check both elimination paths, and the kernel rows
+built on each side of it.
 """
 
 import random
@@ -127,7 +128,7 @@ def test_solve_matches_sympy(field):
 def _cutover_shapes():
     """Shapes of at most ``_LIST_RREF_CELLS`` cells (the list path) and just past it (numpy)."""
     c = _LIST_RREF_CELLS
-    below = [(1, c), (c, 1), (8, c // 8), (32, c // 32), (c // 32 - 1, 33)]
+    below = [(1, c), (c, 1), (8, c // 8), (32, c // 32), (c // 32 - 1, 33), (0, 40), (40, 0)]
     above = [(1, c + 1), (c + 1, 1), (8, c // 8 + 1), (33, c // 32), (c // 32 + 1, 33)]
     assert all(m * n <= c for m, n in below) and all(m * n > c for m, n in above)
     return below + above
@@ -139,12 +140,24 @@ def test_rref_on_both_sides_of_the_cutover_matches_sympy(field):
     for nrows, ncols in _cutover_shapes():
         k = min(nrows, ncols, rng.choice([5, 12]))
         rows = _product(field, _dense(rng, field, nrows, k), _dense(rng, field, k, ncols), ncols)
-        m = DenseMatrix(field, rows)
+        m = DenseMatrix(field, rows) if nrows else DenseMatrix.zeros(field, 0, ncols)
         dm = _to_sympy(field, rows, (nrows, ncols))
         want_reduced, want_pivots = dm.rref()
         reduced, pivots, rank = m.rref()
         assert pivots == tuple(want_pivots), (nrows, ncols)
         assert _entries(reduced) == _from_sympy(field, want_reduced), (nrows, ncols)
+        # kernel row i: 1 in free column i, minus that column of sympy's rref on the pivots
+        kernel, free = m.kernel_rows()
+        assert free == [j for j in range(ncols) if j not in want_pivots], (nrows, ncols)
+        echelon = _from_sympy(field, want_reduced)
+        want = []
+        for f in free:
+            row = [field.element(0)] * ncols
+            row[f] = field.element(1)
+            for r, c in enumerate(want_pivots):
+                row[c] = field.element(-echelon[r][f])
+            want.append(row)
+        assert kernel.shape == (len(free), ncols) and kernel.numpy().tolist() == want
         if ncols <= 64:  # a wide matrix's kernel is large and checks nothing new
             assert _entries(m.kernel_basis().transpose()) == _from_sympy(
                 field, dm.nullspace(divide_last=True)), (nrows, ncols)
