@@ -585,7 +585,8 @@ def main(argv=None) -> int:
             raise UsageError("bounds must be positive")
         return args.fn(args)
     except Inconclusive as exc:
-        sys.stderr.write(f"inconclusive: {exc}\n")
+        hint = f"; raise {exc.flag} (now {exc.bound})" if getattr(exc, "flag", None) else ""
+        sys.stderr.write(f"inconclusive: {exc}{hint}\n")
         return 2
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -28,7 +28,11 @@ class Inconclusive(MCMError):
 
 
 class DegreeBoundExceeded(Inconclusive):
-    """A degreewise scan hit the configured degree cap."""
+    """A degreewise scan hit a degree bound: ``bound``, raised by the CLI option ``flag``.
 
-    def __init__(self, reason: str = "inconclusive: degree bound"):
+    Both are None for a bound no option sets.
+    """
+
+    def __init__(self, reason: str = "degree bound", bound=None, flag=None):
         super().__init__(reason)
+        self.bound, self.flag = bound, flag

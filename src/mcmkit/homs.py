@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Tuple
 from .errors import Inconclusive, UsageError
 from .linalg import QQ, DenseMatrix, RowSpace
 from .modules import GradedModule, MElem, submodule_presentation
-from .rings import RingElement, grid_mul
+from .rings import BlockSystem, RingElement, grid_mul
 
 __all__ = [
     "Hom",
@@ -46,13 +46,14 @@ __all__ = [
 class Hom:
     """A degree-0 homomorphism, with its witness on relations."""
 
-    __slots__ = ("source", "target", "phi", "flat")
+    __slots__ = ("source", "target", "phi", "flat", "_system")
 
     def __init__(self, source: GradedModule, target: GradedModule, phi, flat=None):
         self.source = source
         self.target = target
         self.phi = phi  # target.num_gens x source.num_gens ring-element grid
         self.flat = flat  # flattened coordinates in the Phi layout (optional)
+        self._system = None  # phi as a BlockSystem, compiled by the first apply
 
     def entry(self, k: int, i: int) -> RingElement:
         return self.phi[k][i]
@@ -86,9 +87,10 @@ class Hom:
         M, N = self.source, self.target
         if elem.module is not M:
             raise UsageError("element not in the source module")
-        d = elem.degree
-        images = M.ring.block_matrix(self.phi, N.gen_degs, M.gen_degs, d)._array()
-        return N.element(d, M.ring.field.matmul(images, elem.vec))
+        if self._system is None:
+            self._system = BlockSystem(M.ring, self.phi, N.gen_degs, M.gen_degs)
+        images = self._system.at(elem.degree)._array()
+        return N.element(elem.degree, M.ring.field.matmul(images, elem.vec))
 
 
 class HomSpace:
@@ -236,14 +238,8 @@ def hom_space(M: GradedModule, N: GradedModule) -> HomSpace:
 
 
 def identity_hom(M: GradedModule) -> Hom:
-    ring = M.ring
-    one = ring.one()
-    zero = ring.zero()
-    phi = tuple(
-        tuple(one if i == k else zero for i in range(M.num_gens))
-        for k in range(M.num_gens)
-    )
-    return Hom(M, M, phi)
+    one, zero, n = M.ring.one(), M.ring.zero(), range(M.num_gens)
+    return Hom(M, M, tuple(tuple(one if i == k else zero for i in n) for k in n))
 
 
 def compose(g: Hom, f: Hom) -> Hom:
@@ -279,35 +275,20 @@ def _unit_search(hs: HomSpace, rng: random.Random, tries: int):
         if h.is_cover_unit():
             return h, False
     field = hs.field
-    if field != QQ:
-        p = field.p
-        for _ in range(tries):
-            coeffs = [rng.randrange(p) for _ in range(m)]
-            if not any(coeffs):
-                continue
-            h = hs.element_from_coords(coeffs)
-            if h.is_cover_unit():
-                return h, False
-        # exhaustive fallback over scalar combinations
-        if p ** m <= EXHAUSTIVE_BUDGET:
-            for coeffs in itertools.product(range(p), repeat=m):
-                if not any(coeffs):
-                    continue
-                h = hs.element_from_coords(coeffs)
-                if h.is_cover_unit():
-                    return h, False
-            return None, True
-        raise Inconclusive(
-            f"inconclusive: unit search budget exhausted (hom dim {m}, p={p})")
-    else:
-        for _ in range(tries):
-            coeffs = [rng.randrange(-3, 4) for _ in range(m)]
-            if not any(coeffs):
-                continue
-            h = hs.element_from_coords(coeffs)
-            if h.is_cover_unit():
-                return h, False
-        raise Inconclusive("inconclusive: unit search over QQ is randomized only")
+    lo, hi = (-3, 4) if field == QQ else (0, field.p)
+    for _ in range(tries):
+        coeffs = [rng.randrange(lo, hi) for _ in range(m)]
+        if any(coeffs) and (h := hs.element_from_coords(coeffs)).is_cover_unit():
+            return h, False
+    if field == QQ:
+        raise Inconclusive("unit search over QQ is randomized only")
+    # exhaustive fallback over scalar combinations
+    if hi ** m > EXHAUSTIVE_BUDGET:
+        raise Inconclusive(f"unit search budget exhausted (hom dim {m}, p={hi})")
+    for coeffs in itertools.product(range(hi), repeat=m):
+        if any(coeffs) and (h := hs.element_from_coords(coeffs)).is_cover_unit():
+            return h, False
+    return None, True
 
 
 def is_isomorphic(M: GradedModule, N: GradedModule, seed: int = 0, tries: int = 64,
@@ -448,7 +429,7 @@ def end_algebra(M: GradedModule) -> EndAlgebra:
 def splitting_idempotent(E: EndAlgebra, x) -> Optional[list]:
     """A nontrivial idempotent in k[x], or None when k[x] is local."""
     if E.field == QQ:
-        raise Inconclusive("inconclusive: decomposition over QQ not supported")
+        raise Inconclusive("decomposition over QQ not supported")
     from sympy import Poly, symbols
 
     p = E.field.p

@@ -14,14 +14,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DegreeBoundExceeded, UsageError
 from .linalg import DenseMatrix, RowSpace
-from .rings import QuotientRing, RingElement, fit_hilbert_samuel
+from .rings import BlockSystem, QuotientRing, RingElement, fit_hilbert_samuel, poly_key
 
 __all__ = [
     "GradedModule",
@@ -139,6 +139,11 @@ class GradedModule:
 
     # -- degreewise pieces ------------------------------------------------
 
+    @cached_property
+    def system(self) -> BlockSystem:
+        """The presentation as a map of free modules, compiled on first use."""
+        return BlockSystem(self.ring, self.presentation, self.gen_degs, self.rel_degs)
+
     def piece(self, d: int) -> _ModulePiece:
         got = self._pieces.get(d)
         if got is not None:
@@ -146,8 +151,7 @@ class GradedModule:
         total = sum(self.ring.hilbert_function(d - a) for a in self.gen_degs)
         space = RowSpace(self.ring.field, total)
         # the relation columns' images in the free cover, one row each
-        space.add_matrix(self.ring.block_matrix(
-            self.presentation, self.gen_degs, self.rel_degs, d).transpose())
+        space.add_matrix(self.system.at(d).transpose())
         pivots = set(space.pivots())
         std = tuple(c for c in range(total) if c not in pivots)
         piece = _ModulePiece(d, total, space, std)
@@ -202,8 +206,8 @@ class GradedModule:
         # the free cover multiplies block by block; its std columns are the
         # lifts of the quotient basis, so row i of images is the image of
         # basis vector i, read off the columns of the cached block it lies in
-        src_offs = _block_offsets(self.ring, self.gen_degs, d)
-        tgt_offs = _block_offsets(self.ring, self.gen_degs, d + e)
+        src_offs = self.ring.block_offsets([d - a for a in self.gen_degs])
+        tgt_offs = self.ring.block_offsets([d + e - a for a in self.gen_degs])
         std = np.array(src.std, dtype=np.intp)
         cuts = np.searchsorted(std, src_offs).tolist()
         images = self.ring.field.zeros((src.dim, tgt.total))
@@ -273,14 +277,8 @@ class GradedModule:
 
         # kill unit entries (generator i is defined by relation j)
         while True:
-            unit_pos = None
-            for i in range(len(gen_degs)):
-                for j in range(len(rel_degs)):
-                    if gen_degs[i] == rel_degs[j] and not P[i][j].is_zero():
-                        unit_pos = (i, j)
-                        break
-                if unit_pos:
-                    break
+            unit_pos = next(((i, j) for i in range(len(gen_degs)) for j in range(len(rel_degs))
+                             if gen_degs[i] == rel_degs[j] and not P[i][j].is_zero()), None)
             if unit_pos is None:
                 break
             i, j = unit_pos
@@ -306,11 +304,6 @@ class GradedModule:
         return _drop_redundant_relations(M)
 
 
-def _block_offsets(ring: QuotientRing, degs: Sequence[int], d: int) -> List[int]:
-    """Where each block of (+)_j A(-degs[j]) starts in degree d, then the total size."""
-    return list(accumulate((ring.hilbert_function(d - c) for c in degs), initial=0))
-
-
 def _drop_redundant_relations(M: GradedModule) -> GradedModule:
     """Remove relation columns lying in the submodule generated by the others."""
     while True:
@@ -318,14 +311,13 @@ def _drop_redundant_relations(M: GradedModule) -> GradedModule:
         order = sorted(range(M.num_rels), key=lambda j: -M.rel_degs[j])
         for j in order:
             others = [l for l in range(M.num_rels) if l != j]
-            d = M.rel_degs[j]
-            # span of the other columns at degree d, inside the free cover
-            rel_degs = [M.rel_degs[l] for l in others]
-            grid = [[row[l] for l in others] for row in M.presentation]
-            images = M.ring.block_matrix(grid, M.gen_degs, rel_degs, d)
+            # span of the other columns at degree rel_degs[j], inside the free cover
+            images = M.system.columns(others).at(M.rel_degs[j])
             span = RowSpace(M.ring.field, images.nrows)
             span.add_matrix(images.transpose())
             if span.contains(M.column_element(j).vec):
+                rel_degs = [M.rel_degs[l] for l in others]
+                grid = [[row[l] for l in others] for row in M.presentation]
                 M = GradedModule(M.ring, M.gen_degs, rel_degs, grid, label=M.label, check=False)
                 dropped = True
                 break
@@ -435,8 +427,8 @@ def capture_kernel(ring: QuotientRing, col_degs: Sequence[int], matrix_at, degre
                    stall: Optional[int] = None):
     """Minimal generators of the kernel of a map out of F = (+)_j A(-col_degs[j]).
 
-    ``matrix_at(d)`` is the map in degree d; its columns are F_d laid out
-    block by block, as ``block_matrix`` lays out its columns.  Degrees are
+    ``matrix_at(d)`` is the map in degree d, as a ``BlockSystem``'s ``at``
+    gives it: its columns are F_d laid out block by block.  Degrees are
     scanned upward from min(col_degs): a kernel vector outside the span of
     the generators found so far is a new generator.  The scan stops once
     ``stall`` degrees pass without one, and no earlier than
@@ -451,14 +443,14 @@ def capture_kernel(ring: QuotientRing, col_degs: Sequence[int], matrix_at, degre
     free (non-pivot) columns, so a vector of K_d has its entries there as
     coordinates.  The images x K_{d-w} are formed block by block: block j
     of a row of K_{d-w} times the cached ``ring.mult_matrix`` of x from
-    degree d-w-col_degs[j], cut to the free columns inside block j, so no
-    matrix of the whole free module is built.  They are
-    eliminated once with their columns reversed, so each pivot is the
-    last nonzero column of its row.  Basis row j lies in the span of the
-    images and rows 0..j-1 exactly when j is such a trailing pivot; the
-    other rows are the new generators, the same vectors in the same
-    order as adding the rows one by one to a span would keep.  K is kept
-    for the last ``max_weight`` degrees only.
+    degree d-w-col_degs[j] (its key built once per capture), cut to the
+    free columns inside block j, so no matrix of the whole free module is
+    built.  They are eliminated once with their columns reversed, so each
+    pivot is the last nonzero column of its row.  Basis row j lies in the
+    span of the images and rows 0..j-1 exactly when j is such a trailing
+    pivot; the other rows are the new generators, the same vectors in the
+    same order as adding the rows one by one to a span would keep.  K is
+    kept for the last ``max_weight`` degrees only.
 
     Returns ``(gen_degs, grid, scanned_to)``: column g of the grid holds
     the ring-element coordinates of generator g over the generators of F,
@@ -467,7 +459,7 @@ def capture_kernel(ring: QuotientRing, col_degs: Sequence[int], matrix_at, degre
     if stall is None:
         stall = default_stall(ring)
     field, maxw = ring.field, ring.max_weight
-    variables = [(x, x.degree) for x in ring.gens() if x.poly]
+    variables = [(x.poly, poly_key(x.poly), x.degree) for x in ring.gens() if x.poly]
     offsets: Dict[int, List[int]] = {}  # degree -> block offsets of F there
     kernels: Dict[int, np.ndarray] = {}  # degree -> kernel rows, for the last max_weight degrees
     found: List[Tuple[int, np.ndarray]] = []
@@ -476,12 +468,12 @@ def capture_kernel(ring: QuotientRing, col_degs: Sequence[int], matrix_at, degre
     while d <= degree_cap:
         ker, free = matrix_at(d).kernel_rows()
         kernels[d] = ker._array()
-        tgt = offsets[d] = _block_offsets(ring, col_degs, d)
+        tgt = offsets[d] = ring.block_offsets([d - c for c in col_degs])
         if free:
             free = np.array(free)
             cuts = np.searchsorted(free, tgt).tolist()  # block j's free columns: cuts[j]:cuts[j+1]
             images = []
-            for x, w in variables:
+            for x, key, w in variables:
                 prev = kernels.get(d - w)
                 if prev is None or not len(prev):
                     continue
@@ -490,7 +482,7 @@ def capture_kernel(ring: QuotientRing, col_degs: Sequence[int], matrix_at, degre
                 for j, c in enumerate(col_degs):
                     lo, hi = cuts[j], cuts[j + 1]
                     if lo < hi and src[j] < src[j + 1]:
-                        block = ring.mult_matrix(x.poly, d - w - c, w)._array()
+                        block = ring.mult_matrix(x, d - w - c, w, key)._array()
                         image[:, lo:hi] = field.matmul(prev[:, src[j]:src[j + 1]],
                                                        block[free[lo:hi] - tgt[j]].T)
                 images.append(image)
@@ -508,8 +500,8 @@ def capture_kernel(ring: QuotientRing, col_degs: Sequence[int], matrix_at, degre
             break
         d += 1
     else:
-        raise DegreeBoundExceeded(
-            f"inconclusive: degree bound (kernel capture still active at degree {degree_cap})")
+        raise DegreeBoundExceeded(f"degree bound (kernel capture still active at degree "
+                                  f"{degree_cap})", bound=degree_cap, flag="--degree-bound")
     columns = [ring.split_coords(vec, [e - c for c in col_degs]) for e, vec in found]
     grid = tuple(tuple(col[k] for col in columns) for k in range(len(col_degs)))
     return tuple(e for e, _ in found), grid, d
@@ -547,12 +539,13 @@ def submodule_presentation(C: GradedModule, elements: Sequence[MElem],
         degree_cap = max(gen_degs) + 6 * ring.max_weight + stall + 8
     # generator g of the cover goes to kept[g]: column g of a grid over C's free cover
     images = [ring.split_coords(e.vec, [e.degree - a for a in C.gen_degs]) for e in kept]
-    grid = [[img[i] for img in images] for i in range(C.num_gens)]
+    system = BlockSystem(ring, [[img[i] for img in images] for i in range(C.num_gens)],
+                         C.gen_degs, gen_degs)
 
     def evaluation(d: int) -> DenseMatrix:
         """The evaluation map in degree d, into the quotient coordinates of C_d."""
         tgt = C.piece(d)
-        cover = ring.block_matrix(grid, C.gen_degs, gen_degs, d)
+        cover = system.at(d)
         return tgt.rel_space.reduce_rows(cover.transpose()).take_columns(tgt.std).transpose()
 
     rel_degs, rows, _ = capture_kernel(ring, gen_degs, evaluation, degree_cap, stall)
@@ -630,17 +623,15 @@ def hs_lengths(M: GradedModule, s_max: int) -> List[int]:
             continue
         s_min = max(1, (d - hi) // maxw + 1)  # the least s whose sum reaches d
         blocks, tags = [], []
-        offset = 0
-        for a in M.gen_degs:
+        for r0, a in zip(ring.block_offsets([d - a for a in M.gen_degs]), M.gen_degs):
             if not ring.hilbert_function(d - a):
                 continue
             rp = ring.piece(d - a)
             keep = [i for i, u in enumerate(rp.monos) if sum(u) >= s_min]
             block = field.zeros((len(keep), pc.total))
-            block[:, offset:offset + rp.dim] = ring.normal_form_matrix(d - a)._array()[keep]
+            block[:, r0:r0 + rp.dim] = ring.normal_form_matrix(d - a)._array()[keep]
             blocks.append(block)
             tags.extend(min(sum(rp.monos[i]), s_max) for i in keep)
-            offset += rp.dim
         cover = DenseMatrix._of_array(field, np.vstack(blocks))
         rows = pc.rel_space.reduce_rows(cover).take_columns(pc.std)._array()
         tags = np.array(tags)

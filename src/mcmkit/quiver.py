@@ -193,7 +193,7 @@ class _QuiverBuilder:
             ok, rad, sdeg = local_certificate(E, _random.Random(self.seed))
             if not ok:
                 raise Inconclusive(
-                    f"inconclusive: endomorphism algebra of vertex {v.name} not certified local")
+                    f"endomorphism algebra of vertex {v.name} not certified local")
             grids = [E.hs.from_flat(E.hs.element_from_coords([int(c) for c in row]).flat).phi
                      for row in rad.basis_matrix().rows()]
         v.residue_degree = sdeg
@@ -261,7 +261,7 @@ class _QuiverBuilder:
                 break
             if scanned > SCAN_WIDTH_CAP:
                 raise Inconclusive(
-                    f"inconclusive: irr scan budget exceeded for pair "
+                    f"irr scan budget exceeded for pair "
                     f"({self.vertices[vi].name}, {self.vertices[vj].name})")
         return out
 
@@ -502,13 +502,13 @@ def _noniso_grids(P: GradedModule, Q: GradedModule, seed: int = 0):
         return [h.phi for h in hs.basis()]
     v, _ = _unit_search(hs, _random.Random(seed), 64)
     if v is None:
-        raise Inconclusive("inconclusive: failed to realize an isomorphism for rad transport")
+        raise Inconclusive("failed to realize an isomorphism for rad transport")
     E = end_algebra(P)
     if E.dim == 1:
         return []
     ok, rad, _s = local_certificate(E, _random.Random(seed))
     if not ok:
-        raise Inconclusive("inconclusive: endomorphism ring not certified local")
+        raise Inconclusive("endomorphism ring not certified local")
     grids = []
     for row in rad.basis_matrix().rows():
         r = E.hs.from_flat(E.hs.element_from_coords([int(c) for c in row]).flat)

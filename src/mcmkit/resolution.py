@@ -37,7 +37,7 @@ from .modules import (
     invariants,
     submodule_presentation,
 )
-from .rings import QuotientRing, RingElement, grid_mul, poly_key
+from .rings import BlockSystem, QuotientRing, RingElement, grid_mul, poly_key
 
 __all__ = [
     "FreeResolution",
@@ -64,12 +64,7 @@ class Step:
     scanned_to: Optional[int] = None  # last degree the kernel scan reached; None if none ran
 
     def transpose_data(self):
-        rows = len(self.row_degs)
-        cols = len(self.col_degs)
-        ent = tuple(
-            tuple(self.entries[r][c] for r in range(rows)) for c in range(cols)
-        )
-        return ent
+        return tuple(tuple(row[c] for row in self.entries) for c in range(len(self.col_degs)))
 
 
 def kernel_step(ring: QuotientRing, row_degs: Sequence[int], col_degs: Sequence[int],
@@ -84,16 +79,11 @@ def kernel_step(ring: QuotientRing, row_degs: Sequence[int], col_degs: Sequence[
         return Step(tuple(col_degs), (), ())
     if not row_degs:
         # kernel of the zero map: the whole source, generated by its basis
-        one = ring.one()
-        zero = ring.zero()
-        ident = tuple(
-            tuple(one if i == j else zero for j in range(len(col_degs)))
-            for i in range(len(col_degs))
-        )
+        one, zero, n = ring.one(), ring.zero(), range(len(col_degs))
+        ident = tuple(tuple(one if i == j else zero for j in n) for i in n)
         return Step(tuple(col_degs), tuple(col_degs), ident)
-    gen_degs, grid, scanned_to = capture_kernel(
-        ring, col_degs, lambda d: ring.block_matrix(entries, row_degs, col_degs, d),
-        degree_cap, stall)
+    system = BlockSystem(ring, entries, row_degs, col_degs)
+    gen_degs, grid, scanned_to = capture_kernel(ring, col_degs, system.at, degree_cap, stall)
     return Step(tuple(col_degs), gen_degs, grid, scanned_to=scanned_to)
 
 
@@ -193,11 +183,25 @@ class FreeResolution:
             label=label, check=False)
 
     def verify_exactness(self, H: int) -> bool:
-        """d_i . d_{i+1} = 0 exactly, for every computed adjacent pair."""
+        """Exactness at F_i for every computed adjacent pair d_i, d_{i+1}.
+
+        d_i . d_{i+1} = 0 exactly, and rank d_{i+1} = dim F_i - rank d_i in
+        every degree from F_i's lowest generator degree through the scan
+        end of d_{i+1} plus ``default_stall``: a scan that stopped before a
+        generator shows there as a rank deficit.
+        """
         self.extend(H)
-        return all(e.is_zero()
-                   for a, b in zip(self.steps, self.steps[1:])
-                   for row in grid_mul(self.ring, a.entries, b.entries) for e in row)
+        ring, stall = self.ring, default_stall(self.ring)
+        systems = [BlockSystem(ring, s.entries, s.row_degs, s.col_degs) for s in self.steps]
+        for a, b, da, db in zip(self.steps, self.steps[1:], systems, systems[1:]):
+            if any(not e.is_zero() for row in grid_mul(ring, a.entries, b.entries) for e in row):
+                return False
+            scan = () if b.scanned_to is None else range(min(b.row_degs), b.scanned_to + stall + 1)
+            for t in scan:
+                if db.at(t).rank() + da.at(t).rank() != sum(
+                        ring.hilbert_function(t - c) for c in b.row_degs):
+                    return False
+        return True
 
 
 def resolve(M: GradedModule, H: int, degree_cap: Optional[int] = None,
@@ -351,8 +355,8 @@ def _dual_kernel_elements(res: FreeResolution, i: int, degree_cap: Optional[int]
     cap = degree_cap if degree_cap is not None else (
         max(src_degs, default=0) + 4 * default_stall(ring) + 8)
     ker_step = kernel_step(ring, tgt_degs, src_degs, step.transpose_data(), degree_cap=cap)
-    return [target.element(d, ring.block_matrix([[row[g]] for row in ker_step.entries],
-                                                src_degs, [d], d)._array()[:, 0])
+    return [target.element(d, ring.join_coords([row[g] for row in ker_step.entries],
+                                               [d - r for r in src_degs]))
             for g, d in enumerate(ker_step.col_degs)]
 
 

@@ -14,7 +14,6 @@ Polynomials are dicts mapping exponent tuples to nonzero coefficients.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from itertools import accumulate
 from operator import add
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -63,21 +62,13 @@ def poly_scale(a: Poly, c, field) -> Poly:
 
 def poly_mul(a: Poly, b: Poly, field) -> Poly:
     out: Poly = {}
-    if field == QQ:
-        for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                m = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
-                v = out.get(m, Fraction(0)) + c1 * c2
-                if v:
-                    out[m] = v
-                elif m in out:
-                    del out[m]
-        return out
-    p = field.p
+    p, zero = None if field == QQ else field.p, field.element(0)
     for m1, c1 in a.items():
         for m2, c2 in b.items():
             m = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
-            v = (out.get(m, 0) + c1 * c2) % p
+            v = out.get(m, zero) + c1 * c2
+            if p is not None:
+                v %= p
             if v:
                 out[m] = v
             elif m in out:
@@ -265,7 +256,7 @@ class WeightedPolyRing:
         if d < 0:
             return ()
         if d > MAX_INTERNAL_DEGREE:
-            raise DegreeBoundExceeded(f"inconclusive: degree bound (internal degree {d})")
+            raise DegreeBoundExceeded(f"degree bound (internal degree {d})")
         cached = self._mono_cache.get(d)
         if cached is not None:
             return cached
@@ -365,6 +356,7 @@ class QuotientRing:
         self._dim_cache: Optional[int] = None
         self._e_cache: Optional[int] = None
         self._gens: Optional[Tuple["RingElement", ...]] = None
+        self._zero = RingElement(self, {}, None)  # the zero of no degree, shared
 
     # -- identity ------------------------------------------------------
 
@@ -511,7 +503,7 @@ class QuotientRing:
         return RingElement(self, poly, d)
 
     def zero(self, degree: Optional[int] = None) -> "RingElement":
-        return RingElement(self, {}, degree)
+        return self._zero if degree is None else RingElement(self, {}, degree)
 
     def one(self) -> "RingElement":
         return self.element(1)
@@ -524,16 +516,18 @@ class QuotientRing:
 
     # -- multiplication operators ------------------------------------------
 
-    def mult_matrix(self, poly: Poly, srcdeg: int, degree: Optional[int] = None) -> DenseMatrix:
+    def mult_matrix(self, poly: Poly, srcdeg: int, degree: Optional[int] = None,
+                    key: Optional[tuple] = None) -> DenseMatrix:
         """Matrix of multiplication by a homogeneous normal-form poly.
 
         Maps std coords of A_srcdeg to std coords of A_{srcdeg+deg}.
         ``degree`` is the weighted degree of a nonzero poly, when the caller
         knows it (a ``RingElement``'s ``degree``); otherwise it is computed.
+        So is ``key``, which is ``poly_key(poly)``.
         """
         if not poly:
             return DenseMatrix.zeros(self.field, 0, self.hilbert_function(srcdeg))
-        key = (poly_key(poly), srcdeg)
+        key = (poly_key(poly) if key is None else key, srcdeg)
         got = self._mult_cache.get(key)
         if got is not None:
             return got
@@ -553,28 +547,20 @@ class QuotientRing:
 
     # -- linear systems ----------------------------------------------------
 
+    def block_offsets(self, degs: Sequence[int]) -> List[int]:
+        """Where each block of (+)_j A_{degs[j]} starts, then the total size."""
+        return list(accumulate(map(self.hilbert_function, degs), initial=0))
+
     def block_matrix(self, grid, row_degs: Sequence[int], col_degs: Sequence[int],
                      d: int) -> DenseMatrix:
         """The map of free modules (+)_j A(-col_degs[j]) -> (+)_k A(-row_degs[k]) in degree d.
 
-        Block (k, j) is ``mult_matrix(grid[k][j], d - col_degs[j])``, from
-        A_{d - col_degs[j]} to A_{d - row_degs[k]}; blocks of zero entries
-        stay zero.  Every Hom, kernel and lifting system of the package is
-        one such matrix.  With ``col_degs = [d]`` the one column holds the
-        coordinates of the ring elements ``grid[k][0]``, block by block.
+        ``BlockSystem(self, grid, row_degs, col_degs).at(d)``: every Hom,
+        kernel and lifting system of the package is one such matrix.  With
+        ``col_degs = [d]`` the one column holds the coordinates of the ring
+        elements ``grid[k][0]``, block by block.
         """
-        row_dims = [self.hilbert_function(d - r) for r in row_degs]
-        col_dims = [self.hilbert_function(d - c) for c in col_degs]
-        out = DenseMatrix.zeros(self.field, sum(row_dims), sum(col_dims))._array()
-        col_offs = list(zip(accumulate(col_dims, initial=0), col_dims, col_degs))
-        for r0, rdim, row in zip(accumulate(row_dims, initial=0), row_dims, grid):
-            if not rdim:
-                continue
-            for (c0, cdim, c), e in zip(col_offs, row):
-                if cdim and e.poly:
-                    block = self.mult_matrix(e.poly, d - c, e.degree)
-                    out[r0:r0 + rdim, c0:c0 + cdim] = block._array()
-        return DenseMatrix._of_array(self.field, out)
+        return BlockSystem(self, grid, row_degs, col_degs).at(d)
 
     def split_coords(self, vec, degs: Sequence[int]) -> List["RingElement"]:
         """The ring elements of degrees degs whose coordinates, block after block, are vec.
@@ -582,9 +568,10 @@ class QuotientRing:
         The inverse of ``join_coords``.  One ``flatnonzero`` over the whole
         vector finds every nonzero coordinate, and each goes to the block it
         falls in as the coefficient of that block's standard monomial, in
-        ascending order.  A zero element has degree None.
+        ascending order.  Every zero block is the ring's one zero of degree
+        None.
         """
-        offsets = list(accumulate((self.hilbert_function(d) for d in degs), initial=0))
+        offsets = self.block_offsets(degs)
         vec = self.field.vector(vec[:offsets[-1]])
         nonzero = np.flatnonzero(vec)
         blocks = np.searchsorted(offsets, nonzero, side="right") - 1
@@ -592,7 +579,7 @@ class QuotientRing:
         for i, j, c in zip(nonzero.tolist(), blocks.tolist(), vec[nonzero].tolist()):
             pc = self._pieces[degs[j]]
             polys[j][pc.monos[pc.std[i - offsets[j]]]] = c
-        return [RingElement(self, poly, d if poly else None) for poly, d in zip(polys, degs)]
+        return [RingElement(self, poly, d) if poly else self._zero for poly, d in zip(polys, degs)]
 
     def join_coords(self, elements: Sequence["RingElement"], degs: Sequence[int]):
         """The coordinates of ring elements of degrees degs, block after block, as one vector.
@@ -600,9 +587,9 @@ class QuotientRing:
         The inverse of ``split_coords``: each coefficient goes straight to
         its standard monomial's place in one preallocated vector.
         """
-        dims = [self.hilbert_function(d) for d in degs]
-        out = self.field.zeros(sum(dims))
-        for r0, d, e in zip(accumulate(dims, initial=0), degs, elements):
+        offsets = self.block_offsets(degs)
+        out = self.field.zeros(offsets[-1])
+        for r0, d, e in zip(offsets, degs, elements):
             if e.poly:
                 pc = self._pieces[d]
                 for m, c in e.poly.items():
@@ -678,10 +665,8 @@ class QuotientRing:
             if pc.dim == 0:
                 continue
             space = None
-            for var in self.variables:
-                poly = self.normal_form(self.ambient.parse(var))
-                mm = self.mult_matrix(poly, d)
-                ker = mm.kernel_basis()
+            for x in self.gens():
+                ker = self.mult_matrix(x.poly, d).kernel_basis()
                 ks = RowSpace(self.field, pc.dim)
                 ks.add_matrix(ker.transpose())
                 space = ks if space is None else intersect_rowspaces(space, ks, self.field, pc.dim)
@@ -732,7 +717,51 @@ def fit_hilbert_samuel(values: List[int], tail: int = 3):
         diffs = [b - a for a, b in zip(diffs, diffs[1:])]
         if not diffs:
             break
-    raise DegreeBoundExceeded("inconclusive: Hilbert-Samuel window too short to stabilize")
+    raise DegreeBoundExceeded("Hilbert-Samuel window too short to stabilize")
+
+
+class BlockSystem:
+    """A grid of ring elements as a map of free modules, compiled once, evaluated in any degree.
+
+    The map sends generator j of (+)_j A(-col_degs[j]) to column j of the
+    grid in (+)_k A(-row_degs[k]).  Only the nonzero entries are kept, row
+    by row, each with its ``poly_key`` and degree, so an evaluation walks
+    no zero entry and sorts no key.
+    """
+
+    __slots__ = ("ring", "row_degs", "col_degs", "entries")
+
+    def __init__(self, ring: QuotientRing, grid, row_degs: Sequence[int], col_degs: Sequence[int]):
+        self.ring = ring
+        self.row_degs = tuple(row_degs)
+        self.col_degs = tuple(col_degs)
+        # (row, column, poly, key, degree) of each nonzero entry
+        self.entries = [(k, j, e.poly, poly_key(e.poly), e.degree)
+                        for k, row in enumerate(grid) for j, e in enumerate(row) if e.poly]
+
+    def columns(self, keep: Sequence[int]) -> "BlockSystem":
+        """The map on the generators ``keep`` (ascending) of the source only."""
+        out = BlockSystem(self.ring, (), self.row_degs, [self.col_degs[j] for j in keep])
+        new = {j: i for i, j in enumerate(keep)}
+        out.entries = [(k, new[j], *rest) for k, j, *rest in self.entries if j in new]
+        return out
+
+    def at(self, d: int) -> DenseMatrix:
+        """The map in degree d.
+
+        Block (k, j) is ``mult_matrix(grid[k][j], d - col_degs[j])``, from
+        A_{d - col_degs[j]} to A_{d - row_degs[k]}, written into one array
+        allocated for the whole matrix; blocks of zero entries stay zero.
+        """
+        ring, col_degs = self.ring, self.col_degs
+        rows = ring.block_offsets([d - r for r in self.row_degs])
+        cols = ring.block_offsets([d - c for c in col_degs])
+        out = ring.field.zeros((rows[-1], cols[-1]))
+        for k, j, poly, key, e in self.entries:
+            if rows[k] < rows[k + 1] and cols[j] < cols[j + 1]:
+                out[rows[k]:rows[k + 1], cols[j]:cols[j + 1]] = ring.mult_matrix(
+                    poly, d - col_degs[j], e, key)._array()
+        return DenseMatrix._of_array(ring.field, out)
 
 
 def grid_mul(ring: QuotientRing, A, B) -> Tuple[Tuple["RingElement", ...], ...]:

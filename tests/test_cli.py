@@ -80,6 +80,14 @@ def test_exit_code_inconclusive(tmp_path, k_file):
     assert rc == 2
 
 
+def test_inconclusive_names_the_bound_once(capsys):
+    rc = main(["resolve", "--module", "ade:A2:dim1/I1", "-H", "6", "--degree-bound", "3"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == ("inconclusive: degree bound (kernel capture still active at degree 3);"
+                   " raise --degree-bound (now 3)\n")
+
+
 def test_period_command(tmp_path):
     out = tmp_path / "p.json"
     assert main(["period", "--module", "ade:A2:dim1/I1", "--out", str(out)]) == 0

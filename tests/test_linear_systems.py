@@ -1,10 +1,13 @@
 """The block-matrix builder, its inverse and the grid product against their definitions."""
 
 import random
+from itertools import accumulate
 
+import numpy as np
 import pytest
 
-from mcmkit.rings import RingElement, WeightedPolyRing, grid_mul, poly_mul
+from mcmkit.linalg import DenseMatrix
+from mcmkit.rings import BlockSystem, RingElement, WeightedPolyRing, grid_mul, poly_key, poly_mul
 
 FIELDS = [5, 2**31 - 1, 0]  # GF(5), GF(2^31 - 1) and QQ
 
@@ -70,6 +73,95 @@ def test_block_matrix_of_zero_and_empty_grids(char):
     assert A.block_matrix([], [], [], 3).shape == (0, 0)
     assert A.block_matrix([[], []], [0, 1], [], 3).shape == (h(3) + h(2), 0)
     assert A.block_matrix([[A.one()]], [9], [9], 3).shape == (0, 0)
+
+
+def block_matrix_by_grid_walk(A, grid, row_degs, col_degs, d):
+    """The assembly before grids were compiled: every grid entry walked in every degree."""
+    row_dims = [A.hilbert_function(d - r) for r in row_degs]
+    col_dims = [A.hilbert_function(d - c) for c in col_degs]
+    out = DenseMatrix.zeros(A.field, sum(row_dims), sum(col_dims))._array()
+    col_offs = list(zip(accumulate(col_dims, initial=0), col_dims, col_degs))
+    for r0, rdim, row in zip(accumulate(row_dims, initial=0), row_dims, grid):
+        if not rdim:
+            continue
+        for (c0, cdim, c), e in zip(col_offs, row):
+            if cdim and e.poly:
+                out[r0:r0 + rdim, c0:c0 + cdim] = A.mult_matrix(e.poly, d - c, e.degree)._array()
+    return out
+
+
+def assert_same_array(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("char", FIELDS)
+def test_block_system_evaluates_to_the_grid_walk_in_every_degree(char):
+    A = ring_over(char)
+    rng = random.Random(char + 2)
+    for _ in range(10):
+        # negative generator degrees; entries of degree up to 8, past the top of A
+        row_degs = [rng.randrange(-2, 4) for _ in range(rng.randrange(1, 4))]
+        col_degs = [rng.randrange(-2, 6) for _ in range(rng.randrange(1, 5))]
+        grid = random_grid(A, row_degs, col_degs, rng)
+        system = BlockSystem(A, grid, row_degs, col_degs)
+        assert len(system.entries) == sum(not e.is_zero() for row in grid for e in row)
+        keep = sorted(rng.sample(range(len(col_degs)), rng.randrange(len(col_degs) + 1)))
+        part = system.columns(keep)
+        part_grid = [[row[j] for j in keep] for row in grid]
+        # from below every block (all empty) to past the top degree of A
+        for d in range(-3, 14):
+            want = block_matrix_by_grid_walk(A, grid, row_degs, col_degs, d)
+            assert_same_array(system.at(d)._array(), want)
+            assert_same_array(A.block_matrix(grid, row_degs, col_degs, d)._array(), want)
+            assert_same_array(part.at(d)._array(),
+                              block_matrix_by_grid_walk(A, part_grid, row_degs,
+                                                        [col_degs[j] for j in keep], d))
+
+
+@pytest.mark.parametrize("char", FIELDS)
+def test_block_system_of_zero_and_empty_grids(char):
+    A = ring_over(char)
+    h = A.hilbert_function
+    zero = A.zero()
+    for d in range(-1, 9):
+        zeros = BlockSystem(A, [[zero, zero], [zero, A.zero(2)]], [0, 1], [0, 2])
+        assert zeros.entries == []
+        assert zeros.at(d).is_zero() and zeros.at(d).shape == (h(d) + h(d - 1), h(d) + h(d - 2))
+        no_rows = BlockSystem(A, [], [], [0, 1])
+        assert no_rows.at(d).shape == (0, h(d) + h(d - 1))
+        no_cols = BlockSystem(A, [[], []], [0, 1], [])
+        assert no_cols.at(d).shape == (h(d) + h(d - 1), 0)
+        assert no_cols.columns([]).at(d).shape == (h(d) + h(d - 1), 0)
+        assert BlockSystem(A, [[A.one()]], [0], [0]).columns([]).at(d).shape == (h(d), 0)
+
+
+@pytest.mark.parametrize("char", FIELDS)
+def test_mult_matrix_with_a_precomputed_key(char):
+    rng = random.Random(char + 5)
+    A, B = ring_over(char), ring_over(char)
+    for _ in range(20):
+        e, d = rng.randrange(0, 5), rng.randrange(-1, 8)
+        x = random_element(A, e, rng)
+        if x.is_zero():
+            continue
+        with_key = A.mult_matrix(x.poly, d, x.degree, poly_key(x.poly))
+        assert_same_array(with_key._array(), B.mult_matrix(x.poly, d)._array())
+        # one cache: the key a caller passes is the key the lookup builds
+        assert A.mult_matrix(x.poly, d) is with_key
+
+
+@pytest.mark.parametrize("char", FIELDS)
+def test_split_coords_zero_blocks_are_the_ring_zero(char):
+    A = ring_over(char)
+    degs = [-1, 0, 2, 9, 3]
+    vec = A.field.zeros(sum(A.hilbert_function(d) for d in degs))
+    vec[0] = A.field.element(1)  # A_{-1} = 0, so coordinate 0 is A_0: the element 1
+    got = A.split_coords(vec, degs)
+    assert got[1] == A.one() and got[1].degree == 0
+    for e in got[:1] + got[2:]:
+        assert e.is_zero() and e.degree is None and e == A.zero()
+    assert np.array_equal(A.join_coords(got, degs), vec)
 
 
 @pytest.mark.parametrize("char", FIELDS)

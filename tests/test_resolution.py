@@ -211,6 +211,18 @@ def koszul_quotient(a, b):
     return GradedModule(A, [0], [a, b], [[f"x^{a}", f"y^{b}"]])
 
 
+def test_verify_exactness_finds_a_stall_that_stopped_short():
+    # the stall stops the scan at degree 7, before the Koszul syzygy in
+    # degree 8: d . d = 0 holds, but rank d_2 = 0 < dim ker d_1 in degree 8
+    res = resolve(koszul_quotient(4, 4), 3)
+    assert res.betti_numbers(3) == [1, 2, 0, 0]
+    assert res.steps[1].scanned_to == 7
+    assert not res.verify_exactness(3)
+    right = resolve(koszul_quotient(4, 4), 3, stall=10)
+    assert right.betti_numbers(3) == [1, 2, 1, 0] and right.verify_exactness(3)
+    assert resolve(koszul_quotient(2, 3), 3).verify_exactness(3)
+
+
 def test_resolve_cache_rebuilds_for_another_stall():
     M = koszul_quotient(4, 4)
     assert resolve(M, 3, stall=3).betti_numbers(3) == [1, 2, 0, 0]  # stopped short
