@@ -537,10 +537,11 @@ class QuotientRing:
         nf = self.normal_form_matrix(srcdeg + e)._array()
         basis = [src.monos[i] for i in src.std]
         # row i: the normal form of basis monomial i times poly, one gather
-        # of normal-form rows per term of poly
-        out = self.field.reduce(sum(
-            self.field.reduce(nf[[tgt.index[tuple(map(add, m, u))] for m in basis]] * c)
-            for u, c in poly.items()))
+        # of normal-form rows per term of poly; a lone unit term (a variable)
+        # is its gather, whose entries are reduced already
+        terms = [(nf[[tgt.index[tuple(map(add, m, u))] for m in basis]], c) for u, c in poly.items()]
+        out = terms[0][0] if len(terms) == 1 and terms[0][1] == 1 else self.field.reduce(
+            sum(self.field.reduce(rows * c) for rows, c in terms))
         mat = DenseMatrix._of_array(self.field, out.T.copy())
         self._mult_cache[key] = mat
         return mat
