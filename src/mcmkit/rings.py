@@ -260,20 +260,13 @@ class WeightedPolyRing:
         cached = self._mono_cache.get(d)
         if cached is not None:
             return cached
-        out: List[Mono] = []
-        nvars = len(self.variables)
-
-        def rec(i: int, rem: int, acc: List[int]):
-            if i == nvars - 1:
-                if rem % self.weights[i] == 0:
-                    out.append(tuple(acc + [rem // self.weights[i]]))
-                return
-            w = self.weights[i]
-            for e in range(rem // w, -1, -1):
-                rec(i + 1, rem - e * w, acc + [e])
-
-        rec(0, d, [])
-        res = tuple(sorted(out, reverse=True))
+        # exponents fixed variable by variable, each from its largest value
+        # down, with the degree they leave: lex-descending as they are built
+        parts = [((), d)]
+        for w in self.weights[:-1]:
+            parts = [(acc + (e,), rem - e * w) for acc, rem in parts for e in range(rem // w, -1, -1)]
+        last = self.weights[-1]
+        res = tuple(acc + (rem // last,) for acc, rem in parts if rem % last == 0)
         self._mono_cache[d] = res
         return res
 
@@ -394,7 +387,8 @@ class QuotientRing:
             return got
         monos = self.ambient.monomials(d) if d >= 0 else ()
         index = {m: i for i, m in enumerate(monos)}
-        multiples = [poly_mul({u: self.field.element(1)}, rel, self.field)
+        # u * rel for each monomial u of degree d - deg rel: rel's terms shifted by u
+        multiples = [{tuple(map(add, m, u)): c for m, c in rel.items()}
                      for rel, rd in zip(self.relations, self.relation_degrees)
                      for u in self.ambient.monomials(d - rd)]
         space = RowSpace(self.field, len(monos))

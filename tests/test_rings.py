@@ -265,3 +265,14 @@ def test_split_coords_matches_the_block_by_block_read_back(char):
             assert [type(c) for e in got for c in e.poly.values()] == \
                 [type(c) for poly, _ in want for c in poly.values()]
             assert list(A.join_coords(got, degs)) == [A.field.element(x) for x in vec]
+
+
+@pytest.mark.parametrize("weights", [(1,), (3,), (1, 1), (3, 2), (1, 1, 2), (5, 5, 2), (1, 1, 1, 1)])
+def test_monomials_are_every_exponent_vector_of_the_degree_lex_descending(weights):
+    from itertools import product
+
+    R = WeightedPolyRing(7, [f"v{i}" for i in range(len(weights))], weights)
+    for d in range(-2, 19):
+        want = sorted((e for e in product(range(max(d, 0) + 1), repeat=len(weights))
+                       if sum(a * w for a, w in zip(e, weights)) == d), reverse=True)
+        assert list(R.monomials(d)) == want, d
