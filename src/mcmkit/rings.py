@@ -720,8 +720,10 @@ class BlockSystem:
 
     The map sends generator j of (+)_j A(-col_degs[j]) to column j of the
     grid in (+)_k A(-row_degs[k]).  Only the nonzero entries are kept, row
-    by row, each with its ``poly_key`` and degree, so an evaluation walks
-    no zero entry and sorts no key.
+    by row, each with its degree and its ``poly_key``, which the entry's
+    first lookup builds: an evaluation walks no zero entry, a key is sorted
+    once per system, and a system evaluated once sorts only the keys of
+    the blocks it looks up, as a walk of the grid would.
     """
 
     __slots__ = ("ring", "row_degs", "col_degs", "entries")
@@ -730,15 +732,15 @@ class BlockSystem:
         self.ring = ring
         self.row_degs = tuple(row_degs)
         self.col_degs = tuple(col_degs)
-        # (row, column, poly, key, degree) of each nonzero entry
-        self.entries = [(k, j, e.poly, poly_key(e.poly), e.degree)
+        # [row, column, poly, degree, key or None] of each nonzero entry
+        self.entries = [[k, j, e.poly, e.degree, None]
                         for k, row in enumerate(grid) for j, e in enumerate(row) if e.poly]
 
     def columns(self, keep: Sequence[int]) -> "BlockSystem":
         """The map on the generators ``keep`` (ascending) of the source only."""
         out = BlockSystem(self.ring, (), self.row_degs, [self.col_degs[j] for j in keep])
         new = {j: i for i, j in enumerate(keep)}
-        out.entries = [(k, new[j], *rest) for k, j, *rest in self.entries if j in new]
+        out.entries = [[k, new[j], *rest] for k, j, *rest in self.entries if j in new]
         return out
 
     def at(self, d: int) -> DenseMatrix:
@@ -752,8 +754,11 @@ class BlockSystem:
         rows = ring.block_offsets([d - r for r in self.row_degs])
         cols = ring.block_offsets([d - c for c in col_degs])
         out = ring.field.zeros((rows[-1], cols[-1]))
-        for k, j, poly, key, e in self.entries:
+        for entry in self.entries:
+            k, j, poly, e, key = entry
             if rows[k] < rows[k + 1] and cols[j] < cols[j + 1]:
+                if key is None:
+                    key = entry[4] = poly_key(poly)
                 out[rows[k]:rows[k + 1], cols[j]:cols[j + 1]] = ring.mult_matrix(
                     poly, d - col_degs[j], e, key)._array()
         return DenseMatrix._of_array(ring.field, out)
