@@ -23,6 +23,8 @@ import itertools
 import random
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from .errors import Inconclusive, UsageError
 from .linalg import QQ, DenseMatrix, RowSpace
 from .modules import GradedModule, MElem, submodule_presentation
@@ -162,6 +164,20 @@ class HomSpace:
 
     def flat_of_phi(self, phi):
         return self.ring.join_coords([e for row in phi for e in row], self._entry_degs)
+
+    def span(self, phis) -> RowSpace:
+        """The span of the classes of the maps with these phi grids.
+
+        The grids' flat vectors are stacked, reduced modulo ``trivial`` in
+        one product and added in one elimination: the same echelon rows as
+        adding each reduced vector on its own.
+        """
+        out = RowSpace(self.field, self.phi_dim)
+        flats = [self.flat_of_phi(phi) for phi in phis]
+        if flats:
+            stacked = DenseMatrix._of_array(self.field, np.vstack(flats))
+            out.add_matrix(self.trivial.reduce_rows(stacked))
+        return out
 
     def basis(self) -> List[Hom]:
         if self._basis_homs is None:

@@ -3,9 +3,10 @@
 Arrows are counted by the radical filtration: irr(M, N) is the
 dimension of (M,N)_1 / (M,N)_2, where (M,N)_1 drops the isomorphism
 components and (M,N)_2 is spanned by two-step composites through
-catalog modules.  Because the engine is graded, maps of every internal
-degree matter: a map of internal degree t is a degree-0 map into a
-shift of the target, and irr totals the contributions over the finite
+catalog modules, the grids of ``_QuiverBuilder.rad2_grids``.  Each span
+is built by one ``HomSpace.span`` call.  Because the engine is graded,
+maps of every internal degree matter: a map of internal degree t is a
+degree-0 map into a shift of the target, and irr totals the contributions over the finite
 band where the Hom module has minimal generators (deeper maps are
 maximal-ideal multiples, hence lie in the second filtration layer).
 
@@ -17,16 +18,17 @@ components by periodicity / Ulrich / complexity live here too.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .catalog import CatalogData
 from .errors import Inconclusive, UsageError
-from .homs import Hom, end_algebra, hom_space, is_isomorphic, local_certificate
-from .linalg import RowSpace
+from .homs import (Hom, _unit_search, end_algebra, hom_space, is_isomorphic, local_certificate,
+                   strip_free_summands)
 from .modules import GradedModule, default_stall, invariants
 from .resolution import detect_period, growth_report, ulrich_test
-from .functors import dual, link, syzygy_signed, tau
+from .functors import dual, lift_map, link, syzygy_signed, tau
 from .rings import grid_mul
 
 __all__ = [
@@ -155,6 +157,30 @@ def _scale_grid_by_var(ring, grid, var_elem):
     return [[var_elem * e if not e.is_zero() else ring.zero() for e in row] for row in grid]
 
 
+def _radical(M: GradedModule, seed: int, what: str):
+    """(phi grids spanning rad End M, residue degree) of an M with certified local End."""
+    E = end_algebra(M)
+    if E.dim == 1:
+        return [], 1
+    ok, rad, sdeg = local_certificate(E, random.Random(seed))
+    if not ok:
+        raise Inconclusive(f"{what} not certified local")
+    return [E.hs.element_from_coords(row).phi for row in rad.basis_matrix().rows()], sdeg
+
+
+def _composites(ring, middles, fs_of, gs_of):
+    """Every g f with f in fs_of(X) and g in gs_of(X), over the middle terms X.
+
+    gs_of(X) is not asked for when fs_of(X) is empty.
+    """
+    for X in middles:
+        fs = fs_of(X)
+        if fs:
+            for g in gs_of(X):
+                for f in fs:
+                    yield grid_mul(ring, g, f)
+
+
 class _QuiverBuilder:
     """Caches for vertex shifts, canonical Hom bases, and radicals."""
 
@@ -170,64 +196,49 @@ class _QuiverBuilder:
         self.residue_flag = False
 
     def shifted(self, vi: int, t: int) -> GradedModule:
-        key = (vi, t)
-        got = self._shifted.get(key)
-        if got is None:
-            got = self.vertices[vi].module.degree_shift(t)
-            self._shifted[key] = got
-        return got
+        if (vi, t) not in self._shifted:
+            self._shifted[vi, t] = self.vertices[vi].module.degree_shift(t)
+        return self._shifted[vi, t]
 
     def radical_grids(self, vi: int) -> List:
         """phi grids spanning rad End of an indecomposable vertex."""
         got = self._rad.get(vi)
-        if got is not None:
-            return got
-        v = self.vertices[vi]
-        E = end_algebra(v.module)
-        if E.dim == 1:
-            grids = []
-            sdeg = 1
-        else:
-            import random as _random
-
-            ok, rad, sdeg = local_certificate(E, _random.Random(self.seed))
-            if not ok:
-                raise Inconclusive(
-                    f"endomorphism algebra of vertex {v.name} not certified local")
-            grids = [E.hs.from_flat(E.hs.element_from_coords([int(c) for c in row]).flat).phi
-                     for row in rad.basis_matrix().rows()]
-        v.residue_degree = sdeg
-        if sdeg > 1:
-            self.residue_flag = True
-        self._rad[vi] = grids
-        return grids
+        if got is None:
+            v = self.vertices[vi]
+            got, v.residue_degree = _radical(
+                v.module, self.seed, f"endomorphism algebra of vertex {v.name}")
+            self.residue_flag = self.residue_flag or v.residue_degree > 1
+            self._rad[vi] = got
+        return got
 
     def space1_grids(self, vi: int, vj: int, diff: int) -> List:
         """phi grids spanning (V_i, V_j<diff>)_1."""
         key = (vi, vj, diff)
-        got = self._space1.get(key)
-        if got is not None:
-            return got
-        if vi == vj and diff == 0:
-            grids = self.radical_grids(vi)
-        else:
-            hs = hom_space(self.vertices[vi].module, self.shifted(vj, diff))
-            grids = [h.phi for h in hs.basis()]
-        self._space1[key] = grids
-        return grids
+        if key not in self._space1:
+            self._space1[key] = self.radical_grids(vi) if vi == vj and diff == 0 else [
+                h.phi for h in hom_space(self.vertices[vi].module, self.shifted(vj, diff)).basis()]
+        return self._space1[key]
 
     def gen_span(self, vi):
         v = self.vertices[vi].module
         return max(v.gen_degs) if v.gen_degs else 0
 
-    def irr_pair(self, vi: int, vj: int) -> Dict[int, int]:
-        """Per-internal-degree irr counts for the ordered pair (vi, vj)."""
+    def rad2_grids(self, vi: int, vj: int, t: int):
+        """phi grids of the composites g f spanning (V_i, V_j<t>)_2: f in (V_i, X<s>)_1,
+        g in (X<s>, V_j<t>)_1, X a catalog vertex, t - gen_span(X) <= s <= gen_span(V_i)."""
+        middles = [(xk, s) for xk in range(len(self.vertices))
+                   for s in range(t - self.gen_span(xk), self.gen_span(vi) + 1)]
+        return _composites(self.ring, middles, lambda m: self.space1_grids(vi, m[0], m[1]),
+                           lambda m: self.space1_grids(m[0], vj, t - m[1]))
+
+    def irr_pair(self, vi: int, vj: int) -> Dict[int, Tuple[int, int, int]]:
+        """(dim Hom, dim (,)_1, dim (,)_2) of (V_i, V_j<t>), in descending t, for
+        each internal degree t with irreducible maps (dim (,)_1 > dim (,)_2)."""
         ring = self.ring
         V = self.vertices[vi].module
-        W = self.vertices[vj].module
         t_hi = self.gen_span(vi)  # Hom vanishes above maxgen(V) - minsupp(W) = maxgen(V)
         stall_total = self.stall + self.gen_span(vi) + self.gen_span(vj)
-        out: Dict[int, int] = {}
+        out: Dict[int, Tuple[int, int, int]] = {}
         no_new = 0
         t = t_hi
         scanned = 0
@@ -237,24 +248,16 @@ class _QuiverBuilder:
             s1 = self.space1_grids(vi, vj, t)
             new_gens = 0
             if s1:
-                space1 = RowSpace(ring.field, hs.phi_dim)
-                for grid in s1:
-                    space1.add(hs.trivial.reduce(hs.flat_of_phi(grid)))
+                dim1 = hs.span(s1).dim
                 # maximal-ideal multiples of higher maps
-                mspan = RowSpace(ring.field, hs.phi_dim)
-                for var_elem, w in vars_elems:
-                    for grid in self.space1_grids(vi, vj, t + w):
-                        prod = _scale_grid_by_var(ring, grid, var_elem)
-                        mspan.add(hs.trivial.reduce(hs.flat_of_phi(prod)))
-                new_gens = space1.dim - mspan.dim
+                new_gens = dim1 - hs.span(_scale_grid_by_var(ring, grid, var_elem)
+                                          for var_elem, w in vars_elems
+                                          for grid in self.space1_grids(vi, vj, t + w)).dim
                 if new_gens > 0:
-                    m = self._irr_at(vi, vj, t, hs, space1)
-                    if m > 0:
-                        out[t] = m
-            if new_gens > 0:
-                no_new = 0
-            else:
-                no_new += 1
+                    dim2 = hs.span(self.rad2_grids(vi, vj, t)).dim
+                    if dim1 > dim2:
+                        out[t] = (hs.dim, dim1, dim2)
+            no_new = 0 if new_gens > 0 else no_new + 1
             t -= 1
             scanned += 1
             if no_new >= stall_total and scanned >= stall_total:
@@ -264,26 +267,6 @@ class _QuiverBuilder:
                     f"irr scan budget exceeded for pair "
                     f"({self.vertices[vi].name}, {self.vertices[vj].name})")
         return out
-
-    def _irr_at(self, vi: int, vj: int, t: int, hs, space1: RowSpace) -> int:
-        """dim (V_i, V_j<t>)_1 / (V_i, V_j<t>)_2."""
-        ring = self.ring
-        span2 = RowSpace(ring.field, hs.phi_dim)
-        for xk in range(len(self.vertices)):
-            lo = t - self.gen_span(xk)
-            hi = self.gen_span(vi)
-            for s in range(lo, hi + 1):
-                fs = self.space1_grids(vi, xk, s)
-                if not fs:
-                    continue
-                gs = self.space1_grids(xk, vj, t - s)
-                if not gs:
-                    continue
-                for g in gs:
-                    for f in fs:
-                        comp = grid_mul(ring, g, f)
-                        span2.add(hs.trivial.reduce(hs.flat_of_phi(comp)))
-        return space1.dim - span2.dim
 
 
 def build_quiver(catalog: CatalogData, seed: int = 0,
@@ -320,10 +303,9 @@ def build_quiver(catalog: CatalogData, seed: int = 0,
         for j in range(len(verts)):
             if verts[i].is_free and verts[j].is_free:
                 continue  # loops at [A] are not part of any AR middle term
-            per = builder.irr_pair(i, j)
-            total = sum(per.values())
-            if total:
-                arrows[(i, j)] = total
+            per = {t: d1 - d2 for t, (_, d1, d2) in builder.irr_pair(i, j).items()}
+            if per:
+                arrows[(i, j)] = sum(per.values())
                 arrow_degrees[(i, j)] = per
     q = ARQuiver(ring, d, verts, arrows, arrow_degrees, builder.residue_flag)
     if check_closure:
@@ -346,8 +328,6 @@ def closure_check(q: ARQuiver, catalog: CatalogData, seed: int = 0) -> List[str]
             "link": link(v.module),
         }
         for fname, img in images.items():
-            from .homs import strip_free_summands
-
             stable, _ = strip_free_summands(img)
             if stable.minimized().num_gens == 0:
                 continue
@@ -437,8 +417,6 @@ def syzygy_orbit_ideal(q: ARQuiver, component: Sequence[int], n_max: int = 4,
         found = 0
         for n in range(1, n_max + 1):
             S = syzygy_signed(M, n)
-            from .homs import strip_free_summands
-
             stable, _ = strip_free_summands(S)
             ti = q.match_vertex(stable, seed=seed)
             if ti is not None and ti in component:
@@ -453,8 +431,9 @@ def radical_filtration(catalog: CatalogData, seed: int = 0,
                        stall: Optional[int] = None) -> Dict[Tuple[str, str], Dict[int, Tuple[int, int, int]]]:
     """Pairwise filtration dimensions over the catalog.
 
-    For each ordered pair of vertices and each internal degree in the
-    scanned band: (dim Hom, dim (M,N)_1, dim (M,N)_2).
+    For each ordered pair of vertices and each internal degree of the
+    scanned band that has irreducible maps: (dim Hom, dim (M,N)_1,
+    dim (M,N)_2), as ``irr_pair`` gives them.
     """
     ring = catalog.ring
     verts: List[ARVertex] = []
@@ -463,25 +442,9 @@ def radical_filtration(catalog: CatalogData, seed: int = 0,
     for name, M in catalog.modules():
         verts.append(ARVertex(name, M, False, 1, 0, 0))
     builder = _QuiverBuilder(ring, verts, seed=seed, stall=stall)
-    out: Dict[Tuple[str, str], Dict[int, Tuple[int, int, int]]] = {}
-    from .homs import hom_space
-
-    for i in range(len(verts)):
-        for j in range(len(verts)):
-            if verts[i].is_free and verts[j].is_free:
-                continue
-            per = builder.irr_pair(i, j)
-            dims: Dict[int, Tuple[int, int, int]] = {}
-            for t in sorted(per, reverse=True):
-                hs = hom_space(verts[i].module, builder.shifted(j, t))
-                s1 = RowSpace(ring.field, hs.phi_dim)
-                for grid in builder.space1_grids(i, j, t):
-                    s1.add(hs.trivial.reduce(hs.flat_of_phi(grid)))
-                irr_t = per[t]
-                dims[t] = (hs.dim, s1.dim, s1.dim - irr_t)
-            if dims:
-                out[(verts[i].name, verts[j].name)] = dims
-    return out
+    pairs = [(i, j) for i in range(len(verts)) for j in range(len(verts))
+             if not (verts[i].is_free and verts[j].is_free)]
+    return {(verts[i].name, verts[j].name): per for i, j in pairs if (per := builder.irr_pair(i, j))}
 
 
 def _noniso_grids(P: GradedModule, Q: GradedModule, seed: int = 0):
@@ -491,37 +454,20 @@ def _noniso_grids(P: GradedModule, Q: GradedModule, seed: int = 0):
     modules are isomorphic the subspace is the radical transported along
     one isomorphism; otherwise it is the whole Hom space.
     """
-    import random as _random
-
-    from .homs import _unit_search, end_algebra, hom_space, local_certificate
-
     hs = hom_space(P, Q)
     if hs.dim == 0:
         return []
     if not is_isomorphic(P, Q, seed=seed, up_to_shift=False):
         return [h.phi for h in hs.basis()]
-    v, _ = _unit_search(hs, _random.Random(seed), 64)
+    v, _ = _unit_search(hs, random.Random(seed), 64)
     if v is None:
         raise Inconclusive("failed to realize an isomorphism for rad transport")
-    E = end_algebra(P)
-    if E.dim == 1:
-        return []
-    ok, rad, _s = local_certificate(E, _random.Random(seed))
-    if not ok:
-        raise Inconclusive("endomorphism ring not certified local")
-    grids = []
-    for row in rad.basis_matrix().rows():
-        r = E.hs.from_flat(E.hs.element_from_coords([int(c) for c in row]).flat)
-        grids.append(grid_mul(P.ring, v.phi, r.phi))
-    return grids
+    return [grid_mul(P.ring, v.phi, r) for r in _radical(P, seed, "endomorphism ring")[0]]
 
 
 def lifted_arrows_remain_irreducible(q: ARQuiver, seed: int = 0) -> List[Tuple[str, bool]]:
     """For every stable arrow, lift a representative to first syzygies and
     re-verify membership in the first but not the second filtration layer."""
-    from .functors import lift_map
-    from .homs import Hom, hom_space
-
     builder = _QuiverBuilder(q.ring, q.vertices, seed=seed)
     results: List[Tuple[str, bool]] = []
     stable = set(q.stable_indices())
@@ -533,21 +479,9 @@ def lifted_arrows_remain_irreducible(q: ARQuiver, seed: int = 0) -> List[Tuple[s
         src = q.vertices[i].module
         tgt = builder.shifted(j, t)
         hs = hom_space(src, tgt)
-        span2 = RowSpace(q.ring.field, hs.phi_dim)
-        for xk in range(len(q.vertices)):
-            lo = t - builder.gen_span(xk)
-            hi = builder.gen_span(i)
-            for s in range(lo, hi + 1):
-                fs = builder.space1_grids(i, xk, s)
-                gs = builder.space1_grids(xk, j, t - s)
-                for g in gs:
-                    for f in fs:
-                        span2.add(hs.trivial.reduce(hs.flat_of_phi(grid_mul(q.ring, g, f))))
-        rep = None
-        for h in builder.space1_grids(i, j, t):
-            if not span2.contains(hs.trivial.reduce(hs.flat_of_phi(h))):
-                rep = h
-                break
+        span2 = hs.span(builder.rad2_grids(i, j, t))
+        rep = next((h for h in builder.space1_grids(i, j, t)
+                    if not span2.contains(hs.trivial.reduce(hs.flat_of_phi(h)))), None)
         if rep is None:
             results.append((name, False))
             continue
@@ -558,30 +492,13 @@ def lifted_arrows_remain_irreducible(q: ARQuiver, seed: int = 0) -> List[Tuple[s
             continue
         hs1 = hom_space(SP, SQ)
         flat = hs1.trivial.reduce(hs1.flat_of_phi(lifted.phi))
-        space1 = RowSpace(q.ring.field, hs1.phi_dim)
-        for grid in _noniso_grids(SP, SQ, seed=seed):
-            space1.add(hs1.trivial.reduce(hs1.flat_of_phi(grid)))
-        in_first = space1.contains(flat)
-        span2s = RowSpace(q.ring.field, hs1.phi_dim)
+        in_first = hs1.span(_noniso_grids(SP, SQ, seed=seed)).contains(flat)
         mg_sp = max(SP.gen_degs) if SP.gen_degs else 0
         mg_sq = min(SQ.gen_degs) if SQ.gen_degs else 0
-        for xk in range(len(q.vertices)):
-            X0 = q.vertices[xk].module
-            lo = mg_sq - builder.gen_span(xk) - q.ring.max_weight
-            hi = mg_sp
-            for s in range(lo, hi + 1):
-                Xs = builder.shifted(xk, s)
-                fs = _noniso_grids(SP, Xs, seed=seed)
-                if not fs:
-                    continue
-                gs = _noniso_grids(Xs, SQ, seed=seed)
-                if not gs:
-                    continue
-                for g in gs:
-                    for f in fs:
-                        span2s.add(hs1.trivial.reduce(
-                            hs1.flat_of_phi(grid_mul(q.ring, g, f))))
-        in_second = span2s.contains(flat)
+        middles = [builder.shifted(xk, s) for xk in range(len(q.vertices))
+                   for s in range(mg_sq - builder.gen_span(xk) - q.ring.max_weight, mg_sp + 1)]
+        in_second = hs1.span(_composites(q.ring, middles, lambda X: _noniso_grids(SP, X, seed=seed),
+                                         lambda X: _noniso_grids(X, SQ, seed=seed))).contains(flat)
         results.append((name, bool(in_first and not in_second)))
     return results
 

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from mcmkit.homs import (
     compose,
     decompose,
@@ -9,6 +11,7 @@ from mcmkit.homs import (
     is_isomorphic,
     strip_free_summands,
 )
+from mcmkit.linalg import DenseMatrix, RowSpace
 from mcmkit.modules import (
     GradedModule,
     free_module,
@@ -193,3 +196,43 @@ def test_strip_free_summands_stable_module_unchanged():
     stable, free_degs = strip_free_summands(k)
     assert free_degs == []
     assert is_isomorphic(stable, k)
+
+
+def span_one_at_a_time(hs, phis):
+    """The reference for ``HomSpace.span``: each grid reduced modulo trivial and added alone."""
+    out = RowSpace(hs.field, hs.phi_dim)
+    for phi in phis:
+        out.add(hs.trivial.reduce(hs.flat_of_phi(phi)))
+    return out
+
+
+@pytest.mark.parametrize("p", [7, 0])
+def test_span_equals_adding_grids_one_at_a_time(p):
+    A = circle(p)
+    m, k = maximal_ideal_module(A), residue_field_module(A)
+    rng = random.Random(p)
+    with_trivial = 0
+    for M, N in [(m, m), (m, k), (k, m), (k, k), (m, m.degree_shift(-1)), (k, m.degree_shift(1))]:
+        hs = hom_space(M, N)
+        field, n = hs.field, M.num_gens
+
+        def grid(flat):  # the phi grid of a flat vector, not reduced modulo trivial
+            entries = A.split_coords(flat, hs._entry_degs)
+            return [entries[i * n:(i + 1) * n] for i in range(N.num_gens)]
+
+        def coeffs(size):
+            return [rng.randrange(-3, 4) for _ in range(size)]
+
+        trivial = [grid((DenseMatrix.from_rows(field, [coeffs(hs.trivial.dim)])
+                         @ hs.trivial.basis_matrix())._array()[0])
+                   for _ in range(3)] if hs.trivial.dim else []
+        arbitrary = [grid(field.vector(coeffs(hs.phi_dim))) for _ in range(3)]
+        homs = [h.phi for h in hs.basis()]
+        for phis in ([], trivial, homs, arbitrary + trivial, homs + trivial + arbitrary + homs):
+            got, want = hs.span(phis), span_one_at_a_time(hs, phis)
+            assert got.pivots() == want.pivots(), (M, N)
+            assert got.basis_matrix() == want.basis_matrix(), (M, N)
+        assert hs.span([]).dim == hs.span(trivial).dim == 0
+        assert hs.span(homs).dim == hs.dim
+        with_trivial += hs.trivial.dim > 0
+    assert with_trivial >= 2  # some grids really lie in a nonzero trivial span
