@@ -24,7 +24,7 @@ from .errors import UsageError
 from .linalg import DenseMatrix, RowSpace, intersect_rowspaces
 from .modules import GradedModule
 from .resolution import growth_report, resolve
-from .rings import QuotientRing, RingElement, WeightedPolyRing, grid_mul
+from .rings import BlockSystem, QuotientRing, RingElement, WeightedPolyRing, grid_mul
 
 __all__ = [
     "CIPresentation",
@@ -120,6 +120,7 @@ def eisenbud_operators(ci: CIPresentation, M: GradedModule, H: int,
     operators: List[Dict[int, DenseMatrix]] = [dict() for _ in range(c)]
     field = Q.field
     u_degs = [u.degree for u in us]
+    u_system = BlockSystem(Q, [us], [0], u_degs)  # (t_j) -> sum_j u_j t_j
 
     def lift(entries):
         return [[RingElement(Q, e.poly, e.degree) for e in row] for row in entries]
@@ -137,12 +138,12 @@ def eisenbud_operators(ci: CIPresentation, M: GradedModule, H: int,
                 if acc.is_zero():
                     continue
                 D = acc.degree
-                mat = Q.block_matrix([us], [0], u_degs, D)
+                mat = u_system.at(D)
                 if mat.ncols == 0:
                     raise UsageError(
                         "square of lifted differential has no u-decomposition: "
                         "not a regular sequence presentation")
-                sol = mat.solve(Q.block_matrix([[acc]], [0], [D], D))
+                sol = mat.solve(DenseMatrix._of_array(field, Q.join_coords([acc], [D])[:, None]))
                 if sol is None:
                     raise UsageError(
                         "square of lifted differential is not in (u): "

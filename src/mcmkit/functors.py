@@ -16,6 +16,7 @@ from typing import Optional, Tuple
 
 from .errors import UsageError
 from .homs import Hom, _left_mul, hom_space, strip_free_summands
+from .linalg import DenseMatrix
 from .modules import GradedModule, free_module, invariants
 from .resolution import ext_module, mcm_test, resolve, syzygy
 from .rings import grid_mul
@@ -175,9 +176,10 @@ def lift_map(h: Hom, degree_cap: Optional[int] = None) -> Hom:
     SN = resN.syzygy_module(1)
     # unknown Psi (Nm.num_rels x Mm.num_rels) with Q Psi = Phi P
     grid, row_degs, col_degs = _left_mul(Nm, Mm.rel_degs)
-    rhs = [[e] for row in grid_mul(ring, h.phi, Mm.presentation) for e in row]
+    rhs = ring.join_coords([e for row in grid_mul(ring, h.phi, Mm.presentation) for e in row],
+                           [-d for d in row_degs])
     sol = ring.block_matrix(grid, row_degs, col_degs, 0).solve(
-        ring.block_matrix(rhs, row_degs, [0], 0))
+        DenseMatrix._of_array(ring.field, rhs[:, None]))
     if sol is None:
         raise UsageError("input map does not carry relations into relations")
     entries = ring.split_coords(sol._array()[:, 0], [-d for d in col_degs])

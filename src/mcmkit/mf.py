@@ -15,8 +15,9 @@ from __future__ import annotations
 from typing import Optional, Sequence, Tuple
 
 from .errors import Inconclusive, UsageError
+from .linalg import DenseMatrix
 from .modules import GradedModule
-from .rings import QuotientRing, RingElement, WeightedPolyRing, grid_mul
+from .rings import BlockSystem, QuotientRing, RingElement, WeightedPolyRing, grid_mul
 
 __all__ = [
     "MatrixFactorization",
@@ -196,16 +197,18 @@ def from_resolution_tail(M: GradedModule, H: int = 8,
 
 def _solve_companion(poly_ring: QuotientRing, f: RingElement, phi,
                      row_degs: Sequence[int], col_degs: Sequence[int]):
-    """Solve phi psi = f . Id for psi over the polynomial ring, one column at a time."""
+    """Solve phi psi = f . Id for psi over the polynomial ring, one column at a time,
+    with phi compiled once and f's coordinates in row block j as column j's right side."""
     n = len(phi)
+    system = BlockSystem(poly_ring, phi, row_degs, col_degs)
     zero = poly_ring.zero()
     columns = []
     for j in range(n):
         # psi[k][j] has degree d - col_degs[k], and (phi psi)[i][j] degree d - row_degs[i]
         d = f.degree + row_degs[j]
-        rhs = [[f if i == j else zero] for i in range(n)]
-        sol = poly_ring.block_matrix(phi, row_degs, col_degs, d).solve(
-            poly_ring.block_matrix(rhs, row_degs, [d], d))
+        rhs = poly_ring.join_coords([f if i == j else zero for i in range(n)],
+                                    [d - r for r in row_degs])
+        sol = system.at(d).solve(DenseMatrix._of_array(poly_ring.field, rhs[:, None]))
         if sol is None:
             return None
         columns.append(poly_ring.split_coords(sol._array()[:, 0], [d - c for c in col_degs]))
