@@ -6,9 +6,10 @@ components and (M,N)_2 is spanned by two-step composites through
 catalog modules, the grids of ``_QuiverBuilder.rad2_grids``.  Each span
 is built by one ``HomSpace.span`` call.  Because the engine is graded,
 maps of every internal degree matter: a map of internal degree t is a
-degree-0 map into a shift of the target, and irr totals the contributions over the finite
-band where the Hom module has minimal generators (deeper maps are
-maximal-ideal multiples, hence lie in the second filtration layer).
+degree-0 map into a shift of the target, and irr totals the
+contributions over the finite band where the Hom module has minimal
+generators (deeper maps are maximal-ideal multiples, hence lie in the
+second filtration layer).
 
 Middle terms of AR sequences are assembled from the irr counts; the
 translate is tau = Syz_{2-d}.  Symmetry checks (dual and linkage as
@@ -196,9 +197,12 @@ class _QuiverBuilder:
         self.residue_flag = False
 
     def shifted(self, vi: int, t: int) -> GradedModule:
-        if (vi, t) not in self._shifted:
-            self._shifted[vi, t] = self.vertices[vi].module.degree_shift(t)
-        return self._shifted[vi, t]
+        key = (vi, t)
+        got = self._shifted.get(key)
+        if got is None:
+            got = self.vertices[vi].module.degree_shift(t)
+            self._shifted[key] = got
+        return got
 
     def radical_grids(self, vi: int) -> List:
         """phi grids spanning rad End of an indecomposable vertex."""
@@ -215,8 +219,11 @@ class _QuiverBuilder:
         """phi grids spanning (V_i, V_j<diff>)_1."""
         key = (vi, vj, diff)
         if key not in self._space1:
-            self._space1[key] = self.radical_grids(vi) if vi == vj and diff == 0 else [
-                h.phi for h in hom_space(self.vertices[vi].module, self.shifted(vj, diff)).basis()]
+            if vi == vj and diff == 0:
+                self._space1[key] = self.radical_grids(vi)
+            else:
+                hs = hom_space(self.vertices[vi].module, self.shifted(vj, diff))
+                self._space1[key] = [h.phi for h in hs.basis()]
         return self._space1[key]
 
     def gen_span(self, vi):
@@ -224,7 +231,7 @@ class _QuiverBuilder:
         return max(v.gen_degs) if v.gen_degs else 0
 
     def rad2_grids(self, vi: int, vj: int, t: int):
-        """phi grids of the composites g f spanning (V_i, V_j<t>)_2: f in (V_i, X<s>)_1,
+        """Yield the phi grids of the composites g f that span (V_i, V_j<t>)_2: f in (V_i, X<s>)_1,
         g in (X<s>, V_j<t>)_1, X a catalog vertex, t - gen_span(X) <= s <= gen_span(V_i)."""
         middles = [(xk, s) for xk in range(len(self.vertices))
                    for s in range(t - self.gen_span(xk), self.gen_span(vi) + 1)]
@@ -444,7 +451,8 @@ def radical_filtration(catalog: CatalogData, seed: int = 0,
     builder = _QuiverBuilder(ring, verts, seed=seed, stall=stall)
     pairs = [(i, j) for i in range(len(verts)) for j in range(len(verts))
              if not (verts[i].is_free and verts[j].is_free)]
-    return {(verts[i].name, verts[j].name): per for i, j in pairs if (per := builder.irr_pair(i, j))}
+    return {(verts[i].name, verts[j].name): per
+            for i, j in pairs if (per := builder.irr_pair(i, j))}
 
 
 def _noniso_grids(P: GradedModule, Q: GradedModule, seed: int = 0):

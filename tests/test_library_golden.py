@@ -39,10 +39,11 @@ def quiver_records(catalog: str) -> dict:
     for functor in ("D", "lambda"):
         ok, mapping = reverse_iso_check(q, functor)
         reverse[functor] = {"ok": ok, "map": dict(sorted(mapping.items()))}
+    lifted = [[arrow, ok] for arrow, ok in lifted_arrows_remain_irreducible(q)]
     return {
         "radical_filtration": filtration,
         "arrow_degrees": degrees,
-        "lifted_arrows_remain_irreducible": [[a, ok] for a, ok in lifted_arrows_remain_irreducible(q)],
+        "lifted_arrows_remain_irreducible": lifted,
         "reverse_iso_check": reverse,
     }
 
