@@ -40,7 +40,8 @@ def _read_json(path: str):
         raise UsageError(f"{path}: {exc}")
 
 
-def load_ring(spec, modulus: Optional[int] = None) -> QuotientRing:
+def _poly_ring(spec, modulus: Optional[int]):
+    """The polynomial ring of a ring description, and the description as a dict."""
     from .rings import WeightedPolyRing
 
     if isinstance(spec, str):
@@ -51,8 +52,11 @@ def load_ring(spec, modulus: Optional[int] = None) -> QuotientRing:
     vars_ = spec.get("vars")
     if not vars_:
         raise UsageError("ring description needs a 'vars' list")
-    weights = spec.get("weights")
-    R = WeightedPolyRing(char, vars_, weights)
+    return WeightedPolyRing(char, vars_, spec.get("weights")), spec
+
+
+def load_ring(spec, modulus: Optional[int] = None) -> QuotientRing:
+    R, spec = _poly_ring(spec, modulus)
     return R.quotient(spec.get("relations", []))
 
 
@@ -113,17 +117,15 @@ def _catalog_module(ref: str, modulus: Optional[int]) -> GradedModule:
 
 def load_mf(spec, modulus: Optional[int] = None) -> MatrixFactorization:
     from .mf import MatrixFactorization
-    from .rings import WeightedPolyRing
 
     if isinstance(spec, str):
         spec = _read_json(spec)
+    if not isinstance(spec, dict):
+        raise UsageError("matrix factorization description must be a JSON object")
     ring_spec = spec.get("ring")
     if ring_spec is None:
         raise UsageError("matrix factorization description needs a 'ring'")
-    if isinstance(ring_spec, str):
-        ring_spec = _read_json(ring_spec)
-    char = modulus if modulus is not None else ring_spec.get("char", 7)
-    R = WeightedPolyRing(char, ring_spec["vars"], ring_spec.get("weights"))
+    R, _ = _poly_ring(ring_spec, modulus)
     try:
         return MatrixFactorization(R, spec["f"], spec["phi"], spec["psi"],
                                    label=spec.get("label", ""))
@@ -346,13 +348,15 @@ def cmd_classify(args) -> int:
     from .catalog import load_catalog
     from .quiver import build_quiver, component_classify
 
-    cat = load_catalog(args.catalog, args.modulus)
-    q = build_quiver(cat, seed=args.seed)
-    prop = args.property
-    value = None
+    prop, value = args.property, None
     if ":" in prop:
         prop, raw = prop.split(":", 1)
-        value = float(raw) if prop == "curv_leq" else int(raw)
+        try:
+            value = float(raw) if prop == "curv_leq" else int(raw)
+        except ValueError:
+            raise UsageError(f"property {prop!r} needs a number, got {raw!r}")
+    cat = load_catalog(args.catalog, args.modulus)
+    q = build_quiver(cat, seed=args.seed)
     rep = component_classify(q, prop, value=value, seed=args.seed,
                              p_max=args.p_max, n_max=args.n_max, H=args.hom_bound)
     emit_json(rep, args)

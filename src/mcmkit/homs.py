@@ -273,9 +273,12 @@ def compose(g: Hom, f: Hom) -> Hom:
 # ---------------------------------------------------------------------------
 
 EXHAUSTIVE_BUDGET = 1 << 20
+# random draws per unit search, per splitting attempt and per local-certificate power
+_UNIT_TRIES, _SPLIT_TRIES, _LOCAL_SAMPLES = 64, 24, 160
+_FREE_ROUNDS = 64  # the most free summands split off one module
 
 
-def _unit_search(hs: HomSpace, rng: random.Random, tries: int):
+def _unit_search(hs: HomSpace, rng: random.Random):
     """Find a hom with invertible cover map; None if search fails.
 
     Returns (hom, certified_absent): certified_absent=True means an
@@ -292,7 +295,7 @@ def _unit_search(hs: HomSpace, rng: random.Random, tries: int):
             return h, False
     field = hs.field
     lo, hi = (-3, 4) if field == QQ else (0, field.p)
-    for _ in range(tries):
+    for _ in range(_UNIT_TRIES):
         coeffs = [rng.randrange(lo, hi) for _ in range(m)]
         if any(coeffs) and (h := hs.element_from_coords(coeffs)).is_cover_unit():
             return h, False
@@ -307,7 +310,7 @@ def _unit_search(hs: HomSpace, rng: random.Random, tries: int):
     return None, True
 
 
-def is_isomorphic(M: GradedModule, N: GradedModule, seed: int = 0, tries: int = 64,
+def is_isomorphic(M: GradedModule, N: GradedModule, seed: int = 0,
                   up_to_shift: bool = True) -> bool:
     """Graded isomorphism test (by default up to a degree shift).
 
@@ -332,10 +335,10 @@ def is_isomorphic(M: GradedModule, N: GradedModule, seed: int = 0, tries: int = 
         if A.hilbert_function(d) != B.hilbert_function(d):
             return False
     rng = random.Random(seed)
-    f, absent = _unit_search(hom_space(A, B), rng, tries)
+    f, absent = _unit_search(hom_space(A, B), rng)
     if f is None:
         return False
-    g, absent = _unit_search(hom_space(B, A), rng, tries)
+    g, absent = _unit_search(hom_space(B, A), rng)
     return g is not None
 
 
@@ -467,7 +470,7 @@ def splitting_idempotent(E: EndAlgebra, x) -> Optional[list]:
     return e
 
 
-def local_certificate(E: EndAlgebra, rng: random.Random, samples: int = 160):
+def local_certificate(E: EndAlgebra, rng: random.Random):
     """Certify that E is local.
 
     Returns (True, rad_basis_rowspace, residue_degree) on success or
@@ -489,7 +492,7 @@ def local_certificate(E: EndAlgebra, rng: random.Random, samples: int = 160):
             break
         R = RowSpace(E.field, n)
         pool = list(basis_elems)
-        for _ in range(samples):
+        for _ in range(_LOCAL_SAMPLES):
             pool.append([rng.randrange(p) for _ in range(n)])
         for g in pool:
             h = _poly_sub_vec(E.power(g, p ** s), g, p)
@@ -613,8 +616,7 @@ def _image_module(M: GradedModule, h: Hom, label: str) -> GradedModule:
     return N
 
 
-def decompose(M: GradedModule, seed: int = 0, tries: int = 24,
-              _depth: int = 0) -> Decomposition:
+def decompose(M: GradedModule, seed: int = 0, _depth: int = 0) -> Decomposition:
     """Split into indecomposables with multiplicities (Krull-Schmidt).
 
     Splitting uses exact CRT idempotents from factored minimal
@@ -637,7 +639,7 @@ def decompose(M: GradedModule, seed: int = 0, tries: int = 24,
         candidates.append(e)
     if E.field != QQ:
         p = E.field.p
-        for _ in range(tries):
+        for _ in range(_SPLIT_TRIES):
             candidates.append([rng.randrange(p) for _ in range(E.dim)])
     for x in candidates:
         if not any(x):
@@ -655,8 +657,8 @@ def decompose(M: GradedModule, seed: int = 0, tries: int = 24,
     one_minus = E.hs.element_from_coords(_poly_sub_vec(E.one, idem, E.field.p))
     part1 = _image_module(Mm, e_hom, f"{Mm.label}.1" if Mm.label else "part1")
     part2 = _image_module(Mm, one_minus, f"{Mm.label}.2" if Mm.label else "part2")
-    d1 = decompose(part1, seed=seed, tries=tries, _depth=_depth + 1)
-    d2 = decompose(part2, seed=seed, tries=tries, _depth=_depth + 1)
+    d1 = decompose(part1, seed=seed, _depth=_depth + 1)
+    d2 = decompose(part2, seed=seed, _depth=_depth + 1)
     merged: List[Tuple[GradedModule, int]] = []
     residue: List[int] = []
     for dec in (d1, d2):
@@ -679,7 +681,7 @@ def decompose(M: GradedModule, seed: int = 0, tries: int = 24,
 # free summands
 # ---------------------------------------------------------------------------
 
-def strip_free_summands(M: GradedModule, max_rounds: int = 64):
+def strip_free_summands(M: GradedModule):
     """Split off free summands; returns (stable_part, free_degrees).
 
     A free summand A(-d) exists iff the composition pairing
@@ -689,7 +691,7 @@ def strip_free_summands(M: GradedModule, max_rounds: int = 64):
 
     cur = M.minimized()
     free_degrees: List[int] = []
-    for _ in range(max_rounds):
+    for _ in range(_FREE_ROUNDS):
         if cur.num_gens == 0:
             break
         found = False

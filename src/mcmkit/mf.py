@@ -142,10 +142,9 @@ def mf_transpose(mf: MatrixFactorization) -> MatrixFactorization:
     )
 
 
-def coker_module(mf: MatrixFactorization, ring: Optional[QuotientRing] = None,
-                 validate: bool = True) -> GradedModule:
+def coker_module(mf: MatrixFactorization, ring: Optional[QuotientRing] = None) -> GradedModule:
     """coker(phi) as a graded module over Q/(f); trivial blocks stripped."""
-    if validate and not mf.validate():
+    if not mf.validate():
         raise UsageError("matrix factorization does not multiply to f . Id")
     A = ring if ring is not None else mf.quotient_ring()
     entries = [[A.element(e.poly) for e in row] for row in mf.phi]

@@ -27,7 +27,6 @@ __all__ = [
     "GradedModule",
     "MElem",
     "ModuleInvariants",
-    "SubmoduleTracker",
     "free_module",
     "residue_field_module",
     "maximal_ideal_module",
@@ -85,10 +84,15 @@ class GradedModule:
     def __init__(self, ring: QuotientRing, gen_degs: Sequence[int], rel_degs: Sequence[int],
                  presentation, label: str = "", check: bool = True):
         self.ring = ring
-        self.gen_degs = tuple(int(d) for d in gen_degs)
-        self.rel_degs = tuple(int(d) for d in rel_degs)
+        try:
+            self.gen_degs = tuple(int(d) for d in gen_degs)
+            self.rel_degs = tuple(int(d) for d in rel_degs)
+        except (TypeError, ValueError):
+            raise UsageError("generator and relation degrees must be integers")
         self.label = label
         g, r = len(self.gen_degs), len(self.rel_degs)
+        if len(presentation) != g or any(len(row) != r for row in presentation):
+            raise UsageError(f"presentation must have {g} rows of {r} entries")
         rows: List[List[RingElement]] = []
         for i in range(g):
             row = []
@@ -102,7 +106,6 @@ class GradedModule:
         if check:
             self._validate()
         self._pieces: Dict[int, _ModulePiece] = {}
-        self._mult_cache: Dict[tuple, DenseMatrix] = {}
 
     def _validate(self):
         for i, a in enumerate(self.gen_degs):
@@ -179,48 +182,6 @@ class GradedModule:
     def generators(self) -> List[MElem]:
         return [self.generator(i) for i in range(self.num_gens)]
 
-    def column_element(self, j: int) -> MElem:
-        """Relation column j as an element of the free cover module."""
-        d = self.rel_degs[j]
-        column = [row[j] for row in self.presentation]
-        vec = self.ring.join_coords(column, [d - a for a in self.gen_degs])
-        return MElem(self, d, vec)  # NOT reduced: used on the free cover
-
-    def mult_operator(self, poly_entry, d: int) -> DenseMatrix:
-        """Multiplication by a homogeneous ring element on quotient coords.
-
-        Returns the matrix M_d -> M_{d+e} in quotient coordinates.
-        """
-        entry = poly_entry if isinstance(poly_entry, RingElement) else self.ring.element(poly_entry)
-        e = entry.degree if entry.poly else None
-        key = (tuple(sorted(entry.poly.items())), d)
-        got = self._mult_cache.get(key)
-        if got is not None:
-            return got
-        src = self.piece(d)
-        if e is None:
-            out = DenseMatrix.zeros(self.ring.field, 0, src.dim)
-            self._mult_cache[key] = out
-            return out
-        tgt = self.piece(d + e)
-        # the free cover multiplies block by block; its std columns are the
-        # lifts of the quotient basis, so row i of images is the image of
-        # basis vector i, read off the columns of the cached block it lies in
-        src_offs = self.ring.block_offsets([d - a for a in self.gen_degs])
-        tgt_offs = self.ring.block_offsets([d + e - a for a in self.gen_degs])
-        std = np.array(src.std, dtype=np.intp)
-        cuts = np.searchsorted(std, src_offs).tolist()
-        images = self.ring.field.zeros((src.dim, tgt.total))
-        for j, a in enumerate(self.gen_degs):
-            lo, hi = cuts[j], cuts[j + 1]
-            if lo < hi and tgt_offs[j] < tgt_offs[j + 1]:
-                block = self.ring.mult_matrix(entry.poly, d - a, e)._array()
-                images[lo:hi, tgt_offs[j]:tgt_offs[j + 1]] = block[:, std[lo:hi] - src_offs[j]].T
-        images = DenseMatrix._of_array(self.ring.field, images)
-        mat = tgt.rel_space.reduce_rows(images).take_columns(tgt.std).transpose()
-        self._mult_cache[key] = mat
-        return mat
-
     # -- constructions ---------------------------------------------------------
 
     def degree_shift(self, s: int) -> "GradedModule":
@@ -270,7 +231,14 @@ class GradedModule:
         return GradedModule(ring, gen_degs, rel_degs, rows, label=label, check=False)
 
     def minimized(self) -> "GradedModule":
-        """Minimal presentation: no unit entries, no redundant relations."""
+        """Minimal presentation: no unit entries, no redundant relations.
+
+        After the unit entries are eliminated, ``minimal_columns`` tries each
+        degree's relations from the last one back: a relation is dropped
+        exactly when it lies in the submodule generated by the relations of
+        lower degree and the later relations of its own degree.  The kept
+        relations stay in their order.
+        """
         gen_degs = list(self.gen_degs)
         rel_degs = list(self.rel_degs)
         P: List[List[RingElement]] = [list(row) for row in self.presentation]
@@ -295,34 +263,34 @@ class GradedModule:
             P = [[row[l] for l in range(len(row)) if l != j]
                  for r, row in enumerate(P) if r != i]
 
-        # drop zero columns
-        keep = [j for j in range(len(rel_degs)) if any(not P[i][j].is_zero() for i in range(len(gen_degs)))]
-        rel_degs = [rel_degs[j] for j in keep]
-        P = [[row[j] for j in keep] for row in P]
-
-        M = GradedModule(self.ring, gen_degs, rel_degs, P, label=self.label, check=False)
-        return _drop_redundant_relations(M)
+        system = BlockSystem(self.ring, P, gen_degs, rel_degs)
+        keep = sorted(minimal_columns(system, range(len(rel_degs) - 1, -1, -1)))
+        return GradedModule(self.ring, gen_degs, [rel_degs[j] for j in keep],
+                            [[row[j] for j in keep] for row in P], label=self.label, check=False)
 
 
-def _drop_redundant_relations(M: GradedModule) -> GradedModule:
-    """Remove relation columns lying in the submodule generated by the others."""
-    while True:
-        dropped = False
-        order = sorted(range(M.num_rels), key=lambda j: -M.rel_degs[j])
-        for j in order:
-            others = [l for l in range(M.num_rels) if l != j]
-            # span of the other columns at degree rel_degs[j], inside the free cover
-            images = M.system.columns(others).at(M.rel_degs[j])
-            span = RowSpace(M.ring.field, images.nrows)
-            span.add_matrix(images.transpose())
-            if span.contains(M.column_element(j).vec):
-                rel_degs = [M.rel_degs[l] for l in others]
-                grid = [[row[l] for l in others] for row in M.presentation]
-                M = GradedModule(M.ring, M.gen_degs, rel_degs, grid, label=M.label, check=False)
-                dropped = True
-                break
-        if not dropped:
-            return M
+def minimal_columns(system: BlockSystem, order: Sequence[int], to_target=None) -> List[int]:
+    """The columns of ``system`` that minimally generate the submodule they all generate.
+
+    Candidate j is column j, of degree ``system.col_degs[j]``; the distinct
+    degrees are walked upward.  In degree d one evaluation of the kept
+    columns followed by the degree-d candidates, in ``order``, holds every
+    monomial multiple of the kept generators, then one column per candidate
+    (A_0 = k).  ``to_target(d, matrix)``, when given, maps it into the
+    coordinates membership is decided in.  A candidate is kept exactly when
+    its column is a pivot of one ``rref``: when it is not in the span of
+    those multiples and of the candidates before it in ``order``.  Returns
+    the kept columns by degree, each degree's in ``order``.
+    """
+    kept: List[int] = []
+    for d in sorted({system.col_degs[j] for j in order}):
+        candidates = [j for j in order if system.col_degs[j] == d]
+        matrix = system.columns(kept + candidates).at(d)
+        if to_target is not None:
+            matrix = to_target(d, matrix)
+        first = matrix.ncols - len(candidates)
+        kept += [candidates[p - first] for p in matrix.rref()[1] if p >= first]
+    return kept
 
 
 def free_module(ring: QuotientRing, gen_degs: Sequence[int], label: str = "") -> GradedModule:
@@ -340,81 +308,6 @@ def maximal_ideal_module(ring: QuotientRing) -> GradedModule:
     gens = [A.element(w, ring.std_coords(x.poly, w)) for x, w in zip(ring.gens(), ring.weights)]
     N, _ = submodule_presentation(A, gens, label="m")
     return N
-
-
-class SubmoduleTracker:
-    """Degreewise span of the submodule generated by given elements.
-
-    ``submodule_presentation`` prunes its generators with it.  Kernel
-    capture needs no tracker: its span in each scanned degree is the whole
-    kernel there (see ``capture_kernel``).
-
-    Maintains, for each degree up to a frontier, a RowSpace in the
-    quotient coordinates of the ambient module.  Extending to a new degree
-    adds the images of the span one degree of each variable below under
-    the variable multiplication operators, then the generators of that
-    degree.
-
-    A generator of the frontier degree goes straight into that degree's
-    RowSpace: nothing above the frontier is computed yet, and the reduced
-    echelon form of a span is unique, so the rows are those a rebuild
-    would give.  A generator below the frontier drops every span from its
-    degree up; they are rebuilt on the next request.
-    """
-
-    def __init__(self, module: GradedModule, start_degree: Optional[int] = None):
-        self.module = module
-        self.spaces: Dict[int, RowSpace] = {}
-        self.gens_by_degree: Dict[int, List] = {}
-        self.min_degree = start_degree if start_degree is not None else module.min_gen_degree()
-        self._frontier = self.min_degree - 1
-        ring = module.ring
-        self._variables = list(zip(ring.gens(), ring.weights))
-
-    def add_generator(self, elem: MElem):
-        coords = elem.coords()
-        self.gens_by_degree.setdefault(elem.degree, []).append(coords)
-        top = self.spaces.get(elem.degree)
-        if elem.degree == self._frontier and top is not None:
-            top.add(coords)
-        elif elem.degree <= self._frontier:
-            # re-propagate: clear everything above
-            for d in list(self.spaces):
-                if d >= elem.degree:
-                    del self.spaces[d]
-            self._frontier = min(self._frontier, elem.degree - 1)
-
-    def space(self, d: int) -> RowSpace:
-        if d < self.min_degree:
-            return RowSpace(self.module.ring.field, self.module.piece(d).dim)
-        for deg in range(self._frontier + 1, d + 1):
-            self._extend(deg)
-        self._frontier = max(self._frontier, d)
-        if d not in self.spaces:
-            self._extend(d)
-        return self.spaces[d]
-
-    def _extend(self, d: int):
-        if d in self.spaces:
-            return
-        field, n = self.module.ring.field, self.module.piece(d).dim
-        blocks = []
-        for var, w in self._variables:
-            prev = self.spaces.get(d - w)
-            if prev is None or prev.dim == 0:
-                continue
-            op = self.module.mult_operator(var, d - w)
-            blocks.append(prev.basis_matrix() @ op.transpose())
-        gens = self.gens_by_degree.get(d)
-        if gens:
-            blocks.append(DenseMatrix.from_rows(field, gens, n))
-        space = RowSpace(field, n)
-        if blocks:
-            space.add_matrix(DenseMatrix._of_array(field, np.vstack([b._array() for b in blocks])))
-        self.spaces[d] = space
-
-    def contains(self, elem: MElem) -> bool:
-        return self.space(elem.degree).contains(elem.coords())
 
 
 def default_stall(ring: QuotientRing) -> int:
@@ -513,44 +406,38 @@ def submodule_presentation(C: GradedModule, elements: Sequence[MElem],
                            stall: Optional[int] = None) -> Tuple[GradedModule, List[MElem]]:
     """Minimal presentation of the submodule of C generated by elements.
 
-    Generators are pruned to a minimal generating set; the relations are
-    the kernel of the evaluation map from their free cover to C, captured
-    by ``capture_kernel``.
+    The elements are tried by degree, in input order within a degree: one
+    is kept when it is not in the span of the monomial multiples of the
+    elements kept before it (``minimal_columns``, in C's quotient
+    coordinates), so zero and repeated elements are dropped.  The
+    relations are the kernel of the evaluation map from the kept
+    elements' free cover to C, captured by ``capture_kernel``.  Returns
+    ``(N, kept)``: kept[g] is generator g of N.
     """
     ring = C.ring
-    elems = [e for e in elements if not e.is_zero()]
-    elems.sort(key=lambda e: e.degree)
+    # element g goes to column g of a grid over C's free cover
+    images = [ring.split_coords(e.vec, [e.degree - a for a in C.gen_degs]) for e in elements]
+    system = BlockSystem(ring, [[img[i] for img in images] for i in range(C.num_gens)],
+                         C.gen_degs, [e.degree for e in elements])
 
-    # prune generators already in the span of the others
-    kept: List[MElem] = []
-    tracker = SubmoduleTracker(C, start_degree=min((e.degree for e in elems), default=0))
-    for e in elems:
-        if tracker.contains(e):
-            continue
-        kept.append(e)
-        tracker.add_generator(e)
-    if not kept:
+    def to_quotient(d: int, cover: DenseMatrix) -> DenseMatrix:
+        """A map into C's free cover in degree d, into the quotient coordinates of C_d."""
+        tgt = C.piece(d)
+        return tgt.rel_space.reduce_rows(cover.transpose()).take_columns(tgt.std).transpose()
+
+    keep = minimal_columns(system, range(len(elements)), to_quotient)
+    if not keep:
         return GradedModule(ring, [], [], [], label=label, check=False), []
-
-    gen_degs = [e.degree for e in kept]
+    system = system.columns(keep)
+    gen_degs = system.col_degs
     if stall is None:
         stall = default_stall(ring)
     if degree_cap is None:
         degree_cap = max(gen_degs) + 6 * ring.max_weight + stall + 8
-    # generator g of the cover goes to kept[g]: column g of a grid over C's free cover
-    images = [ring.split_coords(e.vec, [e.degree - a for a in C.gen_degs]) for e in kept]
-    system = BlockSystem(ring, [[img[i] for img in images] for i in range(C.num_gens)],
-                         C.gen_degs, gen_degs)
-
-    def evaluation(d: int) -> DenseMatrix:
-        """The evaluation map in degree d, into the quotient coordinates of C_d."""
-        tgt = C.piece(d)
-        cover = system.at(d)
-        return tgt.rel_space.reduce_rows(cover.transpose()).take_columns(tgt.std).transpose()
-
-    rel_degs, rows, _ = capture_kernel(ring, gen_degs, evaluation, degree_cap, stall)
+    rel_degs, rows, _ = capture_kernel(ring, gen_degs, lambda d: to_quotient(d, system.at(d)),
+                                       degree_cap, stall)
     N = GradedModule(ring, gen_degs, rel_degs, rows, label=label, check=False)
-    return N, kept
+    return N, [elements[j] for j in keep]
 
 
 @dataclass

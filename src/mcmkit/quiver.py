@@ -276,9 +276,7 @@ class _QuiverBuilder:
         return out
 
 
-def build_quiver(catalog: CatalogData, seed: int = 0,
-                 stall: Optional[int] = None,
-                 check_closure: bool = True) -> ARQuiver:
+def build_quiver(catalog: CatalogData, seed: int = 0, stall: Optional[int] = None) -> ARQuiver:
     """Assemble the AR quiver of a shipped catalog.
 
     Vertices are validated pairwise non-isomorphic and indecomposable;
@@ -315,10 +313,9 @@ def build_quiver(catalog: CatalogData, seed: int = 0,
                 arrows[(i, j)] = sum(per.values())
                 arrow_degrees[(i, j)] = per
     q = ARQuiver(ring, d, verts, arrows, arrow_degrees, builder.residue_flag)
-    if check_closure:
-        report = closure_check(q, catalog, seed=seed)
-        if report:
-            raise Inconclusive("catalog incomplete: " + "; ".join(report))
+    report = closure_check(q, catalog, seed=seed)
+    if report:
+        raise Inconclusive("catalog incomplete: " + "; ".join(report))
     return q
 
 
@@ -467,7 +464,7 @@ def _noniso_grids(P: GradedModule, Q: GradedModule, seed: int = 0):
         return []
     if not is_isomorphic(P, Q, seed=seed, up_to_shift=False):
         return [h.phi for h in hs.basis()]
-    v, _ = _unit_search(hs, random.Random(seed), 64)
+    v, _ = _unit_search(hs, random.Random(seed))
     if v is None:
         raise Inconclusive("failed to realize an isomorphism for rad transport")
     return [grid_mul(P.ring, v.phi, r) for r in _radical(P, seed, "endomorphism ring")[0]]

@@ -212,7 +212,10 @@ class WeightedPolyRing:
         self.variables = tuple(variables)
         if len(set(self.variables)) != len(self.variables):
             raise UsageError("variable names must be distinct")
-        self.weights = tuple(int(w) for w in (weights if weights is not None else [1] * len(self.variables)))
+        try:
+            self.weights = tuple(int(w) for w in (weights if weights is not None else [1] * len(self.variables)))
+        except (TypeError, ValueError):
+            raise UsageError("weights must be integers")
         if len(self.weights) != len(self.variables):
             raise UsageError("one weight per variable required")
         if any(w < 1 for w in self.weights):
@@ -737,7 +740,7 @@ class BlockSystem:
                         for k, row in enumerate(grid) for j, e in enumerate(row) if e.poly]
 
     def columns(self, keep: Sequence[int]) -> "BlockSystem":
-        """The map on the generators ``keep`` (ascending) of the source only."""
+        """The map on the generators ``keep`` of the source only, in that order."""
         out = BlockSystem(self.ring, (), self.row_degs, [self.col_degs[j] for j in keep])
         new = {j: i for i, j in enumerate(keep)}
         out.entries = [[k, new[j], *rest] for k, j, *rest in self.entries if j in new]

@@ -1,15 +1,15 @@
-"""Kernel capture in kernel coordinates against the tracker-based scan.
+"""Kernel capture in kernel coordinates against a scan by definition.
 
 ``modules.capture_kernel`` reads each degree's new generators off one
 elimination of the previous kernels' images, taken on the free columns of
-the current kernel basis.  The reference below is the scan it replaced: a
-``SubmoduleTracker`` over the free module F keeps the span of the
-generators found so far, and every kernel column outside it is added, one
-at a time.  Both must return the same ``(gen_degs, grid, scanned_to)`` and
-raise ``DegreeBoundExceeded`` at the same ``degree_cap``.
+the current kernel basis.  The reference below is the plain scan: in each
+degree d the span of the generators found so far is their degree-d image
+in the free module F, one ``BlockSystem(...).at(d)`` of their columns, and
+every kernel column outside it is tested with ``RowSpace.contains`` and
+taken, one at a time.  Both must return the same
+``(gen_degs, grid, scanned_to)`` and raise ``DegreeBoundExceeded`` at the
+same ``degree_cap``.
 """
-
-from typing import List
 
 import pytest
 
@@ -17,41 +17,38 @@ import mcmkit.modules
 import mcmkit.resolution
 from mcmkit.catalog import load_catalog, nonci_gorenstein_ring
 from mcmkit.errors import DegreeBoundExceeded
+from mcmkit.linalg import RowSpace
 from mcmkit.mf import MatrixFactorization, coker_module
 from mcmkit.modules import (
     GradedModule,
-    MElem,
-    SubmoduleTracker,
     capture_kernel,
     default_stall,
-    free_module,
     maximal_ideal_module,
     residue_field_module,
 )
 from mcmkit.resolution import resolve
-from mcmkit.rings import WeightedPolyRing
+from mcmkit.rings import BlockSystem, WeightedPolyRing
 
 
-def tracker_capture_kernel(ring, col_degs, matrix_at, degree_cap, stall=None):
-    """The tracker-based scan: add each kernel column the span does not contain."""
+def reference_capture_kernel(ring, col_degs, matrix_at, degree_cap, stall=None):
+    """The plain scan: add each kernel column the generators found so far do not reach."""
     if stall is None:
         stall = default_stall(ring)
-    F = free_module(ring, col_degs)
-    tracker = SubmoduleTracker(F, start_degree=min(col_degs))
-    found: List[MElem] = []
+    found = []  # (degree, ring-element coordinates over the generators of F)
     d = min(col_degs)
     last_event = max(col_degs)
     while d <= degree_cap:
         ker = matrix_at(d).kernel_basis()
         if ker.ncols:
-            span = tracker.space(d)
-            for col in ker.transpose().rows():
-                if span.contains(col):
+            grid = [[col[k] for _, col in found] for k in range(len(col_degs))]
+            image = BlockSystem(ring, grid, col_degs, [e for e, _ in found]).at(d)
+            span = RowSpace(ring.field, ker.nrows)
+            span.add_matrix(image.transpose())
+            for vec in ker.transpose().rows():
+                if span.contains(vec):
                     continue
-                elem = MElem(F, d, col)
-                tracker.add_generator(elem)
-                found.append(elem)
-                span = tracker.space(d)
+                span.add(vec)  # a generator of degree d is its own degree-d image
+                found.append((d, ring.split_coords(vec, [d - c for c in col_degs])))
                 last_event = d
         if d >= last_event + stall and d >= max(col_degs) + stall:
             break
@@ -59,9 +56,8 @@ def tracker_capture_kernel(ring, col_degs, matrix_at, degree_cap, stall=None):
     else:
         raise DegreeBoundExceeded(
             f"inconclusive: degree bound (kernel capture still active at degree {degree_cap})")
-    columns = [ring.split_coords(e.vec, [e.degree - c for c in col_degs]) for e in found]
-    grid = tuple(tuple(col[k] for col in columns) for k in range(len(col_degs)))
-    return tuple(e.degree for e in found), grid, d
+    grid = tuple(tuple(col[k] for _, col in found) for k in range(len(col_degs)))
+    return tuple(e for e, _ in found), grid, d
 
 
 @pytest.fixture
@@ -71,7 +67,7 @@ def compared(monkeypatch):
 
     def checked(ring, col_degs, matrix_at, degree_cap, stall=None):
         got = capture_kernel(ring, col_degs, matrix_at, degree_cap, stall)
-        want = tracker_capture_kernel(ring, col_degs, matrix_at, degree_cap, stall)
+        want = reference_capture_kernel(ring, col_degs, matrix_at, degree_cap, stall)
         assert got == want, (col_degs, got[0], want[0])
         calls.append(len(got[0]))
         return got
@@ -160,10 +156,10 @@ def test_degree_bound_is_raised_at_the_same_cap():
     def matrix_at(d):
         return A.block_matrix(k.presentation, row_degs, col_degs, d)
 
-    _, _, scanned_to = tracker_capture_kernel(A, col_degs, matrix_at, 100)
+    _, _, scanned_to = reference_capture_kernel(A, col_degs, matrix_at, 100)
     for cap in (scanned_to - 1, min(col_degs) + 1):
-        for scan in (capture_kernel, tracker_capture_kernel):
+        for scan in (capture_kernel, reference_capture_kernel):
             with pytest.raises(DegreeBoundExceeded):
                 scan(A, col_degs, matrix_at, cap)
     assert capture_kernel(A, col_degs, matrix_at, scanned_to) == \
-        tracker_capture_kernel(A, col_degs, matrix_at, scanned_to)
+        reference_capture_kernel(A, col_degs, matrix_at, scanned_to)

@@ -74,6 +74,52 @@ def test_exit_code_error_on_incompatible_modulus():
     assert main(["quiver", "--catalog", "ade:A1:dim1", "--modulus", "7"]) == 1
 
 
+def _error_exit(argv, capsys):
+    """Run argv; it must exit 1 with one ``error:`` line and no traceback."""
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    return err
+
+
+def _json_file(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("prop", ["cx_equals:abc", "curv_leq:zz"])
+def test_property_value_that_is_not_a_number_is_an_error(capsys, prop):
+    err = _error_exit(["classify", "--catalog", "ade:A2:dim1", "--property", prop], capsys)
+    assert prop.split(":")[1] in err
+
+
+def test_mf_description_that_is_not_an_object_is_an_error(tmp_path, capsys):
+    phi = [["x", "y"], ["y^2", "-x"]]
+    listed = _json_file(tmp_path, "list.json", [{"f": "x^2+y^3", "phi": phi, "psi": phi}])
+    _error_exit(["mf-validate", "--mf", listed], capsys)
+    no_vars = _json_file(tmp_path, "novars.json", {
+        "ring": {"char": 7, "weights": [3, 2]}, "f": "x^2+y^3", "phi": phi, "psi": phi})
+    assert "vars" in _error_exit(["mf-validate", "--mf", no_vars], capsys)
+
+
+def test_degrees_that_are_not_integers_are_an_error(tmp_path, capsys):
+    ring = {"char": 7, "vars": ["x", "y"], "relations": ["x^2", "y^2"]}
+    bad_weights = _json_file(tmp_path, "w.json", {
+        "ring": {**ring, "weights": ["a"]}, "builtin": "k"})
+    assert "weights" in _error_exit(["invariants", "--module", bad_weights], capsys)
+    bad_degs = _json_file(tmp_path, "g.json", {
+        "ring": ring, "gen_degs": ["a"], "rel_degs": [1], "presentation": [["x"]]})
+    assert "degrees" in _error_exit(["invariants", "--module", bad_degs], capsys)
+
+
+def test_presentation_with_too_few_rows_is_an_error(tmp_path, capsys):
+    short = _json_file(tmp_path, "short.json", {
+        "ring": {"char": 7, "vars": ["x", "y"], "relations": ["x^2", "y^2"]},
+        "gen_degs": [0, 0], "rel_degs": [1], "presentation": [["x"]]})
+    assert "2 rows" in _error_exit(["invariants", "--module", short], capsys)
+
+
 def test_exit_code_inconclusive(tmp_path, k_file):
     # absurdly small degree bound: kernel capture cannot finish
     rc = main(["resolve", "--module", k_file, "-H", "6", "--degree-bound", "3"])

@@ -4,12 +4,11 @@ from itertools import accumulate
 
 import pytest
 
-from mcmkit.catalog import load_catalog
-from mcmkit.linalg import DenseMatrix, RowSpace
+from mcmkit.catalog import catalog_names, load_catalog
+from mcmkit.linalg import RowSpace
 from mcmkit.mf import MatrixFactorization, coker_module
 from mcmkit.modules import (
     GradedModule,
-    SubmoduleTracker,
     free_module,
     hs_lengths,
     invariants,
@@ -169,30 +168,6 @@ def test_invariants_m_over_cusp_is_ulrich_data():
     assert inv.multiplicity_e == 2  # e = mu: Ulrich
 
 
-def _unit_vector_mult_operator(M, entry, d):
-    """Reference: lift each quotient basis vector, multiply block by block, reduce."""
-    field = M.ring.field
-    e = M.ring.ambient.poly_degree(entry.poly)
-    src, tgt = M.piece(d), M.piece(d + e)
-    # generator i's block of the free cover starts at offsets[i]
-    src_offsets = [0, *accumulate(M.ring.hilbert_function(d - a) for a in M.gen_degs)]
-    tgt_offsets = [0, *accumulate(M.ring.hilbert_function(d + e - a) for a in M.gen_degs)]
-    images = []
-    for c in src.std:
-        fvec = [field.element(0)] * src.total
-        fvec[c] = field.element(1)
-        out = [field.element(0)] * tgt.total
-        for i, a in enumerate(M.gen_degs):
-            seg = fvec[src_offsets[i]: src_offsets[i + 1]]
-            if not any(seg):
-                continue
-            img = M.ring.mult_matrix(entry.poly, d - a) @ DenseMatrix.column(field, list(seg))
-            for t in range(img.nrows):
-                out[tgt_offsets[i] + t] += img[t, 0]
-        images.append(list(tgt.coords(out)))
-    return images
-
-
 def _curve_module_over_qq(n, j):
     """coker of the A_n curve factorization I_j over QQ (needs no sqrt(-1))."""
     R = WeightedPolyRing(0, ["x", "y"], [n + 1, 2])
@@ -217,19 +192,6 @@ def _module_id(M):
     return f"{M.label}{list(M.gen_degs)}-char{M.ring.characteristic}"
 
 
-@pytest.mark.parametrize("M", _multi_degree_modules(), ids=_module_id)
-def test_mult_operator_equals_unit_vector_definition(M):
-    ring = M.ring
-    lo = M.min_gen_degree()
-    for var in ring.variables:
-        x = ring.element(var)
-        for d in range(lo - 1, M.max_gen_degree() + 6):
-            got = M.mult_operator(x, d)
-            want = _unit_vector_mult_operator(M, x, d)
-            assert got.shape[1] == len(want)
-            assert [list(col) for col in got.transpose().rows()] == want
-
-
 def _random_elements(M, degrees, seed):
     rng = random.Random(seed)
     out = []
@@ -241,23 +203,140 @@ def _random_elements(M, degrees, seed):
     return out
 
 
+def _kept_by_definition(C, elements):
+    """By degree, in input order within a degree: an element is kept unless it lies in
+    the span of every monomial multiple of the elements kept before it."""
+    ring = C.ring
+    kept = []
+    for e in sorted(elements, key=lambda e: e.degree):
+        span = RowSpace(ring.field, C.piece(e.degree).dim)
+        for g in kept:
+            parts = ring.split_coords(g.vec, [g.degree - a for a in C.gen_degs])
+            for u in ring.ambient.monomials(e.degree - g.degree):
+                u = ring.element({u: ring.field.element(1)})
+                vec = ring.join_coords([u * x for x in parts], [e.degree - a for a in C.gen_degs])
+                span.add(C.element(e.degree, vec).coords())
+        if not span.contains(e.coords()):
+            kept.append(e)
+    return kept
+
+
 @pytest.mark.parametrize("M", _multi_degree_modules(), ids=_module_id)
-def test_tracker_grown_in_place_matches_tracker_built_from_scratch(M):
+def test_submodule_presentation_keeps_the_greedy_generators(M):
     lo = M.min_gen_degree()
-    top = lo + 5
-    gens = _random_elements(M, [lo, lo, lo + 1, lo + 3, lo + 3, lo + 4], seed=M.ring.characteristic)
-    grown = SubmoduleTracker(M, start_degree=lo)
-    for e in gens:
-        space = grown.space(e.degree)  # the generator's degree is now the frontier
-        grown.add_generator(e)
-        assert grown.spaces[e.degree] is space  # extended in place, not rebuilt
-    fresh = SubmoduleTracker(M, start_degree=lo)
-    for e in gens:
-        fresh.add_generator(e)
-    for d in range(lo, top + 1):
-        a, b = grown.space(d), fresh.space(d)
-        assert a.pivots() == b.pivots()
-        assert a.basis_matrix() == b.basis_matrix()
+    field = M.ring.field
+    for seed in range(3):
+        rng = random.Random(seed)
+        elems = _random_elements(M, [lo + 3, lo, lo + 1, lo, lo + 3, lo + 4, lo + 2],
+                                 seed=M.ring.characteristic + seed)
+        # zero elements, repeats and scaled repeats, all distinct objects
+        elems += [M.element(lo + 1, [0] * M.piece(lo + 1).total)]
+        elems += [M.element(e.degree, field.reduce(e.vec * field.element(c)))
+                  for e, c in zip(rng.sample(elems, 3), (1, 2, 3))]
+        rng.shuffle(elems)
+        _, kept = submodule_presentation(M, elems)
+        assert [id(e) for e in kept] == [id(e) for e in _kept_by_definition(M, elems)]
+
+
+def _drop_redundant_relations(M):
+    """Reference: drop the lowest-index relation of the highest degree that lies in the
+    submodule the others generate, and start over until none does."""
+    while True:
+        order = sorted(range(M.num_rels), key=lambda j: -M.rel_degs[j])
+        for j in order:
+            others = [l for l in range(M.num_rels) if l != j]
+            d = M.rel_degs[j]
+            images = M.system.columns(others).at(d)
+            span = RowSpace(M.ring.field, images.nrows)
+            span.add_matrix(images.transpose())
+            column = M.ring.join_coords([row[j] for row in M.presentation],
+                                        [d - a for a in M.gen_degs])
+            if span.contains(column):
+                grid = [[row[l] for l in others] for row in M.presentation]
+                M = GradedModule(M.ring, M.gen_degs, [M.rel_degs[l] for l in others], grid,
+                                 label=M.label, check=False)
+                break
+        else:
+            return M
+
+
+def _with_redundant_relations(M, rng):
+    """M's presentation with scaled copies, sums and variable multiples of its relations
+    mixed in, so that several relations of one degree are redundant."""
+    ring = M.ring
+    cols = [(b, [row[j] for row in M.presentation]) for j, b in enumerate(M.rel_degs)]
+    extra = []
+    for _ in range(4):
+        (b, col), c = rng.choice(cols), ring.field.element(rng.randrange(1, 4))
+        extra.append((b, [e.scale(c) for e in col]))
+        same = [other for other in cols if other[0] == b]
+        col2 = rng.choice(same)[1]
+        extra.append((b, [e + f for e, f in zip(col, col2)]))
+        x, w = rng.choice(list(zip(ring.gens(), ring.weights)))
+        extra.append((b + w, [x * e for e in col]))
+    cols += extra
+    rng.shuffle(cols)
+    return GradedModule(ring, M.gen_degs, [b for b, _ in cols],
+                        [[col[i] for _, col in cols] for i in range(M.num_gens)],
+                        label=M.label, check=False)
+
+
+def _random_presentation(char, rng):
+    """Random generators and relations over a random ring, with scaled duplicate relations."""
+    A = WeightedPolyRing(char, ["x", "y", "z"], rng.choice([[1, 1, 1], [1, 1, 2], [2, 3, 1]]))
+    A = A.quotient(rng.choice([["x^2", "y*z"], ["x*y"], []]))
+    gen_degs = [rng.randrange(0, 3) for _ in range(rng.randrange(1, 4))]
+    cols = []
+    for _ in range(rng.randrange(1, 6)):
+        b = rng.randrange(max(gen_degs) + 1, max(gen_degs) + 4)
+        col = []
+        for a in gen_degs:
+            terms = [u for u in A.ambient.monomials(b - a) if rng.random() < 0.5]
+            col.append(A.element({u: A.field.element(rng.randrange(1, 5)) for u in terms}))
+        cols.append((b, col))
+    for _ in range(rng.randrange(1, 4)):
+        b, col = rng.choice(cols)
+        c = A.field.element(rng.randrange(1, 4))
+        cols.insert(rng.randrange(len(cols) + 1), (b, [e.scale(c) for e in col]))
+    return GradedModule(A, gen_degs, [b for b, _ in cols],
+                        [[col[i] for _, col in cols] for i in range(len(gen_degs))], check=False)
+
+
+def _assert_minimized_matches_reference(M):
+    got, want = M.minimized(), _drop_redundant_relations(M)
+    assert (got.gen_degs, got.rel_degs) == (want.gen_degs, want.rel_degs), M
+    assert [[e.poly for e in row] for row in got.presentation] == \
+        [[e.poly for e in row] for row in want.presentation], M
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_minimized_drops_what_the_drop_and_restart_loop_drops(name):
+    rng = random.Random(name)
+    for _, M in load_catalog(name).modules():
+        _assert_minimized_matches_reference(M)
+        _assert_minimized_matches_reference(_with_redundant_relations(M, rng))
+
+
+def test_minimized_drops_what_the_drop_and_restart_loop_drops_over_qq():
+    rng = random.Random(0)
+    for n in range(1, 7):
+        for j in range(1, n + 1):
+            M = _curve_module_over_qq(n, j)
+            assert M.ring.characteristic == 0
+            _assert_minimized_matches_reference(M)
+            _assert_minimized_matches_reference(_with_redundant_relations(M, rng))
+
+
+@pytest.mark.parametrize("char", [5, 7, 0])
+def test_minimized_drops_what_the_drop_and_restart_loop_drops_on_random_presentations(char):
+    rng = random.Random(char)
+    tied = 0
+    for _ in range(60):
+        M = _random_presentation(char, rng)
+        _assert_minimized_matches_reference(M)
+        degs = M.minimized().rel_degs
+        tied += any(M.rel_degs.count(b) > degs.count(b) > 0 for b in set(degs))
+    assert tied >= 10  # relations of one degree were dropped and others of it kept
 
 
 def _hs_lengths_by_brute_force(M, s_max):
