@@ -48,7 +48,7 @@ class CIPresentation:
     def from_ring(cls, ring: QuotientRing, check: bool = True) -> "CIPresentation":
         if not ring.relations:
             raise UsageError("a complete intersection presentation needs c >= 1 relations")
-        if check and not ring.ci_check():
+        if check and not ring.is_complete_intersection():
             raise UsageError("relations fail the degreewise regular-sequence criterion")
         return cls(ring.ambient, tuple(ring.relations), ring)
 

@@ -589,7 +589,7 @@ def main(argv=None) -> int:
             raise UsageError("bounds must be positive")
         return args.fn(args)
     except Inconclusive as exc:
-        hint = f"; raise {exc.flag} (now {exc.bound})" if getattr(exc, "flag", None) else ""
+        hint = f"; raise {exc.flag} (now {exc.bound})" if exc.flag else ""
         sys.stderr.write(f"inconclusive: {exc}{hint}\n")
         return 2
     except UsageError as exc:

@@ -19,20 +19,18 @@ class Inconclusive(MCMError):
     """A bounded computation could not certify an answer.
 
     Never raised in place of a *wrong* answer; it means "raise the
-    bounds and retry".
+    bounds and retry".  ``bound`` is the bound that was hit and ``flag``
+    the CLI option that raises it; both are None when no option sets it.
     """
 
-    def __init__(self, reason: str):
+    def __init__(self, reason: str, bound=None, flag=None):
         super().__init__(reason)
         self.reason = reason
+        self.bound, self.flag = bound, flag
 
 
 class DegreeBoundExceeded(Inconclusive):
-    """A degreewise scan hit a degree bound: ``bound``, raised by the CLI option ``flag``.
-
-    Both are None for a bound no option sets.
-    """
+    """A degreewise scan hit a degree bound."""
 
     def __init__(self, reason: str = "degree bound", bound=None, flag=None):
-        super().__init__(reason)
-        self.bound, self.flag = bound, flag
+        super().__init__(reason, bound, flag)

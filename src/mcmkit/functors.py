@@ -62,14 +62,13 @@ def transpose(M: GradedModule, degree_cap: Optional[int] = None) -> GradedModule
     return out.minimized()
 
 
-def link(M: GradedModule, degree_cap: Optional[int] = None, strip: bool = True) -> GradedModule:
-    """Horizontal linkage: Syz_1 of the transpose."""
+def link(M: GradedModule, degree_cap: Optional[int] = None) -> GradedModule:
+    """Horizontal linkage: Syz_1 of the transpose, after free summands are stripped."""
     Mm = M.minimized()
-    if strip:
-        stable, frees = strip_free_summands(Mm)
-        if frees:
-            warnings.warn("link: free summands stripped from the input")
-            Mm = stable
+    stable, frees = strip_free_summands(Mm)
+    if frees:
+        warnings.warn("link: free summands stripped from the input")
+        Mm = stable
     tr = transpose(Mm, degree_cap=degree_cap)
     if tr.minimized().num_gens == 0:
         return tr.minimized()

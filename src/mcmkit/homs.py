@@ -241,15 +241,10 @@ def _right_mul(M: GradedModule, degs):
 
 
 def hom_space(M: GradedModule, N: GradedModule) -> HomSpace:
-    cache = getattr(M, "_hom_cache", None)
-    if cache is None:
-        cache = {}
-        M._hom_cache = cache
-    got = cache.get(id(N))
-    if got is not None and got[0] is N:
-        return got[1]
-    hs = HomSpace(M, N)
-    cache[id(N)] = (N, hs)
+    """Hom(M, N), solved once per value of N and kept on M."""
+    hs = M._hom_cache.get(N.key)
+    if hs is None:
+        hs = M._hom_cache[N.key] = HomSpace(M, N)
     return hs
 
 

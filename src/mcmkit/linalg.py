@@ -42,7 +42,6 @@ constructors copy their input.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import isqrt
 from typing import Iterable, Optional, Sequence
 
@@ -209,7 +208,6 @@ class RationalField:
 QQ = RationalField()
 
 
-@lru_cache(maxsize=None)
 def GF(p: int) -> PrimeField:
     return PrimeField(p)
 

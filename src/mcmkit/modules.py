@@ -106,6 +106,8 @@ class GradedModule:
         if check:
             self._validate()
         self._pieces: Dict[int, _ModulePiece] = {}
+        self._hom_cache: Dict[tuple, "HomSpace"] = {}  # homs.hom_space: target key -> HomSpace
+        self._resolution: Optional["FreeResolution"] = None  # resolution.resolve's window
 
     def _validate(self):
         for i, a in enumerate(self.gen_degs):
@@ -139,6 +141,12 @@ class GradedModule:
     def __repr__(self):
         tag = self.label or "module"
         return f"<{tag}: gens{list(self.gen_degs)} rels{list(self.rel_degs)}>"
+
+    @cached_property
+    def key(self) -> tuple:
+        """The module as a value: ring, degrees and entries' ``poly_key``s, not the label."""
+        return (self.ring.key, self.gen_degs, self.rel_degs,
+                tuple(tuple(poly_key(e.poly) for e in row) for row in self.presentation))
 
     # -- degreewise pieces ------------------------------------------------
 
@@ -402,8 +410,7 @@ def capture_kernel(ring: QuotientRing, col_degs: Sequence[int], matrix_at, degre
 
 def submodule_presentation(C: GradedModule, elements: Sequence[MElem],
                            label: str = "",
-                           degree_cap: Optional[int] = None,
-                           stall: Optional[int] = None) -> Tuple[GradedModule, List[MElem]]:
+                           degree_cap: Optional[int] = None) -> Tuple[GradedModule, List[MElem]]:
     """Minimal presentation of the submodule of C generated by elements.
 
     The elements are tried by degree, in input order within a degree: one
@@ -430,12 +437,10 @@ def submodule_presentation(C: GradedModule, elements: Sequence[MElem],
         return GradedModule(ring, [], [], [], label=label, check=False), []
     system = system.columns(keep)
     gen_degs = system.col_degs
-    if stall is None:
-        stall = default_stall(ring)
     if degree_cap is None:
-        degree_cap = max(gen_degs) + 6 * ring.max_weight + stall + 8
+        degree_cap = max(gen_degs) + 6 * ring.max_weight + default_stall(ring) + 8
     rel_degs, rows, _ = capture_kernel(ring, gen_degs, lambda d: to_quotient(d, system.at(d)),
-                                       degree_cap, stall)
+                                       degree_cap)
     N = GradedModule(ring, gen_degs, rel_degs, rows, label=label, check=False)
     return N, [elements[j] for j in keep]
 
@@ -462,14 +467,13 @@ class ModuleInvariants:
         }
 
 
-def module_length(M: GradedModule, horizon: Optional[int] = None) -> Optional[int]:
+def module_length(M: GradedModule) -> Optional[int]:
     """Total k-dimension, or None when the module is infinite length."""
     if M.num_gens == 0:
         return 0
     lo = M.min_gen_degree()
     maxw = M.ring.max_weight
-    if horizon is None:
-        horizon = M.max_gen_degree() + sum(M.ring.relation_degrees) + 8 * maxw + 10
+    horizon = M.max_gen_degree() + sum(M.ring.relation_degrees) + 8 * maxw + 10
     total = 0
     zeros = 0
     d = lo
@@ -531,13 +535,13 @@ def hs_lengths(M: GradedModule, s_max: int) -> List[int]:
     return out
 
 
-def invariants(M: GradedModule, s_max: int = 12, window: int = 10) -> ModuleInvariants:
-    """Minimal generator count, length, Hilbert-Samuel multiplicity, rank."""
+def invariants(M: GradedModule) -> ModuleInvariants:
+    """Minimal generator count, length, Hilbert-Samuel multiplicity (s <= 12), rank."""
     Mmin = M.minimized()
     if Mmin.num_gens == 0:
         return ModuleInvariants(0, {}, 0, 0, -1, Fraction(0), True)
     lo = Mmin.min_gen_degree()
-    hw = Mmin.hilbert_window(lo, lo + window)
+    hw = Mmin.hilbert_window(lo, lo + 10)
     length = module_length(Mmin)
     if length == 0:
         return ModuleInvariants(0, hw, 0, 0, -1, Fraction(0), True)
@@ -545,8 +549,7 @@ def invariants(M: GradedModule, s_max: int = 12, window: int = 10) -> ModuleInva
         # finite length: dimension 0, multiplicity = length
         dim, e = 0, length
     else:
-        values = hs_lengths(Mmin, s_max)
-        dim, e = fit_hilbert_samuel(values)
+        dim, e = fit_hilbert_samuel(hs_lengths(Mmin, 12))
     eA = M.ring.multiplicity()
     rank = Fraction(e, eA) if dim == M.ring.krull_dim() else Fraction(0)
     return ModuleInvariants(

@@ -185,12 +185,10 @@ def _composites(ring, middles, fs_of, gs_of):
 class _QuiverBuilder:
     """Caches for vertex shifts, canonical Hom bases, and radicals."""
 
-    def __init__(self, ring, vertices: List[ARVertex], seed: int = 0,
-                 stall: Optional[int] = None):
+    def __init__(self, ring, vertices: List[ARVertex], seed: int = 0):
         self.ring = ring
         self.vertices = vertices
         self.seed = seed
-        self.stall = stall if stall is not None else default_stall(ring)
         self._shifted: Dict[Tuple[int, int], GradedModule] = {}
         self._space1: Dict[Tuple[int, int, int], List] = {}
         self._rad: Dict[int, List] = {}
@@ -244,7 +242,7 @@ class _QuiverBuilder:
         ring = self.ring
         V = self.vertices[vi].module
         t_hi = self.gen_span(vi)  # Hom vanishes above maxgen(V) - minsupp(W) = maxgen(V)
-        stall_total = self.stall + self.gen_span(vi) + self.gen_span(vj)
+        stall_total = default_stall(ring) + self.gen_span(vi) + self.gen_span(vj)
         out: Dict[int, Tuple[int, int, int]] = {}
         no_new = 0
         t = t_hi
@@ -276,7 +274,7 @@ class _QuiverBuilder:
         return out
 
 
-def build_quiver(catalog: CatalogData, seed: int = 0, stall: Optional[int] = None) -> ARQuiver:
+def build_quiver(catalog: CatalogData, seed: int = 0) -> ARQuiver:
     """Assemble the AR quiver of a shipped catalog.
 
     Vertices are validated pairwise non-isomorphic and indecomposable;
@@ -298,7 +296,7 @@ def build_quiver(catalog: CatalogData, seed: int = 0, stall: Optional[int] = Non
             if is_isomorphic(verts[i].module, verts[j].module, seed=seed):
                 raise UsageError(
                     f"catalog vertices {verts[i].name} and {verts[j].name} are isomorphic")
-    builder = _QuiverBuilder(ring, verts, seed=seed, stall=stall)
+    builder = _QuiverBuilder(ring, verts, seed=seed)
     for i, v in enumerate(verts):
         if not v.is_free:
             builder.radical_grids(i)  # certifies indecomposability, sets residue degree
@@ -431,8 +429,8 @@ def syzygy_orbit_ideal(q: ARQuiver, component: Sequence[int], n_max: int = 4,
     return gens[0], constant
 
 
-def radical_filtration(catalog: CatalogData, seed: int = 0,
-                       stall: Optional[int] = None) -> Dict[Tuple[str, str], Dict[int, Tuple[int, int, int]]]:
+def radical_filtration(catalog: CatalogData,
+                       seed: int = 0) -> Dict[Tuple[str, str], Dict[int, Tuple[int, int, int]]]:
     """Pairwise filtration dimensions over the catalog.
 
     For each ordered pair of vertices and each internal degree of the
@@ -445,7 +443,7 @@ def radical_filtration(catalog: CatalogData, seed: int = 0,
     verts.append(ARVertex("A", A, True, 1, 1, ring.multiplicity()))
     for name, M in catalog.modules():
         verts.append(ARVertex(name, M, False, 1, 0, 0))
-    builder = _QuiverBuilder(ring, verts, seed=seed, stall=stall)
+    builder = _QuiverBuilder(ring, verts, seed=seed)
     pairs = [(i, j) for i in range(len(verts)) for j in range(len(verts))
              if not (verts[i].is_free and verts[j].is_free)]
     return {(verts[i].name, verts[j].name): per

@@ -211,12 +211,11 @@ def resolve(M: GradedModule, H: int, degree_cap: Optional[int] = None,
     The window is cached on M and reused only by calls with the same
     ``degree_cap`` and ``stall``; other bounds rebuild it.
     """
-    cache = getattr(M, "_resolution", None)
-    if cache is None or (cache.degree_cap, cache.stall) != (degree_cap, stall):
-        cache = FreeResolution(M, degree_cap, stall)
-        M._resolution = cache
-    cache.extend(H)
-    return cache
+    res = M._resolution
+    if res is None or (res.degree_cap, res.stall) != (degree_cap, stall):
+        res = M._resolution = FreeResolution(M, degree_cap, stall)
+    res.extend(H)
+    return res
 
 
 def syzygy(M: GradedModule, n: int, degree_cap: Optional[int] = None) -> GradedModule:
@@ -264,13 +263,16 @@ class GrowthReport:
         }
 
 
-def _poly_growth_degree(seq: List[int], tail: int = 3) -> Optional[int]:
-    """Degree of eventual polynomial growth of seq, or None if undetected."""
+def _poly_growth_degree(seq: List[int]) -> Optional[int]:
+    """Degree of eventual polynomial growth of seq, or None if undetected.
+
+    Growth of degree r shows as three zeros ending the (r + 1)-th difference.
+    """
     if not seq:
         return None
     diffs = list(seq)
     for order in range(0, len(seq)):
-        if len(diffs) >= tail and all(x == 0 for x in diffs[-tail:]):
+        if len(diffs) >= 3 and all(x == 0 for x in diffs[-3:]):
             return order - 1
         diffs = [b - a for a, b in zip(diffs, diffs[1:])]
         if not diffs:

@@ -14,6 +14,7 @@ Polynomials are dicts mapping exponent tuples to nonzero coefficients.
 from __future__ import annotations
 
 import re
+from functools import cached_property
 from itertools import accumulate
 from operator import add
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -349,8 +350,6 @@ class QuotientRing:
         self.key = (ambient.key, tuple(poly_key(r) for r in self.relations))
         self._pieces: Dict[int, _Piece] = {}
         self._mult_cache: Dict[tuple, DenseMatrix] = {}
-        self._dim_cache: Optional[int] = None
-        self._e_cache: Optional[int] = None
         self._gens: Optional[Tuple["RingElement", ...]] = None
         self._zero = RingElement(self, {}, None)  # the zero of no degree, shared
 
@@ -612,23 +611,24 @@ class QuotientRing:
                 coeffs[i] += coeffs[i - w]
         return coeffs
 
-    def ci_check(self, bound: Optional[int] = None) -> bool:
+    def is_complete_intersection(self) -> bool:
         """Koszul criterion, degreewise: Hilbert series matches the CI product."""
-        if bound is None:
-            bound = sum(self.relation_degrees) + sum(self.weights) + 6
+        return self._ci_flag
+
+    @cached_property
+    def _ci_flag(self) -> bool:
+        bound = sum(self.relation_degrees) + sum(self.weights) + 6
         expect = self.hilbert_series_ci(bound)
         if any(c < 0 for c in expect):
             return False
         return all(self.hilbert_function(d) == expect[d] for d in range(bound + 1))
 
-    def is_complete_intersection(self) -> bool:
-        if not hasattr(self, "_ci_flag"):
-            self._ci_flag = self.ci_check()
-        return self._ci_flag
+    def _horizon(self) -> int:
+        """The last degree the Artinian and socle scans read."""
+        return sum(self.relation_degrees) + sum(self.weights) + 4
 
-    def is_artinian(self, horizon: Optional[int] = None) -> bool:
-        if horizon is None:
-            horizon = sum(self.relation_degrees) + sum(self.weights) + 4
+    def is_artinian(self) -> bool:
+        horizon = self._horizon()
         d = 0
         zeros = 0
         while d <= horizon:
@@ -642,23 +642,20 @@ class QuotientRing:
         return False
 
     def krull_dim(self) -> int:
-        if self._dim_cache is not None:
-            return self._dim_cache
-        if self.is_complete_intersection():
-            dim = len(self.variables) - len(self.relations)
-        elif self.is_artinian():
-            dim = 0
-        else:
-            dim, _ = self.hilbert_samuel_fit()
-        self._dim_cache = dim
-        return dim
+        return self._krull_dim
 
-    def socle_dimension(self, horizon: Optional[int] = None) -> int:
+    @cached_property
+    def _krull_dim(self) -> int:
+        if self.is_complete_intersection():
+            return len(self.variables) - len(self.relations)
+        if self.is_artinian():
+            return 0
+        return self.hilbert_samuel_fit()[0]
+
+    def socle_dimension(self) -> int:
         """dim of (0 : m) for an Artinian quotient."""
-        if horizon is None:
-            horizon = sum(self.relation_degrees) + sum(self.weights) + 4
         total = 0
-        for d in range(horizon + 1):
+        for d in range(self._horizon() + 1):
             pc = self.piece(d)
             if pc.dim == 0:
                 continue
@@ -680,36 +677,35 @@ class QuotientRing:
             return self.socle_dimension() == 1
         return False
 
-    def hilbert_samuel_fit(self, s_max: int = 14):
-        """(dim, e) from the Hilbert-Samuel function of the ring.
+    def hilbert_samuel_fit(self):
+        """(dim, e) from the Hilbert-Samuel function of the ring, fitted once.
 
-        The values length(A/m^s), s = 1..s_max, are ``modules.hs_lengths``
+        The values length(A/m^s), s = 1..14, are ``modules.hs_lengths``
         of A as a free module on one generator of degree 0.
         """
+        return self._hs_fit
+
+    @cached_property
+    def _hs_fit(self) -> Tuple[int, int]:
         from .modules import free_module, hs_lengths
 
-        return fit_hilbert_samuel(hs_lengths(free_module(self, [0]), s_max))
+        return fit_hilbert_samuel(hs_lengths(free_module(self, [0]), 14))
 
     def multiplicity(self) -> int:
-        if self._e_cache is None:
-            dim, e = self.hilbert_samuel_fit()
-            if self._dim_cache is None:
-                self._dim_cache = dim
-            self._e_cache = e
-        return self._e_cache
+        return self.hilbert_samuel_fit()[1]
 
 
-def fit_hilbert_samuel(values: List[int], tail: int = 3):
+def fit_hilbert_samuel(values: List[int]):
     """Detect stabilized finite differences of the HS function.
 
-    Returns (order, constant): the order of the first difference that is
-    eventually constant (= Krull dimension) and the constant itself
+    Returns (order, constant): the order of the first difference that ends
+    in four equal nonzero values (= Krull dimension) and that value
     (= multiplicity).  Raises Inconclusive when the window is too short.
     """
     diffs = list(values)
     for order in range(0, len(values)):
-        if len(diffs) >= tail + 1:
-            window = diffs[-(tail + 1):]
+        if len(diffs) >= 4:
+            window = diffs[-4:]
             if all(x == window[0] for x in window) and window[0] != 0:
                 return order, window[0]
         diffs = [b - a for a, b in zip(diffs, diffs[1:])]
@@ -740,9 +736,15 @@ class BlockSystem:
                         for k, row in enumerate(grid) for j, e in enumerate(row) if e.poly]
 
     def columns(self, keep: Sequence[int]) -> "BlockSystem":
-        """The map on the generators ``keep`` of the source only, in that order."""
+        """The map on the generators ``keep`` of the source only, in that order.
+
+        The kept entries' keys are built on this system first, so its sub-systems share them.
+        """
         out = BlockSystem(self.ring, (), self.row_degs, [self.col_degs[j] for j in keep])
         new = {j: i for i, j in enumerate(keep)}
+        for entry in self.entries:
+            if entry[1] in new and entry[4] is None:
+                entry[4] = poly_key(entry[2])
         out.entries = [[k, new[j], *rest] for k, j, *rest in self.entries if j in new]
         return out
 

@@ -134,6 +134,20 @@ def test_inconclusive_names_the_bound_once(capsys):
                    " raise --degree-bound (now 3)\n")
 
 
+def test_inconclusive_without_a_flag_names_no_bound(monkeypatch, capsys):
+    import mcmkit.cli as cli
+    from mcmkit.errors import Inconclusive
+
+    def give_up(args):
+        raise Inconclusive("unit search budget exhausted")
+
+    monkeypatch.setattr(cli, "cmd_catalogs", give_up)
+    assert main(["catalogs"]) == 2
+    assert capsys.readouterr().err == "inconclusive: unit search budget exhausted\n"
+    exc = Inconclusive("why")
+    assert (exc.bound, exc.flag) == (None, None)
+
+
 def test_period_command(tmp_path):
     out = tmp_path / "p.json"
     assert main(["period", "--module", "ade:A2:dim1/I1", "--out", str(out)]) == 0

@@ -236,3 +236,28 @@ def test_span_equals_adding_grids_one_at_a_time(p):
         assert hs.span(homs).dim == hs.dim
         with_trivial += hs.trivial.dim > 0
     assert with_trivial >= 2  # some grids really lie in a nonzero trivial span
+
+
+def test_hom_space_is_one_per_value_of_the_target():
+    A = ring_squares()
+    M, N = maximal_ideal_module(A), residue_field_module(A)
+    twin = GradedModule(A, N.gen_degs, N.rel_degs, N.presentation, label="another k")
+    assert twin is not N and twin.key == N.key
+    hs = hom_space(M, N)
+    assert hom_space(M, twin) is hs  # the label is not part of the key
+    assert len(M._hom_cache) == 1
+
+
+def test_hom_space_of_a_shift_or_another_presentation_is_new():
+    A = ring_squares()
+    M, N = maximal_ideal_module(A), residue_field_module(A)
+    hs = hom_space(M, N)
+    shifted = hom_space(M, N.degree_shift(1))
+    x, y = A.element("x"), A.element("y")
+    # k again, presented by x and x + y: the same degrees, another presentation
+    other = GradedModule(A, [0], [1, 1], [[x, x + y]], label=N.label)
+    fresh = hom_space(M, other)
+    assert shifted is not hs and fresh is not hs and fresh is not shifted
+    assert fresh.dim == hs.dim
+    assert hom_space(M, N.degree_shift(1)) is shifted
+    assert len(M._hom_cache) == 3

@@ -248,6 +248,32 @@ def test_lifted_arrows_stay_irreducible():
     assert q.arrows.get((ii, jj), 0) >= 1
 
 
+def test_lifted_check_solves_no_hom_space_the_build_solved(monkeypatch):
+    # the lifted check's builder makes new shift objects; Hom spaces are kept by
+    # the target's value, so no (vertex module, target) pair is solved twice
+    from mcmkit.homs import HomSpace
+    from mcmkit.quiver import lifted_arrows_remain_irreducible
+    from mcmkit.rings import poly_key
+
+    solved = []
+    init = HomSpace.__init__
+
+    def counting_init(self, source, target):
+        value = (target.ring.key, target.gen_degs, target.rel_degs,
+                 tuple(tuple(poly_key(e.poly) for e in row) for row in target.presentation))
+        solved.append((source, value))
+        init(self, source, target)
+
+    monkeypatch.setattr(HomSpace, "__init__", counting_init)
+    q = build_quiver(load_catalog("ade:A4:dim1"))
+    assert all(ok for _, ok in lifted_arrows_remain_irreducible(q))
+    vertices = [v.module for v in q.vertices]
+    pairs = [(vertices.index(M), value) for M, value in solved
+             if any(M is V for V in vertices)]
+    assert pairs
+    assert len(pairs) == len(set(pairs))
+
+
 def test_residue_fields_trivial_on_shipped_catalogs():
     for name in ("ade:A2:dim1", "ade:A3:dim1", "ade:A2:dim2"):
         q = quiver(name)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mcmkit.catalog import load_catalog
+from mcmkit.catalog import catalog_names, load_catalog, nonci_gorenstein_ring
 from mcmkit.errors import UsageError
 from mcmkit.linalg import QQ
 from mcmkit.rings import WeightedPolyRing, poly_mul
@@ -80,12 +80,12 @@ def test_hilbert_series_ci_consistency():
     # generating function of the Hilbert function equals the CI product
     for A in (circle_ring(), cusp_ring(),
               WeightedPolyRing(5, ["x", "y"]).quotient(["x^2", "y^2"])):
-        assert A.ci_check()
+        assert A.is_complete_intersection()
 
 
 def test_non_regular_sequence_rejected():
     A = WeightedPolyRing(7, ["x", "y"]).quotient(["x^2", "x*y"])
-    assert not A.ci_check()
+    assert not A.is_complete_intersection()
 
 
 def test_normal_form_idempotent():
@@ -170,6 +170,17 @@ def test_multiplicity_is_the_order_of_the_equation(char):
     # ord(x^2 + y^3) = 2 although x has weight 3: e reads the m-adic, not the weighted, order
     cusp = WeightedPolyRing(char, ["x", "y"], [3, 2]).quotient(["x^2+y^3"])
     assert cusp.multiplicity() == 2
+
+
+@pytest.mark.parametrize("name", catalog_names() + ["nonci_gorenstein"])
+def test_krull_dim_and_multiplicity_agree_in_either_order(name):
+    def ring():  # a new ring object, with nothing computed yet
+        return nonci_gorenstein_ring() if name == "nonci_gorenstein" else load_catalog(name).ring
+
+    first, second = ring(), ring()
+    dim, e = first.krull_dim(), first.multiplicity()
+    assert (second.multiplicity(), second.krull_dim()) == (e, dim)  # the other order
+    assert first.hilbert_samuel_fit() == (dim, e)
 
 
 def _reduced_coords(A, poly, d):
