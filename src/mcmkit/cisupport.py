@@ -329,8 +329,7 @@ def direct_sum_annihilator_test(ci: CIPresentation, M1: GradedModule, M2: Graded
     return True
 
 
-def variety_component_check(q, ci: CIPresentation, H: int = 10, tdeg_max: int = 2,
-                            seed: int = 0) -> Dict:
+def variety_component_check(q, ci: CIPresentation, H: int = 10, tdeg_max: int = 2) -> Dict:
     """Per stable component: do all vertices share the annihilator window?"""
     out = []
     for comp in q.stable_components():

@@ -2,7 +2,8 @@
 
 Loads ring / module / matrix-factorization descriptions from JSON, runs
 one operation, and emits CSV, DOT or JSON artifacts.  Every artifact
-records the seed; identical inputs, bounds and seed give byte-identical
+records ``--seed``, which no library call reads: every computation is
+deterministic, and identical inputs and bounds give byte-identical
 output.  Exit codes: 0 success, 1 error, 2 inconclusive (a bounded
 search ran out of budget without an answer).
 
@@ -269,7 +270,7 @@ def cmd_period(args) -> int:
 
     M = load_module(args.module, args.modulus)
     got = detect_period(M, p_max=args.p_max, n_max=args.n_max,
-                        degree_cap=args.degree_bound, seed=args.seed)
+                        degree_cap=args.degree_bound)
     if got is None:
         emit_json({"found": False, "p_max": args.p_max, "n_max": args.n_max}, args)
     else:
@@ -320,7 +321,7 @@ def cmd_quiver(args) -> int:
     from .quiver import build_quiver
 
     cat = load_catalog(args.catalog, args.modulus)
-    q = build_quiver(cat, seed=args.seed)
+    q = build_quiver(cat)
     if args.format == "dot":
         emit_dot(q.to_dot(), args)
     else:
@@ -356,8 +357,8 @@ def cmd_classify(args) -> int:
         except ValueError:
             raise UsageError(f"property {prop!r} needs a number, got {raw!r}")
     cat = load_catalog(args.catalog, args.modulus)
-    q = build_quiver(cat, seed=args.seed)
-    rep = component_classify(q, prop, value=value, seed=args.seed,
+    q = build_quiver(cat)
+    rep = component_classify(q, prop, value=value,
                              p_max=args.p_max, n_max=args.n_max, H=args.hom_bound)
     emit_json(rep, args)
     return 0
@@ -410,7 +411,7 @@ def cmd_catalogs(args) -> int:
 # verification suites
 # ---------------------------------------------------------------------------
 
-def _suite_symmetry(cat, q, seed):
+def _suite_symmetry(cat, q):
     from .functors import cosyzygy, dual, link
     from .homs import is_isomorphic
     from .quiver import reverse_iso_check
@@ -418,32 +419,32 @@ def _suite_symmetry(cat, q, seed):
 
     checks = []
     for name, M in cat.modules():
-        checks.append((f"link_involution[{name}]", is_isomorphic(link(link(M)), M, seed=seed)))
-        checks.append((f"double_dual[{name}]", is_isomorphic(dual(dual(M)), M, seed=seed)))
+        checks.append((f"link_involution[{name}]", is_isomorphic(link(link(M)), M)))
+        checks.append((f"double_dual[{name}]", is_isomorphic(dual(dual(M)), M)))
         checks.append((f"cosyzygy_dual_is_link[{name}]",
-                       is_isomorphic(cosyzygy(dual(M), 1), link(M), seed=seed)))
+                       is_isomorphic(cosyzygy(dual(M), 1), link(M))))
         checks.append((f"syz3_is_syz1[{name}]",
-                       is_isomorphic(syzygy(M, 3), syzygy(M, 1), seed=seed)))
+                       is_isomorphic(syzygy(M, 3), syzygy(M, 1))))
         if cat.dim == 2:
-            checks.append((f"self_linkage[{name}]", is_isomorphic(link(M), M, seed=seed)))
-    okD, _ = reverse_iso_check(q, "D", seed=seed)
-    okL, _ = reverse_iso_check(q, "lambda", seed=seed)
+            checks.append((f"self_linkage[{name}]", is_isomorphic(link(M), M)))
+    okD, _ = reverse_iso_check(q, "D")
+    okL, _ = reverse_iso_check(q, "lambda")
     checks.append(("reverse_iso_D", okD))
     checks.append(("reverse_iso_lambda", okL))
     return sorted(checks)
 
 
-def _suite_periodicity(cat, q, seed):
+def _suite_periodicity(cat, q):
     from .resolution import detect_period
 
     checks = []
     for name, M in cat.modules():
-        got = detect_period(M, p_max=2, n_max=4, seed=seed)
+        got = detect_period(M, p_max=2, n_max=4)
         checks.append((f"period_le_2[{name}]", got is not None and got[1] <= 2))
     return sorted(checks)
 
 
-def _suite_middle(cat, q, seed):
+def _suite_middle(cat, q):
     from .quiver import middle_term
 
     checks = []
@@ -451,7 +452,7 @@ def _suite_middle(cat, q, seed):
     for j, v in enumerate(q.vertices):
         if v.is_free:
             continue
-        ar = middle_term(q, v.name, seed=seed)
+        ar = middle_term(q, v.name)
         ti = q.vertex_index(ar.tau_name)
         checks.append((f"e_additive[{v.name}]",
                        ar.e_middle == v.e + q.vertices[ti].e))
@@ -462,12 +463,12 @@ def _suite_middle(cat, q, seed):
     return sorted(checks)
 
 
-def _suite_classify(cat, q, seed):
+def _suite_classify(cat, q):
     from .quiver import component_classify
 
     checks = []
     for prop, value in (("periodic", None), ("ulrich", None), ("cx_equals", 1)):
-        rep = component_classify(q, prop, value=value, seed=seed)
+        rep = component_classify(q, prop, value=value)
         label = prop if value is None else f"{prop}:{value}"
         checks.append((f"constant[{label}]", rep["all_constant"]))
     return sorted(checks)
@@ -486,14 +487,14 @@ def cmd_verify(args) -> int:
     from .quiver import build_quiver
 
     cat = load_catalog(args.catalog, args.modulus)
-    q = build_quiver(cat, seed=args.seed)
+    q = build_quiver(cat)
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     bad = []
     lines = []
     for sname in names:
         if sname not in _SUITES:
             raise UsageError(f"unknown suite {sname!r}; known: {', '.join(_SUITES)} or 'all'")
-        for check, ok in _SUITES[sname](cat, q, args.seed):
+        for check, ok in _SUITES[sname](cat, q):
             lines.append(f"{'pass' if ok else 'FAIL'}  {sname}:{check}")
             if not ok:
                 bad.append(check)

@@ -60,13 +60,24 @@ __all__ = [
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    """Miller-Rabin to the bases 2, 3, 5 and 7, which is exact for every n below
+    3,215,031,751 (Pomerance, Selfridge and Wagstaff 1980), so for every modulus
+    up to ``_MAX_MODULUS``."""
+    if n < 2 or any(n % a == 0 for a in (2, 3, 5, 7)):
+        return n in (2, 3, 5, 7)
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7):  # n is a strong probable prime to base a, or composite
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

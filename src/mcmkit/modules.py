@@ -108,6 +108,7 @@ class GradedModule:
         self._pieces: Dict[int, _ModulePiece] = {}
         self._hom_cache: Dict[tuple, "HomSpace"] = {}  # homs.hom_space: target key -> HomSpace
         self._resolution: Optional["FreeResolution"] = None  # resolution.resolve's window
+        self._end: Optional["EndAlgebra"] = None  # homs.end_algebra
 
     def _validate(self):
         for i, a in enumerate(self.gen_degs):

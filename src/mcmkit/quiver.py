@@ -19,13 +19,12 @@ components by periodicity / Ulrich / complexity live here too.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .catalog import CatalogData
 from .errors import Inconclusive, UsageError
-from .homs import (Hom, _unit_search, end_algebra, hom_space, is_isomorphic, local_certificate,
+from .homs import (Hom, end_algebra, hom_radical, hom_space, is_isomorphic, local_certificate,
                    strip_free_summands)
 from .modules import GradedModule, default_stall, invariants
 from .resolution import detect_period, growth_report, ulrich_test
@@ -129,10 +128,10 @@ class ARQuiver:
             comps.append(sorted(comp))
         return comps
 
-    def match_vertex(self, module: GradedModule, seed: int = 0) -> Optional[int]:
+    def match_vertex(self, module: GradedModule) -> Optional[int]:
         """Index of the catalog vertex isomorphic to the module, if any."""
         for i, v in enumerate(self.vertices):
-            if is_isomorphic(v.module, module, seed=seed):
+            if is_isomorphic(v.module, module):
                 return i
         return None
 
@@ -158,17 +157,6 @@ def _scale_grid_by_var(ring, grid, var_elem):
     return [[var_elem * e if not e.is_zero() else ring.zero() for e in row] for row in grid]
 
 
-def _radical(M: GradedModule, seed: int, what: str):
-    """(phi grids spanning rad End M, residue degree) of an M with certified local End."""
-    E = end_algebra(M)
-    if E.dim == 1:
-        return [], 1
-    ok, rad, sdeg = local_certificate(E, random.Random(seed))
-    if not ok:
-        raise Inconclusive(f"{what} not certified local")
-    return [E.hs.element_from_coords(row).phi for row in rad.basis_matrix().rows()], sdeg
-
-
 def _composites(ring, middles, fs_of, gs_of):
     """Every g f with f in fs_of(X) and g in gs_of(X), over the middle terms X.
 
@@ -185,10 +173,9 @@ def _composites(ring, middles, fs_of, gs_of):
 class _QuiverBuilder:
     """Caches for vertex shifts, canonical Hom bases, and radicals."""
 
-    def __init__(self, ring, vertices: List[ARVertex], seed: int = 0):
+    def __init__(self, ring, vertices: List[ARVertex]):
         self.ring = ring
         self.vertices = vertices
-        self.seed = seed
         self._shifted: Dict[Tuple[int, int], GradedModule] = {}
         self._space1: Dict[Tuple[int, int, int], List] = {}
         self._rad: Dict[int, List] = {}
@@ -203,12 +190,15 @@ class _QuiverBuilder:
         return got
 
     def radical_grids(self, vi: int) -> List:
-        """phi grids spanning rad End of an indecomposable vertex."""
+        """phi grids spanning rad End of a vertex, whose End is certified local."""
         got = self._rad.get(vi)
         if got is None:
             v = self.vertices[vi]
-            got, v.residue_degree = _radical(
-                v.module, self.seed, f"endomorphism algebra of vertex {v.name}")
+            E = end_algebra(v.module)  # End = k needs no certificate, over QQ too
+            ok, rad, v.residue_degree = (True, E.radical, 1) if E.dim == 1 else local_certificate(E)
+            if not ok:
+                raise Inconclusive(f"endomorphism algebra of vertex {v.name} not certified local")
+            got = [E.hs.element_from_coords(row).phi for row in rad.basis_matrix().rows()]
             self.residue_flag = self.residue_flag or v.residue_degree > 1
             self._rad[vi] = got
         return got
@@ -274,7 +264,7 @@ class _QuiverBuilder:
         return out
 
 
-def build_quiver(catalog: CatalogData, seed: int = 0) -> ARQuiver:
+def build_quiver(catalog: CatalogData) -> ARQuiver:
     """Assemble the AR quiver of a shipped catalog.
 
     Vertices are validated pairwise non-isomorphic and indecomposable;
@@ -293,10 +283,10 @@ def build_quiver(catalog: CatalogData, seed: int = 0) -> ARQuiver:
     # pairwise non-isomorphic
     for i in range(len(verts)):
         for j in range(i + 1, len(verts)):
-            if is_isomorphic(verts[i].module, verts[j].module, seed=seed):
+            if is_isomorphic(verts[i].module, verts[j].module):
                 raise UsageError(
                     f"catalog vertices {verts[i].name} and {verts[j].name} are isomorphic")
-    builder = _QuiverBuilder(ring, verts, seed=seed)
+    builder = _QuiverBuilder(ring, verts)
     for i, v in enumerate(verts):
         if not v.is_free:
             builder.radical_grids(i)  # certifies indecomposability, sets residue degree
@@ -311,13 +301,13 @@ def build_quiver(catalog: CatalogData, seed: int = 0) -> ARQuiver:
                 arrows[(i, j)] = sum(per.values())
                 arrow_degrees[(i, j)] = per
     q = ARQuiver(ring, d, verts, arrows, arrow_degrees, builder.residue_flag)
-    report = closure_check(q, catalog, seed=seed)
+    report = closure_check(q, catalog)
     if report:
         raise Inconclusive("catalog incomplete: " + "; ".join(report))
     return q
 
 
-def closure_check(q: ARQuiver, catalog: CatalogData, seed: int = 0) -> List[str]:
+def closure_check(q: ARQuiver, catalog: CatalogData) -> List[str]:
     """Names of functor images that escape the catalog (empty = closed)."""
     problems = []
     for v in q.vertices:
@@ -333,7 +323,7 @@ def closure_check(q: ARQuiver, catalog: CatalogData, seed: int = 0) -> List[str]
             stable, _ = strip_free_summands(img)
             if stable.minimized().num_gens == 0:
                 continue
-            if q.match_vertex(stable, seed=seed) is None:
+            if q.match_vertex(stable) is None:
                 inv = invariants(stable)
                 problems.append(
                     f"{fname}({v.name}) has mu={inv.mu}, e={inv.multiplicity_e}, "
@@ -341,13 +331,13 @@ def closure_check(q: ARQuiver, catalog: CatalogData, seed: int = 0) -> List[str]
     return problems
 
 
-def middle_term(q: ARQuiver, vertex_name: str, seed: int = 0) -> ARSequenceData:
+def middle_term(q: ARQuiver, vertex_name: str) -> ARSequenceData:
     """Middle term of the AR sequence ending at a vertex, from irr counts."""
     j = q.vertex_index(vertex_name)
     if q.vertices[j].is_free:
         raise UsageError("no AR sequence ends at the free vertex")
     tau_mod = tau(q.vertices[j].module, q.d)
-    ti = q.match_vertex(tau_mod, seed=seed)
+    ti = q.match_vertex(tau_mod)
     if ti is None:
         raise Inconclusive(f"catalog incomplete: tau({vertex_name}) not found")
     middle = []
@@ -373,7 +363,7 @@ def middle_term(q: ARQuiver, vertex_name: str, seed: int = 0) -> ARSequenceData:
     )
 
 
-def reverse_iso_check(q: ARQuiver, functor: str, seed: int = 0) -> Tuple[bool, Dict[str, str]]:
+def reverse_iso_check(q: ARQuiver, functor: str) -> Tuple[bool, Dict[str, str]]:
     """Does the functor reverse all stable arrows with equal multiplicities?
 
     functor is "D" (dual) or "lambda" (horizontal linkage).  Returns the
@@ -388,7 +378,7 @@ def reverse_iso_check(q: ARQuiver, functor: str, seed: int = 0) -> Tuple[bool, D
     mapping: Dict[int, int] = {}
     for i in q.stable_indices():
         img = fn(q.vertices[i].module)
-        ti = q.match_vertex(img, seed=seed)
+        ti = q.match_vertex(img)
         if ti is None or q.vertices[ti].is_free:
             raise Inconclusive(
                 f"catalog incomplete: {functor}({q.vertices[i].name}) escaped the stable quiver")
@@ -405,8 +395,7 @@ def reverse_iso_check(q: ARQuiver, functor: str, seed: int = 0) -> Tuple[bool, D
     return ok, {q.vertices[i].name: q.vertices[t].name for i, t in mapping.items()}
 
 
-def syzygy_orbit_ideal(q: ARQuiver, component: Sequence[int], n_max: int = 4,
-                       seed: int = 0):
+def syzygy_orbit_ideal(q: ARQuiver, component: Sequence[int], n_max: int = 4):
     """Generator of { n : Syz_n stays in the component }, searched up to n_max.
 
     Returns (i, constant_flag) where i = 0 encodes "zero within bounds".
@@ -420,7 +409,7 @@ def syzygy_orbit_ideal(q: ARQuiver, component: Sequence[int], n_max: int = 4,
         for n in range(1, n_max + 1):
             S = syzygy_signed(M, n)
             stable, _ = strip_free_summands(S)
-            ti = q.match_vertex(stable, seed=seed)
+            ti = q.match_vertex(stable)
             if ti is not None and ti in component:
                 found = n
                 break
@@ -429,8 +418,8 @@ def syzygy_orbit_ideal(q: ARQuiver, component: Sequence[int], n_max: int = 4,
     return gens[0], constant
 
 
-def radical_filtration(catalog: CatalogData,
-                       seed: int = 0) -> Dict[Tuple[str, str], Dict[int, Tuple[int, int, int]]]:
+def radical_filtration(
+        catalog: CatalogData) -> Dict[Tuple[str, str], Dict[int, Tuple[int, int, int]]]:
     """Pairwise filtration dimensions over the catalog.
 
     For each ordered pair of vertices and each internal degree of the
@@ -443,35 +432,23 @@ def radical_filtration(catalog: CatalogData,
     verts.append(ARVertex("A", A, True, 1, 1, ring.multiplicity()))
     for name, M in catalog.modules():
         verts.append(ARVertex(name, M, False, 1, 0, 0))
-    builder = _QuiverBuilder(ring, verts, seed=seed)
+    builder = _QuiverBuilder(ring, verts)
     pairs = [(i, j) for i in range(len(verts)) for j in range(len(verts))
              if not (verts[i].is_free and verts[j].is_free)]
     return {(verts[i].name, verts[j].name): per
             for i, j in pairs if (per := builder.irr_pair(i, j))}
 
 
-def _noniso_grids(P: GradedModule, Q: GradedModule, seed: int = 0):
-    """phi grids spanning the non-isomorphism part of Hom(P, Q).
-
-    P is assumed indecomposable with local endomorphism ring.  When the
-    modules are isomorphic the subspace is the radical transported along
-    one isomorphism; otherwise it is the whole Hom space.
-    """
+def _noniso_grids(P: GradedModule, Q: GradedModule):
+    """phi grids spanning rad(P, Q), the non-isomorphism part of Hom(P, Q)."""
     hs = hom_space(P, Q)
-    if hs.dim == 0:
-        return []
-    if not is_isomorphic(P, Q, seed=seed, up_to_shift=False):
-        return [h.phi for h in hs.basis()]
-    v, _ = _unit_search(hs, random.Random(seed))
-    if v is None:
-        raise Inconclusive("failed to realize an isomorphism for rad transport")
-    return [grid_mul(P.ring, v.phi, r) for r in _radical(P, seed, "endomorphism ring")[0]]
+    return [hs.element_from_coords(row).phi for row in hom_radical(P, Q).basis_matrix().rows()]
 
 
-def lifted_arrows_remain_irreducible(q: ARQuiver, seed: int = 0) -> List[Tuple[str, bool]]:
+def lifted_arrows_remain_irreducible(q: ARQuiver) -> List[Tuple[str, bool]]:
     """For every stable arrow, lift a representative to first syzygies and
     re-verify membership in the first but not the second filtration layer."""
-    builder = _QuiverBuilder(q.ring, q.vertices, seed=seed)
+    builder = _QuiverBuilder(q.ring, q.vertices)
     results: List[Tuple[str, bool]] = []
     stable = set(q.stable_indices())
     for (i, j), per in sorted(q.arrow_degrees.items()):
@@ -495,13 +472,13 @@ def lifted_arrows_remain_irreducible(q: ARQuiver, seed: int = 0) -> List[Tuple[s
             continue
         hs1 = hom_space(SP, SQ)
         flat = hs1.trivial.reduce(hs1.flat_of_phi(lifted.phi))
-        in_first = hs1.span(_noniso_grids(SP, SQ, seed=seed)).contains(flat)
+        in_first = hs1.span(_noniso_grids(SP, SQ)).contains(flat)
         mg_sp = max(SP.gen_degs) if SP.gen_degs else 0
         mg_sq = min(SQ.gen_degs) if SQ.gen_degs else 0
         middles = [builder.shifted(xk, s) for xk in range(len(q.vertices))
                    for s in range(mg_sq - builder.gen_span(xk) - q.ring.max_weight, mg_sp + 1)]
-        in_second = hs1.span(_composites(q.ring, middles, lambda X: _noniso_grids(SP, X, seed=seed),
-                                         lambda X: _noniso_grids(X, SQ, seed=seed))).contains(flat)
+        in_second = hs1.span(_composites(q.ring, middles, lambda X: _noniso_grids(SP, X),
+                                         lambda X: _noniso_grids(X, SQ))).contains(flat)
         results.append((name, bool(in_first and not in_second)))
     return results
 
@@ -509,7 +486,7 @@ def lifted_arrows_remain_irreducible(q: ARQuiver, seed: int = 0) -> List[Tuple[s
 _PROPERTIES = ("periodic", "bounded_nonperiodic", "ulrich", "cx_equals", "curv_leq")
 
 
-def component_classify(q: ARQuiver, prop: str, value=None, seed: int = 0,
+def component_classify(q: ARQuiver, prop: str, value=None,
                        p_max: int = 2, n_max: int = 4, H: int = 10) -> Dict:
     """Per-component constancy report for a module property.
 
@@ -522,11 +499,11 @@ def component_classify(q: ARQuiver, prop: str, value=None, seed: int = 0,
     def flag(vertex: ARVertex):
         M = vertex.module
         if prop == "periodic":
-            return detect_period(M, p_max=p_max, n_max=n_max, seed=seed) is not None
+            return detect_period(M, p_max=p_max, n_max=n_max) is not None
         if prop == "bounded_nonperiodic":
             rep = growth_report(M, H=H)
             bounded = rep.cx_estimate <= 1 and not rep.finite_projdim
-            periodic = detect_period(M, p_max=p_max, n_max=n_max, seed=seed) is not None
+            periodic = detect_period(M, p_max=p_max, n_max=n_max) is not None
             return bounded and not periodic
         if prop == "ulrich":
             return ulrich_test(M)

@@ -226,7 +226,7 @@ def syzygy(M: GradedModule, n: int, degree_cap: Optional[int] = None) -> GradedM
 
 
 def detect_period(M: GradedModule, p_max: int = 2, n_max: int = 6,
-                  degree_cap: Optional[int] = None, seed: int = 0):
+                  degree_cap: Optional[int] = None):
     """Smallest (n0, p) with Syz_{n0+p}(M) isomorphic to Syz_{n0}(M).
 
     Isomorphism is tested up to degree shift, matching the local-ring
@@ -238,7 +238,7 @@ def detect_period(M: GradedModule, p_max: int = 2, n_max: int = 6,
     syzygies = {n: res.syzygy_module(n) for n in range(n_max + p_max + 1)}
     for n0 in range(n_max + 1):
         for p in range(1, p_max + 1):
-            if is_isomorphic(syzygies[n0 + p], syzygies[n0], seed=seed):
+            if is_isomorphic(syzygies[n0 + p], syzygies[n0]):
                 return (n0, p)
     return None
 

@@ -1,11 +1,16 @@
+import itertools
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
 
+from mcmkit.catalog import load_catalog
 from mcmkit.homs import (
     compose,
     decompose,
     end_algebra,
+    hom_radical,
     hom_space,
     identity_hom,
     is_isomorphic,
@@ -261,3 +266,84 @@ def test_hom_space_of_a_shift_or_another_presentation_is_new():
     assert fresh.dim == hs.dim
     assert hom_space(M, N.degree_shift(1)) is shifted
     assert len(M._hom_cache) == 3
+
+
+DIRECT_SUMS = [  # summand names of the two sides, over ade:A3:dim1 at p = 5
+    (("N+", "N-"), ("N-", "N+")),
+    (("N+", "N+"), ("N+", "N-")),
+    (("N-", "N-"), ("N+", "N+")),
+    (("N+", "N+", "N-"), ("N+", "N-", "N+")),
+    (("N+", "N+", "N+"), ("N+", "N+", "N-")),
+    (("N+", "N+", "N+", "N+"), ("N+", "N+", "N+", "N-")),
+]
+
+
+@pytest.mark.parametrize("left, right", DIRECT_SUMS)
+def test_direct_sums_are_isomorphic_exactly_by_krull_schmidt(left, right):
+    # the four-summand pair has 16-dimensional endomorphism algebras
+    mods = dict(load_catalog("ade:A3:dim1", 5).modules())
+    L = GradedModule.direct_sum([mods[s] for s in left])
+    R = GradedModule.direct_sum([mods[s] for s in right])
+    assert is_isomorphic(L, R) == (Counter(left) == Counter(right))
+
+
+def test_hom_radical_of_a_sum_drops_the_split_maps():
+    A = ring_squares()
+    k, F = residue_field_module(A), free_module(A, [0])
+    S = GradedModule.direct_sum([F, k])
+    # Hom(k, F + k) = k: the inclusion of the summand k, which splits
+    assert hom_space(k, S).dim == 1 and hom_radical(k, S).dim == 0
+    # Hom(F + k, k) = k^2: the projection onto k splits, F -> k does not
+    assert hom_space(S, k).dim == 2 and hom_radical(S, k).dim == 1
+    assert hom_radical(S, S).dim == end_algebra(S).radical.dim == 1
+
+
+def _brute_radical(E):
+    """{x : 1 - y x is a unit for every y}, enumerated over all of E (one bool per element)."""
+    p, n = E.field.p, E.dim
+    elems = np.array(list(itertools.product(range(p), repeat=n)), dtype=np.int64)
+    prods = np.einsum("ai,bj,ijl->abl", elems, elems, E.table) % p  # prods[a, b] = a b
+    index = p ** np.arange(n)  # an element's position in elems, read base p
+    one = np.array([int(c) for c in E.one])
+    units = (prods @ index == one @ index).any(axis=1)  # a b = 1 for some b
+    return units[(one - prods) % p @ index].all(axis=0)  # over y, for each x
+
+
+def _radical_test_modules(p):
+    S = WeightedPolyRing(p, ["x", "y"]).quotient(["x^2", "y^2"])
+    B = WeightedPolyRing(p, ["x"]).quotient(["x^3"])
+    k, F = residue_field_module(S), free_module(S, [0])
+    return {  # name: (module, dim End, dim rad End)
+        "A+A": (GradedModule.direct_sum([F, F]), 4, 0),  # End = M_2(k)
+        "k+k": (GradedModule.direct_sum([k, k]), 4, 0),
+        "A+k": (GradedModule.direct_sum([F, k]), 3, 1),
+        "k+k<1>": (GradedModule.direct_sum([k, k.degree_shift(1)]), 2, 0),
+        # End = k[t]/(t^2 - t - 1): GF(4) over GF(2), GF(9) over GF(3)
+        "W": (GradedModule(S, [0, 0], [1, 1], [["x", "y"], ["y", "x+y"]]), 2, 0),
+        # End = k[t]/(t^2 - 1): local with a radical over GF(2), split over GF(3)
+        "W(1)": (GradedModule(S, [0, 0], [1, 1], [["x", "y"], ["y", "x"]]), 2, int(p == 2)),
+        "B/x^2+B/x<1>": (GradedModule.direct_sum([GradedModule(B, [0], [2], [["x^2"]]),
+                                                  GradedModule(B, [1], [2], [["x"]])]), 3, 1),
+        "m": (maximal_ideal_module(S), 1, 0),
+    }
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_radical_matches_its_definition(p):
+    # Over GF(2) the regular trace form of M_2(k) is zero, so a radical that
+    # stopped after the first level of the filtration would be all of E.
+    for name, (M, dim, rad_dim) in _radical_test_modules(p).items():
+        E = end_algebra(M)
+        assert (E.dim, E.radical.dim) == (dim, rad_dim), name
+        elems = np.array(list(itertools.product(range(p), repeat=E.dim)), dtype=np.int64)
+        residues = E.radical.reduce_rows(DenseMatrix._of_array(E.field, elems))._array()
+        assert (~residues.any(axis=1) == _brute_radical(E)).all(), name
+
+
+def test_radical_over_qq_is_the_trace_form_kernel():
+    A = ring_squares(0)
+    k, F = residue_field_module(A), free_module(A, [0])
+    assert end_algebra(GradedModule.direct_sum([F, k])).radical.dim == 1
+    assert end_algebra(GradedModule.direct_sum([k, k])).radical.dim == 0
+    assert is_isomorphic(GradedModule.direct_sum([k, F]), GradedModule.direct_sum([F, k]))
+    assert not is_isomorphic(GradedModule.direct_sum([k, k]), GradedModule.direct_sum([F, k]))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcmkit.errors import UsageError
-from mcmkit.linalg import GF, QQ, DenseMatrix, RowSpace, intersect_rowspaces
+from mcmkit.linalg import GF, QQ, DenseMatrix, RowSpace, _is_prime, intersect_rowspaces
 
 
 def test_rref_identity_gf5():
@@ -409,3 +409,17 @@ def test_intersection_lies_in_both_spaces_with_the_right_dimension(field):
         assert inter.dim == U.dim + V.dim - both.dim
         for row in inter.basis_matrix().rows():
             assert U.contains(row) and V.contains(row)
+
+
+def _is_prime_by_trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+def test_is_prime_agrees_with_trial_division():
+    assert [n for n in range(20000) if _is_prime(n)] == \
+        [n for n in range(20000) if _is_prime_by_trial_division(n)]
+    assert _is_prime(2**31 - 1)
+    # strong pseudoprimes to base 2: composite, caught by the other bases
+    for n in (2047, 3277, 4033, 4681, 8321):
+        assert not _is_prime(n) and not _is_prime_by_trial_division(n)
+    assert pow(2, 2046 // 2, 2047) == 1  # 2047 = 23 * 89 passes base 2 alone
