@@ -38,11 +38,14 @@ def nonci_gorenstein_ring(p: int = 7) -> QuotientRing:
 
 
 def sqrt_minus_one(p: int) -> int:
+    """The smaller square root of -1 in GF(p), for a prime p = 1 mod 4."""
     if p % 4 != 1:
         raise UsageError(f"GF({p}) has no square root of -1 (need p = 1 mod 4)")
-    for a in range(2, p):
-        if (a * a + 1) % p == 0:
-            return a
+    # c^((p-1)/4) squares to -1 for every non-residue c, half of all c; the smaller root
+    for c in range(2, p):
+        a = pow(c, (p - 1) // 4, p)
+        if a * a % p == p - 1:
+            return min(a, p - a)
     raise UsageError(f"no square root of -1 found in GF({p})")
 
 

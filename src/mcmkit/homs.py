@@ -376,20 +376,18 @@ class EndAlgebra:
         and over QQ (characteristic 0), it is the only level.
         """
         field, n, p = self.field, self.dim, self.field.characteristic
+        # tau is a sum of n entries: reduce it, since field.matmul assumes factors in [0, p)
+        tau = field.reduce(np.trace(self.table, axis1=1, axis2=2))
+        form = field.matmul(self.table.reshape(n * n, n), tau[:, None]).reshape(n, n)
         ideal = field.vector(np.eye(n, dtype=np.int64))  # rows: a basis of I_{i-1}
         level = 0
-        while len(ideal):
-            if level == 0:
-                tau = np.trace(self.table, axis1=1, axis2=2)
-                products = field.matmul(ideal, self.table.reshape(n, n * n)).reshape(-1, n)
-                form = field.matmul(products, tau[:, None]).reshape(len(ideal), n)
-            else:
-                form = np.array([self._power_traces(x, level) for x in ideal])
+        while True:
             kernel, _ = DenseMatrix._of_array(field, form.T).kernel_rows()
             ideal = field.matmul(kernel._array(), ideal)
             level += 1
-            if p == 0 or p ** level > n:
+            if not len(ideal) or p == 0 or p ** level > n:
                 break
+            form = np.array([self._power_traces(x, level) for x in ideal])
         out = RowSpace(field, n)
         out.add_matrix(DenseMatrix._of_array(field, ideal))
         return out
@@ -493,8 +491,8 @@ def hom_radical(A: GradedModule, B: GradedModule) -> RowSpace:
     return out
 
 
-def is_isomorphic(M: GradedModule, N: GradedModule, up_to_shift: bool = True) -> bool:
-    """Graded isomorphism test (by default up to a degree shift), exact.
+def is_isomorphic(M: GradedModule, N: GradedModule) -> bool:
+    """Graded isomorphism test up to a degree shift, exact.
 
     After the cheap rejections (degrees, Hilbert window), Krull-Schmidt
     decides: for A = (+) X_i^a_i and B = (+) X_i^b_i with s_i = dim
@@ -508,9 +506,8 @@ def is_isomorphic(M: GradedModule, N: GradedModule, up_to_shift: bool = True) ->
     B = N.minimized()
     if A.num_gens == 0 or B.num_gens == 0:
         return A.num_gens == B.num_gens
-    if up_to_shift:
-        A, _ = A.normalized()
-        B, _ = B.normalized()
+    A, _ = A.normalized()
+    B, _ = B.normalized()
     if sorted(A.gen_degs) != sorted(B.gen_degs):
         return False
     if sorted(A.rel_degs) != sorted(B.rel_degs):
@@ -519,8 +516,11 @@ def is_isomorphic(M: GradedModule, N: GradedModule, up_to_shift: bool = True) ->
     for d in range(A.min_gen_degree(), window + 1):
         if A.hilbert_function(d) != B.hilbert_function(d):
             return False
-    top = hom_space(A, B).dim - hom_radical(A, B).dim
-    return top > 0 and 2 * top == sum(E.dim - E.radical.dim for E in map(end_algebra, (A, B)))
+    dim = hom_space(A, B).dim
+    if dim == 0 or dim != hom_space(B, A).dim:  # A = B makes both dim End(A)
+        return False
+    top = dim - hom_radical(A, B).dim
+    return 2 * top == sum(E.dim - E.radical.dim for E in map(end_algebra, (A, B)))
 
 
 # ---------------------------------------------------------------------------

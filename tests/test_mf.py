@@ -213,7 +213,9 @@ def test_catalog_field_constraints():
         load_catalog("ade:A1:dim1", modulus=7)  # 7 = 3 mod 4, no sqrt(-1)
     with pytest.raises(UsageError):
         load_catalog("ade:A9:dim1")
-    assert sqrt_minus_one(13) in (5, 8)
+    assert sqrt_minus_one(13) == 5
+    p = 2147483629  # the largest prime below 2^31 that is 1 mod 4
+    assert sqrt_minus_one(p) ** 2 % p == p - 1 and sqrt_minus_one(p) < p // 2
 
 
 def test_catalog_names_loadable():
