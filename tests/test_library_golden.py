@@ -4,7 +4,10 @@
 records that do not depend on a choice of basis: the radical filtration
 (dim Hom, dim (M,N)_1, dim (M,N)_2) per vertex pair and internal degree,
 the quiver's arrow degrees, the lifted-arrow irreducibility results and
-the D and lambda vertex maps of ``reverse_iso_check``.  Regenerate the
+the D and lambda vertex maps of ``reverse_iso_check``.  Under ``"betti"``
+it holds graded Betti tables (the number of generators of F_i in each
+degree) of k and m over two complete intersections and of k over a
+ring that is not one, from ``BETTI_INPUTS``.  Regenerate the
 file with ``PYTHONPATH=src python tests/test_library_golden.py``, and only
 for a change that is meant to alter these outputs.
 """
@@ -14,16 +17,26 @@ from pathlib import Path
 
 import pytest
 
-from mcmkit.catalog import load_catalog
+from mcmkit.catalog import load_catalog, nonci_gorenstein_ring
+from mcmkit.modules import maximal_ideal_module, residue_field_module
 from mcmkit.quiver import (
     build_quiver,
     lifted_arrows_remain_irreducible,
     radical_filtration,
     reverse_iso_check,
 )
+from mcmkit.resolution import resolve
+from mcmkit.rings import WeightedPolyRing
 
 LIBRARY = Path(__file__).parent / "data" / "golden" / "library.json"
 LIBRARY_CATALOGS = ("ade:A3:dim1", "ade:A2:dim2", "ade:A4:dim2")
+BETTI_INPUTS = [  # (ring name, ring builder, {module: homological window H})
+    ("ci(x^2,y^2)", lambda: WeightedPolyRing(5, ["x", "y"]).quotient(["x^2", "y^2"]),
+     {"k": 12, "m": 11}),
+    ("ci(x*y,z*w)", lambda: WeightedPolyRing(5, ["x", "y", "z", "w"]).quotient(["x*y", "z*w"]),
+     {"k": 6, "m": 6}),
+    ("nonci", nonci_gorenstein_ring, {"k": 5}),
+]
 
 
 def quiver_records(catalog: str) -> dict:
@@ -48,13 +61,31 @@ def quiver_records(catalog: str) -> dict:
     }
 
 
+def betti_records() -> dict:
+    """Per ring and module of ``BETTI_INPUTS``: F_i's generator count per degree, i = 0..H."""
+    out = {}
+    for name, build, windows in BETTI_INPUTS:
+        out[name] = {}
+        for label, H in windows.items():
+            ring = build()  # a fresh ring: no cache is shared between modules
+            M = residue_field_module(ring) if label == "k" else maximal_ideal_module(ring)
+            out[name][label] = [{str(d): degs.count(d) for d in sorted(set(degs))}
+                                for _, _, degs in resolve(M, H).betti_table(H)]
+    return out
+
+
 @pytest.mark.parametrize("catalog", LIBRARY_CATALOGS)
 def test_quiver_records_match_golden(catalog):
     golden = json.loads(LIBRARY.read_text())
-    assert sorted(golden) == sorted(LIBRARY_CATALOGS)
+    assert sorted(golden) == sorted(LIBRARY_CATALOGS + ("betti",))
     assert quiver_records(catalog) == golden[catalog]
+
+
+def test_betti_records_match_golden():
+    assert betti_records() == json.loads(LIBRARY.read_text())["betti"]
 
 
 if __name__ == "__main__":
     data = {name: quiver_records(name) for name in LIBRARY_CATALOGS}
+    data["betti"] = betti_records()
     LIBRARY.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
