@@ -325,17 +325,53 @@ def default_stall(ring: QuotientRing) -> int:
     return max(rd, 2 * ring.max_weight) + 1
 
 
+def top_degree_bound(M: GradedModule) -> Optional[int]:
+    """An upper bound T on the top nonzero degree of M, or None when neither rule gives one.
+
+    (1) M is generated in degrees <= max_gen, so past max_gen each M_d is the
+    sum of x M_{d-w} over the variables x of weight w: if M vanishes in the
+    max_weight degrees after max_gen, it vanishes in every later degree, and
+    T = max_gen.  (2) If every variable x_i has a one-term power c x_i^{a_i}
+    among the ring's relations, or among M's relations when M has one
+    generator, every monomial of degree above sum (a_i - 1) w_i kills each
+    generator, and T = max_gen + that sum.  Rule (2) reads relations only;
+    rule (1) computes M's pieces up to the first nonzero one, so it costs
+    an MCM module one piece.  No Hilbert function is scanned further.
+    """
+    ring, top = M.ring, M.max_gen_degree()
+    polys = list(ring.relations)
+    if M.num_gens == 1:
+        polys += [e.poly for e in M.presentation[0]]
+    powers: Dict[int, int] = {}  # variable -> least a of a one-term relation c x^a
+    for poly in polys:
+        if len(poly) == 1:
+            (mono,) = poly
+            support = [i for i, a in enumerate(mono) if a]
+            if len(support) == 1:
+                i = support[0]
+                powers[i] = min(mono[i], powers.get(i, mono[i]))
+    bound = None
+    if len(powers) == len(ring.weights):
+        bound = top + sum((a - 1) * ring.weights[i] for i, a in powers.items())
+    if bound != top and not any(M.hilbert_function(d)
+                                for d in range(top + 1, top + ring.max_weight + 1)):
+        bound = top
+    return bound
+
+
 def capture_kernel(ring: QuotientRing, col_degs: Sequence[int], matrix_at, degree_cap: int,
-                   stall: Optional[int] = None):
+                   stall: Optional[int] = None, stop: Optional[int] = None):
     """Minimal generators of the kernel of a map out of F = (+)_j A(-col_degs[j]).
 
     ``matrix_at(d)`` is the map in degree d, as a ``BlockSystem``'s ``at``
     gives it: its columns are F_d laid out block by block.  Degrees are
     scanned upward from min(col_degs): a kernel vector outside the span of
-    the generators found so far is a new generator.  The scan stops once
-    ``stall`` degrees pass without one, and no earlier than
-    max(col_degs) + stall; it raises ``DegreeBoundExceeded`` past
-    ``degree_cap``.
+    the generators found so far is a new generator.  With a ``stop`` the
+    scan ends at that degree: the caller certifies that no generator lies
+    above it (``resolution.FreeResolution.stop``).  Without one it is
+    windowed: it stops once ``stall`` degrees pass without a new
+    generator, and no earlier than max(col_degs) + stall.  Either way it
+    raises ``DegreeBoundExceeded`` past ``degree_cap``.
 
     Every kernel vector outside the span is taken, so once degree e is
     scanned the generators found span all of K_e = ker matrix_at(e); in
@@ -398,7 +434,7 @@ def capture_kernel(ring: QuotientRing, col_degs: Sequence[int], matrix_at, degre
                     last_event = d
         kernels.pop(d - maxw, None)  # degree d + 1 reads back to d + 1 - max_weight
         offsets.pop(d - maxw, None)
-        if d >= last_event + stall and d >= max(col_degs) + stall:
+        if d >= (stop if stop is not None else max(last_event, max(col_degs)) + stall):
             break
         d += 1
     else:

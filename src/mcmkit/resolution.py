@@ -3,12 +3,29 @@
 A resolution window is built one homological step at a time.  Each step
 captures the kernel of the previous differential degree by degree
 (``modules.capture_kernel``): the kernel piece in a given degree is an
-exact rref computation, new minimal generators are the part not reached
-by multiplying the kernel pieces of lower degrees by the variables, and
-the scan stops once a stall window passes with nothing new.  Because the
-input presentations are minimal and kernel generators are taken
-minimally, every differential has entries in the maximal ideal, so the
-window is a minimal resolution and Betti numbers are just rank counts.
+exact rref computation, and new minimal generators are the part not
+reached by multiplying the kernel pieces of lower degrees by the
+variables.  Because the input presentations are minimal and kernel
+generators are taken minimally, every differential has entries in the
+maximal ideal, so the window is a minimal resolution and Betti numbers
+are just rank counts.
+
+Where each scan stops decides whether the window is exact.
+
+* **Certified.**  Over a certified complete intersection (at most one
+  relation, or relations in pairwise disjoint sets of variables: a
+  syntactic test, see ``tate_degree``) Tate's resolution G of k has its
+  generators of G_i in degrees at most g_i (Tate, Illinois J. Math. 1,
+  1957; Avramov, Infinite free resolutions, 1998).  If M has finite
+  length with top degree at most T (``modules.top_degree_bound``), then
+  Tor_i(M, k)_j = H_i(M (x) G)_j vanishes for j > T + g_i, so F_i has no
+  generator above T + g_i and its scan stops there (``stop``).  This
+  covers k, and finite-length modules such as A/(x^a, y^b).
+* **Windowed.**  Everywhere else (MCM modules, the maximal ideal of a
+  ring that is not Artinian, rings that are not certified CIs) the scan
+  stops once a stall window passes with nothing new; the window is exact
+  as far as that rule saw.  ``FreeResolution.certified`` tells the two
+  apart.
 
 Kernel capture reads only degree differences, so a step whose input
 equals an earlier step's input with every degree shifted by s has the
@@ -25,6 +42,7 @@ test (Ext^i(M, A) = 0 for 1 <= i <= dim A over a Gorenstein quotient).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import UsageError
@@ -36,11 +54,13 @@ from .modules import (
     free_module,
     invariants,
     submodule_presentation,
+    top_degree_bound,
 )
 from .rings import BlockSystem, QuotientRing, RingElement, grid_mul, poly_key
 
 __all__ = [
     "FreeResolution",
+    "tate_degree",
     "resolve",
     "syzygy",
     "detect_period",
@@ -62,18 +82,43 @@ class Step:
     col_degs: Tuple[int, ...]
     entries: Tuple[Tuple[RingElement, ...], ...]  # len(row_degs) x len(col_degs)
     scanned_to: Optional[int] = None  # last degree the kernel scan reached; None if none ran
+    certified: bool = True  # False when the scan stopped by the stall rule
 
     def transpose_data(self):
         return tuple(tuple(row[c] for row in self.entries) for c in range(len(self.col_degs)))
 
 
+def tate_degree(ring: QuotientRing, i: int) -> Optional[int]:
+    """g_i, the top generator degree of G_i for Tate's resolution G of k; None if not certified.
+
+    The ring is a certified complete intersection when it has at most one
+    relation or its relations use pairwise disjoint sets of variables, so
+    that they form a regular sequence; this reads the relations only (not
+    ``is_complete_intersection``, which compares Hilbert series up to a
+    fixed degree).  G has exterior variables in the weights (homological
+    degree 1) and divided-power variables in the relation degrees
+    (homological degree 2), so g_i is the max over a + 2b = i, a <= #variables,
+    of the a largest weights plus b times the largest relation degree.
+    """
+    supports = [{v for mono in rel for v, a in enumerate(mono) if a} for rel in ring.relations]
+    if len(supports) > 1 and sum(map(len, supports)) != len(set().union(*supports)):
+        return None
+    weights = sorted(ring.weights, reverse=True)
+    top = max(ring.relation_degrees, default=0)
+    return max(sum(weights[:a]) + (i - a) // 2 * top
+               for a in range(i % 2, min(i, len(weights)) + 1, 2))
+
+
 def kernel_step(ring: QuotientRing, row_degs: Sequence[int], col_degs: Sequence[int],
-                entries, degree_cap: int, stall: Optional[int] = None) -> Step:
+                entries, degree_cap: int, stall: Optional[int] = None,
+                stop: Optional[int] = None) -> Step:
     """Minimal generators of the kernel of a map of free modules.
 
     The map sends the j-th source generator (degree col_degs[j]) to the
     column (entries[k][j])_k in the target.  Returns the next
-    differential as a Step with row_degs = col_degs.
+    differential as a Step with row_degs = col_degs.  The scan ends at a
+    certified ``stop`` when one is given, else by the ``stall`` rule
+    (``modules.capture_kernel``).
     """
     if not col_degs:
         return Step(tuple(col_degs), (), ())
@@ -83,8 +128,8 @@ def kernel_step(ring: QuotientRing, row_degs: Sequence[int], col_degs: Sequence[
         ident = tuple(tuple(one if i == j else zero for j in n) for i in n)
         return Step(tuple(col_degs), tuple(col_degs), ident)
     system = BlockSystem(ring, entries, row_degs, col_degs)
-    gen_degs, grid, scanned_to = capture_kernel(ring, col_degs, system.at, degree_cap, stall)
-    return Step(tuple(col_degs), gen_degs, grid, scanned_to=scanned_to)
+    gen_degs, grid, scanned_to = capture_kernel(ring, col_degs, system.at, degree_cap, stall, stop)
+    return Step(tuple(col_degs), gen_degs, grid, scanned_to, stop is not None)
 
 
 class FreeResolution:
@@ -105,21 +150,42 @@ class FreeResolution:
         # scanned kernel_step input, shifted so that col_degs[0] = 0 -> index of its output
         self._outputs: Dict[tuple, int] = {}
 
-    def _auto_cap(self, H: int) -> int:
+    @cached_property
+    def _top(self) -> Optional[int]:
+        """The bound T on M's top degree over a certified CI; None when the scans are windowed."""
+        if tate_degree(self.ring, 0) is None:
+            return None
+        return top_degree_bound(self.minimal)
+
+    def stop(self, i: int) -> Optional[int]:
+        """T + g_i, where the scan for F_i's generators stops, certified; None when windowed."""
+        return None if self._top is None else self._top + tate_degree(self.ring, i)
+
+    def _auto_cap(self, i: int) -> int:
+        """The degree cap of the scan for F_i's generators: ``degree_cap``, else at least the stop."""
         if self.degree_cap is not None:
             return self.degree_cap
         ring = self.ring
         rd = max(ring.relation_degrees) if ring.relation_degrees else 2
         base = max(list(self.minimal.gen_degs) + list(self.minimal.rel_degs) + [0])
-        return base + (H + 2) * max(rd, 2 * ring.max_weight) + 8
+        cap = base + (i + 3) * max(rd, 2 * ring.max_weight) + 8
+        stop = self.stop(i)
+        return cap if stop is None else max(cap, stop)
+
+    @property
+    def certified(self) -> bool:
+        """Whether every step computed so far is exact: each scan stopped at a certified bound."""
+        return all(s.certified for s in self.steps)
 
     def extend(self, H: int):
         """Ensure differentials up to step H are computed.
 
         A step whose input repeats an earlier input shifted by s is the
-        earlier output shifted by s (see the module docstring).  It is
-        reused only if the earlier scan end plus s is within this step's
-        cap; otherwise kernel_step runs and raises as it would have.
+        earlier output shifted by s (see the module docstring).  It reports
+        the scan end a cold step would: its certified stop, or else the
+        earlier scan end plus s.  It is reused only if that end is within
+        this step's cap; otherwise kernel_step runs and raises as it would
+        have.
         """
         while len(self.steps) < H:
             prev = self.steps[-1]
@@ -127,7 +193,8 @@ class FreeResolution:
                 # already hit a zero step: free tail
                 self.steps.append(Step(prev.col_degs, (), ()))
                 continue
-            cap = self._auto_cap(len(self.steps) + 2)
+            i = len(self.steps) + 1  # this step finds the generators of F_i
+            stop, cap = self.stop(i), self._auto_cap(i)
             base = prev.col_degs[0]
             key = (tuple(r - base for r in prev.row_degs),
                    tuple(c - base for c in prev.col_degs),
@@ -136,13 +203,13 @@ class FreeResolution:
             if seen is not None:
                 old = self.steps[seen]
                 shift = base - old.row_degs[0]
-                if old.scanned_to + shift <= cap:
-                    self.steps.append(Step(
-                        prev.col_degs, tuple(c + shift for c in old.col_degs), old.entries,
-                        scanned_to=old.scanned_to + shift))
+                end = old.scanned_to + shift if stop is None else stop
+                if end <= cap:
+                    self.steps.append(Step(prev.col_degs, tuple(c + shift for c in old.col_degs),
+                                           old.entries, end, old.certified))
                     continue
             nxt = kernel_step(self.ring, prev.row_degs, prev.col_degs, prev.entries,
-                              degree_cap=cap, stall=self.stall)
+                              degree_cap=cap, stall=self.stall, stop=stop)
             if nxt.scanned_to is not None:
                 self._outputs[key] = len(self.steps)
             self.steps.append(nxt)

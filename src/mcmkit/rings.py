@@ -754,6 +754,8 @@ class BlockSystem:
         Block (k, j) is ``mult_matrix(grid[k][j], d - col_degs[j])``, from
         A_{d - col_degs[j]} to A_{d - row_degs[k]}, written into one array
         allocated for the whole matrix; blocks of zero entries stay zero.
+        From A_0 = k the block is one column, the entry's own standard
+        coordinates, written as ``join_coords`` writes them.
         """
         ring, col_degs = self.ring, self.col_degs
         rows = ring.block_offsets([d - r for r in self.row_degs])
@@ -762,6 +764,11 @@ class BlockSystem:
         for entry in self.entries:
             k, j, poly, e, key = entry
             if rows[k] < rows[k + 1] and cols[j] < cols[j + 1]:
+                if d == col_degs[j]:
+                    pc = ring._pieces[e]
+                    for m, c in poly.items():
+                        out[rows[k] + pc.std_index[pc.index[m]], cols[j]] = c
+                    continue
                 if key is None:
                     key = entry[4] = poly_key(poly)
                 out[rows[k]:rows[k + 1], cols[j]:cols[j + 1]] = ring.mult_matrix(

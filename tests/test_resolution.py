@@ -1,6 +1,6 @@
 import pytest
 
-from mcmkit.catalog import load_catalog
+from mcmkit.catalog import load_catalog, nonci_gorenstein_ring
 from mcmkit.errors import DegreeBoundExceeded
 from mcmkit.homs import is_isomorphic
 from mcmkit.modules import (
@@ -212,23 +212,55 @@ def koszul_quotient(a, b):
 
 
 def test_verify_exactness_finds_a_stall_that_stopped_short():
-    # the stall stops the scan at degree 7, before the Koszul syzygy in
-    # degree 8: d . d = 0 holds, but rank d_2 = 0 < dim ker d_1 in degree 8
-    res = resolve(koszul_quotient(4, 4), 3)
-    assert res.betti_numbers(3) == [1, 2, 0, 0]
-    assert res.steps[1].scanned_to == 7
-    assert not res.verify_exactness(3)
-    right = resolve(koszul_quotient(4, 4), 3, stall=10)
-    assert right.betti_numbers(3) == [1, 2, 1, 0] and right.verify_exactness(3)
+    # a kernel_step with no stop ends by the stall at degree 7, before the
+    # Koszul syzygy in degree 8: d . d = 0 holds, but rank d_2 = 0 < dim ker d_1
+    # in degree 8
+    res = FreeResolution(koszul_quotient(4, 4), None, None)
+    first = res.steps[0]
+    short = kernel_step(res.ring, first.row_degs, first.col_degs, first.entries, degree_cap=100)
+    assert (short.col_degs, short.scanned_to, short.certified) == ((), 7, False)
+    res.steps.append(short)
+    assert not res.certified and not res.verify_exactness(2)
+    right = resolve(koszul_quotient(4, 4), 3)
+    assert right.betti_numbers(3) == [1, 2, 1, 0]
+    assert right.certified and right.verify_exactness(3)
     assert resolve(koszul_quotient(2, 3), 3).verify_exactness(3)
 
 
 def test_resolve_cache_rebuilds_for_another_stall():
-    M = koszul_quotient(4, 4)
-    assert resolve(M, 3, stall=3).betti_numbers(3) == [1, 2, 0, 0]  # stopped short
-    fresh = resolve(koszul_quotient(4, 4), 3, stall=10).betti_numbers(3)
-    assert fresh == [1, 2, 1, 0]
-    assert resolve(M, 3, stall=10).betti_numbers(3) == fresh
+    # over a ring that is not a certified CI the scans are windowed: with
+    # stall 0 the scan for F_2 ends in F_1's degree, before F_2's generators
+    M = residue_field_module(nonci_gorenstein_ring())
+    assert resolve(M, 3, stall=0).betti_numbers(3) == [1, 3, 0, 0]  # stopped short
+    fresh = resolve(residue_field_module(nonci_gorenstein_ring()), 3, stall=10)
+    assert fresh.betti_numbers(3) == [1, 3, 8, 21] and not fresh.certified
+    assert resolve(M, 3, stall=10).betti_numbers(3) == fresh.betti_numbers(3)
+
+
+@pytest.mark.parametrize("a", range(2, 7))
+@pytest.mark.parametrize("b", range(2, 7))
+def test_koszul_quotients_resolve_like_the_koszul_complex(a, b):
+    # over GF(7)[x,y,z]/(z^2), g_i = i and A/(x^a, y^b) has top degree
+    # T = a+b-1, so the scan for F_i's generators ends at a+b-1+i, certified
+    res = resolve(koszul_quotient(a, b), 4)
+    assert res.betti_table(3) == [(0, 1, (0,)), (1, 2, (a, b)), (2, 1, (a + b,)), (3, 0, ())]
+    assert [s.scanned_to for s in res.steps[1:3]] == [a + b + 1, a + b + 2]
+    assert res.certified and res.verify_exactness(3)
+
+
+def test_a_large_stall_no_longer_outruns_the_cap():
+    # the stall grew the scan past the automatic cap (raising at degree 22);
+    # the certified stop sets the scan end and the cap together
+    res = resolve(koszul_quotient(4, 4), 3, stall=24)
+    assert res.betti_numbers(3) == [1, 2, 1, 0] and res.certified
+
+
+def test_an_explicit_cap_below_the_certified_stop_raises():
+    # F_2's scan ends at T + g_2 = 7 + 2 = 9
+    assert resolve(koszul_quotient(4, 4), 2, degree_cap=9).betti_numbers(2) == [1, 2, 1]
+    with pytest.raises(DegreeBoundExceeded) as err:
+        resolve(koszul_quotient(4, 4), 2, degree_cap=8)
+    assert (err.value.bound, err.value.flag) == (8, "--degree-bound")
 
 
 def test_resolve_cache_without_cap_does_not_serve_an_explicit_cap():
@@ -248,7 +280,11 @@ def test_resolve_cache_reused_under_the_same_bounds():
 
 
 def cold_chain(M, H, degree_cap=None, stall=None):
-    """The first H steps rebuilt by kernel_step on each previous step, without reuse."""
+    """The first H steps rebuilt by kernel_step on each previous step, without reuse.
+
+    Each step gets the cap and the certified stop (None when windowed) the
+    resolution gives the scan for F_i's generators, i = len(steps) + 1.
+    """
     res = FreeResolution(M, degree_cap, stall)
     steps = [res.steps[0]]
     while len(steps) < H:
@@ -256,14 +292,15 @@ def cold_chain(M, H, degree_cap=None, stall=None):
         if not prev.col_degs:
             steps.append(Step(prev.col_degs, (), ()))
             continue
+        i = len(steps) + 1
         steps.append(kernel_step(M.ring, prev.row_degs, prev.col_degs, prev.entries,
-                                 degree_cap=res._auto_cap(len(steps) + 2), stall=stall))
+                                 degree_cap=res._auto_cap(i), stall=stall, stop=res.stop(i)))
     return steps
 
 
 def step_data(step):
     entries = tuple(tuple(poly_key(e.poly) for e in row) for row in step.entries)
-    return step.row_degs, step.col_degs, entries, step.scanned_to
+    return step.row_degs, step.col_degs, entries, step.scanned_to, step.certified
 
 
 def reuse_cases():

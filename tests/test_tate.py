@@ -2,14 +2,16 @@
 
 Over a complete intersection A = k[x_1..x_e]/(f_1..f_c) with every f_i in
 m^2, the Poincare series of k is (1+t)^e / (1-t^2)^c (Tate, "Homology of
-Noetherian rings and local rings", Illinois J. Math. 1, 1957).
+Noetherian rings and local rings", Illinois J. Math. 1, 1957).  Tate's
+resolution of k is then minimal, so the top generator degree of k's F_i
+is g_i = ``tate_degree(A, i)``, the certified stop of the scan for F_i.
 """
 
 import pytest
 
-from mcmkit.catalog import load_catalog
+from mcmkit.catalog import catalog_names, load_catalog, nonci_gorenstein_ring
 from mcmkit.modules import residue_field_module
-from mcmkit.resolution import resolve
+from mcmkit.resolution import resolve, tate_degree
 from mcmkit.rings import WeightedPolyRing
 
 
@@ -37,3 +39,40 @@ def test_tate_series_coefficients():
 def test_betti_numbers_of_k_follow_tate(ring, e, c):
     k = residue_field_module(ring)
     assert resolve(k, 6).betti_numbers(6) == tate_series(e, c, 6)
+
+
+SHIPPED_CIS = [  # (variables, weights, relations)
+    ("xy", None, ["x^2", "y^2"]),
+    ("xyzw", None, ["x*y", "z*w"]),
+    ("xyz", None, ["x*y", "z^2"]),
+    ("xyz", None, ["x^2", "y^2", "z^2"]),
+    ("xyz", None, ["x^3+y^3+z^3"]),
+    ("xyz", None, ["z^2"]),
+    ("xyz", [1, 1, 2], ["x^2", "y*z"]),
+]
+
+
+def certified_rings():
+    out = [pytest.param(WeightedPolyRing(7, list(v), w).quotient(rels), id=",".join(rels))
+           for v, w, rels in SHIPPED_CIS]
+    out += [pytest.param(load_catalog(name).ring, id=name) for name in catalog_names()]
+    return out
+
+
+@pytest.mark.parametrize("ring", certified_rings())
+def test_tate_degree_is_the_top_generator_degree_of_k(ring):
+    H = 5
+    res = resolve(residue_field_module(ring), H)
+    tops = [max(degs, default=None) for _, _, degs in res.betti_table(H)]
+    assert tops == [tate_degree(ring, i) for i in range(H + 1)]
+    assert res.certified
+
+
+@pytest.mark.parametrize("ring", [
+    nonci_gorenstein_ring(),
+    WeightedPolyRing(7, ["x", "y"]).quotient(["x^2", "x*y"]),
+    WeightedPolyRing(7, ["x", "y"]).quotient(["x^2", "y^2", "x*y"]),
+], ids=["nonci", "x^2,x*y", "three-quadrics"])
+def test_relations_sharing_a_variable_are_not_certified(ring):
+    assert tate_degree(ring, 2) is None
+    assert not resolve(residue_field_module(ring), 3).certified
