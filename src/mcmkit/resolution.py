@@ -10,22 +10,17 @@ generators are taken minimally, every differential has entries in the
 maximal ideal, so the window is a minimal resolution and Betti numbers
 are just rank counts.
 
-Where each scan stops decides whether the window is exact.
-
-* **Certified.**  Over a certified complete intersection (at most one
-  relation, or relations in pairwise disjoint sets of variables: a
-  syntactic test, see ``tate_degree``) Tate's resolution G of k has its
-  generators of G_i in degrees at most g_i (Tate, Illinois J. Math. 1,
-  1957; Avramov, Infinite free resolutions, 1998).  If M has finite
-  length with top degree at most T (``modules.top_degree_bound``), then
-  Tor_i(M, k)_j = H_i(M (x) G)_j vanishes for j > T + g_i, so F_i has no
-  generator above T + g_i and its scan stops there (``stop``).  This
-  covers k, and finite-length modules such as A/(x^a, y^b).
-* **Windowed.**  Everywhere else (MCM modules, the maximal ideal of a
-  ring that is not Artinian, rings that are not certified CIs) the scan
-  stops once a stall window passes with nothing new; the window is exact
-  as far as that rule saw.  ``FreeResolution.certified`` tells the two
-  apart.
+Where each scan stops decides whether the window is exact.  Over a
+certified complete intersection (``tate_degree``) Tate's resolution G of
+k has the generators of G_i in degrees at most g_i (Tate, Illinois J.
+Math. 1, 1957; Avramov, Infinite free resolutions, 1998).  If M has
+finite length with top degree at most T (``modules.top_degree_bound``),
+Tor_i(M, k)_j = H_i(M (x) G)_j vanishes for j > T + g_i, so F_i's scan
+stops there, certified (``FreeResolution.stop``): k and A/(x^a, y^b),
+for instance.  Everywhere else (MCM modules, m over a ring of positive
+dimension, rings that are not certified CIs) the scan is windowed: it
+stops once a stall window passes with nothing new.
+``FreeResolution.certified`` tells the two apart.
 
 Kernel capture reads only degree differences, so a step whose input
 equals an earlier step's input with every degree shifted by s has the
@@ -152,14 +147,13 @@ class FreeResolution:
 
     @cached_property
     def _top(self) -> Optional[int]:
-        """The bound T on M's top degree over a certified CI; None when the scans are windowed."""
-        if tate_degree(self.ring, 0) is None:
-            return None
+        """``top_degree_bound`` of M, computed once and only over a certified CI."""
         return top_degree_bound(self.minimal)
 
     def stop(self, i: int) -> Optional[int]:
         """T + g_i, where the scan for F_i's generators stops, certified; None when windowed."""
-        return None if self._top is None else self._top + tate_degree(self.ring, i)
+        g = tate_degree(self.ring, i)
+        return None if g is None or self._top is None else self._top + g
 
     def _auto_cap(self, i: int) -> int:
         """The degree cap of the scan for F_i's generators: ``degree_cap``, else at least the stop."""

@@ -140,8 +140,8 @@ def test_maximal_ideal_through_submodule_presentation(compared):
 
 
 def test_koszul_family_gets_the_koszul_betti_numbers(compared):
-    # the stall used to stop before the Koszul syzygy of degree a+b for
-    # (4, 4), (4, 5) and (5, 5); the certified stop T + g_2 = a+b+1 reaches it
+    # for (4, 4), (4, 5) and (5, 5) the Koszul syzygy of degree a+b lies past
+    # the stall window; the certified stop T + g_2 = a+b+1 reaches it
     A = WeightedPolyRing(7, ["x", "y", "z"]).quotient(["z^2"])
     for a in range(1, 6):
         for b in range(a, 6):

@@ -8,6 +8,7 @@ from mcmkit.modules import (
     free_module,
     maximal_ideal_module,
     residue_field_module,
+    top_degree_bound,
 )
 from mcmkit.mf import MatrixFactorization, coker_module
 from mcmkit.resolution import (
@@ -248,9 +249,26 @@ def test_koszul_quotients_resolve_like_the_koszul_complex(a, b):
     assert res.certified and res.verify_exactness(3)
 
 
+def test_top_degree_bound_rules_and_what_they_certify():
+    cat = load_catalog("ade:A3:dim1")
+    k = residue_field_module(cat.ring)
+    kk = GradedModule.direct_sum([k, k.degree_shift(1)])
+    # rule (2) from a cyclic module's pure powers and the ring's z^2
+    assert top_degree_bound(koszul_quotient(3, 5)) == 7
+    # rule (1): k + k(-1) vanishes past its top generator; the ring has no pure power
+    assert top_degree_bound(kk) == 1
+    res = resolve(kk, 4)
+    assert res.certified
+    for (_, _, got), (_, _, degs) in zip(res.betti_table(4), resolve(k, 4).betti_table(4)):
+        assert sorted(got) == sorted(degs + tuple(d + 1 for d in degs))
+    # infinite length: neither rule applies, and the scans stay windowed
+    for M in (dict(cat.modules())["N+"], maximal_ideal_module(cat.ring)):
+        assert top_degree_bound(M.minimized()) is None
+        assert not resolve(M, 3).certified
+
+
 def test_a_large_stall_no_longer_outruns_the_cap():
-    # the stall grew the scan past the automatic cap (raising at degree 22);
-    # the certified stop sets the scan end and the cap together
+    # a certified scan reads no stall, and the automatic cap is at least its stop
     res = resolve(koszul_quotient(4, 4), 3, stall=24)
     assert res.betti_numbers(3) == [1, 2, 1, 0] and res.certified
 
