@@ -344,12 +344,10 @@ def top_degree_bound(M: GradedModule) -> Optional[int]:
         polys += [e.poly for e in M.presentation[0]]
     powers: Dict[int, int] = {}  # variable -> least a of a one-term relation c x^a
     for poly in polys:
-        if len(poly) == 1:
-            (mono,) = poly
-            support = [i for i, a in enumerate(mono) if a]
-            if len(support) == 1:
-                i = support[0]
-                powers[i] = min(mono[i], powers.get(i, mono[i]))
+        support = [(i, a) for mono in poly for i, a in enumerate(mono) if a]
+        if len(poly) == 1 and len(support) == 1:
+            i, a = support[0]
+            powers[i] = min(a, powers.get(i, a))
     bound = None
     if len(powers) == len(ring.weights):
         bound = top + sum((a - 1) * ring.weights[i] for i, a in powers.items())
