@@ -7,7 +7,10 @@ the quiver's arrow degrees, the lifted-arrow irreducibility results and
 the D and lambda vertex maps of ``reverse_iso_check``.  Under ``"betti"``
 it holds graded Betti tables (the number of generators of F_i in each
 degree) of k and m over two complete intersections and of k over a
-ring that is not one, from ``BETTI_INPUTS``.  Regenerate the
+ring that is not one, from ``BETTI_INPUTS``.  Under ``"decompose"`` it
+holds, per module of ``DECOMPOSE_INPUTS``, whether ``decompose`` certifies
+its split, the residue degrees, and per summand its sorted generator and
+relation degrees with its multiplicity.  Regenerate the
 file with ``PYTHONPATH=src python tests/test_library_golden.py``, and only
 for a change that is meant to alter these outputs.
 """
@@ -18,7 +21,13 @@ from pathlib import Path
 import pytest
 
 from mcmkit.catalog import load_catalog, nonci_gorenstein_ring
-from mcmkit.modules import maximal_ideal_module, residue_field_module
+from mcmkit.homs import decompose
+from mcmkit.modules import (
+    GradedModule,
+    free_module,
+    maximal_ideal_module,
+    residue_field_module,
+)
 from mcmkit.quiver import (
     build_quiver,
     lifted_arrows_remain_irreducible,
@@ -36,6 +45,67 @@ BETTI_INPUTS = [  # (ring name, ring builder, {module: homological window H})
     ("ci(x*y,z*w)", lambda: WeightedPolyRing(5, ["x", "y", "z", "w"]).quotient(["x*y", "z*w"]),
      {"k": 6, "m": 6}),
     ("nonci", nonci_gorenstein_ring, {"k": 5}),
+]
+
+
+def _squares(p):
+    return WeightedPolyRing(p, ["x", "y"]).quotient(["x^2", "y^2"])
+
+
+def _point_pair(A, c):
+    """coker [[x, c*y], [y, x]]: indecomposable with residue degree 2 iff c is a non-residue."""
+    return GradedModule(A, [0, 0], [1, 1], [["x", f"{c}*y"], ["y", "x"]])
+
+
+def _sum(A, *parts):
+    """The direct sum of parts, each built over A by a function of A."""
+    return GradedModule.direct_sum([part(A) for part in parts])
+
+
+def _mixed(M):
+    """M with its generators (all in one degree) mixed by a fixed unitriangular product L U."""
+    n, field, zero = M.num_gens, M.ring.field, M.ring.zero()
+    lower = [[1 if i == k else (i + k + 1 if k < i else 0) for k in range(n)] for i in range(n)]
+    upper = [[1 if i == k else (i + 2 * k + 1 if k > i else 0) for k in range(n)] for i in range(n)]
+    g = [[sum(lower[i][t] * upper[t][k] for t in range(n)) for k in range(n)] for i in range(n)]
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(M.num_rels):
+            entry = zero
+            for k in range(n):
+                if g[i][k] % field.characteristic:
+                    entry = entry + M.presentation[k][j].scale(field.element(g[i][k]))
+            row.append(entry)
+        rows.append(row)
+    return GradedModule(M.ring, M.gen_degs, M.rel_degs, rows)
+
+
+def _catalog_sum(name):
+    """Every module of a catalog, and its first module once more."""
+    mods = [M for _, M in load_catalog(name).modules()]
+    return GradedModule.direct_sum(mods + mods[:1])
+
+
+_k = residue_field_module
+_W = {c: (lambda A, c=c: _point_pair(A, c)) for c in range(2, 7)}
+_BIG = 2 ** 31 - 1  # 3 and 5 are its two smallest non-residues, as they are mod 7
+DECOMPOSE_INPUTS = [  # (name, module builder): each call builds a fresh ring
+    ("k", lambda: _k(_squares(7))),
+    ("k+k", lambda: _sum(_squares(7), _k, _k)),
+    ("k+A", lambda: _sum(_squares(7), _k, lambda A: free_module(A, [0]))),
+    ("k+m+k", lambda: _sum(_squares(7), _k,
+                           lambda A: maximal_ideal_module(A).normalized()[0], _k)),
+    *[(f"W({c})", lambda c=c: _W[c](_squares(7))) for c in range(2, 7)],
+    ("W(3)+W(5)", lambda: _sum(_squares(7), _W[3], _W[5])),
+    ("W(3)+W(3)", lambda: _sum(_squares(7), _W[3], _W[3])),
+    ("W(4)+k", lambda: _sum(_squares(7), _W[4], _k)),
+    *[(f"{name}:all+first", lambda name=name: _catalog_sum(name))
+      for name in ("ade:A3:dim1", "ade:A4:dim1", "ade:A2:dim2")],
+    *[(f"p={p}:mixed:{name}", lambda p=p, parts=parts: _mixed(_sum(_squares(p), *parts)))
+      for p in (7, _BIG)
+      for name, parts in (("k+k+k", (_k, _k, _k)), ("W(3)+W(3)", (_W[3], _W[3])),
+                          ("W(3)+W(5)", (_W[3], _W[5])), ("W(4)+k", (_W[4], _k)))],
 ]
 
 
@@ -74,10 +144,24 @@ def betti_records() -> dict:
     return out
 
 
+def decompose_records() -> dict:
+    """Per module of ``DECOMPOSE_INPUTS``: its Krull-Schmidt split, in basis-free terms."""
+    out = {}
+    for name, build in DECOMPOSE_INPUTS:
+        dec = decompose(build())
+        out[name] = {
+            "certified": dec.certified,
+            "residue_degrees": sorted(dec.residue_degrees),
+            "summands": sorted([sorted(mod.gen_degs), sorted(mod.rel_degs), mult]
+                               for mod, mult in dec.summands),
+        }
+    return out
+
+
 @pytest.mark.parametrize("catalog", LIBRARY_CATALOGS)
 def test_quiver_records_match_golden(catalog):
     golden = json.loads(LIBRARY.read_text())
-    assert sorted(golden) == sorted(LIBRARY_CATALOGS + ("betti",))
+    assert sorted(golden) == sorted(LIBRARY_CATALOGS + ("betti", "decompose"))
     assert quiver_records(catalog) == golden[catalog]
 
 
@@ -85,7 +169,12 @@ def test_betti_records_match_golden():
     assert betti_records() == json.loads(LIBRARY.read_text())["betti"]
 
 
+def test_decompose_records_match_golden():
+    assert decompose_records() == json.loads(LIBRARY.read_text())["decompose"]
+
+
 if __name__ == "__main__":
     data = {name: quiver_records(name) for name in LIBRARY_CATALOGS}
     data["betti"] = betti_records()
+    data["decompose"] = decompose_records()
     LIBRARY.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
