@@ -30,6 +30,27 @@ def test_validate_rejects_wrong_pair():
     assert not mf.validate()
 
 
+def test_twists_from_the_nonzero_entries():
+    # a catalog factorization: row 0 pinned to 0, the rest read off the entries
+    mfs = dict(load_catalog("ade:A3:dim1").mfs)
+    assert (mfs["I1"].row_degs, mfs["I1"].col_degs) == ((0, -2), (4, 2))
+    assert (mfs["N+"].row_degs, mfs["N+"].col_degs) == ((0,), (4,))
+    # two blocks share no entry, so the second is pinned to 0 at its first row (row 2)
+    R = WeightedPolyRing(5, ["x", "y"], [3, 2])
+    block = [["x", "y", "0", "0"], ["y^2", "-x", "0", "0"],
+             ["0", "0", "x", "y"], ["0", "0", "y^2", "-x"]]
+    mf = MatrixFactorization(R, "x^2+y^3", block, block)
+    assert mf.validate()
+    assert (mf.row_degs, mf.col_degs) == ((0, -1, 0, -1), (3, 2, 3, 2))
+    # a column with no nonzero entry gets 0
+    mf = MatrixFactorization(R, "x^2", [["x", "0"], ["y", "0"]], [["x", "0"], ["y^2", "0"]])
+    assert (mf.row_degs, mf.col_degs) == ((0, 1), (3, 0))
+    # entries that no twists make homogeneous
+    with pytest.raises(UsageError, match="degree-inconsistent"):
+        MatrixFactorization(WeightedPolyRing(5, ["x", "y"]), "x^2",
+                            [["x", "y^2"], ["y", "x"]], [["x", "0"], ["y^2", "0"]])
+
+
 def test_coker_of_one_by_one_is_k():
     R = WeightedPolyRing(7, ["x"])
     mf = MatrixFactorization(R, "x^2", [["x"]], [["x"]])
