@@ -45,10 +45,10 @@ class CIPresentation:
     quotient: QuotientRing
 
     @classmethod
-    def from_ring(cls, ring: QuotientRing, check: bool = True) -> "CIPresentation":
+    def from_ring(cls, ring: QuotientRing) -> "CIPresentation":
         if not ring.relations:
             raise UsageError("a complete intersection presentation needs c >= 1 relations")
-        if check and not ring.is_complete_intersection():
+        if not ring.is_complete_intersection():
             raise UsageError("relations fail the degreewise regular-sequence criterion")
         return cls(ring.ambient, tuple(ring.relations), ring)
 
@@ -299,14 +299,7 @@ def support_annihilator_window(ext: ExtTModule, tdeg_max: int = 2) -> SupportVar
 def annihilator_windows_agree(r1: SupportVarietyReport, r2: SupportVarietyReport) -> bool:
     """Same annihilator solution space in every common t-degree."""
     degs = set(r1.ann_spaces) & set(r2.ann_spaces)
-    for D in degs:
-        s1, s2 = r1.ann_spaces[D], r2.ann_spaces[D]
-        if s1.dim != s2.dim:
-            return False
-        for row in s1.basis_matrix().rows():
-            if not s2.contains(row):
-                return False
-    return True
+    return all(r1.ann_spaces[D] == r2.ann_spaces[D] for D in degs)
 
 
 def direct_sum_annihilator_test(ci: CIPresentation, M1: GradedModule, M2: GradedModule,
@@ -320,12 +313,8 @@ def direct_sum_annihilator_test(ci: CIPresentation, M1: GradedModule, M2: Graded
         monos = _t_monomials(ci.codimension, D)
         inter = intersect_rowspaces(reps[0].ann_spaces[D], reps[1].ann_spaces[D],
                                     field, len(monos))
-        got = reps[2].ann_spaces[D]
-        if inter.dim != got.dim:
+        if inter != reps[2].ann_spaces[D]:
             return False
-        for row in inter.basis_matrix().rows():
-            if not got.contains(row):
-                return False
     return True
 
 

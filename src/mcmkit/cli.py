@@ -215,15 +215,15 @@ def cmd_resolve(args) -> int:
 def cmd_syzygy(args) -> int:
     from .functors import syzygy_signed
 
-    M = load_module(args.module, args.modulus)
-    S = syzygy_signed(M, args.n, degree_cap=args.degree_bound)
-    emit_json({"module": module_to_json(S.minimized())}, args)
-    return 0
+    return _functor_command(
+        args, lambda m: syzygy_signed(m, args.n, degree_cap=args.degree_bound), "module")
 
 
 def cmd_cosyzygy(args) -> int:
-    args.n = -abs(args.n)
-    return cmd_syzygy(args)
+    from .functors import cosyzygy
+
+    return _functor_command(
+        args, lambda m: cosyzygy(m, args.n, degree_cap=args.degree_bound), "module")
 
 
 def _functor_command(args, fn, name: str) -> int:
@@ -242,7 +242,7 @@ def cmd_dual(args) -> int:
 def cmd_transpose(args) -> int:
     from .functors import transpose
 
-    return _functor_command(args, lambda m: transpose(m, degree_cap=args.degree_bound), "transpose")
+    return _functor_command(args, transpose, "transpose")
 
 
 def cmd_link(args) -> int:
@@ -593,9 +593,6 @@ def main(argv=None) -> int:
         hint = f"; raise {exc.flag} (now {exc.bound})" if exc.flag else ""
         sys.stderr.write(f"inconclusive: {exc}{hint}\n")
         return 2
-    except UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
     except MCMError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -19,7 +19,7 @@ from .homs import Hom, _left_mul, hom_space, strip_free_summands
 from .linalg import DenseMatrix
 from .modules import GradedModule, free_module, invariants
 from .resolution import ext_module, mcm_test, resolve, syzygy
-from .rings import grid_mul
+from .rings import BlockSystem, grid_mul
 
 __all__ = [
     "dual",
@@ -45,7 +45,7 @@ def dual(M: GradedModule, degree_cap: Optional[int] = None, check: bool = True) 
     return out
 
 
-def transpose(M: GradedModule, degree_cap: Optional[int] = None) -> GradedModule:
+def transpose(M: GradedModule) -> GradedModule:
     """Tr(M): cokernel of the dualized minimal presentation."""
     Mm = M.minimized()
     if Mm.num_rels == 0:
@@ -69,7 +69,7 @@ def link(M: GradedModule, degree_cap: Optional[int] = None) -> GradedModule:
     if frees:
         warnings.warn("link: free summands stripped from the input")
         Mm = stable
-    tr = transpose(Mm, degree_cap=degree_cap)
+    tr = transpose(Mm)
     if tr.minimized().num_gens == 0:
         return tr.minimized()
     out = syzygy(tr, 1, degree_cap=degree_cap)
@@ -177,7 +177,7 @@ def lift_map(h: Hom, degree_cap: Optional[int] = None) -> Hom:
     grid, row_degs, col_degs = _left_mul(Nm, Mm.rel_degs)
     rhs = ring.join_coords([e for row in grid_mul(ring, h.phi, Mm.presentation) for e in row],
                            [-d for d in row_degs])
-    sol = ring.block_matrix(grid, row_degs, col_degs, 0).solve(
+    sol = BlockSystem(ring, grid, row_degs, col_degs).at(0).solve(
         DenseMatrix._of_array(ring.field, rhs[:, None]))
     if sol is None:
         raise UsageError("input map does not carry relations into relations")

@@ -3,8 +3,8 @@
 A degree-0 homomorphism M -> N is a matrix Phi on the free covers that
 carries relations into relations: Phi P = Q Psi for some Psi, where P and
 Q present M and N.  Two matrices induce the same map iff they differ by
-Q Theta.  Both conditions are one block system each, built by
-``QuotientRing.block_matrix`` at degree 0: the unknowns (Phi, Psi) of
+Q Theta.  Both conditions are one ``BlockSystem`` each, evaluated at
+degree 0: the unknowns (Phi, Psi) of
 Phi P - Q Psi = 0 (the sign of Psi does not change the kernel's Phi
 part), and the image of Theta -> Q Theta, the trivial span.  Hom(M, N)
 is the Phi part of the kernel modulo the trivial span; everything is a
@@ -13,22 +13,23 @@ finite rref.
 The endomorphism algebra End(M) is a finite-dimensional k-algebra whose
 radical is computed exactly by linear algebra (``EndAlgebra.radical``).
 From it come rad(A, B), isomorphism tests by a dimension count, and the
-certificate that End(M) is local.  Splitting M is done by factoring
-minimal polynomials of endomorphisms (an element whose minimal
-polynomial has two coprime factors yields an exact idempotent by CRT).
+certificate that End(M) is local.  A module whose End(M) is not local is
+split by factoring the minimal polynomials of E's basis endomorphisms
+(an element whose minimal polynomial has two coprime factors yields an
+exact idempotent by CRT).
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .errors import Inconclusive, UsageError
 from .linalg import QQ, DenseMatrix, RowSpace
 from .modules import GradedModule, MElem, submodule_presentation
-from .rings import BlockSystem, RingElement, grid_mul
+from .rings import BlockSystem, grid_mul
 
 __all__ = [
     "Hom",
@@ -49,41 +50,13 @@ __all__ = [
 class Hom:
     """A degree-0 homomorphism, with its witness on relations."""
 
-    __slots__ = ("source", "target", "phi", "flat", "_system")
+    __slots__ = ("source", "target", "phi", "_system")
 
-    def __init__(self, source: GradedModule, target: GradedModule, phi, flat=None):
+    def __init__(self, source: GradedModule, target: GradedModule, phi):
         self.source = source
         self.target = target
         self.phi = phi  # target.num_gens x source.num_gens ring-element grid
-        self.flat = flat  # flattened coordinates in the Phi layout (optional)
         self._system = None  # phi as a BlockSystem, compiled by the first apply
-
-    def entry(self, k: int, i: int) -> RingElement:
-        return self.phi[k][i]
-
-    def constant_blocks(self) -> Dict[int, DenseMatrix]:
-        """Per-degree scalar blocks of the induced map M/mM -> N/mN."""
-        field = self.source.ring.field
-        degs = sorted(set(self.source.gen_degs) | set(self.target.gen_degs))
-        out = {}
-        for d in degs:
-            rows_idx = [k for k, a in enumerate(self.target.gen_degs) if a == d]
-            cols_idx = [i for i, a in enumerate(self.source.gen_degs) if a == d]
-            mat = [[self.phi[k][i].constant_coefficient() for i in cols_idx] for k in rows_idx]
-            out[d] = DenseMatrix.from_rows(field, mat, len(cols_idx)) if rows_idx else \
-                DenseMatrix.zeros(field, 0, len(cols_idx))
-        return out
-
-    def is_cover_unit(self) -> bool:
-        """True iff the induced map on minimal covers is invertible (Nakayama)."""
-        if sorted(self.source.gen_degs) != sorted(self.target.gen_degs):
-            return False
-        for d, block in self.constant_blocks().items():
-            if block.nrows != block.ncols:
-                return False
-            if block.nrows and block.rank() != block.nrows:
-                return False
-        return True
 
     def apply(self, elem: MElem) -> MElem:
         """Image of a module element."""
@@ -119,7 +92,7 @@ class HomSpace:
         self.ring = ring
         self.field = ring.field
         M, N = source, target
-        # minus the degree of each Phi[k][i]: its block_matrix row degree at d = 0
+        # minus the degree of each Phi[k][i]: its block system row degree at d = 0
         self.phi_degs = _pair_degs(N.gen_degs, M.gen_degs)
         self._entry_degs = [-d for d in self.phi_degs]
         self.phi_dim = sum(ring.hilbert_function(d) for d in self._entry_degs)
@@ -129,11 +102,11 @@ class HomSpace:
 
     def _solve(self):
         M, N, ring = self.source, self.target, self.ring
-        system = ring.block_matrix(*_right_mul(M, N.gen_degs), 0).hstack(
-            ring.block_matrix(*_left_mul(N, M.rel_degs), 0))
+        system = BlockSystem(ring, *_right_mul(M, N.gen_degs)).at(0).hstack(
+            BlockSystem(ring, *_left_mul(N, M.rel_degs)).at(0))
         ker = system.kernel_basis()  # columns (Phi, Psi)
         self.trivial = RowSpace(self.field, self.phi_dim)
-        self.trivial.add_matrix(ring.block_matrix(*_left_mul(N, M.gen_degs), 0).transpose())
+        self.trivial.add_matrix(BlockSystem(ring, *_left_mul(N, M.gen_degs)).at(0).transpose())
         # canonical basis of Hom = kernel projections reduced mod trivial
         self.space = RowSpace(self.field, self.phi_dim)
         self.space.add_matrix(self.trivial.reduce_rows(
@@ -161,7 +134,7 @@ class HomSpace:
         entries = self.ring.split_coords(flat, self._entry_degs)
         n = self.source.num_gens
         phi = tuple(tuple(entries[k * n:(k + 1) * n]) for k in range(self.target.num_gens))
-        return Hom(self.source, self.target, phi, flat=flat)
+        return Hom(self.source, self.target, phi)
 
     def flat_of_phi(self, phi):
         return self.ring.join_coords([e for row in phi for e in row], self._entry_degs)
@@ -208,7 +181,7 @@ class HomSpace:
         """Span of classes of maps factoring through a free module."""
         if self._beta is None:
             M, N = self.source, self.target
-            ker = self.ring.block_matrix(*_right_mul(M, N.gen_degs), 0).kernel_basis()
+            ker = BlockSystem(self.ring, *_right_mul(M, N.gen_degs)).at(0).kernel_basis()
             self._beta = RowSpace(self.field, self.phi_dim)
             self._beta.add_matrix(self.trivial.reduce_rows(ker.transpose()))
         return self._beta
@@ -225,7 +198,7 @@ def _pair_degs(xs, ys) -> List[int]:
 
 
 def _left_mul(N: GradedModule, degs):
-    """X -> Q X for the presentation Q of N, as ``block_matrix`` input at degree 0.
+    """X -> Q X for the presentation Q of N, as ``BlockSystem`` input at degree 0.
 
     X has one column per entry of degs: X[l][j] has degree
     degs[j] - N.rel_degs[l] and (Q X)[k][j] has degree degs[j] - N.gen_degs[k].
@@ -238,7 +211,7 @@ def _left_mul(N: GradedModule, degs):
 
 
 def _right_mul(M: GradedModule, degs):
-    """X -> X P for the presentation P of M, as ``block_matrix`` input at degree 0.
+    """X -> X P for the presentation P of M, as ``BlockSystem`` input at degree 0.
 
     X has one row per entry of degs: X[k][i] has degree M.gen_degs[i] - degs[k]
     and (X P)[k][j] has degree M.rel_degs[j] - degs[k].  Both grids are
@@ -278,7 +251,6 @@ def compose(g: Hom, f: Hom) -> Hom:
 # endomorphism algebras and the radical
 # ---------------------------------------------------------------------------
 
-_SPLIT_TRIES = 24  # split candidates drawn per decompose call, beyond the basis
 _FREE_ROUNDS = 64  # the most free summands split off one module
 
 
@@ -552,50 +524,34 @@ def _image_module(M: GradedModule, h: Hom, label: str) -> GradedModule:
     return N
 
 
-def decompose(M: GradedModule, seed: int = 0, _depth: int = 0) -> Decomposition:
+def decompose(M: GradedModule) -> Decomposition:
     """Split into indecomposables with multiplicities (Krull-Schmidt).
 
-    Splitting uses exact CRT idempotents from factored minimal
-    polynomials of the basis endomorphisms and of random ones drawn from
-    ``seed``; indecomposability is certified through the radical of End(M).
+    A local End(M), decided by its exact radical, certifies M
+    indecomposable.  Otherwise E's basis elements are tried for an exact
+    CRT idempotent; if none splits, M comes back whole and uncertified.
     """
-    import random
-
     Mm = M.minimized()
     if Mm.num_gens == 0:
         return Decomposition([], True, [])
-    rng = random.Random(seed + 7 * _depth)
     E = end_algebra(Mm)
-    if E.dim == 1:
-        return Decomposition([(Mm, 1)], True, [1])
-    # try to split
-    idem = None
-    candidates = []
+    ok, _, s = (True, None, 1) if E.dim == 1 else local_certificate(E)
+    if ok:
+        return Decomposition([(Mm, 1)], True, [s])
     for j in range(E.dim):
-        e = E.zero()
-        e[j] = 1
-        candidates.append(e)
-    if E.field != QQ:
-        p = E.field.p
-        for _ in range(_SPLIT_TRIES):
-            candidates.append([rng.randrange(p) for _ in range(E.dim)])
-    for x in candidates:
-        if not any(x):
-            continue
+        x = E.zero()
+        x[j] = 1
         idem = splitting_idempotent(E, x)
         if idem is not None:
             break
-    if idem is None:
-        ok, rad, s = local_certificate(E)
-        if ok:
-            return Decomposition([(Mm, 1)], True, [s])
+    else:
         return Decomposition([(Mm, 1)], False, [0])
     e_hom = E.hs.element_from_coords(idem)
     one_minus = E.hs.element_from_coords(E.scale_add(-1, idem, E.one))
     part1 = _image_module(Mm, e_hom, f"{Mm.label}.1" if Mm.label else "part1")
     part2 = _image_module(Mm, one_minus, f"{Mm.label}.2" if Mm.label else "part2")
-    d1 = decompose(part1, seed=seed, _depth=_depth + 1)
-    d2 = decompose(part2, seed=seed, _depth=_depth + 1)
+    d1 = decompose(part1)
+    d2 = decompose(part2)
     merged: List[Tuple[GradedModule, int]] = []
     residue: List[int] = []
     for dec in (d1, d2):
@@ -654,7 +610,8 @@ def strip_free_summands(M: GradedModule):
             f_scaled = Hom(cur, F, tuple(
                 tuple(x.scale(cur.ring.field.inv(c)) for x in row) for row in f.phi))
             e = compose(g, f_scaled)
-            one_minus = _one_minus_hom(e)
+            one_minus = Hom(cur, cur, tuple(tuple(i - x for i, x in zip(ones, row))
+                                            for ones, row in zip(identity_hom(cur).phi, e.phi)))
             rest = _image_module(cur, one_minus, cur.label)
             free_degrees.append(d)
             cur = rest.minimized()
@@ -664,18 +621,3 @@ def strip_free_summands(M: GradedModule):
             break
     return cur, sorted(free_degrees)
 
-
-def _one_minus_hom(e: Hom) -> Hom:
-    M = e.source
-    ring = M.ring
-    one = ring.one()
-    zero = ring.zero()
-    phi = []
-    for k in range(M.num_gens):
-        row = []
-        for i in range(M.num_gens):
-            ident = one if i == k else zero
-            val = ident - e.phi[k][i] if not e.phi[k][i].is_zero() else ident
-            row.append(val)
-        phi.append(row)
-    return Hom(M, M, tuple(tuple(r) for r in phi))

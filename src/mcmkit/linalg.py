@@ -406,9 +406,6 @@ class DenseMatrix:
             return False
         return bool((self._a == other._a).all())
 
-    def __hash__(self):
-        return hash((self.field, self.shape, tuple(self._a.ravel().tolist())))
-
     def __repr__(self):
         return f"DenseMatrix({self.field}, {self.nrows}x{self.ncols})"
 
@@ -564,6 +561,13 @@ class RowSpace:
             rows, pivots = np.vstack([old, rows])[order], tuple(pivots[i] for i in order)
         self._basis, self._pivots = rows, pivots
         return rank
+
+    def __eq__(self, other):
+        """Equal spans: a span has one reduced echelon form."""
+        if not isinstance(other, RowSpace):
+            return NotImplemented
+        return (self.ncols, self._pivots) == (other.ncols, other._pivots) and \
+            bool((self._basis == other._basis).all())
 
     def basis_matrix(self) -> DenseMatrix:
         return DenseMatrix._of_array(self.field, self._basis)

@@ -31,47 +31,34 @@ __all__ = [
 def _solve_twists(ambient: QuotientRing, entries) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     """Row/column degrees making the matrix homogeneous (row 0 pinned to 0)."""
     n = len(entries)
-    row = [None] * n
-    col = [None] * n
-    degs = {}
+    # the bipartite constraint graph col_j - row_i = deg(i, j): rows are the nodes
+    # 0..n-1 and columns n..2n-1; node -> [(neighbour, its degree minus the node's)]
+    edges = [[] for _ in range(2 * n)]
     for i in range(n):
         for j in range(n):
             e = entries[i][j]
             if not e.is_zero():
-                degs[(i, j)] = ambient.ambient.poly_degree(e.poly)
-    # BFS over the bipartite constraint graph col_j - row_i = deg(i, j)
+                d = ambient.ambient.poly_degree(e.poly)
+                edges[i].append((n + j, d))
+                edges[n + j].append((i, -d))
+    # one DFS per component, pinned to 0 at its first row; a zero column gets 0
+    degs = [None] * (2 * n)
     for start in range(n):
-        if row[start] is not None:
+        if degs[start] is not None:
             continue
-        row[start] = 0
-        stack = [("r", start)]
+        degs[start] = 0
+        stack = [start]
         while stack:
-            kind, idx = stack.pop()
-            if kind == "r":
-                for j in range(n):
-                    d = degs.get((idx, j))
-                    if d is None:
-                        continue
-                    want = row[idx] + d
-                    if col[j] is None:
-                        col[j] = want
-                        stack.append(("c", j))
-                    elif col[j] != want:
-                        raise UsageError("degree-inconsistent matrix factorization entries")
-            else:
-                for i in range(n):
-                    d = degs.get((i, idx))
-                    if d is None:
-                        continue
-                    want = col[idx] - d
-                    if row[i] is None:
-                        row[i] = want
-                        stack.append(("r", i))
-                    elif row[i] != want:
-                        raise UsageError("degree-inconsistent matrix factorization entries")
-    row = [0 if r is None else r for r in row]
-    col = [0 if c is None else c for c in col]
-    return tuple(row), tuple(col)
+            node = stack.pop()
+            for other, d in edges[node]:
+                want = degs[node] + d
+                if degs[other] is None:
+                    degs[other] = want
+                    stack.append(other)
+                elif degs[other] != want:
+                    raise UsageError("degree-inconsistent matrix factorization entries")
+    degs = [0 if d is None else d for d in degs]
+    return tuple(degs[:n]), tuple(degs[n:])
 
 
 class MatrixFactorization:

@@ -208,12 +208,6 @@ class FreeResolution:
                 self._outputs[key] = len(self.steps)
             self.steps.append(nxt)
 
-    def betti(self, i: int) -> int:
-        if i == 0:
-            return self.minimal.num_gens
-        self.extend(i)
-        return len(self.steps[i - 1].col_degs)
-
     def betti_table(self, H: int) -> List[Tuple[int, int, Tuple[int, ...]]]:
         """Rows (i, beta_i, generator degrees of F_i)."""
         self.extend(H)
@@ -427,7 +421,7 @@ def ext_is_zero(M: GradedModule, i: int, degree_cap: Optional[int] = None) -> bo
     """Whether Ext^i(M, A) vanishes."""
     if i < 0:
         raise UsageError("negative Ext index")
-    res = resolve(M, i + 2, degree_cap=degree_cap)
+    res = resolve(M, i + 1, degree_cap=degree_cap)
     target = _dual_cokernel(res, i)
     gens = _dual_kernel_elements(res, i, degree_cap, target)
     return all(g.is_zero() for g in gens)
@@ -435,7 +429,7 @@ def ext_is_zero(M: GradedModule, i: int, degree_cap: Optional[int] = None) -> bo
 
 def ext_module(M: GradedModule, i: int, degree_cap: Optional[int] = None) -> GradedModule:
     """Ext^i(M, A) as a finitely presented graded module."""
-    res = resolve(M, i + 2, degree_cap=degree_cap)
+    res = resolve(M, i + 1, degree_cap=degree_cap)
     target = _dual_cokernel(res, i)
     gens = [g for g in _dual_kernel_elements(res, i, degree_cap, target) if not g.is_zero()]
     if not gens:

@@ -428,13 +428,6 @@ class QuotientRing:
                 rows[r, index[m]] = c
         return DenseMatrix._of_array(self.field, rows)
 
-    def degree_basis(self, d: int) -> Tuple[Mono, ...]:
-        """Standard-monomial basis of the degree-d piece."""
-        if d < 0:
-            return ()
-        pc = self.piece(d)
-        return tuple(pc.monos[i] for i in pc.std)
-
     def hilbert_function(self, d: int) -> int:
         got = self._pieces.get(d)
         if got is not None:
@@ -547,17 +540,6 @@ class QuotientRing:
     def block_offsets(self, degs: Sequence[int]) -> List[int]:
         """Where each block of (+)_j A_{degs[j]} starts, then the total size."""
         return list(accumulate(map(self.hilbert_function, degs), initial=0))
-
-    def block_matrix(self, grid, row_degs: Sequence[int], col_degs: Sequence[int],
-                     d: int) -> DenseMatrix:
-        """The map of free modules (+)_j A(-col_degs[j]) -> (+)_k A(-row_degs[k]) in degree d.
-
-        ``BlockSystem(self, grid, row_degs, col_degs).at(d)``: every Hom,
-        kernel and lifting system of the package is one such matrix.  With
-        ``col_degs = [d]`` the one column holds the coordinates of the ring
-        elements ``grid[k][0]``, block by block.
-        """
-        return BlockSystem(self, grid, row_degs, col_degs).at(d)
 
     def split_coords(self, vec, degs: Sequence[int]) -> List["RingElement"]:
         """The ring elements of degrees degs whose coordinates, block after block, are vec.
@@ -718,7 +700,8 @@ class BlockSystem:
     """A grid of ring elements as a map of free modules, compiled once, evaluated in any degree.
 
     The map sends generator j of (+)_j A(-col_degs[j]) to column j of the
-    grid in (+)_k A(-row_degs[k]).  Only the nonzero entries are kept, row
+    grid in (+)_k A(-row_degs[k]); every Hom, kernel and lifting system of
+    the package is one such map.  Only the nonzero entries are kept, row
     by row, each with its degree and its ``poly_key``, which the entry's
     first lookup builds: an evaluation walks no zero entry, a key is sorted
     once per system, and a system evaluated once sorts only the keys of

@@ -153,10 +153,8 @@ def test_koszul_family_gets_the_koszul_betti_numbers(compared):
 def test_degree_bound_is_raised_at_the_same_cap():
     A = WeightedPolyRing(5, ["x", "y", "z"], [1, 1, 2]).quotient(["x^2", "y*z"])
     k = residue_field_module(A)
-    row_degs, col_degs = k.gen_degs, k.rel_degs
-
-    def matrix_at(d):
-        return A.block_matrix(k.presentation, row_degs, col_degs, d)
+    col_degs = k.rel_degs
+    matrix_at = BlockSystem(A, k.presentation, k.gen_degs, col_degs).at
 
     _, _, scanned_to = reference_capture_kernel(A, col_degs, matrix_at, 100)
     for cap in (scanned_to - 1, min(col_degs) + 1):

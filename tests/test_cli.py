@@ -287,6 +287,14 @@ def test_every_subcommand_runs(tmp_path):
         assert out.read_text()
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_cosyzygy_index_below_one_is_an_error(tmp_path, capsys, n):
+    out = tmp_path / "cosyzygy.json"
+    assert main(["cosyzygy", "--module", "ade:A2:dim1/I1", f"--n={n}", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: cosyzygy index must be >= 1\n"
+    assert not out.exists()
+
+
 def test_jobs_flag_is_gone():
     with pytest.raises(SystemExit):
         main(["catalogs", "--jobs", "2"])

@@ -118,24 +118,24 @@ def test_end_algebra_identity_is_unit():
 
 
 def test_one_minus_radical_map_is_invertible():
-    # endomorphisms with f(M) inside mM: 1 - f must be a unit
+    # an endomorphism f in rad End(M) is nilpotent: f is no unit and 1 - f is one
+    # End(k + m) has the maps m -> k in its radical
     A = ring_squares()
     m, _ = maximal_ideal_module(A).normalized()
-    E = end_algebra(m)
+    E = end_algebra(GradedModule.direct_sum([residue_field_module(A), m]))
     hs = E.hs
+    rad = E.radical.basis_matrix().rows()
+    assert rad
     rng = random.Random(5)
-    found = 0
-    for _ in range(60):
-        coeffs = [rng.randrange(7) for _ in range(E.dim)]
-        h = hs.element_from_coords(coeffs)
-        blocks = h.constant_blocks()
-        if any(not b.is_zero() for b in blocks.values()):
-            continue
-        found += 1
+    for _ in range(20):
+        coeffs = [rng.randrange(7) for _ in rad]
+        h = hs.element_from_coords([sum(c * r[j] for c, r in zip(coeffs, rad)) % 7
+                                    for j in range(E.dim)])
         x = hs.coords(hs.flat_of_phi(h.phi))
+        assert E.radical.contains(x)
+        assert not E.is_unit(x)
         one_minus = [(a - b) % 7 for a, b in zip(E.one, x)]
         assert E.is_unit(one_minus)
-    assert found > 0
 
 
 def test_decompose_indecomposables():
@@ -171,18 +171,13 @@ def test_decompose_mixed_sum():
     assert is_isomorphic(mods[1][0], k)
 
 
-def test_decompose_multiplicity_stable_across_seeds():
+def test_decompose_multiplicities_of_k_m_k():
     A = ring_squares()
     k = residue_field_module(A)
     m, _ = maximal_ideal_module(A).normalized()
-    S = GradedModule.direct_sum([k, m, k])
-    sigs = set()
-    for seed in (0, 1, 2):
-        dec = decompose(S, seed=seed)
-        assert dec.certified
-        sig = tuple(sorted((mod.num_gens, mult) for mod, mult in dec.summands))
-        sigs.add(sig)
-    assert len(sigs) == 1
+    dec = decompose(GradedModule.direct_sum([k, m, k]))
+    assert dec.certified
+    assert sorted((mod.num_gens, mult) for mod, mult in dec.summands) == [(1, 2), (2, 1)]
 
 
 def test_strip_free_summands():

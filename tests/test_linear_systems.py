@@ -18,9 +18,17 @@ def ring_over(char):
     return R.quotient(["x^2-y^2", "x*y*z", "z^2+x^3*y"])
 
 
+def standard_monomials(A, d):
+    """The basis of A_d: the standard monomials of its piece."""
+    if d < 0:
+        return ()
+    piece = A.piece(d)
+    return tuple(piece.monos[i] for i in piece.std)
+
+
 def random_element(A, d, rng):
     """A random element of A_d, zero one time in four."""
-    basis = A.degree_basis(d)
+    basis = standard_monomials(A, d)
     if not basis or rng.random() < 0.25:
         return A.zero()
     p = A.characteristic or 7
@@ -40,7 +48,7 @@ def block_by_definition(A, grid, row_degs, col_degs, d):
         for t in range(A.hilbert_function(d - r)):
             row = []
             for j, c in enumerate(col_degs):
-                for mono in A.degree_basis(d - c):
+                for mono in standard_monomials(A, d - c):
                     prod = poly_mul(grid[k][j].poly, {mono: A.field.element(1)}, A.field)
                     row.append(A.std_coords(A.normal_form(prod), d - r)[t])
             rows.append(row)
@@ -56,7 +64,7 @@ def test_block_matrix_matches_its_definition(char):
         col_degs = [rng.randrange(-1, 4) for _ in range(rng.randrange(1, 4))]
         d = rng.randrange(2, 8)  # reaches blocks of dimension 0 on both sides
         grid = random_grid(A, row_degs, col_degs, rng)
-        got = A.block_matrix(grid, row_degs, col_degs, d)
+        got = BlockSystem(A, grid, row_degs, col_degs).at(d)
         want = block_by_definition(A, grid, row_degs, col_degs, d)
         assert got.shape == (sum(A.hilbert_function(d - r) for r in row_degs),
                              sum(A.hilbert_function(d - c) for c in col_degs))
@@ -68,11 +76,11 @@ def test_block_matrix_of_zero_and_empty_grids(char):
     A = ring_over(char)
     h = A.hilbert_function
     zero = A.zero()
-    zeros = A.block_matrix([[zero, zero]], [0], [0, 1], 2)
+    zeros = BlockSystem(A, [[zero, zero]], [0], [0, 1]).at(2)
     assert zeros.is_zero() and zeros.shape == (h(2), h(2) + h(1))
-    assert A.block_matrix([], [], [], 3).shape == (0, 0)
-    assert A.block_matrix([[], []], [0, 1], [], 3).shape == (h(3) + h(2), 0)
-    assert A.block_matrix([[A.one()]], [9], [9], 3).shape == (0, 0)
+    assert BlockSystem(A, [], [], []).at(3).shape == (0, 0)
+    assert BlockSystem(A, [[], []], [0, 1], []).at(3).shape == (h(3) + h(2), 0)
+    assert BlockSystem(A, [[A.one()]], [9], [9]).at(3).shape == (0, 0)
 
 
 def block_matrix_by_grid_walk(A, grid, row_degs, col_degs, d):
@@ -113,7 +121,6 @@ def test_block_system_evaluates_to_the_grid_walk_in_every_degree(char):
         for d in range(-3, 14):
             want = block_matrix_by_grid_walk(A, grid, row_degs, col_degs, d)
             assert_same_array(system.at(d)._array(), want)
-            assert_same_array(A.block_matrix(grid, row_degs, col_degs, d)._array(), want)
             assert_same_array(part.at(d)._array(),
                               block_matrix_by_grid_walk(A, part_grid, row_degs,
                                                         [col_degs[j] for j in keep], d))
@@ -172,7 +179,7 @@ def test_split_coords_inverts_a_one_column_block_matrix(char):
         degs = [rng.randrange(-1, 7) for _ in range(rng.randrange(0, 5))]
         d = 4
         column = [[random_element(A, e, rng)] for e in degs]
-        coords = A.block_matrix(column, [d - e for e in degs], [d], d)
+        coords = BlockSystem(A, column, [d - e for e in degs], [d]).at(d)
         back = A.split_coords(coords._array()[:, 0], degs)
         assert back == [row[0] for row in column]
         assert all(e.degree == (None if e.is_zero() else deg) for e, deg in zip(back, degs))

@@ -90,7 +90,8 @@ def _random_module(A, rng, g, r, gen_choices, rel_choices):
     for a in gen_degs:
         row = []
         for b in rel_degs:
-            poly = {m: c for m in A.degree_basis(b - a) if (c := rng.randrange(p))}
+            piece = A.piece(b - a)  # b > a; A_{b-a} has the standard monomials as its basis
+            poly = {piece.monos[i]: c for i in piece.std if (c := rng.randrange(p))}
             row.append(A.element(poly if poly else 0))
         rows.append(row)
     return GradedModule(A, gen_degs, rel_degs, rows)

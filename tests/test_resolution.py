@@ -166,6 +166,16 @@ def test_ext_k_nonzero_over_curve():
     assert mcm_test(k) is False
 
 
+def test_ext_resolves_only_the_differentials_it_reads():
+    # Ext^i(M, A) reads d_i and d_{i+1}: the window keeps i + 1 steps, no more
+    k = residue_field_module(cusp())
+    assert not ext_is_zero(k, 1)
+    assert len(k._resolution.steps) == 2
+    k = residue_field_module(cusp())
+    assert ext_module(k, 1).num_gens
+    assert len(k._resolution.steps) == 2
+
+
 def test_mcm_maximal_ideal_over_curve():
     A = cusp()
     m = maximal_ideal_module(A)
