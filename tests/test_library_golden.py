@@ -64,20 +64,12 @@ def _sum(A, *parts):
 
 def _mixed(M):
     """M with its generators (all in one degree) mixed by a fixed unitriangular product L U."""
-    n, field, zero = M.num_gens, M.ring.field, M.ring.zero()
+    n, zero = M.num_gens, M.ring.zero()
     lower = [[1 if i == k else (i + k + 1 if k < i else 0) for k in range(n)] for i in range(n)]
     upper = [[1 if i == k else (i + 2 * k + 1 if k > i else 0) for k in range(n)] for i in range(n)]
     g = [[sum(lower[i][t] * upper[t][k] for t in range(n)) for k in range(n)] for i in range(n)]
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(M.num_rels):
-            entry = zero
-            for k in range(n):
-                if g[i][k] % field.characteristic:
-                    entry = entry + M.presentation[k][j].scale(field.element(g[i][k]))
-            row.append(entry)
-        rows.append(row)
+    rows = [[sum((M.presentation[k][j].scale(g[i][k]) for k in range(n)), zero)
+             for j in range(M.num_rels)] for i in range(n)]
     return GradedModule(M.ring, M.gen_degs, M.rel_degs, rows)
 
 
