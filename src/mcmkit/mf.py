@@ -178,7 +178,8 @@ def from_resolution_tail(M: GradedModule, H: int = 8,
         if mf.validate():
             return mf, n
     raise Inconclusive(
-        f"resolution did not stabilize to a matrix factorization within {H} steps")
+        f"resolution did not stabilize to a matrix factorization within {H} steps",
+        bound=H, flag="--hom-bound")
 
 
 def _solve_companion(poly_ring: QuotientRing, f: RingElement, phi,

@@ -16,11 +16,20 @@ k has the generators of G_i in degrees at most g_i (Tate, Illinois J.
 Math. 1, 1957; Avramov, Infinite free resolutions, 1998).  If M has
 finite length with top degree at most T (``modules.top_degree_bound``),
 Tor_i(M, k)_j = H_i(M (x) G)_j vanishes for j > T + g_i, so F_i's scan
-stops there, certified (``FreeResolution.stop``): k and A/(x^a, y^b),
-for instance.  Everywhere else (MCM modules, m over a ring of positive
-dimension, rings that are not certified CIs) the scan is windowed: it
-stops once a stall window passes with nothing new.
-``FreeResolution.certified`` tells the two apart.
+stops there, certified: k and A/(x^a, y^b), for instance.  A second
+bound comes from an Artinian reduction (``QuotientRing.artinian_reduction``):
+A is Cohen-Macaulay of dimension d, and d variables l make B = A/(l)
+Artinian with top degree s.  Once i - 1 >= d, Syz_{i-1}(M) is maximal
+Cohen-Macaulay, so l is regular on it and the kernel K of F_{i-1} -> F_{i-2}
+has K/lK inside (+)_j B(-c_j) over F_{i-1}'s degrees c_j; by graded
+Nakayama F_i's generators lie in degrees at most max c_j + s (Yoshino,
+Cohen-Macaulay modules over Cohen-Macaulay rings, LMS LN 146, 1990).
+Over an Artinian ring d = 0 and B = A.  The scan stops at the least bound
+that applies (``FreeResolution.stop``), so every resolution over the
+catalog rings is certified past its first d steps.  Everywhere else (the
+first d steps of a module of infinite length, rings with neither bound)
+the scan is windowed: it stops once a stall window passes with nothing
+new.  ``FreeResolution.certified`` tells the two apart.
 
 Kernel capture reads only degree differences, so a step whose input
 equals an earlier step's input with every degree shifted by s has the
@@ -86,17 +95,14 @@ class Step:
 def tate_degree(ring: QuotientRing, i: int) -> Optional[int]:
     """g_i, the top generator degree of G_i for Tate's resolution G of k; None if not certified.
 
-    The ring is a certified complete intersection when it has at most one
-    relation or its relations use pairwise disjoint sets of variables, so
-    that they form a regular sequence; this reads the relations only (not
-    ``is_complete_intersection``, which compares Hilbert series up to a
-    fixed degree).  G has exterior variables in the weights (homological
-    degree 1) and divided-power variables in the relation degrees
-    (homological degree 2), so g_i is the max over a + 2b = i, a <= #variables,
-    of the a largest weights plus b times the largest relation degree.
+    The ring must be a certified complete intersection
+    (``QuotientRing.is_certified_ci``).  G has exterior variables in the
+    weights (homological degree 1) and divided-power variables in the
+    relation degrees (homological degree 2), so g_i is the max over
+    a + 2b = i, a <= #variables, of the a largest weights plus b times the
+    largest relation degree.
     """
-    supports = [{v for mono in rel for v, a in enumerate(mono) if a} for rel in ring.relations]
-    if len(supports) > 1 and sum(map(len, supports)) != len(set().union(*supports)):
+    if not ring.is_certified_ci:
         return None
     weights = sorted(ring.weights, reverse=True)
     top = max(ring.relation_degrees, default=0)
@@ -150,12 +156,24 @@ class FreeResolution:
         """``top_degree_bound`` of M, computed once and only over a certified CI."""
         return top_degree_bound(self.minimal)
 
-    def stop(self, i: int) -> Optional[int]:
-        """T + g_i, where the scan for F_i's generators stops, certified; None when windowed."""
-        g = tate_degree(self.ring, i)
-        return None if g is None or self._top is None else self._top + g
+    def stop(self, i: int, prev_degs: Sequence[int]) -> Optional[int]:
+        """Where the scan for F_i's generators stops, certified; None when windowed.
 
-    def _auto_cap(self, i: int) -> int:
+        The least of two bounds, where they apply: T + g_i (Tor balance, over
+        a certified CI), and max(F_{i-1}) + s once i - 1 >= d, for the
+        ring's ``artinian_reduction`` (d, s).  prev_degs are F_{i-1}'s
+        generator degrees.
+        """
+        stops = []
+        g = tate_degree(self.ring, i)
+        if g is not None and self._top is not None:
+            stops.append(self._top + g)
+        reduction = self.ring.artinian_reduction
+        if reduction is not None and i - 1 >= reduction[0]:
+            stops.append(max(prev_degs) + reduction[1])
+        return min(stops, default=None)
+
+    def _auto_cap(self, i: int, prev_degs: Sequence[int]) -> int:
         """The degree cap of the scan for F_i's generators: ``degree_cap``, else at least the stop."""
         if self.degree_cap is not None:
             return self.degree_cap
@@ -163,7 +181,7 @@ class FreeResolution:
         rd = max(ring.relation_degrees) if ring.relation_degrees else 2
         base = max(list(self.minimal.gen_degs) + list(self.minimal.rel_degs) + [0])
         cap = base + (i + 3) * max(rd, 2 * ring.max_weight) + 8
-        stop = self.stop(i)
+        stop = self.stop(i, prev_degs)
         return cap if stop is None else max(cap, stop)
 
     @property
@@ -178,8 +196,9 @@ class FreeResolution:
         earlier output shifted by s (see the module docstring).  It reports
         the scan end a cold step would: its certified stop, or else the
         earlier scan end plus s.  It is reused only if that end is within
-        this step's cap; otherwise kernel_step runs and raises as it would
-        have.
+        this step's cap, and a windowed earlier scan serves a certified step
+        only if it reached the stop; otherwise kernel_step runs and raises
+        as it would have.
         """
         while len(self.steps) < H:
             prev = self.steps[-1]
@@ -188,7 +207,7 @@ class FreeResolution:
                 self.steps.append(Step(prev.col_degs, (), ()))
                 continue
             i = len(self.steps) + 1  # this step finds the generators of F_i
-            stop, cap = self.stop(i), self._auto_cap(i)
+            stop, cap = self.stop(i, prev.col_degs), self._auto_cap(i, prev.col_degs)
             base = prev.col_degs[0]
             key = (tuple(r - base for r in prev.row_degs),
                    tuple(c - base for c in prev.col_degs),
@@ -197,10 +216,12 @@ class FreeResolution:
             if seen is not None:
                 old = self.steps[seen]
                 shift = base - old.row_degs[0]
-                end = old.scanned_to + shift if stop is None else stop
-                if end <= cap:
+                end, certified = old.scanned_to + shift, old.certified
+                if stop is not None and (certified or end >= stop):
+                    end, certified = stop, True
+                if end <= cap and certified == (stop is not None):
                     self.steps.append(Step(prev.col_degs, tuple(c + shift for c in old.col_degs),
-                                           old.entries, end, old.certified))
+                                           old.entries, end, certified))
                     continue
             nxt = kernel_step(self.ring, prev.row_degs, prev.col_degs, prev.entries,
                               degree_cap=cap, stall=self.stall, stop=stop)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, combinations
 from operator import add
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -350,6 +350,7 @@ class QuotientRing:
         self.key = (ambient.key, tuple(poly_key(r) for r in self.relations))
         self._pieces: Dict[int, _Piece] = {}
         self._mult_cache: Dict[tuple, DenseMatrix] = {}
+        self._offsets: Dict[Tuple[int, ...], Tuple[int, ...]] = {}  # block_offsets: degrees -> offsets
         self._gens: Optional[Tuple["RingElement", ...]] = None
         self._zero = RingElement(self, {}, None)  # the zero of no degree, shared
 
@@ -537,9 +538,13 @@ class QuotientRing:
 
     # -- linear systems ----------------------------------------------------
 
-    def block_offsets(self, degs: Sequence[int]) -> List[int]:
-        """Where each block of (+)_j A_{degs[j]} starts, then the total size."""
-        return list(accumulate(map(self.hilbert_function, degs), initial=0))
+    def block_offsets(self, degs: Sequence[int]) -> Tuple[int, ...]:
+        """Where each block of (+)_j A_{degs[j]} starts, then the total size; kept per degree tuple."""
+        key = tuple(degs)
+        got = self._offsets.get(key)
+        if got is None:
+            got = self._offsets[key] = tuple(accumulate(map(self.hilbert_function, key), initial=0))
+        return got
 
     def split_coords(self, vec, degs: Sequence[int]) -> List["RingElement"]:
         """The ring elements of degrees degs whose coordinates, block after block, are vec.
@@ -609,19 +614,54 @@ class QuotientRing:
         """The last degree the Artinian and socle scans read."""
         return sum(self.relation_degrees) + sum(self.weights) + 4
 
+    def _top_degree(self) -> Optional[int]:
+        """The top nonzero degree of an Artinian ring (``zero_run_top``); None if none shows."""
+        return zero_run_top(map(self.hilbert_function, range(self._horizon() + 1)), self.max_weight)
+
     def is_artinian(self) -> bool:
-        horizon = self._horizon()
-        d = 0
-        zeros = 0
-        while d <= horizon:
-            if self.hilbert_function(d) == 0:
-                zeros += 1
-                if zeros >= self.max_weight:
-                    return True
-            else:
-                zeros = 0
-            d += 1
-        return False
+        return self._top_degree() is not None
+
+    @property
+    def is_certified_ci(self) -> bool:
+        """At most one relation, or relations in pairwise disjoint sets of variables.
+
+        Such relations form a regular sequence.  Unlike
+        ``is_complete_intersection`` this reads the relations only.
+        """
+        supports = [{v for mono in rel for v, a in enumerate(mono) if a} for rel in self.relations]
+        return len(supports) < 2 or sum(map(len, supports)) == len(set().union(*supports))
+
+    @cached_property
+    def artinian_reduction(self) -> Optional[Tuple[int, int]]:
+        """(d, s): A is Cohen-Macaulay of dimension d, and d of its variables l
+        make B = A/(l) Artinian with top degree s; None when no such l is found.
+
+        An Artinian ring is its own B (d = 0).  A certified complete
+        intersection has d = #variables - #relations; B is built in each
+        choice of the other variables in turn, and s is the least top degree
+        of an Artinian B.  Such an l is a system of parameters, hence regular
+        on every maximal Cohen-Macaulay module.
+        """
+        n, r = len(self.variables), len(self.relations)
+        if not self.is_certified_ci:
+            s = self._top_degree()
+            return None if s is None else (0, s)
+        if not r:
+            return n, 0  # B = k
+        tops = []
+        for keep in combinations(range(n), r):
+            ambient = WeightedPolyRing(self.characteristic, [self.variables[i] for i in keep],
+                                       [self.weights[i] for i in keep])
+            # setting l to 0 keeps the terms whose kept exponents are all they have
+            rels = [{tuple(m[i] for i in keep): c for m, c in rel.items()
+                     if sum(m[i] for i in keep) == sum(m)} for rel in self.relations]
+            B = QuotientRing(ambient, [rel for rel in rels if rel])
+            # B's relations use disjoint sets of variables too: a regular
+            # sequence, so B's Hilbert series is the complete-intersection one
+            s = zero_run_top(B.hilbert_series_ci(B._horizon()), B.max_weight)
+            if s is not None:
+                tops.append(s)
+        return (n - r, min(tops)) if tops else None
 
     def krull_dim(self) -> int:
         return self._krull_dim
@@ -675,6 +715,24 @@ class QuotientRing:
 
     def multiplicity(self) -> int:
         return self.hilbert_samuel_fit()[1]
+
+
+def zero_run_top(values: Iterable[int], run: int) -> Optional[int]:
+    """The last degree with a nonzero value of a ring's Hilbert function, read up to a run of zeros.
+
+    values are the Hilbert function from degree 0 on.  Each A_d is the sum
+    of x A_{d-w} over the variables x of weight w, so ``run`` = max_weight
+    zero values in a row end the ring; None when no such run occurs.
+    """
+    top, zeros = 0, 0
+    for d, value in enumerate(values):
+        if value:
+            top, zeros = d, 0
+        else:
+            zeros += 1
+            if zeros >= run:
+                return top
+    return None
 
 
 def fit_hilbert_samuel(values: List[int]):

@@ -134,6 +134,14 @@ def test_inconclusive_names_the_bound_once(capsys):
                    " raise --degree-bound (now 3)\n")
 
 
+def test_mf_extract_inconclusive_names_the_hom_bound(capsys):
+    rc = main(["mf-extract", "--module", "ade:A2:dim1/m", "-H", "1"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "inconclusive: resolution did not stabilize to a matrix factorization within 1 steps;"
+        " raise --hom-bound (now 1)\n")
+
+
 def test_inconclusive_without_a_flag_names_no_bound(monkeypatch, capsys):
     import mcmkit.cli as cli
     from mcmkit.errors import Inconclusive

@@ -1,10 +1,11 @@
 import pytest
 
-from mcmkit.catalog import load_catalog, nonci_gorenstein_ring
+from mcmkit.catalog import catalog_names, load_catalog
 from mcmkit.errors import DegreeBoundExceeded
 from mcmkit.homs import is_isomorphic
 from mcmkit.modules import (
     GradedModule,
+    default_stall,
     free_module,
     maximal_ideal_module,
     residue_field_module,
@@ -238,13 +239,17 @@ def test_verify_exactness_finds_a_stall_that_stopped_short():
     assert resolve(koszul_quotient(2, 3), 3).verify_exactness(3)
 
 
+def windowed_ring():
+    """k[x,y]/(x^2, xy): neither Artinian nor a certified CI, so every scan is windowed."""
+    return WeightedPolyRing(7, ["x", "y"]).quotient(["x^2", "x*y"])
+
+
 def test_resolve_cache_rebuilds_for_another_stall():
-    # over a ring that is not a certified CI the scans are windowed: with
-    # stall 0 the scan for F_2 ends in F_1's degree, before F_2's generators
-    M = residue_field_module(nonci_gorenstein_ring())
-    assert resolve(M, 3, stall=0).betti_numbers(3) == [1, 3, 0, 0]  # stopped short
-    fresh = resolve(residue_field_module(nonci_gorenstein_ring()), 3, stall=10)
-    assert fresh.betti_numbers(3) == [1, 3, 8, 21] and not fresh.certified
+    # with stall 0 the scan for F_2 ends in F_1's degree, before F_2's generators
+    M = residue_field_module(windowed_ring())
+    assert resolve(M, 3, stall=0).betti_numbers(3) == [1, 2, 0, 0]  # stopped short
+    fresh = resolve(residue_field_module(windowed_ring()), 3, stall=10)
+    assert fresh.betti_numbers(3) == [1, 2, 3, 5] and not fresh.certified
     assert resolve(M, 3, stall=10).betti_numbers(3) == fresh.betti_numbers(3)
 
 
@@ -252,10 +257,12 @@ def test_resolve_cache_rebuilds_for_another_stall():
 @pytest.mark.parametrize("b", range(2, 7))
 def test_koszul_quotients_resolve_like_the_koszul_complex(a, b):
     # over GF(7)[x,y,z]/(z^2), g_i = i and A/(x^a, y^b) has top degree
-    # T = a+b-1, so the scan for F_i's generators ends at a+b-1+i, certified
+    # T = a+b-1, so the scan for F_2's generators ends at a+b+1, certified;
+    # dropping x and y leaves B = k[z]/(z^2), so (d, s) = (2, 1) and F_3's
+    # scan ends at max(F_2) + 1 = a+b+1, before T + g_3 = a+b+2
     res = resolve(koszul_quotient(a, b), 4)
     assert res.betti_table(3) == [(0, 1, (0,)), (1, 2, (a, b)), (2, 1, (a + b,)), (3, 0, ())]
-    assert [s.scanned_to for s in res.steps[1:3]] == [a + b + 1, a + b + 2]
+    assert [s.scanned_to for s in res.steps[1:3]] == [a + b + 1, a + b + 1]
     assert res.certified and res.verify_exactness(3)
 
 
@@ -271,10 +278,14 @@ def test_top_degree_bound_rules_and_what_they_certify():
     assert res.certified
     for (_, _, got), (_, _, degs) in zip(res.betti_table(4), resolve(k, 4).betti_table(4)):
         assert sorted(got) == sorted(degs + tuple(d + 1 for d in degs))
-    # infinite length: neither rule applies, and the scans stay windowed
+    # infinite length: neither rule applies, but over the curve every scan
+    # past the first syzygy stops at the Artinian reduction's bound
     for M in (dict(cat.modules())["N+"], maximal_ideal_module(cat.ring)):
         assert top_degree_bound(M.minimized()) is None
-        assert not resolve(M, 3).certified
+        assert resolve(M, 3).certified
+    # neither a finite-length module nor a ring with a reduction: windowed
+    k = residue_field_module(windowed_ring())
+    assert top_degree_bound(k) == 0 and not resolve(k, 3).certified
 
 
 def test_a_large_stall_no_longer_outruns_the_cap():
@@ -307,11 +318,13 @@ def test_resolve_cache_reused_under_the_same_bounds():
     assert resolve(M, 4) is not res
 
 
-def cold_chain(M, H, degree_cap=None, stall=None):
+def cold_chain(M, H, degree_cap=None, stall=None, windowed=False):
     """The first H steps rebuilt by kernel_step on each previous step, without reuse.
 
     Each step gets the cap and the certified stop (None when windowed) the
-    resolution gives the scan for F_i's generators, i = len(steps) + 1.
+    resolution gives the scan for F_i's generators, i = len(steps) + 1, and
+    F_{i-1}'s degrees.  ``windowed`` drops every stop, so each scan ends by
+    the stall rule.
     """
     res = FreeResolution(M, degree_cap, stall)
     steps = [res.steps[0]]
@@ -322,7 +335,8 @@ def cold_chain(M, H, degree_cap=None, stall=None):
             continue
         i = len(steps) + 1
         steps.append(kernel_step(M.ring, prev.row_degs, prev.col_degs, prev.entries,
-                                 degree_cap=res._auto_cap(i), stall=stall, stop=res.stop(i)))
+                                 degree_cap=res._auto_cap(i, prev.col_degs), stall=stall,
+                                 stop=None if windowed else res.stop(i, prev.col_degs)))
     return steps
 
 
@@ -376,3 +390,26 @@ def test_reuse_raises_at_exactly_the_caps_the_cold_chain_does(name, label):
         assert reused == cold, cap
         outcomes.add(cold)
     assert outcomes == {"ok", "raises"}
+
+
+def catalog_inputs():
+    out = []
+    for name in catalog_names():
+        cat = load_catalog(name)
+        inputs = cat.modules() + [("k", residue_field_module(cat.ring)),
+                                  ("m", maximal_ideal_module(cat.ring))]
+        out.extend(pytest.param(M, id=f"{name}/{label}") for label, M in inputs)
+    return out
+
+
+@pytest.mark.parametrize("M", catalog_inputs())
+def test_artinian_reduction_stop_agrees_with_a_three_times_wider_window(M):
+    # past the first d syzygies every scan stops at max(F_{i-1}) + s, certified;
+    # scans windowed by three stall windows find the same graded Betti table
+    H = 6
+    d = M.ring.artinian_reduction[0]
+    res = resolve(M, H)
+    wide = cold_chain(M, H, stall=3 * default_stall(M.ring), windowed=True)
+    assert res.betti_table(H)[1:] == [(i, len(st.col_degs), st.col_degs)
+                                      for i, st in enumerate(wide, start=1)]
+    assert all(st.certified for st in res.steps[d:])

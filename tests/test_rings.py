@@ -162,6 +162,28 @@ def test_artinian_detection():
     assert not cusp_ring().is_artinian()
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_artinian_reduction_of_the_curves_drops_y(n):
+    # x^2 + y^(n+1) with weights (n+1, 2): B = k[x]/(x^2) has top degree n+1,
+    # below the 2n of B = k[y]/(y^(n+1)) for n > 1
+    assert load_catalog(f"ade:A{n}:dim1").ring.artinian_reduction == (1, n + 1)
+
+
+def test_artinian_reduction_of_rings_with_and_without_one():
+    # an Artinian ring is its own reduction: Hilbert function (1, 3, 1)
+    assert nonci_gorenstein_ring().artinian_reduction == (0, 2)
+    # dropping any two variables of (xy, zw) leaves a ring of positive dimension
+    assert WeightedPolyRing(5, list("xyzw")).quotient(["x*y", "z*w"]).artinian_reduction is None
+    # the polynomial ring drops every variable and leaves k
+    assert WeightedPolyRing(5, list("xy")).quotient([]).artinian_reduction == (2, 0)
+
+
+def test_block_offsets_are_kept_per_degree_tuple():
+    A = circle_ring()
+    got = A.block_offsets([2, 0, -1, 1])
+    assert got == (0, 2, 3, 3, 5) and A.block_offsets((2, 0, -1, 1)) is got
+
+
 @pytest.mark.parametrize("name", [f"ade:A{n}:dim1" for n in range(1, 9)]
                          + [f"ade:A{n}:dim2" for n in range(1, 5)])
 def test_multiplicity_of_an_hypersurfaces_is_two(name):
