@@ -112,7 +112,7 @@ def eisenbud_operators(ci: CIPresentation, M: GradedModule, H: int,
     A = ci.quotient
     if M.ring.key != A.key:
         raise UsageError("module does not live over the quotient of the presentation")
-    Q = ci.ambient.quotient([])
+    Q = ci.ambient.relation_free
     us = [Q.element(u) for u in ci.regular_sequence]
     c = len(us)
     res = resolve(M, H + 2, degree_cap=degree_cap)

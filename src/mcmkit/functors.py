@@ -17,7 +17,7 @@ from typing import Optional, Tuple
 from .errors import UsageError
 from .homs import Hom, _left_mul, hom_space, strip_free_summands
 from .linalg import DenseMatrix
-from .modules import GradedModule, free_module, invariants
+from .modules import GradedModule, free_module
 from .resolution import ext_module, mcm_test, resolve, syzygy
 from .rings import BlockSystem, grid_mul
 
@@ -29,7 +29,6 @@ __all__ = [
     "syzygy_signed",
     "tau",
     "mcm_approx",
-    "mcm_approx_cm",
     "stable_part",
     "lift_map",
     "stable_hom_dims",
@@ -130,30 +129,6 @@ def mcm_approx(M: GradedModule, degree_cap: Optional[int] = None) -> GradedModul
         return free_module(M.ring, [0], label="X(free)")
     out = cosyzygy(S, t, degree_cap=degree_cap)
     out.label = f"X({M.label})" if M.label else "X"
-    return out
-
-
-def mcm_approx_cm(M: GradedModule, degree_cap: Optional[int] = None) -> GradedModule:
-    """X(M) for a Cohen-Macaulay module, via duality in its codimension.
-
-    Uses the codimension-n construction: X(M) = (Syz_n of Ext^n(M, A))*.
-    Serves as the independent second route for the stable-category
-    computation in mcm_approx.
-    """
-    Mm = M.minimized()
-    ring = M.ring
-    inv = invariants(Mm)
-    n = ring.krull_dim() - max(inv.dim, 0)
-    if n == 0:
-        if not mcm_test(Mm, degree_cap=degree_cap):
-            raise UsageError("codim-0 input is not Cohen-Macaulay")
-        return Mm
-    Mv = ext_module(Mm, n, degree_cap=degree_cap).minimized()
-    if Mv.num_gens == 0:
-        raise UsageError("input is not Cohen-Macaulay of the computed codimension")
-    S = syzygy(Mv, n, degree_cap=degree_cap).minimized()
-    out = dual(S, degree_cap=degree_cap, check=False)
-    out.label = f"Xcm({M.label})" if M.label else "Xcm"
     return out
 
 

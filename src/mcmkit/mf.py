@@ -65,7 +65,7 @@ class MatrixFactorization:
     """A pair (phi, psi) with phi psi = psi phi = f . Id over k[x_1..x_m]."""
 
     def __init__(self, ambient: WeightedPolyRing, f, phi, psi, label: str = ""):
-        self.poly_ring = ambient.quotient([]) if isinstance(ambient, WeightedPolyRing) else ambient
+        self.poly_ring = ambient.relation_free if isinstance(ambient, WeightedPolyRing) else ambient
         if self.poly_ring.relations:
             raise UsageError("matrix factorizations live over the ambient polynomial ring")
         self.label = label
@@ -86,11 +86,14 @@ class MatrixFactorization:
         return f"<{tag}: {self.size}x{self.size} of {self.f!r}>"
 
     def validate(self) -> bool:
-        """Both products equal f . Id exactly."""
+        """Both products equal f . Id exactly.
+
+        Only phi psi is formed: over the domain k[x_1..x_m], phi psi = f . Id
+        with f nonzero makes psi / f the inverse of phi, so psi phi = f . Id too.
+        """
         zero = self.poly_ring.zero()
         return all(e == (self.f if i == j else zero)
-                   for a, b in ((self.phi, self.psi), (self.psi, self.phi))
-                   for i, row in enumerate(grid_mul(self.poly_ring, a, b))
+                   for i, row in enumerate(grid_mul(self.poly_ring, self.phi, self.psi))
                    for j, e in enumerate(row))
 
     def is_reduced(self) -> bool:
@@ -158,7 +161,7 @@ def from_resolution_tail(M: GradedModule, H: int = 8,
     if len(ring.relations) != 1:
         raise UsageError("resolution-tail extraction needs a hypersurface ring")
     fpoly = ring.relations[0]
-    poly_ring = ring.ambient.quotient([])
+    poly_ring = ring.ambient.relation_free
     f = poly_ring.element(fpoly)
     res = resolve(M, 1, degree_cap=degree_cap)
     for n in range(H - 1):

@@ -312,10 +312,17 @@ def residue_field_module(ring: QuotientRing) -> GradedModule:
 
 
 def maximal_ideal_module(ring: QuotientRing) -> GradedModule:
-    """The maximal ideal m as a module: submodule of A generated by the variables."""
+    """The maximal ideal m as a module: submodule of A generated by the variables.
+
+    Over A = S/I the syzygies of the variables are generated by the Koszul
+    relations x_j e_i - x_i e_j and by a lift sum g_i e_i of each generator
+    f = sum g_i x_i of I, so the kernel scan stops, certified, at the larger
+    of w1 + w2 (the two largest weights) and I's largest generator degree.
+    """
     A = free_module(ring, [0], label="A")
     gens = [A.element(w, ring.std_coords(x.poly, w)) for x, w in zip(ring.gens(), ring.weights)]
-    N, _ = submodule_presentation(A, gens, label="m")
+    stop = max(sum(sorted(ring.weights)[-2:]), max(ring.relation_degrees, default=0))
+    N, _ = submodule_presentation(A, gens, label="m", stop=stop)
     return N
 
 
@@ -444,8 +451,8 @@ def capture_kernel(ring: QuotientRing, col_degs: Sequence[int], matrix_at, degre
 
 
 def submodule_presentation(C: GradedModule, elements: Sequence[MElem],
-                           label: str = "",
-                           degree_cap: Optional[int] = None) -> Tuple[GradedModule, List[MElem]]:
+                           label: str = "", degree_cap: Optional[int] = None,
+                           stop: Optional[int] = None) -> Tuple[GradedModule, List[MElem]]:
     """Minimal presentation of the submodule of C generated by elements.
 
     The elements are tried by degree, in input order within a degree: one
@@ -453,8 +460,9 @@ def submodule_presentation(C: GradedModule, elements: Sequence[MElem],
     elements kept before it (``minimal_columns``, in C's quotient
     coordinates), so zero and repeated elements are dropped.  The
     relations are the kernel of the evaluation map from the kept
-    elements' free cover to C, captured by ``capture_kernel``.  Returns
-    ``(N, kept)``: kept[g] is generator g of N.
+    elements' free cover to C, captured by ``capture_kernel``: up to a
+    certified ``stop`` when the caller gives one, else windowed by the
+    stall rule.  Returns ``(N, kept)``: kept[g] is generator g of N.
     """
     ring = C.ring
     # element g goes to column g of a grid over C's free cover
@@ -475,7 +483,7 @@ def submodule_presentation(C: GradedModule, elements: Sequence[MElem],
     if degree_cap is None:
         degree_cap = max(gen_degs) + 6 * ring.max_weight + default_stall(ring) + 8
     rel_degs, rows, _ = capture_kernel(ring, gen_degs, lambda d: to_quotient(d, system.at(d)),
-                                       degree_cap)
+                                       degree_cap, stop=stop)
     N = GradedModule(ring, gen_degs, rel_degs, rows, label=label, check=False)
     return N, [elements[j] for j in keep]
 

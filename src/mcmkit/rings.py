@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from functools import cached_property
 from itertools import accumulate, combinations
-from operator import add
+from operator import add, mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -88,38 +88,38 @@ class _Parser:
     """Recursive-descent parser for polynomial strings.
 
     Integer coefficients, '^' powers, '*' optional (juxtaposition
-    multiplies), parentheses allowed.
+    multiplies), parentheses allowed.  A one-term base is raised to a
+    power by scaling its exponents, and the terms of a sum are added
+    into one dict.
     """
 
     def __init__(self, text: str, ring: "WeightedPolyRing"):
-        self.ring = ring
+        self.ring, self.field = ring, ring.field
+        self.p = None if ring.field == QQ else ring.field.p
         self.tokens = []
         pos = 0
         while pos < len(text):
             m = _TOKEN.match(text, pos)
-            if not m or m.end() == pos:
+            if not m:
                 if text[pos:].strip() == "":
                     break
                 raise UsageError(f"cannot tokenize polynomial at: {text[pos:]!r}")
             pos = m.end()
-            for kind, val in enumerate(m.groups()):
-                if val is not None:
-                    if kind == 1:
-                        self.tokens.extend(self._split_names(val))
-                    else:
-                        self.tokens.append((kind, val))
-                    break
+            kind, val = m.lastindex - 1, m.group(m.lastindex)
+            if kind == 1:
+                self.tokens.extend(self._split_names(val))
+            else:
+                self.tokens.append((kind, val))
         self.i = 0
 
     def _split_names(self, text: str):
         """Split a run of letters into known variable names, longest first."""
         if text in self.ring.var_index:
             return [(1, text)]
-        names = sorted(self.ring.variables, key=len, reverse=True)
         out = []
         rest = text
         while rest:
-            for name in names:
+            for name in self.ring.names_longest_first:
                 if rest.startswith(name):
                     out.append((1, name))
                     rest = rest[len(name):]
@@ -143,47 +143,37 @@ class _Parser:
         return p
 
     def expr(self) -> Poly:
-        sign = 1
         kind, _ = self.peek()
+        sign = -1 if kind == 5 else 1
         if kind in (4, 5):
-            self.next()
-            sign = 1 if kind == 4 else -1
-        out = poly_scale(self.term(), sign, self.ring.field)
+            self.i += 1
+        out: Poly = {}
         while True:
+            term = self.term()
+            out = poly_add(out, term if sign == 1 else poly_scale(term, -1, self.field), self.field)
             kind, _ = self.peek()
-            if kind == 4:
-                self.next()
-                out = poly_add(out, self.term(), self.ring.field)
-            elif kind == 5:
-                self.next()
-                out = poly_add(out, poly_scale(self.term(), -1, self.ring.field), self.ring.field)
-            else:
+            if kind not in (4, 5):
                 return out
+            self.i += 1
+            sign = 1 if kind == 4 else -1
 
     def term(self) -> Poly:
         out = self.factor()
         while True:
             kind, _ = self.peek()
             if kind == 3:
-                self.next()
-                out = poly_mul(out, self.factor(), self.ring.field)
-            elif kind in (0, 1, 6):  # juxtaposition
-                out = poly_mul(out, self.factor(), self.ring.field)
-            else:
+                self.i += 1
+            elif kind not in (0, 1, 6):  # else juxtaposition
                 return out
+            out = poly_mul(out, self.factor(), self.field)
 
     def factor(self) -> Poly:
         kind, val = self.next()
         if kind == 0:
-            base: Poly = {self.ring.unit_mono: self.ring.field.element(int(val))}
-            if base[self.ring.unit_mono] == 0:
-                base = {}
+            c = self.field.element(int(val))
+            base: Poly = {self.ring.unit_mono: c} if c else {}
         elif kind == 1:
-            if val not in self.ring.var_index:
-                raise UsageError(f"unknown variable {val!r}")
-            e = [0] * len(self.ring.variables)
-            e[self.ring.var_index[val]] = 1
-            base = {tuple(e): self.ring.field.element(1)}
+            base = {tuple(int(v == val) for v in self.ring.variables): self.field.element(1)}
         elif kind == 6:
             base = self.expr()
             kind2, _ = self.next()
@@ -192,17 +182,20 @@ class _Parser:
         else:
             raise UsageError("expected a coefficient, variable or '('")
         kind, _ = self.peek()
-        if kind == 2:
-            self.next()
-            kind2, val2 = self.next()
-            if kind2 != 0:
-                raise UsageError("exponent must be a nonnegative integer")
-            n = int(val2)
-            out: Poly = {self.ring.unit_mono: self.ring.field.element(1)}
-            for _ in range(n):
-                out = poly_mul(out, base, self.ring.field)
-            return out
-        return base
+        if kind != 2:
+            return base
+        self.i += 1
+        kind2, val2 = self.next()
+        if kind2 != 0:
+            raise UsageError("exponent must be a nonnegative integer")
+        n = int(val2)
+        if len(base) == 1:  # c m ^ n = c^n m^n
+            (m, c), = base.items()
+            return {tuple(e * n for e in m): c ** n if self.p is None else pow(c, n, self.p)}
+        out: Poly = {self.ring.unit_mono: self.field.element(1)}
+        for _ in range(n):
+            out = poly_mul(out, base, self.field)
+        return out
 
 
 class WeightedPolyRing:
@@ -223,6 +216,7 @@ class WeightedPolyRing:
             raise UsageError("weights must be >= 1")
         self.var_index = {v: i for i, v in enumerate(self.variables)}
         self.unit_mono: Mono = (0,) * len(self.variables)
+        self.names_longest_first = sorted(self.variables, key=len, reverse=True)
         self._mono_cache: Dict[int, Tuple[Mono, ...]] = {}
 
     @property
@@ -244,7 +238,7 @@ class WeightedPolyRing:
         return f"k[{','.join(self.variables)}](char {self.characteristic}{w})"
 
     def wdeg(self, mono: Mono) -> int:
-        return sum(e * w for e, w in zip(mono, self.weights))
+        return sum(map(mul, mono, self.weights))
 
     def poly_degree(self, poly: Poly) -> Optional[int]:
         """Weighted degree of a homogeneous polynomial; None for 0."""
@@ -301,6 +295,11 @@ class WeightedPolyRing:
     def quotient(self, relations: Iterable) -> "QuotientRing":
         return QuotientRing(self, relations)
 
+    @cached_property
+    def relation_free(self) -> "QuotientRing":
+        """This ring as a quotient by no relations, built once: matrix factorizations live here."""
+        return QuotientRing(self, [])
+
 
 class _Piece:
     """Degree-d data of a quotient ring: monomials, ideal span, basis.
@@ -346,6 +345,7 @@ class QuotientRing:
             rels.append(poly)
         self.relations = tuple(rels)
         self.relation_degrees = tuple(ambient.poly_degree(r) for r in self.relations)
+        self._first_relation_degree = min(self.relation_degrees, default=MAX_INTERNAL_DEGREE + 1)
         # identity of the ring, read on every element check and comparison
         self.key = (ambient.key, tuple(poly_key(r) for r in self.relations))
         self._pieces: Dict[int, _Piece] = {}
@@ -438,25 +438,31 @@ class QuotientRing:
     # -- normal forms -----------------------------------------------------
 
     def normal_form(self, poly: Poly) -> Poly:
-        """Reduce a polynomial modulo the ideal, degree by degree."""
+        """Reduce a polynomial modulo the ideal, degree by degree.
+
+        A part that no relation reaches is in normal form: its coefficients
+        are reduced by the field and its monomials put in the piece's
+        lex-descending order, with no piece built below every relation's degree.
+        """
         if not poly:
             return {}
         by_deg: Dict[int, Poly] = {}
         for m, c in poly.items():
             by_deg.setdefault(self.ambient.wdeg(m), {})[m] = c
         out: Poly = {}
+        element = self.field.element
         for d, part in by_deg.items():
-            pc = self.piece(d)
-            if pc.rel_space.dim:
-                # the coefficients times the normal forms of their monomials
-                rows = self.normal_form_matrix(d)._array()[[pc.index[m] for m in part]]
-                coeffs = self.field.vector(list(part.values()))
-                red = self.field.matmul(coeffs[None], rows)[0].tolist()
-            else:  # no relation reaches degree d: every monomial is standard
-                red = [self.field.element(0)] * pc.dim
-                for m, c in part.items():
-                    red[pc.index[m]] = c
-                red = self.field.vector(red).tolist()
+            pc = self.piece(d) if d >= self._first_relation_degree else None
+            if pc is None or not pc.rel_space.dim:  # no relation reaches degree d
+                for m in sorted(part, reverse=True):
+                    c = element(part[m])
+                    if c:
+                        out[m] = c
+                continue
+            # the coefficients times the normal forms of their monomials
+            rows = self.normal_form_matrix(d)._array()[[pc.index[m] for m in part]]
+            coeffs = self.field.vector(list(part.values()))
+            red = self.field.matmul(coeffs[None], rows)[0].tolist()
             for i, c in zip(pc.std, red):
                 if c:
                     out[pc.monos[i]] = c
@@ -582,22 +588,6 @@ class QuotientRing:
 
     # -- ring invariants -----------------------------------------------------
 
-    def hilbert_series_ci(self, bound: int) -> List[int]:
-        """Coefficients of prod(1-t^deg fi) / prod(1-t^wj) up to bound."""
-        num = [0] * (bound + 1)
-        num[0] = 1
-        for d in self.relation_degrees:
-            new = list(num)
-            for i in range(bound + 1 - d):
-                new[i + d] -= num[i]
-            num = new
-        coeffs = list(num)
-        for w in self.weights:
-            # divide by (1 - t^w): running sums
-            for i in range(w, bound + 1):
-                coeffs[i] += coeffs[i - w]
-        return coeffs
-
     def is_complete_intersection(self) -> bool:
         """Koszul criterion, degreewise: Hilbert series matches the CI product."""
         return self._ci_flag
@@ -605,7 +595,7 @@ class QuotientRing:
     @cached_property
     def _ci_flag(self) -> bool:
         bound = sum(self.relation_degrees) + sum(self.weights) + 6
-        expect = self.hilbert_series_ci(bound)
+        expect = hilbert_series_ci(self.weights, self.relation_degrees, bound)
         if any(c < 0 for c in expect):
             return False
         return all(self.hilbert_function(d) == expect[d] for d in range(bound + 1))
@@ -637,10 +627,10 @@ class QuotientRing:
         make B = A/(l) Artinian with top degree s; None when no such l is found.
 
         An Artinian ring is its own B (d = 0).  A certified complete
-        intersection has d = #variables - #relations; B is built in each
-        choice of the other variables in turn, and s is the least top degree
-        of an Artinian B.  Such an l is a system of parameters, hence regular
-        on every maximal Cohen-Macaulay module.
+        intersection has d = #variables - #relations; each choice of the other
+        variables is tried in turn, and s is the least top degree of an
+        Artinian B.  Such an l is a system of parameters, hence regular on
+        every maximal Cohen-Macaulay module.
         """
         n, r = len(self.variables), len(self.relations)
         if not self.is_certified_ci:
@@ -650,15 +640,14 @@ class QuotientRing:
             return n, 0  # B = k
         tops = []
         for keep in combinations(range(n), r):
-            ambient = WeightedPolyRing(self.characteristic, [self.variables[i] for i in keep],
-                                       [self.weights[i] for i in keep])
-            # setting l to 0 keeps the terms whose kept exponents are all they have
-            rels = [{tuple(m[i] for i in keep): c for m, c in rel.items()
-                     if sum(m[i] for i in keep) == sum(m)} for rel in self.relations]
-            B = QuotientRing(ambient, [rel for rel in rels if rel])
-            # B's relations use disjoint sets of variables too: a regular
-            # sequence, so B's Hilbert series is the complete-intersection one
-            s = zero_run_top(B.hilbert_series_ci(B._horizon()), B.max_weight)
+            # setting l to 0 leaves the relations with a term in the kept variables
+            # alone; they use disjoint sets of variables too, a regular sequence,
+            # so B's Hilbert series is the complete-intersection one
+            weights = [self.weights[i] for i in keep]
+            degs = [d for rel, d in zip(self.relations, self.relation_degrees)
+                    if any(sum(m[i] for i in keep) == sum(m) for m in rel)]
+            horizon = sum(degs) + sum(weights) + 4  # B's ``_horizon``
+            s = zero_run_top(hilbert_series_ci(weights, degs, horizon), max(weights))
             if s is not None:
                 tops.append(s)
         return (n - r, min(tops)) if tops else None
@@ -715,6 +704,24 @@ class QuotientRing:
 
     def multiplicity(self) -> int:
         return self.hilbert_samuel_fit()[1]
+
+
+def hilbert_series_ci(weights: Sequence[int], relation_degrees: Sequence[int],
+                      bound: int) -> List[int]:
+    """Coefficients of prod(1-t^deg fi) / prod(1-t^wj) up to bound."""
+    num = [0] * (bound + 1)
+    num[0] = 1
+    for d in relation_degrees:
+        new = list(num)
+        for i in range(bound + 1 - d):
+            new[i + d] -= num[i]
+        num = new
+    coeffs = list(num)
+    for w in weights:
+        # divide by (1 - t^w): running sums
+        for i in range(w, bound + 1):
+            coeffs[i] += coeffs[i - w]
+    return coeffs
 
 
 def zero_run_top(values: Iterable[int], run: int) -> Optional[int]:

@@ -16,13 +16,12 @@ from mcmkit.functors import (
     link,
     lift_map,
     mcm_approx,
-    mcm_approx_cm,
     stable_hom_dims,
     stable_part,
     tau,
     transpose,
 )
-from mcmkit.resolution import mcm_test, resolve, syzygy
+from mcmkit.resolution import ext_module, mcm_test, resolve, syzygy
 from mcmkit.rings import WeightedPolyRing
 
 
@@ -161,6 +160,30 @@ def test_mcm_approx_of_k_over_curve():
     xs, _ = stable_part(X)
     es, _ = stable_part(expect)
     assert is_isomorphic(xs, es)
+
+
+def mcm_approx_cm(M, degree_cap=None):
+    """X(M) for a Cohen-Macaulay module, via duality in its codimension.
+
+    Uses the codimension-n construction: X(M) = (Syz_n of Ext^n(M, A))*.
+    Serves as the independent second route for the stable-category
+    computation in mcm_approx.
+    """
+    Mm = M.minimized()
+    ring = M.ring
+    inv = invariants(Mm)
+    n = ring.krull_dim() - max(inv.dim, 0)
+    if n == 0:
+        if not mcm_test(Mm, degree_cap=degree_cap):
+            raise UsageError("codim-0 input is not Cohen-Macaulay")
+        return Mm
+    Mv = ext_module(Mm, n, degree_cap=degree_cap).minimized()
+    if Mv.num_gens == 0:
+        raise UsageError("input is not Cohen-Macaulay of the computed codimension")
+    S = syzygy(Mv, n, degree_cap=degree_cap).minimized()
+    out = dual(S, degree_cap=degree_cap, check=False)
+    out.label = f"Xcm({M.label})" if M.label else "Xcm"
+    return out
 
 
 def test_mcm_approx_two_routes_agree():
