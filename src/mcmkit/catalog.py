@@ -96,18 +96,19 @@ def _an_curve(n: int, p: Optional[int]) -> CatalogData:
     R = WeightedPolyRing(p, ["x", "y"], [n + 1, 2])
     f = f"x^2+y^{n + 1}"
     ring = R.quotient([f])
+    fpoly = ring.relations[0]  # f, parsed once; the entries are exponent dicts
     mfs: List[Tuple[str, MatrixFactorization]] = []
     m = (n + 1) // 2
     top = n // 2
     for j in range(1, top + 1):
-        phi = [["x", f"y^{j}"], [f"y^{n + 1 - j}", "-x"]]
-        mfs.append((f"I{j}", MatrixFactorization(R, f, phi, phi, label=f"I{j}")))
+        phi = [[{(1, 0): 1}, {(0, j): 1}], [{(0, n + 1 - j): 1}, {(1, 0): -1}]]
+        mfs.append((f"I{j}", MatrixFactorization(R, fpoly, phi, phi, label=f"I{j}")))
     if odd:
         i = sqrt_minus_one(p)
-        plus = [[f"x+{i}*y^{m}"]]
-        minus = [[f"x-{i}*y^{m}"]]
-        mfs.append(("N+", MatrixFactorization(R, f, plus, minus, label="N+")))
-        mfs.append(("N-", MatrixFactorization(R, f, minus, plus, label="N-")))
+        plus = [[{(1, 0): 1, (0, m): i}]]
+        minus = [[{(1, 0): 1, (0, m): -i}]]
+        mfs.append(("N+", MatrixFactorization(R, fpoly, plus, minus, label="N+")))
+        mfs.append(("N-", MatrixFactorization(R, fpoly, minus, plus, label="N-")))
     return CatalogData(f"ade:A{n}:dim1", p, R, f, ring, mfs, dim=1)
 
 
@@ -132,14 +133,17 @@ def _an_surface(n: int, p: Optional[int]) -> CatalogData:
     R = WeightedPolyRing(p, ["x", "y", "z"], w)
     f = f"x^2+y^2+z^{n + 1}"
     ring = R.quotient([f])
+    fpoly = ring.relations[0]  # f, parsed once; the entries are exponent dicts
     i = sqrt_minus_one(p)
-    u = f"x+{i}*y"
-    v = f"x-{i}*y"
+    # u = x + i*y, v = x - i*y and their negatives
+    u, v = {(1, 0, 0): 1, (0, 1, 0): i}, {(1, 0, 0): 1, (0, 1, 0): -i}
+    minus_u, minus_v = ({mono: -c for mono, c in e.items()} for e in (u, v))
     mfs = []
     for j in range(1, n + 1):
-        phi = [[u, f"z^{j}"], [f"z^{n + 1 - j}", f"-({v})"]]
-        psi = [[v, f"z^{j}"], [f"z^{n + 1 - j}", f"-({u})"]]
-        mfs.append((f"M{j}", MatrixFactorization(R, f, phi, psi, label=f"M{j}")))
+        zj, zk = {(0, 0, j): 1}, {(0, 0, n + 1 - j): 1}
+        phi = [[u, zj], [zk, minus_v]]
+        psi = [[v, zj], [zk, minus_u]]
+        mfs.append((f"M{j}", MatrixFactorization(R, fpoly, phi, psi, label=f"M{j}")))
     return CatalogData(f"ade:A{n}:dim2", p, R, f, ring, mfs, dim=2)
 
 

@@ -117,10 +117,9 @@ def mcm_approx(M: GradedModule, degree_cap: Optional[int] = None) -> GradedModul
     already MCM this is the module itself.
     """
     Mm = M.minimized()
-    if Mm.num_gens == 0:
-        return Mm
-    if mcm_test(Mm, degree_cap=degree_cap):
-        return Mm
+    if Mm.num_gens == 0 or mcm_test(Mm, degree_cap=degree_cap):
+        # a copy: Mm can be M itself or the minimal form M keeps, and callers relabel the result
+        return GradedModule.direct_sum([Mm], label=Mm.label)
     t = max(M.ring.krull_dim(), 1)
     S = syzygy(Mm, t, degree_cap=degree_cap).minimized()
     S, _ = strip_free_summands(S)

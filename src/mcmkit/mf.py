@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Tuple
 
 from .errors import Inconclusive, UsageError
 from .linalg import DenseMatrix
-from .modules import GradedModule
+from .modules import GradedModule, _minimal_as
 from .rings import BlockSystem, QuotientRing, RingElement, WeightedPolyRing, grid_mul
 
 __all__ = [
@@ -140,7 +140,9 @@ def coker_module(mf: MatrixFactorization, ring: Optional[QuotientRing] = None) -
     entries = [[A.element(e.poly) for e in row] for row in mf.phi]
     M = GradedModule(A, mf.row_degs, mf.col_degs, entries,
                      label=f"coker({mf.label})" if mf.label else "coker", check=False)
-    return M.minimized()
+    # a reduced factorization presents its cokernel minimally (Eisenbud, Trans. AMS 260,
+    # 1980): phi has no unit entry, and ker phi = im psi lies in m A^n
+    return _minimal_as(M, M) if mf.is_reduced() else M.minimized()
 
 
 def from_resolution_tail(M: GradedModule, H: int = 8,

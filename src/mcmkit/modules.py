@@ -109,6 +109,7 @@ class GradedModule:
         self._hom_cache: Dict[tuple, "HomSpace"] = {}  # homs.hom_space: target key -> HomSpace
         self._resolution: Optional["FreeResolution"] = None  # resolution.resolve's window
         self._end: Optional["EndAlgebra"] = None  # homs.end_algebra
+        self._minimal: Optional["GradedModule"] = None  # minimized(), written by _minimal_as
 
     def _validate(self):
         for i, a in enumerate(self.gen_degs):
@@ -197,7 +198,7 @@ class GradedModule:
         """The same module with all degrees raised by s."""
         if s == 0:
             return self
-        return GradedModule(
+        out = GradedModule(
             self.ring,
             [a + s for a in self.gen_degs],
             [b + s for b in self.rel_degs],
@@ -205,6 +206,7 @@ class GradedModule:
             label=f"{self.label}<{s}>" if self.label else "",
             check=False,
         )
+        return _minimal_as(out, out) if self._minimal is self else out
 
     def normalized(self) -> Tuple["GradedModule", int]:
         """Shift so the minimum generator degree is 0; returns (module, shift)."""
@@ -248,6 +250,9 @@ class GradedModule:
         lower degree and the later relations of its own degree.  The kept
         relations stay in their order.
         """
+        # computed once: a minimal presentation is its own minimal form, and so is its shift
+        if self._minimal is not None:
+            return self._minimal
         gen_degs = list(self.gen_degs)
         rel_degs = list(self.rel_degs)
         P: List[List[RingElement]] = [list(row) for row in self.presentation]
@@ -274,8 +279,16 @@ class GradedModule:
 
         system = BlockSystem(self.ring, P, gen_degs, rel_degs)
         keep = sorted(minimal_columns(system, range(len(rel_degs) - 1, -1, -1)))
-        return GradedModule(self.ring, gen_degs, [rel_degs[j] for j in keep],
-                            [[row[j] for j in keep] for row in P], label=self.label, check=False)
+        return _minimal_as(self, GradedModule(self.ring, gen_degs, [rel_degs[j] for j in keep],
+                                              [[row[j] for j in keep] for row in P],
+                                              label=self.label, check=False))
+
+
+def _minimal_as(M: GradedModule, N: GradedModule) -> GradedModule:
+    # the one writer of ``_minimal``: N, a minimal presentation of M's module, is
+    # the minimal form of M and of itself
+    M._minimal = N._minimal = N
+    return N
 
 
 def minimal_columns(system: BlockSystem, order: Sequence[int], to_target=None) -> List[int]:
@@ -476,16 +489,16 @@ def submodule_presentation(C: GradedModule, elements: Sequence[MElem],
         return tgt.rel_space.reduce_rows(cover.transpose()).take_columns(tgt.std).transpose()
 
     keep = minimal_columns(system, range(len(elements)), to_quotient)
-    if not keep:
-        return GradedModule(ring, [], [], [], label=label, check=False), []
-    system = system.columns(keep)
-    gen_degs = system.col_degs
-    if degree_cap is None:
-        degree_cap = max(gen_degs) + 6 * ring.max_weight + default_stall(ring) + 8
-    rel_degs, rows, _ = capture_kernel(ring, gen_degs, lambda d: to_quotient(d, system.at(d)),
-                                       degree_cap, stop=stop)
+    gen_degs, rel_degs, rows = (), (), ()
+    if keep:
+        system = system.columns(keep)
+        gen_degs = system.col_degs
+        if degree_cap is None:
+            degree_cap = max(gen_degs) + 6 * ring.max_weight + default_stall(ring) + 8
+        rel_degs, rows, _ = capture_kernel(ring, gen_degs, lambda d: to_quotient(d, system.at(d)),
+                                           degree_cap, stop=stop)
     N = GradedModule(ring, gen_degs, rel_degs, rows, label=label, check=False)
-    return N, [elements[j] for j in keep]
+    return _minimal_as(N, N), [elements[j] for j in keep]
 
 
 @dataclass

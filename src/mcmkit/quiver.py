@@ -260,7 +260,7 @@ class _QuiverBuilder:
             if scanned > SCAN_WIDTH_CAP:
                 raise Inconclusive(
                     f"irr scan budget exceeded for pair "
-                    f"({self.vertices[vi].name}, {self.vertices[vj].name})")
+                    f"({self.vertices[vi].name}, {self.vertices[vj].name})", bound=SCAN_WIDTH_CAP)
         return out
 
 

@@ -53,6 +53,7 @@ from .errors import UsageError
 from .modules import (
     GradedModule,
     MElem,
+    _minimal_as,
     capture_kernel,
     default_stall,
     free_module,
@@ -104,7 +105,7 @@ def tate_degree(ring: QuotientRing, i: int) -> Optional[int]:
     """
     if not ring.is_certified_ci:
         return None
-    weights = sorted(ring.weights, reverse=True)
+    weights = ring.ambient.weights_desc
     top = max(ring.relation_degrees, default=0)
     return max(sum(weights[:a]) + (i - a) // 2 * top
                for a in range(i % 2, min(i, len(weights)) + 1, 2))
@@ -173,15 +174,14 @@ class FreeResolution:
             stops.append(max(prev_degs) + reduction[1])
         return min(stops, default=None)
 
-    def _auto_cap(self, i: int, prev_degs: Sequence[int]) -> int:
-        """The degree cap of the scan for F_i's generators: ``degree_cap``, else at least the stop."""
+    def _auto_cap(self, i: int, stop: Optional[int]) -> int:
+        """The degree cap of the scan for F_i's generators: ``degree_cap``, else at least ``stop``."""
         if self.degree_cap is not None:
             return self.degree_cap
         ring = self.ring
         rd = max(ring.relation_degrees) if ring.relation_degrees else 2
         base = max(list(self.minimal.gen_degs) + list(self.minimal.rel_degs) + [0])
         cap = base + (i + 3) * max(rd, 2 * ring.max_weight) + 8
-        stop = self.stop(i, prev_degs)
         return cap if stop is None else max(cap, stop)
 
     @property
@@ -207,7 +207,8 @@ class FreeResolution:
                 self.steps.append(Step(prev.col_degs, (), ()))
                 continue
             i = len(self.steps) + 1  # this step finds the generators of F_i
-            stop, cap = self.stop(i, prev.col_degs), self._auto_cap(i, prev.col_degs)
+            stop = self.stop(i, prev.col_degs)
+            cap = self._auto_cap(i, stop)
             base = prev.col_degs[0]
             key = (tuple(r - base for r in prev.row_degs),
                    tuple(c - base for c in prev.col_degs),
@@ -254,9 +255,10 @@ class FreeResolution:
         gen_step = self.steps[n - 1]
         rel_step = self.steps[n]
         label = f"Syz{n}({self.module.label})" if self.module.label else f"Syz{n}"
-        return GradedModule(
-            self.ring, gen_step.col_degs, rel_step.col_degs, rel_step.entries,
-            label=label, check=False)
+        # a minimal resolution presents each syzygy minimally
+        S = GradedModule(self.ring, gen_step.col_degs, rel_step.col_degs, rel_step.entries,
+                         label=label, check=False)
+        return _minimal_as(S, S)
 
     def verify_exactness(self, H: int) -> bool:
         """Exactness at F_i for every computed adjacent pair d_i, d_{i+1}.

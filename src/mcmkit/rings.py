@@ -217,6 +217,7 @@ class WeightedPolyRing:
         self.var_index = {v: i for i, v in enumerate(self.variables)}
         self.unit_mono: Mono = (0,) * len(self.variables)
         self.names_longest_first = sorted(self.variables, key=len, reverse=True)
+        self.weights_desc = tuple(sorted(self.weights, reverse=True))
         self._mono_cache: Dict[int, Tuple[Mono, ...]] = {}
 
     @property
@@ -254,7 +255,7 @@ class WeightedPolyRing:
         if d < 0:
             return ()
         if d > MAX_INTERNAL_DEGREE:
-            raise DegreeBoundExceeded(f"degree bound (internal degree {d})")
+            raise DegreeBoundExceeded(f"degree bound (internal degree {d})", bound=MAX_INTERNAL_DEGREE)
         cached = self._mono_cache.get(d)
         if cached is not None:
             return cached
@@ -505,9 +506,10 @@ class QuotientRing:
         return self.element(1)
 
     def gens(self) -> Tuple["RingElement", ...]:
-        """The variables as ring elements, parsed once per ring."""
+        """The variables as ring elements, built once per ring from their exponent tuples."""
         if self._gens is None:
-            self._gens = tuple(self.element(v) for v in self.variables)
+            self._gens = tuple(self.element({tuple(int(v == x) for v in self.variables): 1})
+                               for x in self.variables)
         return self._gens
 
     # -- multiplication operators ------------------------------------------
@@ -611,7 +613,7 @@ class QuotientRing:
     def is_artinian(self) -> bool:
         return self._top_degree() is not None
 
-    @property
+    @cached_property
     def is_certified_ci(self) -> bool:
         """At most one relation, or relations in pairwise disjoint sets of variables.
 
@@ -758,7 +760,7 @@ def fit_hilbert_samuel(values: List[int]):
         diffs = [b - a for a, b in zip(diffs, diffs[1:])]
         if not diffs:
             break
-    raise DegreeBoundExceeded("Hilbert-Samuel window too short to stabilize")
+    raise DegreeBoundExceeded("Hilbert-Samuel window too short to stabilize", bound=len(values))
 
 
 class BlockSystem:

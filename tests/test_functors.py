@@ -285,3 +285,39 @@ def test_e_multiplicity_preserved_by_dual():
         e1 = invariants(M).multiplicity_e
         e2 = invariants(dual(M)).multiplicity_e
         assert e1 == e2, name
+
+
+def held_modules(cat, M):
+    """The modules that M, its resolution and the catalog hold, by identity."""
+    held = [M, M.minimized(), M._resolution.minimal] + [N for _, N in cat.modules()]
+    return [(N, N.label) for N in held]
+
+
+@pytest.mark.parametrize("name,fn", [
+    ("dual", dual),
+    ("link", link),
+    ("cosyzygy", lambda M: cosyzygy(M, 1)),
+    ("mcm_approx", mcm_approx),
+])
+def test_relabelling_a_functor_output_leaves_every_held_label(name, fn):
+    cat = load_catalog("ade:A3:dim1", 5)
+    for _, M in cat.modules():
+        resolve(M, 2)
+        held = held_modules(cat, M)
+        out = fn(M)
+        out.label = "relabelled"
+        assert [(N, N.label) for N, _ in held] == held, name
+    k = residue_field_module(cat.ring)  # not MCM: mcm_approx goes through a cosyzygy
+    out = mcm_approx(k)
+    out.label = "relabelled"
+    assert k.label == "k" and k.minimized().label == "k"
+
+
+def test_relabelling_catalog_modules_leaves_the_cokernels_labels():
+    cat = load_catalog("ade:A2:dim2", 5)
+    cokers = [coker_module(mf, ring=cat.ring) for _, mf in cat.mfs]
+    labels = [(C.label, C.minimized().label) for C in cokers]
+    modules = cat.modules()
+    assert [name for name, _ in modules] == [N.label for _, N in modules]
+    assert [(C.label, C.minimized().label) for C in cokers] == labels
+    assert all(N.minimized() is N for _, N in modules)

@@ -392,3 +392,35 @@ def test_hs_lengths_match_brute_force_span(char):
         ])
         assert len(set(M.gen_degs)) >= 3
         assert hs_lengths(M, 6) == _hs_lengths_by_brute_force(M, 6)
+
+
+def fresh_copy(M):
+    """The same presentation as a new module, with no minimal form kept."""
+    return GradedModule(M.ring, M.gen_degs, M.rel_degs, M.presentation, label=M.label,
+                        check=False)
+
+
+def test_minimized_is_kept_and_a_minimal_module_is_its_own_form():
+    A = ring_xy_squares()
+    M = GradedModule(A, [0, 0], [0, 1, 1], [[1, "x", 0], [0, 0, "y"]], label="M")
+    N = M.minimized()
+    assert N is not M and M.minimized() is N and N.minimized() is N
+    assert (N.gen_degs, N.label) == ((0,), "M")
+    S = N.degree_shift(3)  # a shift of a minimal module is minimal
+    assert S.minimized() is S and S.key == fresh_copy(S).minimized().key
+    T = M.degree_shift(3)  # a shift of a module that is not gets its own elimination
+    assert T.minimized() is not T and T.minimized().key == S.key
+
+
+def test_constructors_minimal_by_construction_equal_a_fresh_minimization():
+    from mcmkit.resolution import resolve
+
+    A = load_catalog("ade:A2:dim2").ring
+    m = maximal_ideal_module(A)
+    C = free_module(A, [0])
+    N, _ = submodule_presentation(C, [C.element(e.degree, A.std_coords(e.poly, e.degree))
+                                      for e in A.gens()[:2]])  # the ideal (x, y)
+    res = resolve(residue_field_module(A), 4)
+    for M in [m, N] + [res.syzygy_module(n) for n in (1, 2, 3)]:
+        assert M.minimized() is M
+        assert M.key == fresh_copy(M).minimized().key

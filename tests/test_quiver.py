@@ -1,4 +1,8 @@
+import pytest
+
+import mcmkit.quiver
 from mcmkit.catalog import load_catalog
+from mcmkit.errors import Inconclusive
 from mcmkit.homs import is_isomorphic
 from mcmkit.functors import lift_map
 from mcmkit.quiver import (
@@ -289,3 +293,11 @@ def test_dot_output_is_deterministic():
     assert d1 == d2
     assert "doublecircle" in d1
     assert '"I1" -> "I1"' in d1
+
+
+def test_irr_scan_budget_names_its_bound(monkeypatch):
+    monkeypatch.setattr(mcmkit.quiver, "SCAN_WIDTH_CAP", 2)
+    with pytest.raises(Inconclusive, match="irr scan budget") as info:
+        build_quiver(load_catalog("ade:A2:dim1"))
+    # no command-line option sets the scan budget
+    assert (info.value.bound, info.value.flag) == (2, None)

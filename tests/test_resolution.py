@@ -334,9 +334,10 @@ def cold_chain(M, H, degree_cap=None, stall=None, windowed=False):
             steps.append(Step(prev.col_degs, (), ()))
             continue
         i = len(steps) + 1
+        stop = res.stop(i, prev.col_degs)
         steps.append(kernel_step(M.ring, prev.row_degs, prev.col_degs, prev.entries,
-                                 degree_cap=res._auto_cap(i, prev.col_degs), stall=stall,
-                                 stop=None if windowed else res.stop(i, prev.col_degs)))
+                                 degree_cap=res._auto_cap(i, stop), stall=stall,
+                                 stop=None if windowed else stop))
     return steps
 
 

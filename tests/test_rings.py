@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from mcmkit.catalog import catalog_names, load_catalog, nonci_gorenstein_ring
-from mcmkit.errors import UsageError
+from mcmkit.errors import Inconclusive, UsageError
 from mcmkit.linalg import QQ
-from mcmkit.rings import WeightedPolyRing, poly_mul
+from mcmkit.rings import MAX_INTERNAL_DEGREE, WeightedPolyRing, fit_hilbert_samuel, poly_mul
 
 
 def circle_ring(p=7):
@@ -315,3 +315,19 @@ def test_monomials_are_every_exponent_vector_of_the_degree_lex_descending(weight
         want = sorted((e for e in product(range(max(d, 0) + 1), repeat=len(weights))
                        if sum(a * w for a, w in zip(e, weights)) == d), reverse=True)
         assert list(R.monomials(d)) == want, d
+
+
+def test_monomials_past_the_internal_degree_name_their_bound():
+    R = WeightedPolyRing(7, ["x", "y"])
+    assert len(R.monomials(MAX_INTERNAL_DEGREE)) == MAX_INTERNAL_DEGREE + 1
+    with pytest.raises(Inconclusive) as info:
+        R.monomials(MAX_INTERNAL_DEGREE + 1)
+    # no command-line option sets this bound
+    assert (info.value.bound, info.value.flag) == (MAX_INTERNAL_DEGREE, None)
+
+
+def test_a_short_hilbert_samuel_window_names_its_length():
+    assert fit_hilbert_samuel([1, 3, 5, 7, 9, 11]) == (1, 2)
+    with pytest.raises(Inconclusive) as info:
+        fit_hilbert_samuel([1, 3, 6, 10, 15])  # dimension 2, too few values to show it
+    assert (info.value.bound, info.value.flag) == (5, None)
