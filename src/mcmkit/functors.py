@@ -15,9 +15,9 @@ import warnings
 from typing import Optional, Tuple
 
 from .errors import UsageError
-from .homs import Hom, _left_mul, hom_space, strip_free_summands
+from .homs import Hom, _left_mul, strip_free_summands
 from .linalg import DenseMatrix
-from .modules import GradedModule, free_module
+from .modules import GradedModule, _depth_as, free_module, is_mcm_by_construction, ring_depth
 from .resolution import ext_module, mcm_test, resolve, syzygy
 from .rings import BlockSystem, grid_mul
 
@@ -31,17 +31,27 @@ __all__ = [
     "mcm_approx",
     "stable_part",
     "lift_map",
-    "stable_hom_dims",
 ]
 
 
+def _is_mcm(M: GradedModule, degree_cap: Optional[int]) -> bool:
+    """``mcm_test``, skipped over a Gorenstein ring when M is MCM by construction."""
+    if is_mcm_by_construction(M) and M.ring.is_gorenstein():
+        return True
+    return mcm_test(M, degree_cap=degree_cap)
+
+
 def dual(M: GradedModule, degree_cap: Optional[int] = None, check: bool = True) -> GradedModule:
-    """M* = Hom(M, A); defined here for maximal Cohen-Macaulay modules."""
-    if check and not mcm_test(M, degree_cap=degree_cap):
+    """M* = Hom(M, A); defined here for maximal Cohen-Macaulay modules.
+
+    M* is the second syzygy of Tr(M), so its depth is at least min(2, depth A).
+    """
+    if check and not _is_mcm(M, degree_cap):
         raise UsageError("dual is only exact on maximal Cohen-Macaulay modules")
     out = ext_module(M, 0, degree_cap=degree_cap).minimized()
     out.label = f"D({M.label})" if M.label else "dual"
-    return out
+    d = ring_depth(M.ring)
+    return out if d is None else _depth_as(out, min(2, d))
 
 
 def transpose(M: GradedModule) -> GradedModule:
@@ -80,7 +90,7 @@ def cosyzygy(M: GradedModule, n: int, degree_cap: Optional[int] = None) -> Grade
     """Syz_{-n}(M) for n >= 1, computed as the dual of Syz_n(M*)."""
     if n < 1:
         raise UsageError("cosyzygy index must be >= 1")
-    if not mcm_test(M, degree_cap=degree_cap):
+    if not _is_mcm(M, degree_cap):
         raise UsageError("cosyzygy requires a maximal Cohen-Macaulay module")
     Md = dual(M, degree_cap=degree_cap, check=False)
     S = syzygy(Md, n, degree_cap=degree_cap)
@@ -117,9 +127,9 @@ def mcm_approx(M: GradedModule, degree_cap: Optional[int] = None) -> GradedModul
     already MCM this is the module itself.
     """
     Mm = M.minimized()
-    if Mm.num_gens == 0 or mcm_test(Mm, degree_cap=degree_cap):
+    if Mm.num_gens == 0 or _is_mcm(Mm, degree_cap):
         # a copy: Mm can be M itself or the minimal form M keeps, and callers relabel the result
-        return GradedModule.direct_sum([Mm], label=Mm.label)
+        return _depth_as(GradedModule.direct_sum([Mm], label=Mm.label), Mm._depth)
     t = max(M.ring.krull_dim(), 1)
     S = syzygy(Mm, t, degree_cap=degree_cap).minimized()
     S, _ = strip_free_summands(S)
@@ -159,9 +169,3 @@ def lift_map(h: Hom, degree_cap: Optional[int] = None) -> Hom:
     n = Mm.num_rels
     phi = tuple(tuple(entries[l * n:(l + 1) * n]) for l in range(Nm.num_rels))
     return Hom(SM, SN, phi)
-
-
-def stable_hom_dims(M: GradedModule, N: GradedModule) -> Tuple[int, int, int]:
-    """(dim Hom, dim beta, dim stable Hom) in internal degree zero."""
-    hs = hom_space(M, N)
-    return hs.dim, hs.beta_dim(), hs.stable_dim()

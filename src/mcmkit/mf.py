@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Tuple
 
 from .errors import Inconclusive, UsageError
 from .linalg import DenseMatrix
-from .modules import GradedModule, _minimal_as
+from .modules import GradedModule, _depth_as, _minimal_as
 from .rings import BlockSystem, QuotientRing, RingElement, WeightedPolyRing, grid_mul
 
 __all__ = [
@@ -28,7 +28,7 @@ __all__ = [
 ]
 
 
-def _solve_twists(ambient: QuotientRing, entries) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+def _solve_twists(entries) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     """Row/column degrees making the matrix homogeneous (row 0 pinned to 0)."""
     n = len(entries)
     # the bipartite constraint graph col_j - row_i = deg(i, j): rows are the nodes
@@ -38,9 +38,8 @@ def _solve_twists(ambient: QuotientRing, entries) -> Tuple[Tuple[int, ...], Tupl
         for j in range(n):
             e = entries[i][j]
             if not e.is_zero():
-                d = ambient.ambient.poly_degree(e.poly)
-                edges[i].append((n + j, d))
-                edges[n + j].append((i, -d))
+                edges[i].append((n + j, e.degree))
+                edges[n + j].append((i, -e.degree))
     # one DFS per component, pinned to 0 at its first row; a zero column gets 0
     degs = [None] * (2 * n)
     for start in range(n):
@@ -78,7 +77,7 @@ class MatrixFactorization:
         self.size = n
         self.phi = tuple(tuple(self.poly_ring.element(e) for e in row) for row in phi)
         self.psi = tuple(tuple(self.poly_ring.element(e) for e in row) for row in psi)
-        self.row_degs, self.col_degs = _solve_twists(self.poly_ring, self.phi)
+        self.row_degs, self.col_degs = _solve_twists(self.phi)
         self._quotient: Optional[QuotientRing] = None
 
     def __repr__(self):
@@ -133,13 +132,18 @@ def mf_transpose(mf: MatrixFactorization) -> MatrixFactorization:
 
 
 def coker_module(mf: MatrixFactorization, ring: Optional[QuotientRing] = None) -> GradedModule:
-    """coker(phi) as a graded module over Q/(f); trivial blocks stripped."""
+    """coker(phi) as a graded module over Q/(f); trivial blocks stripped.
+
+    It is maximal Cohen-Macaulay by construction (Eisenbud, Trans. AMS 260,
+    1980): its depth is dim Q/(f), one less than the number of variables.
+    """
     if not mf.validate():
         raise UsageError("matrix factorization does not multiply to f . Id")
     A = ring if ring is not None else mf.quotient_ring()
     entries = [[A.element(e.poly) for e in row] for row in mf.phi]
     M = GradedModule(A, mf.row_degs, mf.col_degs, entries,
                      label=f"coker({mf.label})" if mf.label else "coker", check=False)
+    _depth_as(M, len(A.variables) - 1)
     # a reduced factorization presents its cokernel minimally (Eisenbud, Trans. AMS 260,
     # 1980): phi has no unit entry, and ker phi = im psi lies in m A^n
     return _minimal_as(M, M) if mf.is_reduced() else M.minimized()

@@ -110,6 +110,7 @@ class GradedModule:
         self._resolution: Optional["FreeResolution"] = None  # resolution.resolve's window
         self._end: Optional["EndAlgebra"] = None  # homs.end_algebra
         self._minimal: Optional["GradedModule"] = None  # minimized(), written by _minimal_as
+        self._depth: Optional[int] = None  # a depth known by construction, written by _depth_as
 
     def _validate(self):
         for i, a in enumerate(self.gen_degs):
@@ -206,6 +207,7 @@ class GradedModule:
             label=f"{self.label}<{s}>" if self.label else "",
             check=False,
         )
+        _depth_as(out, self._depth)
         return _minimal_as(out, out) if self._minimal is self else out
 
     def normalized(self) -> Tuple["GradedModule", int]:
@@ -286,9 +288,29 @@ class GradedModule:
 
 def _minimal_as(M: GradedModule, N: GradedModule) -> GradedModule:
     # the one writer of ``_minimal``: N, a minimal presentation of M's module, is
-    # the minimal form of M and of itself
+    # the minimal form of M and of itself, and has the depth M is known to have
     M._minimal = N._minimal = N
+    _depth_as(N, M._depth)
     return N
+
+
+def _depth_as(M: GradedModule, depth: Optional[int]) -> GradedModule:
+    # the one writer of ``_depth``: a lower bound on depth(M) that holds by
+    # construction (None when none is known); constructors and copies call it
+    M._depth = depth
+    return M
+
+
+def ring_depth(ring: QuotientRing) -> Optional[int]:
+    """depth A = dim A = d when the ring's ``artinian_reduction`` certifies A
+    Cohen-Macaulay of dimension d; None otherwise."""
+    reduction = ring.artinian_reduction
+    return None if reduction is None else reduction[0]
+
+
+def is_mcm_by_construction(M: GradedModule) -> bool:
+    """Whether M's known depth reaches depth A, so M is maximal Cohen-Macaulay without a test."""
+    return M._depth is not None and M._depth == ring_depth(M.ring)
 
 
 def minimal_columns(system: BlockSystem, order: Sequence[int], to_target=None) -> List[int]:
@@ -320,8 +342,9 @@ def free_module(ring: QuotientRing, gen_degs: Sequence[int], label: str = "") ->
 
 
 def residue_field_module(ring: QuotientRing) -> GradedModule:
-    """k = A/m as a graded module (generator in degree 0)."""
-    return GradedModule(ring, [0], list(ring.weights), [list(ring.gens())], label="k", check=False)
+    """k = A/m as a graded module (generator in degree 0), of depth 0."""
+    k = GradedModule(ring, [0], list(ring.weights), [list(ring.gens())], label="k", check=False)
+    return _depth_as(k, 0)
 
 
 def maximal_ideal_module(ring: QuotientRing) -> GradedModule:
@@ -331,12 +354,14 @@ def maximal_ideal_module(ring: QuotientRing) -> GradedModule:
     relations x_j e_i - x_i e_j and by a lift sum g_i e_i of each generator
     f = sum g_i x_i of I, so the kernel scan stops, certified, at the larger
     of w1 + w2 (the two largest weights) and I's largest generator degree.
+    m has depth min(1, depth A), from 0 -> m -> A -> k -> 0.
     """
     A = free_module(ring, [0], label="A")
     gens = [A.element(w, ring.std_coords(x.poly, w)) for x, w in zip(ring.gens(), ring.weights)]
     stop = max(sum(sorted(ring.weights)[-2:]), max(ring.relation_degrees, default=0))
     N, _ = submodule_presentation(A, gens, label="m", stop=stop)
-    return N
+    depth = ring_depth(ring)
+    return _depth_as(N, None if depth is None else min(1, depth))
 
 
 def default_stall(ring: QuotientRing) -> int:
@@ -495,6 +520,7 @@ def submodule_presentation(C: GradedModule, elements: Sequence[MElem],
         gen_degs = system.col_degs
         if degree_cap is None:
             degree_cap = max(gen_degs) + 6 * ring.max_weight + default_stall(ring) + 8
+            degree_cap = degree_cap if stop is None else max(degree_cap, stop)
         rel_degs, rows, _ = capture_kernel(ring, gen_degs, lambda d: to_quotient(d, system.at(d)),
                                            degree_cap, stop=stop)
     N = GradedModule(ring, gen_degs, rel_degs, rows, label=label, check=False)

@@ -24,12 +24,17 @@ Cohen-Macaulay, so l is regular on it and the kernel K of F_{i-1} -> F_{i-2}
 has K/lK inside (+)_j B(-c_j) over F_{i-1}'s degrees c_j; by graded
 Nakayama F_i's generators lie in degrees at most max c_j + s (Yoshino,
 Cohen-Macaulay modules over Cohen-Macaulay rings, LMS LN 146, 1990).
-Over an Artinian ring d = 0 and B = A.  The scan stops at the least bound
-that applies (``FreeResolution.stop``), so every resolution over the
-catalog rings is certified past its first d steps.  Everywhere else (the
-first d steps of a module of infinite length, rings with neither bound)
-the scan is windowed: it stops once a stall window passes with nothing
-new.  ``FreeResolution.certified`` tells the two apart.
+Over an Artinian ring d = 0 and B = A.  When M has depth delta by
+construction (``GradedModule._depth``: a matrix-factorization cokernel has
+depth d, m depth 1, a dual min(2, d), Syz_n(M) min(d, delta + n)), Syz_{i-1}(M)
+has depth at least min(d, delta + i - 1) by the depth lemma, so the bound
+holds once i - 1 >= d - delta: every step of an MCM module is certified.
+The scan stops at the least bound that applies (``FreeResolution.stop``),
+so every resolution over the catalog rings is certified past its first
+d - delta steps.  Everywhere else (the first d steps of a module of
+infinite length and unknown depth, rings with neither bound) the scan is
+windowed: it stops once a stall window passes with nothing new.
+``FreeResolution.certified`` tells the two apart.
 
 Kernel capture reads only degree differences, so a step whose input
 equals an earlier step's input with every degree shifted by s has the
@@ -37,10 +42,16 @@ earlier output shifted by s as its output.  ``FreeResolution.extend``
 reuses such a step instead of capturing its kernel again, whenever the
 shifted scan stays within the step's degree cap.  Over a hypersurface
 the resolution of an MCM module is 2-periodic up to shift (Eisenbud,
-Trans. AMS 260, 1980), so each period is computed once.
+Trans. AMS 260, 1980), so the scans end after a bounded number of steps.
+That is not one scan per period: a step repeats an earlier one only once
+its entries are in the scan's own basis, which a catalog presentation is
+not, so a catalog factorization module takes 3 to 5 scans (A8:dim1/I1
+scans steps 2 to 5 and reuses from step 6), as many at H = 20 as at 12.
 
 The dualized complex gives Ext^i(M, A), the depth test, and the MCM
 test (Ext^i(M, A) = 0 for 1 <= i <= dim A over a Gorenstein quotient).
+For M maximal Cohen-Macaulay by construction, both scans of M* = Ext^0(M, A)
+stop at certified bounds (``_dual_kernel_elements``, ``ext_module``).
 """
 
 from __future__ import annotations
@@ -53,15 +64,18 @@ from .errors import UsageError
 from .modules import (
     GradedModule,
     MElem,
+    _depth_as,
     _minimal_as,
     capture_kernel,
     default_stall,
     free_module,
     invariants,
+    is_mcm_by_construction,
+    ring_depth,
     submodule_presentation,
     top_degree_bound,
 )
-from .rings import BlockSystem, QuotientRing, RingElement, grid_mul, poly_key
+from .rings import BlockSystem, QuotientRing, RingElement, poly_key
 
 __all__ = [
     "FreeResolution",
@@ -161,8 +175,9 @@ class FreeResolution:
         """Where the scan for F_i's generators stops, certified; None when windowed.
 
         The least of two bounds, where they apply: T + g_i (Tor balance, over
-        a certified CI), and max(F_{i-1}) + s once i - 1 >= d, for the
-        ring's ``artinian_reduction`` (d, s).  prev_degs are F_{i-1}'s
+        a certified CI), and max(F_{i-1}) + s once i - 1 >= d - depth(M), for
+        the ring's ``artinian_reduction`` (d, s) and the depth M has by
+        construction (0 when none is known).  prev_degs are F_{i-1}'s
         generator degrees.
         """
         stops = []
@@ -170,7 +185,7 @@ class FreeResolution:
         if g is not None and self._top is not None:
             stops.append(self._top + g)
         reduction = self.ring.artinian_reduction
-        if reduction is not None and i - 1 >= reduction[0]:
+        if reduction is not None and i - 1 >= reduction[0] - (self.minimal._depth or 0):
             stops.append(max(prev_degs) + reduction[1])
         return min(stops, default=None)
 
@@ -248,7 +263,11 @@ class FreeResolution:
         return self.steps[i - 1]
 
     def syzygy_module(self, n: int) -> GradedModule:
-        """Syz_n(M) = image of the n-th differential, presented by the next one."""
+        """Syz_n(M) = image of the n-th differential, presented by the next one.
+
+        Its depth is at least min(d, depth(M) + n) over a Cohen-Macaulay ring
+        of dimension d (``modules.ring_depth``), by the depth lemma.
+        """
         if n == 0:
             return self.minimal
         self.extend(n + 1)
@@ -258,28 +277,10 @@ class FreeResolution:
         # a minimal resolution presents each syzygy minimally
         S = GradedModule(self.ring, gen_step.col_degs, rel_step.col_degs, rel_step.entries,
                          label=label, check=False)
+        d = ring_depth(self.ring)
+        if d is not None:
+            _depth_as(S, min(d, (self.minimal._depth or 0) + n))
         return _minimal_as(S, S)
-
-    def verify_exactness(self, H: int) -> bool:
-        """Exactness at F_i for every computed adjacent pair d_i, d_{i+1}.
-
-        d_i . d_{i+1} = 0 exactly, and rank d_{i+1} = dim F_i - rank d_i in
-        every degree from F_i's lowest generator degree through the scan
-        end of d_{i+1} plus ``default_stall``: a scan that stopped before a
-        generator shows there as a rank deficit.
-        """
-        self.extend(H)
-        ring, stall = self.ring, default_stall(self.ring)
-        systems = [BlockSystem(ring, s.entries, s.row_degs, s.col_degs) for s in self.steps]
-        for a, b, da, db in zip(self.steps, self.steps[1:], systems, systems[1:]):
-            if any(not e.is_zero() for row in grid_mul(ring, a.entries, b.entries) for e in row):
-                return False
-            scan = () if b.scanned_to is None else range(min(b.row_degs), b.scanned_to + stall + 1)
-            for t in scan:
-                if db.at(t).rank() + da.at(t).rank() != sum(
-                        ring.hilbert_function(t - c) for c in b.row_degs):
-                    return False
-        return True
 
 
 def resolve(M: GradedModule, H: int, degree_cap: Optional[int] = None,
@@ -426,15 +427,27 @@ def _dual_kernel_elements(res: FreeResolution, i: int, degree_cap: Optional[int]
     """Kernel generators of T_{i+1}: F_i* -> F_{i+1}*, as elements of target.
 
     target must be a module whose free cover is F_i* (e.g. the cokernel
-    of T_i); the returned elements are reduced there.
+    of T_i); the returned elements are reduced there.  For i = 0 the kernel
+    is M*, and when M is maximal Cohen-Macaulay by construction the scan
+    stops, certified, at s - min gen(M) = s + max(src_degs): for the
+    ``artinian_reduction`` (d, s), l is regular on A and Ext^1(M, A) = 0
+    over the Gorenstein ring, so M*/lM* = Hom_B(M/lM, B) lies inside
+    (+)_a B(a) over M's generator degrees a, and graded Nakayama bounds
+    M*'s generators by its top degree.
     """
     ring = res.ring
     step = res.differential(i + 1)
     src_degs = tuple(-r for r in step.row_degs)
     tgt_degs = tuple(-c for c in step.col_degs)
-    cap = degree_cap if degree_cap is not None else (
-        max(src_degs, default=0) + 4 * default_stall(ring) + 8)
-    ker_step = kernel_step(ring, tgt_degs, src_degs, step.transpose_data(), degree_cap=cap)
+    stop = None
+    if i == 0 and src_degs and is_mcm_by_construction(res.minimal):
+        stop = max(src_degs) + ring.artinian_reduction[1]
+    cap = degree_cap
+    if cap is None:
+        cap = max(src_degs, default=0) + 4 * default_stall(ring) + 8
+        cap = cap if stop is None else max(cap, stop)
+    ker_step = kernel_step(ring, tgt_degs, src_degs, step.transpose_data(), degree_cap=cap,
+                           stop=stop)
     return [target.element(d, ring.join_coords([row[g] for row in ker_step.entries],
                                                [d - r for r in src_degs]))
             for g, d in enumerate(ker_step.col_degs)]
@@ -451,13 +464,22 @@ def ext_is_zero(M: GradedModule, i: int, degree_cap: Optional[int] = None) -> bo
 
 
 def ext_module(M: GradedModule, i: int, degree_cap: Optional[int] = None) -> GradedModule:
-    """Ext^i(M, A) as a finitely presented graded module."""
+    """Ext^i(M, A) as a finitely presented graded module.
+
+    For i = 0 and M maximal Cohen-Macaulay by construction, M* is too, so the
+    relation scan stops, certified, at max(gens of M*) + s by the argument of
+    ``FreeResolution.stop``.
+    """
     res = resolve(M, i + 1, degree_cap=degree_cap)
     target = _dual_cokernel(res, i)
     gens = [g for g in _dual_kernel_elements(res, i, degree_cap, target) if not g.is_zero()]
     if not gens:
         return GradedModule(M.ring, [], [], [], label=f"Ext{i}", check=False)
-    N, _ = submodule_presentation(target, gens, label=f"Ext{i}({M.label})" if M.label else f"Ext{i}")
+    stop = None
+    if i == 0 and is_mcm_by_construction(res.minimal):
+        stop = max(g.degree for g in gens) + M.ring.artinian_reduction[1]
+    N, _ = submodule_presentation(target, gens, label=f"Ext{i}({M.label})" if M.label else f"Ext{i}",
+                                  stop=stop)
     return N
 
 

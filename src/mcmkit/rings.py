@@ -438,12 +438,14 @@ class QuotientRing:
 
     # -- normal forms -----------------------------------------------------
 
-    def normal_form(self, poly: Poly) -> Poly:
+    def normal_form(self, poly: Poly, degrees: Optional[List[int]] = None) -> Poly:
         """Reduce a polynomial modulo the ideal, degree by degree.
 
         A part that no relation reaches is in normal form: its coefficients
         are reduced by the field and its monomials put in the piece's
         lex-descending order, with no piece built below every relation's degree.
+        The degree of each nonzero part of the result is appended to
+        ``degrees`` when one is given, read off the grouping.
         """
         if not poly:
             return {}
@@ -453,20 +455,23 @@ class QuotientRing:
         out: Poly = {}
         element = self.field.element
         for d, part in by_deg.items():
+            size = len(out)
             pc = self.piece(d) if d >= self._first_relation_degree else None
             if pc is None or not pc.rel_space.dim:  # no relation reaches degree d
                 for m in sorted(part, reverse=True):
                     c = element(part[m])
                     if c:
                         out[m] = c
-                continue
-            # the coefficients times the normal forms of their monomials
-            rows = self.normal_form_matrix(d)._array()[[pc.index[m] for m in part]]
-            coeffs = self.field.vector(list(part.values()))
-            red = self.field.matmul(coeffs[None], rows)[0].tolist()
-            for i, c in zip(pc.std, red):
-                if c:
-                    out[pc.monos[i]] = c
+            else:
+                # the coefficients times the normal forms of their monomials
+                rows = self.normal_form_matrix(d)._array()[[pc.index[m] for m in part]]
+                coeffs = self.field.vector(list(part.values()))
+                red = self.field.matmul(coeffs[None], rows)[0].tolist()
+                for i, c in zip(pc.std, red):
+                    if c:
+                        out[pc.monos[i]] = c
+            if degrees is not None and len(out) > size:
+                degrees.append(d)
         return out
 
     def std_coords(self, poly: Poly, d: int):
@@ -491,11 +496,12 @@ class QuotientRing:
         else:  # scalar
             c = self.field.element(value)
             poly = {self.ambient.unit_mono: c} if c else {}
-        poly = self.normal_form(poly)
-        d = self.ambient.poly_degree(poly)
-        if d is None:
-            d = degree
-        elif degree is not None and degree != d:
+        degs: List[int] = []
+        poly = self.normal_form(poly, degs)
+        if len(degs) > 1:
+            raise UsageError("polynomial is not weighted-homogeneous")
+        d = degs[0] if degs else degree
+        if degree is not None and degree != d:
             raise UsageError(f"element has degree {d}, expected {degree}")
         return RingElement(self, poly, d)
 
@@ -844,8 +850,7 @@ def grid_mul(ring: QuotientRing, A, B) -> Tuple[Tuple["RingElement", ...], ...]:
                 y = brow[j]
                 if x.poly and y.poly:
                     acc = poly_add(acc, poly_mul(x.poly, y.poly, field), field)
-            poly = ring.normal_form(acc)
-            out_row.append(RingElement(ring, poly, ring.ambient.poly_degree(poly)))
+            out_row.append(ring.element(acc))
         out.append(tuple(out_row))
     return tuple(out)
 
@@ -914,4 +919,4 @@ class RingElement:
         return self.poly.get(self.ring.ambient.unit_mono, self.ring.field.element(0))
 
     def is_unit(self) -> bool:
-        return bool(self.poly) and self.ring.ambient.poly_degree(self.poly) == 0
+        return bool(self.poly) and self.degree == 0
