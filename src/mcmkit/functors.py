@@ -17,8 +17,8 @@ from typing import Optional, Tuple
 from .errors import UsageError
 from .homs import Hom, _left_mul, strip_free_summands
 from .linalg import DenseMatrix
-from .modules import GradedModule, _depth_as, free_module, is_mcm_by_construction, ring_depth
-from .resolution import ext_module, mcm_test, resolve, syzygy
+from .modules import GradedModule, _depth_as, free_module, ring_depth
+from .resolution import _is_mcm, ext_module, resolve, syzygy
 from .rings import BlockSystem, grid_mul
 
 __all__ = [
@@ -32,13 +32,6 @@ __all__ = [
     "stable_part",
     "lift_map",
 ]
-
-
-def _is_mcm(M: GradedModule, degree_cap: Optional[int]) -> bool:
-    """``mcm_test``, skipped over a Gorenstein ring when M is MCM by construction."""
-    if is_mcm_by_construction(M) and M.ring.is_gorenstein():
-        return True
-    return mcm_test(M, degree_cap=degree_cap)
 
 
 def dual(M: GradedModule, degree_cap: Optional[int] = None, check: bool = True) -> GradedModule:
@@ -128,8 +121,9 @@ def mcm_approx(M: GradedModule, degree_cap: Optional[int] = None) -> GradedModul
     """
     Mm = M.minimized()
     if Mm.num_gens == 0 or _is_mcm(Mm, degree_cap):
-        # a copy: Mm can be M itself or the minimal form M keeps, and callers relabel the result
-        return _depth_as(GradedModule.direct_sum([Mm], label=Mm.label), Mm._depth)
+        # a copy, with Mm's depth: Mm can be M itself or the minimal form M keeps, and
+        # callers relabel the result
+        return GradedModule.direct_sum([Mm], label=Mm.label)
     t = max(M.ring.krull_dim(), 1)
     S = syzygy(Mm, t, degree_cap=degree_cap).minimized()
     S, _ = strip_free_summands(S)

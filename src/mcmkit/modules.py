@@ -241,7 +241,10 @@ class GradedModule:
                     else:
                         row.extend([zero] * q.num_rels)
                 rows.append(row)
-        return GradedModule(ring, gen_degs, rel_degs, rows, label=label, check=False)
+        # depth(M (+) N) = min(depth M, depth N), so the least known depth is one
+        depths = [p._depth for p in parts]
+        return _depth_as(GradedModule(ring, gen_degs, rel_degs, rows, label=label, check=False),
+                         None if None in depths else min(depths))
 
     def minimized(self) -> "GradedModule":
         """Minimal presentation: no unit entries, no redundant relations.
@@ -338,7 +341,9 @@ def minimal_columns(system: BlockSystem, order: Sequence[int], to_target=None) -
 
 
 def free_module(ring: QuotientRing, gen_degs: Sequence[int], label: str = "") -> GradedModule:
-    return GradedModule(ring, gen_degs, [], [[] for _ in gen_degs], label=label or "free", check=False)
+    """A free module, of depth d over a ring whose ``artinian_reduction`` certifies depth A = d."""
+    F = GradedModule(ring, gen_degs, [], [[] for _ in gen_degs], label=label or "free", check=False)
+    return _depth_as(F, ring_depth(ring))
 
 
 def residue_field_module(ring: QuotientRing) -> GradedModule:
@@ -617,21 +622,52 @@ def hs_lengths(M: GradedModule, s_max: int) -> List[int]:
     return out
 
 
+def reduction_length(M: GradedModule) -> int:
+    """length(M/lM) for the ring's ``reduction_parameters`` l.
+
+    M/lM is presented by M's relations and l times each generator.  It is a
+    module over B = A/lA, whose top degree is the s of ``artinian_reduction``,
+    generated in degrees at most max gen(M), so it vanishes above
+    max gen(M) + s and its length is the sum of its Hilbert function up to there.
+    """
+    ring = M.ring
+    s = ring.artinian_reduction[1]
+    variables = [ring.gens()[i] for i in ring.reduction_parameters]
+    zero, n = ring.zero(), M.num_gens
+    rows = [list(row) + [x if k == i else zero for x in variables for k in range(n)]
+            for i, row in enumerate(M.presentation)]
+    rel_degs = M.rel_degs + tuple(a + x.degree for x in variables for a in M.gen_degs)
+    quotient = GradedModule(ring, M.gen_degs, rel_degs, rows, check=False)
+    return sum(map(quotient.hilbert_function, range(M.min_gen_degree(), M.max_gen_degree() + s + 1)))
+
+
 def invariants(M: GradedModule) -> ModuleInvariants:
-    """Minimal generator count, length, Hilbert-Samuel multiplicity (s <= 12), rank."""
+    """Minimal generator count, length, multiplicity e, dimension and rank.
+
+    For M maximal Cohen-Macaulay by construction over a ring whose reduction
+    parameters l generate a reduction of m (``QuotientRing.reduction_parameters``),
+    e(M) = length(M/lM) exactly (``reduction_length``), and M has dimension
+    dim A.  Otherwise e is read off the Hilbert-Samuel function (s <= 12),
+    or is the length when that is finite.
+    """
     Mmin = M.minimized()
     if Mmin.num_gens == 0:
         return ModuleInvariants(0, {}, 0, 0, -1, Fraction(0), True)
     lo = Mmin.min_gen_degree()
     hw = Mmin.hilbert_window(lo, lo + 10)
-    length = module_length(Mmin)
-    if length == 0:
-        return ModuleInvariants(0, hw, 0, 0, -1, Fraction(0), True)
-    if length is not None:
-        # finite length: dimension 0, multiplicity = length
-        dim, e = 0, length
+    if is_mcm_by_construction(Mmin) and M.ring.reduction_parameters is not None:
+        e = reduction_length(Mmin)
+        dim = ring_depth(M.ring)
+        length = None if dim else e
     else:
-        dim, e = fit_hilbert_samuel(hs_lengths(Mmin, 12))
+        length = module_length(Mmin)
+        if length == 0:
+            return ModuleInvariants(0, hw, 0, 0, -1, Fraction(0), True)
+        if length is not None:
+            # finite length: dimension 0, multiplicity = length
+            dim, e = 0, length
+        else:
+            dim, e = fit_hilbert_samuel(hs_lengths(Mmin, 12))
     eA = M.ring.multiplicity()
     rank = Fraction(e, eA) if dim == M.ring.krull_dim() else Fraction(0)
     return ModuleInvariants(

@@ -1,35 +1,46 @@
-"""Auslander-Reiten quivers for finite-type catalogs.
+"""Auslander-Reiten quivers for finite-type catalogs, read off their AR sequences.
 
-Arrows are counted by the radical filtration: irr(M, N) is the
-dimension of (M,N)_1 / (M,N)_2, where (M,N)_1 drops the isomorphism
-components and (M,N)_2 is spanned by two-step composites through
-catalog modules, the grids of ``_QuiverBuilder.rad2_grids``.  Each span
-is built by one ``HomSpace.span`` call.  Because the engine is graded,
-maps of every internal degree matter: a map of internal degree t is a
-degree-0 map into a shift of the target, and irr totals the
-contributions over the finite band where the Hom module has minimal
-generators (deeper maps are maximal-ideal multiples, hence lie in the
-second filtration layer).
+The arrows into a non-free vertex M are the indecomposable summands of the
+middle term E of the AR sequence 0 -> tau M -> E -> M -> 0 (Auslander and
+Reiten, Math. Ann. 277, 1987; Yoshino, Cohen-Macaulay modules over
+Cohen-Macaulay rings, LMS LN 146, 1990, ch. 3 and 15).  The translate is
+N = tau M = Syz_{2-d} M, and with Omega = Syz_1 M, Ext^1(M, N<t>) is the
+stable Hom(Omega, N<t>).  At t* = -a(A), the sum of the weights minus the
+sum of the relation degrees, it is the simple socle of Ext^1(M, tau M)
+under graded AR duality, of dimension s_M = dim End(M)/rad, so any class
+eta in it outside the maps through free modules gives the sequence.  E is
+the pushout of F_0 <- Omega -> N<t*>, presented by [[P, 0], [-eta, Q]] for
+the minimal presentations P of M and Q of N<t*>, and is maximal
+Cohen-Macaulay by the depth lemma.  A vertex X shifted by s is a summand of
+E with multiplicity (dim Hom(X<s>, E) - dim rad(X<s>, E)) / s_X, and gives
+that many arrows X -> M of internal degree -s.  The arrows into the free
+vertex come the same way from X(m), the MCM approximation of the maximal
+ideal (m itself on curves), which maps onto m inside A as the right almost
+split map.  Three checks guard each sequence at run time: dim Ext^1 = s_M,
+the summands found account for every minimal generator of E, and
+e(E) = e(M) + e(tau M).  A failed check raises ``Inconclusive`` naming it.
+That the class at t* gives the almost split sequence is graded AR duality,
+not one of the checks: on A2:dim1 the class one degree above t* passes all
+three with E = A + A<1>, and ``tests/test_ar_sequences.py`` compares every
+catalog's arrows with the radical-filtration reference.
 
-Middle terms of AR sequences are assembled from the irr counts; the
-translate is tau = Syz_{2-d}.  Symmetry checks (dual and linkage as
-reverse-graph isomorphisms), syzygy orbit ideals, and classification of
-components by periodicity / Ulrich / complexity live here too.
+Symmetry checks (dual and linkage as reverse-graph isomorphisms) and
+classification of components by periodicity / Ulrich / complexity live here too.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .catalog import CatalogData
 from .errors import Inconclusive, UsageError
-from .homs import (Hom, end_algebra, hom_radical, hom_space, is_isomorphic, local_certificate,
+from .homs import (end_algebra, hom_radical, hom_space, is_isomorphic, local_certificate,
                    strip_free_summands)
-from .modules import GradedModule, default_stall, invariants
-from .resolution import detect_period, growth_report, ulrich_test
-from .functors import dual, lift_map, link, syzygy_signed, tau
-from .rings import grid_mul
+from .modules import GradedModule, _depth_as, invariants, maximal_ideal_module, ring_depth
+from .resolution import detect_period, growth_report, resolve, ulrich_test
+from .functors import dual, link, mcm_approx, syzygy_signed, tau
 
 __all__ = [
     "ARVertex",
@@ -37,14 +48,9 @@ __all__ = [
     "ARSequenceData",
     "build_quiver",
     "middle_term",
-    "radical_filtration",
     "reverse_iso_check",
-    "syzygy_orbit_ideal",
     "component_classify",
-    "lifted_arrows_remain_irreducible",
 ]
-
-SCAN_WIDTH_CAP = 64
 
 
 @dataclass
@@ -69,19 +75,21 @@ class ARSequenceData:
     middle_free_rank: int
     mu_middle: int
     e_middle: int
+    module: GradedModule  # the middle term E, as the pushout presents it
 
 
 class ARQuiver:
     def __init__(self, ring, d, vertices: List[ARVertex],
                  arrows: Dict[Tuple[int, int], int],
                  arrow_degrees: Dict[Tuple[int, int], Dict[int, int]],
-                 residue_flags: bool):
+                 residue_flags: bool, sequences: Dict[str, ARSequenceData]):
         self.ring = ring
         self.d = d
         self.vertices = vertices
         self.arrows = {k: v for k, v in arrows.items() if v > 0}
         self.arrow_degrees = arrow_degrees
         self.residue_flag = residue_flags  # a residue algebra exceeded k somewhere
+        self.sequences = sequences  # vertex name -> the AR sequence ending there
 
     @property
     def free_index(self) -> int:
@@ -130,10 +138,7 @@ class ARQuiver:
 
     def match_vertex(self, module: GradedModule) -> Optional[int]:
         """Index of the catalog vertex isomorphic to the module, if any."""
-        for i, v in enumerate(self.vertices):
-            if is_isomorphic(v.module, module):
-                return i
-        return None
+        return _match_vertex(self.vertices, module)
 
     def to_dot(self) -> str:
         lines = ["digraph ar_quiver {"]
@@ -153,123 +158,94 @@ class ARQuiver:
         return "\n".join(lines) + "\n"
 
 
-def _scale_grid_by_var(ring, grid, var_elem):
-    return [[var_elem * e if not e.is_zero() else ring.zero() for e in row] for row in grid]
+def _match_vertex(vertices: List[ARVertex], module: GradedModule) -> Optional[int]:
+    return next((i for i, v in enumerate(vertices) if is_isomorphic(v.module, module)), None)
 
 
-def _composites(ring, middles, fs_of, gs_of):
-    """Every g f with f in fs_of(X) and g in gs_of(X), over the middle terms X.
+def _residue_degree(v: ARVertex) -> int:
+    """s_V = dim End(V)/rad, once End(V) is certified local, so V indecomposable."""
+    E = end_algebra(v.module)  # End = k needs no certificate, over QQ too
+    ok, _, s = (True, None, 1) if E.dim == 1 else local_certificate(E)
+    if not ok:
+        raise Inconclusive(f"endomorphism algebra of vertex {v.name} not certified local")
+    return s
 
-    gs_of(X) is not asked for when fs_of(X) is empty.
+
+def _ar_shift(ring) -> int:
+    """t* = -a(A), the sum of the weights minus the sum of the relation degrees: the
+    degree where graded AR duality puts the class of each AR sequence."""
+    return sum(ring.weights) - sum(ring.relation_degrees)
+
+
+def _summands(vertices: List[ARVertex], E: GradedModule, what: str) -> Dict[Tuple[int, int], int]:
+    """The multiplicity of each vertex X shifted by s in E, keyed (index of X, -s).
+
+    A summand's generator degrees are among E's minimal ones, so only the
+    shifts that fit are tried.  Hom(X<s>, E) is solved as Hom(X, E<-s>),
+    where End(X) and its radical are already kept.  Raises ``Inconclusive``
+    unless the summands found account for every minimal generator of E.
     """
-    for X in middles:
-        fs = fs_of(X)
-        if fs:
-            for g in gs_of(X):
-                for f in fs:
-                    yield grid_mul(ring, g, f)
+    Em = E.minimized()
+    have = Counter(Em.gen_degs)
+    found: Dict[Tuple[int, int], int] = {}
+    for i, v in enumerate(vertices):
+        for s in sorted({e - g for e in have for g in v.module.gen_degs}):
+            if Counter(g + s for g in v.module.gen_degs) - have:
+                continue
+            target = Em.degree_shift(-s)
+            top = hom_space(v.module, target).dim - hom_radical(v.module, target).dim
+            mult = top // v.residue_degree
+            if mult:
+                found[(i, -s)] = mult
+    mu = sum(m * vertices[i].mu for (i, _), m in found.items())
+    if mu != Em.num_gens:
+        raise Inconclusive(f"{what}: the summands found have {mu} generators, E has {Em.num_gens}")
+    return found
 
 
-class _QuiverBuilder:
-    """Caches for vertex shifts, canonical Hom bases, and radicals."""
-
-    def __init__(self, ring, vertices: List[ARVertex]):
-        self.ring = ring
-        self.vertices = vertices
-        self._shifted: Dict[Tuple[int, int], GradedModule] = {}
-        self._space1: Dict[Tuple[int, int, int], List] = {}
-        self._rad: Dict[int, List] = {}
-        self.residue_flag = False
-
-    def shifted(self, vi: int, t: int) -> GradedModule:
-        key = (vi, t)
-        got = self._shifted.get(key)
-        if got is None:
-            got = self.vertices[vi].module.degree_shift(t)
-            self._shifted[key] = got
-        return got
-
-    def radical_grids(self, vi: int) -> List:
-        """phi grids spanning rad End of a vertex, whose End is certified local."""
-        got = self._rad.get(vi)
-        if got is None:
-            v = self.vertices[vi]
-            E = end_algebra(v.module)  # End = k needs no certificate, over QQ too
-            ok, rad, v.residue_degree = (True, E.radical, 1) if E.dim == 1 else local_certificate(E)
-            if not ok:
-                raise Inconclusive(f"endomorphism algebra of vertex {v.name} not certified local")
-            got = [E.hs.element_from_coords(row).phi for row in rad.basis_matrix().rows()]
-            self.residue_flag = self.residue_flag or v.residue_degree > 1
-            self._rad[vi] = got
-        return got
-
-    def space1_grids(self, vi: int, vj: int, diff: int) -> List:
-        """phi grids spanning (V_i, V_j<diff>)_1."""
-        key = (vi, vj, diff)
-        if key not in self._space1:
-            if vi == vj and diff == 0:
-                self._space1[key] = self.radical_grids(vi)
-            else:
-                hs = hom_space(self.vertices[vi].module, self.shifted(vj, diff))
-                self._space1[key] = [h.phi for h in hs.basis()]
-        return self._space1[key]
-
-    def gen_span(self, vi):
-        v = self.vertices[vi].module
-        return max(v.gen_degs) if v.gen_degs else 0
-
-    def rad2_grids(self, vi: int, vj: int, t: int):
-        """Yield the phi grids of the composites g f that span (V_i, V_j<t>)_2: f in (V_i, X<s>)_1,
-        g in (X<s>, V_j<t>)_1, X a catalog vertex, t - gen_span(X) <= s <= gen_span(V_i)."""
-        middles = [(xk, s) for xk in range(len(self.vertices))
-                   for s in range(t - self.gen_span(xk), self.gen_span(vi) + 1)]
-        return _composites(self.ring, middles, lambda m: self.space1_grids(vi, m[0], m[1]),
-                           lambda m: self.space1_grids(m[0], vj, t - m[1]))
-
-    def irr_pair(self, vi: int, vj: int) -> Dict[int, Tuple[int, int, int]]:
-        """(dim Hom, dim (,)_1, dim (,)_2) of (V_i, V_j<t>), in descending t, for
-        each internal degree t with irreducible maps (dim (,)_1 > dim (,)_2)."""
-        ring = self.ring
-        V = self.vertices[vi].module
-        t_hi = self.gen_span(vi)  # Hom vanishes above maxgen(V) - minsupp(W) = maxgen(V)
-        stall_total = default_stall(ring) + self.gen_span(vi) + self.gen_span(vj)
-        out: Dict[int, Tuple[int, int, int]] = {}
-        no_new = 0
-        t = t_hi
-        scanned = 0
-        vars_elems = [(ring.element(v), w) for v, w in zip(ring.variables, ring.weights)]
-        while True:
-            hs = hom_space(V, self.shifted(vj, t))
-            s1 = self.space1_grids(vi, vj, t)
-            new_gens = 0
-            if s1:
-                dim1 = hs.span(s1).dim
-                # maximal-ideal multiples of higher maps
-                new_gens = dim1 - hs.span(_scale_grid_by_var(ring, grid, var_elem)
-                                          for var_elem, w in vars_elems
-                                          for grid in self.space1_grids(vi, vj, t + w)).dim
-                if new_gens > 0:
-                    dim2 = hs.span(self.rad2_grids(vi, vj, t)).dim
-                    if dim1 > dim2:
-                        out[t] = (hs.dim, dim1, dim2)
-            no_new = 0 if new_gens > 0 else no_new + 1
-            t -= 1
-            scanned += 1
-            if no_new >= stall_total and scanned >= stall_total:
-                break
-            if scanned > SCAN_WIDTH_CAP:
-                raise Inconclusive(
-                    f"irr scan budget exceeded for pair "
-                    f"({self.vertices[vi].name}, {self.vertices[vj].name})", bound=SCAN_WIDTH_CAP)
-        return out
+def _ar_sequence(vertices: List[ARVertex], j: int, d: int,
+                 t_star: int) -> Tuple[ARSequenceData, Dict[Tuple[int, int], int]]:
+    """The AR sequence ending at vertex j, and the summands of its middle term (``_summands``)."""
+    v, ring = vertices[j], vertices[j].module.ring
+    what = f"AR sequence ending at {v.name}"
+    res = resolve(v.module, 2)
+    omega, N = res.syzygy_module(1), tau(v.module, d)
+    ti = _match_vertex(vertices, N)
+    if ti is None:
+        raise Inconclusive(f"catalog incomplete: tau({v.name}) not found")
+    N = N.degree_shift(t_star)
+    hs = hom_space(omega, N)
+    beta = hs.beta_space()
+    if hs.dim - beta.dim != v.residue_degree:
+        raise Inconclusive(f"{what}: dim Ext^1(M, tau M<{t_star}>) = {hs.dim - beta.dim}, "
+                           f"not dim End(M)/rad = {v.residue_degree}")
+    eta = next(h for h in hs.basis() if not beta.contains(hs.flat_of_phi(h.phi)))
+    P, zero = res.minimal, ring.zero()
+    rows = [list(row) + [zero] * N.num_rels for row in P.presentation]
+    rows += [[-e for e in eta_row] + list(row) for eta_row, row in zip(eta.phi, N.presentation)]
+    # both ends are maximal Cohen-Macaulay, so E is too (the depth lemma)
+    E = _depth_as(GradedModule(ring, P.gen_degs + N.gen_degs, P.rel_degs + N.rel_degs, rows,
+                               label=f"E({v.name})", check=False), ring_depth(ring))
+    found = _summands(vertices, E, what)
+    inv = invariants(E)
+    if inv.multiplicity_e != v.e + vertices[ti].e:
+        raise Inconclusive(f"{what}: e(E) = {inv.multiplicity_e}, not e(M) + e(tau M) = "
+                           f"{v.e + vertices[ti].e}")
+    middle: Dict[str, int] = {}
+    for (i, _), m in found.items():
+        middle[vertices[i].name] = middle.get(vertices[i].name, 0) + m
+    free_rank = sum(m for (i, _), m in found.items() if vertices[i].is_free)
+    return ARSequenceData(v.name, vertices[ti].name, sorted(middle.items()), free_rank,
+                          inv.mu, inv.multiplicity_e, E), found
 
 
 def build_quiver(catalog: CatalogData) -> ARQuiver:
-    """Assemble the AR quiver of a shipped catalog.
+    """Assemble the AR quiver of a shipped catalog from its AR sequences.
 
     Vertices are validated pairwise non-isomorphic and indecomposable;
-    the closure check verifies that the translate, syzygies, dual and
-    linkage of every vertex land back in the catalog.
+    the AR sequences find each translate in the catalog, and the closure
+    check verifies that the syzygies, dual and linkage of every vertex land
+    back in it too.
     """
     ring = catalog.ring
     d = ring.krull_dim()
@@ -286,21 +262,27 @@ def build_quiver(catalog: CatalogData) -> ARQuiver:
             if is_isomorphic(verts[i].module, verts[j].module):
                 raise UsageError(
                     f"catalog vertices {verts[i].name} and {verts[j].name} are isomorphic")
-    builder = _QuiverBuilder(ring, verts)
-    for i, v in enumerate(verts):
+    for v in verts:
         if not v.is_free:
-            builder.radical_grids(i)  # certifies indecomposability, sets residue degree
-    arrows: Dict[Tuple[int, int], int] = {}
+            v.residue_degree = _residue_degree(v)
     arrow_degrees: Dict[Tuple[int, int], Dict[int, int]] = {}
-    for i in range(len(verts)):
-        for j in range(len(verts)):
-            if verts[i].is_free and verts[j].is_free:
-                continue  # loops at [A] are not part of any AR middle term
-            per = {t: d1 - d2 for t, (_, d1, d2) in builder.irr_pair(i, j).items()}
-            if per:
-                arrows[(i, j)] = sum(per.values())
-                arrow_degrees[(i, j)] = per
-    q = ARQuiver(ring, d, verts, arrows, arrow_degrees, builder.residue_flag)
+    sequences: Dict[str, ARSequenceData] = {}
+
+    def into(j: int, found: Dict[Tuple[int, int], int]):
+        for (i, t), m in found.items():
+            arrow_degrees.setdefault((i, j), {})[t] = m
+
+    t_star = _ar_shift(ring)
+    for j, v in enumerate(verts):
+        if not v.is_free:
+            sequences[v.name], found = _ar_sequence(verts, j, d, t_star)
+            into(j, found)
+    sink = _summands(verts, mcm_approx(maximal_ideal_module(ring)), "arrows into A")
+    into(0, {key: m for key, m in sink.items() if not verts[key[0]].is_free})
+    arrow_degrees = dict(sorted(arrow_degrees.items()))
+    arrows = {key: sum(per.values()) for key, per in arrow_degrees.items()}
+    q = ARQuiver(ring, d, verts, arrows, arrow_degrees, any(v.residue_degree > 1 for v in verts),
+                 sequences)
     report = closure_check(q, catalog)
     if report:
         raise Inconclusive("catalog incomplete: " + "; ".join(report))
@@ -308,17 +290,17 @@ def build_quiver(catalog: CatalogData) -> ARQuiver:
 
 
 def closure_check(q: ARQuiver, catalog: CatalogData) -> List[str]:
-    """Names of functor images that escape the catalog (empty = closed)."""
+    """Names of functor images that escape the catalog (empty = closed).
+
+    The translate is not tried again: each AR sequence matched it already,
+    and on curves it is Syz1 too.
+    """
     problems = []
     for v in q.vertices:
         if v.is_free:
             continue
-        images = {
-            "tau": tau(v.module, q.d),
-            "Syz1": syzygy_signed(v.module, 1),
-            "dual": dual(v.module),
-            "link": link(v.module),
-        }
+        images = {} if q.d == 1 else {"Syz1": syzygy_signed(v.module, 1)}
+        images.update(dual=dual(v.module), link=link(v.module))
         for fname, img in images.items():
             stable, _ = strip_free_summands(img)
             if stable.minimized().num_gens == 0:
@@ -332,35 +314,10 @@ def closure_check(q: ARQuiver, catalog: CatalogData) -> List[str]:
 
 
 def middle_term(q: ARQuiver, vertex_name: str) -> ARSequenceData:
-    """Middle term of the AR sequence ending at a vertex, from irr counts."""
-    j = q.vertex_index(vertex_name)
-    if q.vertices[j].is_free:
+    """Middle term of the AR sequence ending at a vertex, as ``build_quiver`` computed it."""
+    if q.vertices[q.vertex_index(vertex_name)].is_free:
         raise UsageError("no AR sequence ends at the free vertex")
-    tau_mod = tau(q.vertices[j].module, q.d)
-    ti = q.match_vertex(tau_mod)
-    if ti is None:
-        raise Inconclusive(f"catalog incomplete: tau({vertex_name}) not found")
-    middle = []
-    mu_mid = 0
-    e_mid = 0
-    free_rank = 0
-    for i, v in enumerate(q.vertices):
-        mult = q.arrows.get((i, j), 0)
-        if mult == 0:
-            continue
-        middle.append((v.name, mult))
-        mu_mid += mult * v.mu
-        e_mid += mult * v.e
-        if v.is_free:
-            free_rank += mult
-    return ARSequenceData(
-        vertex=vertex_name,
-        tau_name=q.vertices[ti].name,
-        middle=sorted(middle),
-        middle_free_rank=free_rank,
-        mu_middle=mu_mid,
-        e_middle=e_mid,
-    )
+    return q.sequences[vertex_name]
 
 
 def reverse_iso_check(q: ARQuiver, functor: str) -> Tuple[bool, Dict[str, str]]:
@@ -393,94 +350,6 @@ def reverse_iso_check(q: ARQuiver, functor: str) -> Tuple[bool, Dict[str, str]]:
             if stable.get((a, b), 0) != stable.get((mapping[b], mapping[a]), 0):
                 ok = False
     return ok, {q.vertices[i].name: q.vertices[t].name for i, t in mapping.items()}
-
-
-def syzygy_orbit_ideal(q: ARQuiver, component: Sequence[int], n_max: int = 4):
-    """Generator of { n : Syz_n stays in the component }, searched up to n_max.
-
-    Returns (i, constant_flag) where i = 0 encodes "zero within bounds".
-    The ideal property makes the positive generator enough; constancy is
-    checked across all vertices of the component.
-    """
-    gens = []
-    for vi in component:
-        M = q.vertices[vi].module
-        found = 0
-        for n in range(1, n_max + 1):
-            S = syzygy_signed(M, n)
-            stable, _ = strip_free_summands(S)
-            ti = q.match_vertex(stable)
-            if ti is not None and ti in component:
-                found = n
-                break
-        gens.append(found)
-    constant = all(g == gens[0] for g in gens)
-    return gens[0], constant
-
-
-def radical_filtration(
-        catalog: CatalogData) -> Dict[Tuple[str, str], Dict[int, Tuple[int, int, int]]]:
-    """Pairwise filtration dimensions over the catalog.
-
-    For each ordered pair of vertices and each internal degree of the
-    scanned band that has irreducible maps: (dim Hom, dim (M,N)_1,
-    dim (M,N)_2), as ``irr_pair`` gives them.
-    """
-    ring = catalog.ring
-    verts: List[ARVertex] = []
-    A = catalog.free_vertex()
-    verts.append(ARVertex("A", A, True, 1, 1, ring.multiplicity()))
-    for name, M in catalog.modules():
-        verts.append(ARVertex(name, M, False, 1, 0, 0))
-    builder = _QuiverBuilder(ring, verts)
-    pairs = [(i, j) for i in range(len(verts)) for j in range(len(verts))
-             if not (verts[i].is_free and verts[j].is_free)]
-    return {(verts[i].name, verts[j].name): per
-            for i, j in pairs if (per := builder.irr_pair(i, j))}
-
-
-def _noniso_grids(P: GradedModule, Q: GradedModule):
-    """phi grids spanning rad(P, Q), the non-isomorphism part of Hom(P, Q)."""
-    hs = hom_space(P, Q)
-    return [hs.element_from_coords(row).phi for row in hom_radical(P, Q).basis_matrix().rows()]
-
-
-def lifted_arrows_remain_irreducible(q: ARQuiver) -> List[Tuple[str, bool]]:
-    """For every stable arrow, lift a representative to first syzygies and
-    re-verify membership in the first but not the second filtration layer."""
-    builder = _QuiverBuilder(q.ring, q.vertices)
-    results: List[Tuple[str, bool]] = []
-    stable = set(q.stable_indices())
-    for (i, j), per in sorted(q.arrow_degrees.items()):
-        if i not in stable or j not in stable:
-            continue
-        name = f"{q.vertices[i].name}->{q.vertices[j].name}"
-        t = max(d for d, m in per.items() if m > 0)
-        src = q.vertices[i].module
-        tgt = builder.shifted(j, t)
-        hs = hom_space(src, tgt)
-        span2 = hs.span(builder.rad2_grids(i, j, t))
-        rep = next((h for h in builder.space1_grids(i, j, t)
-                    if not span2.contains(hs.trivial.reduce(hs.flat_of_phi(h)))), None)
-        if rep is None:
-            results.append((name, False))
-            continue
-        lifted = lift_map(Hom(src, tgt, rep))
-        SP, SQ = lifted.source, lifted.target
-        if SP.minimized().num_gens == 0 or SQ.minimized().num_gens == 0:
-            results.append((name, False))
-            continue
-        hs1 = hom_space(SP, SQ)
-        flat = hs1.trivial.reduce(hs1.flat_of_phi(lifted.phi))
-        in_first = hs1.span(_noniso_grids(SP, SQ)).contains(flat)
-        mg_sp = max(SP.gen_degs) if SP.gen_degs else 0
-        mg_sq = min(SQ.gen_degs) if SQ.gen_degs else 0
-        middles = [builder.shifted(xk, s) for xk in range(len(q.vertices))
-                   for s in range(mg_sq - builder.gen_span(xk) - q.ring.max_weight, mg_sp + 1)]
-        in_second = hs1.span(_composites(q.ring, middles, lambda X: _noniso_grids(SP, X),
-                                         lambda X: _noniso_grids(X, SQ))).contains(flat)
-        results.append((name, bool(in_first and not in_second)))
-    return results
 
 
 _PROPERTIES = ("periodic", "bounded_nonperiodic", "ulrich", "cx_equals", "curv_leq")

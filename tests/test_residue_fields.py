@@ -9,8 +9,9 @@ into the two rational points otherwise.
 
 from mcmkit.homs import decompose, end_algebra, is_isomorphic, local_certificate
 from mcmkit.modules import GradedModule
-from mcmkit.quiver import ARVertex, _QuiverBuilder
+from mcmkit.quiver import ARVertex
 from mcmkit.rings import WeightedPolyRing
+from quiver_reference import _QuiverBuilder
 
 
 def squares(p=7):

@@ -331,3 +331,18 @@ def test_a_short_hilbert_samuel_window_names_its_length():
     with pytest.raises(Inconclusive) as info:
         fit_hilbert_samuel([1, 3, 6, 10, 15])  # dimension 2, too few values to show it
     assert (info.value.bound, info.value.flag) == (5, None)
+
+
+def test_the_gorenstein_flag_is_kept_per_ring(monkeypatch):
+    from mcmkit.modules import residue_field_module
+    from mcmkit.resolution import depth, mcm_test
+    from mcmkit.rings import QuotientRing
+
+    calls = []
+    real = QuotientRing.socle_dimension
+    monkeypatch.setattr(QuotientRing, "socle_dimension", lambda self: calls.append(1) or real(self))
+    k = residue_field_module(nonci_gorenstein_ring())
+    for _ in range(5):
+        assert mcm_test(k)
+        assert depth(k) == 0
+    assert len(calls) == 1
