@@ -413,11 +413,14 @@ def splitting_idempotent(E: EndAlgebra, x) -> Optional[list]:
 def local_certificate(E: EndAlgebra):
     """Decide whether E is local, from its exact radical.
 
-    Over GF(p), E is local iff E/rad is a field: commutative, with
+    E = k is local, with residue degree 1, over any field.  Otherwise,
+    over GF(p), E is local iff E/rad is a field: commutative, with
     ker(Frobenius - id) of dimension 1 (Berlekamp).  Returns (True, rad,
     residue degree dim E - dim rad) when it is, (False, rad, None) when
     it is not, and (None, None, None) over QQ.
     """
+    if E.dim == 1:
+        return True, E.radical, 1
     if E.field == QQ:
         return None, None, None
     field, n, R = E.field, E.dim, E.radical
@@ -535,7 +538,7 @@ def decompose(M: GradedModule) -> Decomposition:
     if Mm.num_gens == 0:
         return Decomposition([], True, [])
     E = end_algebra(Mm)
-    ok, _, s = (True, None, 1) if E.dim == 1 else local_certificate(E)
+    ok, _, s = local_certificate(E)
     if ok:
         return Decomposition([(Mm, 1)], True, [s])
     for j in range(E.dim):

@@ -19,6 +19,10 @@ ideal (m itself on curves), which maps onto m inside A as the right almost
 split map.  Three checks guard each sequence at run time: dim Ext^1 = s_M,
 the summands found account for every minimal generator of E, and
 e(E) = e(M) + e(tau M).  A failed check raises ``Inconclusive`` naming it.
+The same multiplicity vector, complete when it accounts for every generator,
+names each vertex the builder meets: tau M, the catalog's pairwise check, the
+closure check and the reverse checks' maps.  A module is X<t> exactly when its
+vector is complete and equals {(X, -t): 1}.
 That the class at t* gives the almost split sequence is graded AR duality,
 not one of the checks: on A2:dim1 the class one degree above t* passes all
 three with E = A + A<1>, and ``tests/test_ar_sequences.py`` compares every
@@ -32,12 +36,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .catalog import CatalogData
 from .errors import Inconclusive, UsageError
-from .homs import (end_algebra, hom_radical, hom_space, is_isomorphic, local_certificate,
-                   strip_free_summands)
+from .homs import end_algebra, hom_radical, hom_space, local_certificate
 from .modules import GradedModule, _depth_as, invariants, maximal_ideal_module, ring_depth
 from .resolution import detect_period, growth_report, resolve, ulrich_test
 from .functors import dual, link, mcm_approx, syzygy_signed, tau
@@ -112,29 +115,14 @@ class ARQuiver:
         return {k: v for k, v in self.arrows.items() if k[0] in keep and k[1] in keep}
 
     def stable_components(self) -> List[List[int]]:
-        """Connected components of the stable quiver (undirected)."""
-        nodes = self.stable_indices()
-        adj = {i: set() for i in nodes}
-        for (a, b), m in self.stable_arrows().items():
-            adj[a].add(b)
-            adj[b].add(a)
-        seen = set()
-        comps = []
-        for start in nodes:
-            if start in seen:
-                continue
-            comp = []
-            stack = [start]
-            seen.add(start)
-            while stack:
-                x = stack.pop()
-                comp.append(x)
-                for y in adj[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-            comps.append(sorted(comp))
-        return comps
+        """Connected components of the stable quiver (undirected), sorted, by least vertex."""
+        comp = {i: [i] for i in self.stable_indices()}
+        for a, b in self.stable_arrows():
+            if comp[a] is not comp[b]:
+                merged = comp[a] + comp[b]
+                for x in merged:
+                    comp[x] = merged
+        return [sorted(c) for i, c in comp.items() if min(c) == i]
 
     def match_vertex(self, module: GradedModule) -> Optional[int]:
         """Index of the catalog vertex isomorphic to the module, if any."""
@@ -159,13 +147,14 @@ class ARQuiver:
 
 
 def _match_vertex(vertices: List[ARVertex], module: GradedModule) -> Optional[int]:
-    return next((i for i, v in enumerate(vertices) if is_isomorphic(v.module, module)), None)
+    """i when the module's vector is complete and {(i, t): 1}, so the module is X_i shifted."""
+    found, complete = _multiplicities(vertices, module)
+    return next(iter(found))[0] if complete and list(found.values()) == [1] else None
 
 
 def _residue_degree(v: ARVertex) -> int:
     """s_V = dim End(V)/rad, once End(V) is certified local, so V indecomposable."""
-    E = end_algebra(v.module)  # End = k needs no certificate, over QQ too
-    ok, _, s = (True, None, 1) if E.dim == 1 else local_certificate(E)
+    ok, _, s = local_certificate(end_algebra(v.module))
     if not ok:
         raise Inconclusive(f"endomorphism algebra of vertex {v.name} not certified local")
     return s
@@ -177,29 +166,38 @@ def _ar_shift(ring) -> int:
     return sum(ring.weights) - sum(ring.relation_degrees)
 
 
-def _summands(vertices: List[ARVertex], E: GradedModule, what: str) -> Dict[Tuple[int, int], int]:
-    """The multiplicity of each vertex X shifted by s in E, keyed (index of X, -s).
+def _multiplicities(vertices: List[ARVertex],
+                    M: GradedModule) -> Tuple[Dict[Tuple[int, int], int], bool]:
+    """The multiplicity of each vertex X shifted by s in M, keyed (index of X, -s), and
+    whether they are complete: sum mult * mu(X) = mu(M), so M has no other summand.
 
-    A summand's generator degrees are among E's minimal ones, so only the
-    shifts that fit are tried.  Hom(X<s>, E) is solved as Hom(X, E<-s>),
-    where End(X) and its radical are already kept.  Raises ``Inconclusive``
-    unless the summands found account for every minimal generator of E.
+    Auslander's criterion: X<s> occurs (dim Hom(X<s>, M) - dim rad(X<s>, M)) / s_X
+    times.  A summand's generator degrees are among M's minimal ones, so only
+    the shifts that fit are tried.  Hom(X<s>, M) is solved as Hom(X, M<-s>),
+    where End(X) and its radical are already kept.
     """
-    Em = E.minimized()
-    have = Counter(Em.gen_degs)
+    Mm = M.minimized()
+    have = Counter(Mm.gen_degs)
     found: Dict[Tuple[int, int], int] = {}
     for i, v in enumerate(vertices):
         for s in sorted({e - g for e in have for g in v.module.gen_degs}):
             if Counter(g + s for g in v.module.gen_degs) - have:
                 continue
-            target = Em.degree_shift(-s)
+            target = Mm.degree_shift(-s)
             top = hom_space(v.module, target).dim - hom_radical(v.module, target).dim
             mult = top // v.residue_degree
             if mult:
                 found[(i, -s)] = mult
+    return found, sum(m * vertices[i].mu for (i, _), m in found.items()) == Mm.num_gens
+
+
+def _summands(vertices: List[ARVertex], E: GradedModule, what: str) -> Dict[Tuple[int, int], int]:
+    """E's multiplicity vector; raises ``Inconclusive`` unless it is complete."""
+    found, complete = _multiplicities(vertices, E)
     mu = sum(m * vertices[i].mu for (i, _), m in found.items())
-    if mu != Em.num_gens:
-        raise Inconclusive(f"{what}: the summands found have {mu} generators, E has {Em.num_gens}")
+    if not complete:
+        raise Inconclusive(f"{what}: the summands found have {mu} generators, "
+                           f"E has {E.minimized().num_gens}")
     return found
 
 
@@ -242,7 +240,7 @@ def _ar_sequence(vertices: List[ARVertex], j: int, d: int,
 def build_quiver(catalog: CatalogData) -> ARQuiver:
     """Assemble the AR quiver of a shipped catalog from its AR sequences.
 
-    Vertices are validated pairwise non-isomorphic and indecomposable;
+    Vertices are validated indecomposable and pairwise non-isomorphic;
     the AR sequences find each translate in the catalog, and the closure
     check verifies that the syzygies, dual and linkage of every vertex land
     back in it too.
@@ -256,15 +254,14 @@ def build_quiver(catalog: CatalogData) -> ARQuiver:
     for name, M in catalog.modules():
         inv = invariants(M)
         verts.append(ARVertex(name, M, False, 1, inv.mu, inv.multiplicity_e))
-    # pairwise non-isomorphic
-    for i in range(len(verts)):
-        for j in range(i + 1, len(verts)):
-            if is_isomorphic(verts[i].module, verts[j].module):
-                raise UsageError(
-                    f"catalog vertices {verts[i].name} and {verts[j].name} are isomorphic")
-    for v in verts:
-        if not v.is_free:
-            v.residue_degree = _residue_degree(v)
+    for v in verts[1:]:  # verts[0] is A, whose End is k
+        v.residue_degree = _residue_degree(v)
+    # pairwise non-isomorphic: each vertex's vector names no other vertex
+    for j, v in enumerate(verts):
+        twin = next((i for i, _ in _multiplicities(verts, v.module)[0] if i != j), None)
+        if twin is not None:
+            a, b = sorted((j, twin))
+            raise UsageError(f"catalog vertices {verts[a].name} and {verts[b].name} are isomorphic")
     arrow_degrees: Dict[Tuple[int, int], Dict[int, int]] = {}
     sequences: Dict[str, ARSequenceData] = {}
 
@@ -292,8 +289,9 @@ def build_quiver(catalog: CatalogData) -> ARQuiver:
 def closure_check(q: ARQuiver, catalog: CatalogData) -> List[str]:
     """Names of functor images that escape the catalog (empty = closed).
 
-    The translate is not tried again: each AR sequence matched it already,
-    and on curves it is Syz1 too.
+    An image is in the catalog when its multiplicity vector is complete and
+    names at most one non-free vertex, once.  The translate is not tried
+    again: each AR sequence matched it already, and on curves it is Syz1 too.
     """
     problems = []
     for v in q.vertices:
@@ -302,11 +300,10 @@ def closure_check(q: ARQuiver, catalog: CatalogData) -> List[str]:
         images = {} if q.d == 1 else {"Syz1": syzygy_signed(v.module, 1)}
         images.update(dual=dual(v.module), link=link(v.module))
         for fname, img in images.items():
-            stable, _ = strip_free_summands(img)
-            if stable.minimized().num_gens == 0:
-                continue
-            if q.match_vertex(stable) is None:
-                inv = invariants(stable)
+            found, complete = _multiplicities(q.vertices, img)
+            if not complete or sum(m for (i, _), m in found.items()
+                                   if not q.vertices[i].is_free) > 1:
+                inv = invariants(img)
                 problems.append(
                     f"{fname}({v.name}) has mu={inv.mu}, e={inv.multiplicity_e}, "
                     f"outside the catalog")
@@ -326,11 +323,8 @@ def reverse_iso_check(q: ARQuiver, functor: str) -> Tuple[bool, Dict[str, str]]:
     functor is "D" (dual) or "lambda" (horizontal linkage).  Returns the
     vertex bijection on success.
     """
-    if functor == "D":
-        fn: Callable[[GradedModule], GradedModule] = lambda m: dual(m)
-    elif functor in ("lambda", "link"):
-        fn = lambda m: link(m)
-    else:
+    fn = {"D": dual, "lambda": link, "link": link}.get(functor)
+    if fn is None:
         raise UsageError("functor must be 'D' or 'lambda'")
     mapping: Dict[int, int] = {}
     for i in q.stable_indices():
@@ -340,16 +334,12 @@ def reverse_iso_check(q: ARQuiver, functor: str) -> Tuple[bool, Dict[str, str]]:
             raise Inconclusive(
                 f"catalog incomplete: {functor}({q.vertices[i].name}) escaped the stable quiver")
         mapping[i] = ti
+    names = {q.vertices[i].name: q.vertices[t].name for i, t in mapping.items()}
     if sorted(mapping.values()) != sorted(mapping.keys()):
-        return False, {q.vertices[i].name: q.vertices[t].name for i, t in mapping.items()}
-    ok = True
-    stable = q.stable_arrows()
-    nodes = q.stable_indices()
-    for a in nodes:
-        for b in nodes:
-            if stable.get((a, b), 0) != stable.get((mapping[b], mapping[a]), 0):
-                ok = False
-    return ok, {q.vertices[i].name: q.vertices[t].name for i, t in mapping.items()}
+        return False, names
+    stable, nodes = q.stable_arrows(), q.stable_indices()
+    return all(stable.get((a, b), 0) == stable.get((mapping[b], mapping[a]), 0)
+               for a in nodes for b in nodes), names
 
 
 _PROPERTIES = ("periodic", "bounded_nonperiodic", "ulrich", "cx_equals", "curv_leq")

@@ -7,8 +7,10 @@ residue degree 2 exactly when t^2 - c is irreducible mod p, and splits
 into the two rational points otherwise.
 """
 
+import pytest
+
 from mcmkit.homs import decompose, end_algebra, is_isomorphic, local_certificate
-from mcmkit.modules import GradedModule
+from mcmkit.modules import GradedModule, free_module
 from mcmkit.quiver import ARVertex
 from mcmkit.rings import WeightedPolyRing
 from quiver_reference import _QuiverBuilder
@@ -35,6 +37,20 @@ def test_nonsplit_point_pair_is_indecomposable_with_residue_two():
     assert dec.certified
     assert len(dec.summands) == 1 and dec.summands[0][1] == 1
     assert dec.residue_degrees == [2]
+
+
+@pytest.mark.parametrize("p", [7, 0])
+def test_end_k_is_local_over_every_field(p):
+    # End(A) = k, over GF(7) and over QQ (p = 0): local with residue degree 1, and
+    # decompose certifies A indecomposable through the same answer
+    A = WeightedPolyRing(p, ["x", "y"]).quotient(["x^2+y^2"])
+    F = free_module(A, [0])
+    E = end_algebra(F)
+    assert E.dim == 1
+    ok, rad, s = local_certificate(E)
+    assert ok is True and rad.dim == 0 and s == 1
+    dec = decompose(F)
+    assert dec.certified and dec.residue_degrees == [1] and dec.summands[0][1] == 1
 
 
 def test_split_point_pair_decomposes_into_rational_points():
