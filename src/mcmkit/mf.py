@@ -16,8 +16,9 @@ from typing import Optional, Sequence, Tuple
 
 from .errors import Inconclusive, UsageError
 from .linalg import DenseMatrix
-from .modules import GradedModule, _depth_as, _minimal_as
-from .rings import BlockSystem, QuotientRing, RingElement, WeightedPolyRing, grid_mul
+from .modules import GradedModule, _depth_as, _factorization_as, _minimal_as
+from .rings import (BlockSystem, QuotientRing, RingElement, WeightedPolyRing, grid_mul,
+                    poly_key, poly_scale)
 
 __all__ = [
     "MatrixFactorization",
@@ -136,17 +137,26 @@ def coker_module(mf: MatrixFactorization, ring: Optional[QuotientRing] = None) -
 
     It is maximal Cohen-Macaulay by construction (Eisenbud, Trans. AMS 260,
     1980): its depth is dim Q/(f), one less than the number of variables.
+    ``ring``, when given, must be Q/(c f) for a nonzero scalar c.  A reduced
+    factorization stays on the module, and ``resolution`` reads M's
+    resolution off it (``GradedModule._factorization``).
     """
     if not mf.validate():
         raise UsageError("matrix factorization does not multiply to f . Id")
     A = ring if ring is not None else mf.quotient_ring()
+    # A is S/(c f) for S = mf's polynomial ring and c read off one monomial of f
+    f, mono = mf.f.poly, next(iter(mf.f.poly))
+    g = A.relations[0] if len(A.relations) == 1 else {}
+    scaled = poly_scale(f, g.get(mono, 0) * A.field.inv(f[mono]), A.field)
+    if A.ambient != mf.poly_ring.ambient or not g or poly_key(scaled) != poly_key(g):
+        raise UsageError("the cokernel of a matrix factorization of f is a module over S/(f)")
     entries = [[A.element(e.poly) for e in row] for row in mf.phi]
     M = GradedModule(A, mf.row_degs, mf.col_degs, entries,
                      label=f"coker({mf.label})" if mf.label else "coker", check=False)
     _depth_as(M, len(A.variables) - 1)
     # a reduced factorization presents its cokernel minimally (Eisenbud, Trans. AMS 260,
     # 1980): phi has no unit entry, and ker phi = im psi lies in m A^n
-    return _minimal_as(M, M) if mf.is_reduced() else M.minimized()
+    return _minimal_as(M, _factorization_as(M, mf)) if mf.is_reduced() else M.minimized()
 
 
 def from_resolution_tail(M: GradedModule, H: int = 8,

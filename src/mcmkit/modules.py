@@ -111,6 +111,7 @@ class GradedModule:
         self._end: Optional["EndAlgebra"] = None  # homs.end_algebra
         self._minimal: Optional["GradedModule"] = None  # minimized(), written by _minimal_as
         self._depth: Optional[int] = None  # a depth known by construction, written by _depth_as
+        self._factorization: Optional["MatrixFactorization"] = None  # written by _factorization_as
 
     def _validate(self):
         for i, a in enumerate(self.gen_degs):
@@ -208,6 +209,7 @@ class GradedModule:
             check=False,
         )
         _depth_as(out, self._depth)
+        _factorization_as(out, self._factorization)
         return _minimal_as(out, out) if self._minimal is self else out
 
     def normalized(self) -> Tuple["GradedModule", int]:
@@ -301,6 +303,14 @@ def _depth_as(M: GradedModule, depth: Optional[int]) -> GradedModule:
     # the one writer of ``_depth``: a lower bound on depth(M) that holds by
     # construction (None when none is known); constructors and copies call it
     M._depth = depth
+    return M
+
+
+def _factorization_as(M: GradedModule, mf: Optional["MatrixFactorization"]) -> GradedModule:
+    # the one writer of ``_factorization``: a reduced factorization (phi, psi) with M's
+    # presentation phi over S/(f), which ``resolution.FreeResolution.extend`` reads
+    # (None when M is not presented so); ``mf.coker_module`` sets it, shifts carry it
+    M._factorization = mf
     return M
 
 

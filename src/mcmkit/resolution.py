@@ -36,17 +36,21 @@ infinite length and unknown depth, rings with neither bound) the scan is
 windowed: it stops once a stall window passes with nothing new.
 ``FreeResolution.certified`` tells the two apart.
 
+A cokernel M = coker phi of a reduced matrix factorization (phi, psi) of f
+(``GradedModule._factorization``) has the minimal resolution
+... -psi-> A^n -phi-> A^n -psi-> A^n -phi-> A^n -> M over A = S/(f), with
+F_{i+2} = F_i(-deg f): phi psi = f Id over the domain S gives ker phi = im psi
+and ker psi = im phi, and neither has a unit entry (Eisenbud, Trans. AMS 260,
+1980).  Its steps from F_2 on are read off (phi, psi) with no scan, columns
+sorted by degree as a scan lists them, whenever, as for a reused step below,
+the scan would stop at a certified ``stop`` within the step's degree cap.
+
 Kernel capture reads only degree differences, so a step whose input
 equals an earlier step's input with every degree shifted by s has the
 earlier output shifted by s as its output.  ``FreeResolution.extend``
 reuses such a step instead of capturing its kernel again, whenever the
-shifted scan stays within the step's degree cap.  Over a hypersurface
-the resolution of an MCM module is 2-periodic up to shift (Eisenbud,
-Trans. AMS 260, 1980), so the scans end after a bounded number of steps.
-That is not one scan per period: a step repeats an earlier one only once
-its entries are in the scan's own basis, which a catalog presentation is
-not, so a catalog factorization module takes 3 to 5 scans (A8:dim1/I1
-scans steps 2 to 5 and reuses from step 6), as many at H = 20 as at 12.
+shifted scan stays within the step's degree cap; over a hypersurface an
+MCM module's scans so end after a few steps.
 
 The dualized complex gives Ext^i(M, A), the depth test, and the MCM
 test (Ext^i(M, A) = 0 for 1 <= i <= dim A over a Gorenstein quotient).
@@ -100,7 +104,10 @@ class Step:
     row_degs: Tuple[int, ...]
     col_degs: Tuple[int, ...]
     entries: Tuple[Tuple[RingElement, ...], ...]  # len(row_degs) x len(col_degs)
-    scanned_to: Optional[int] = None  # last degree the kernel scan reached; None if none ran
+    # last degree the kernel scan reached; a reused step reports the end its scan would
+    # have reached (its certified stop, if any), a factorization step its certified stop;
+    # None for the presentation and zero steps
+    scanned_to: Optional[int] = None
     certified: bool = True  # False when the scan stopped by the stall rule
 
     def transpose_data(self):
@@ -213,7 +220,8 @@ class FreeResolution:
         earlier scan end plus s.  It is reused only if that end is within
         this step's cap, and a windowed earlier scan serves a certified step
         only if it reached the stop; otherwise kernel_step runs and raises
-        as it would have.
+        as it would have.  Steps i >= 2 of a factorization cokernel are read
+        off its factorization under the same rule (``_factorization_step``).
         """
         while len(self.steps) < H:
             prev = self.steps[-1]
@@ -224,6 +232,9 @@ class FreeResolution:
             i = len(self.steps) + 1  # this step finds the generators of F_i
             stop = self.stop(i, prev.col_degs)
             cap = self._auto_cap(i, stop)
+            if stop is not None and stop <= cap and self.minimal._factorization is not None:
+                self.steps.append(self._factorization_step(i, prev.col_degs, stop))
+                continue
             base = prev.col_degs[0]
             key = (tuple(r - base for r in prev.row_degs),
                    tuple(c - base for c in prev.col_degs),
@@ -244,6 +255,25 @@ class FreeResolution:
             if nxt.scanned_to is not None:
                 self._outputs[key] = len(self.steps)
             self.steps.append(nxt)
+
+    @cached_property
+    def _factorization_matrices(self):
+        """(X, degrees of X's columns less a multiple of deg f, their stable ascending
+        order) for X = psi, phi over A, the matrix of the even and odd steps; psi is
+        converted here, on first use."""
+        M = self.minimal
+        psi = [[self.ring.element(e.poly) for e in row] for row in M._factorization.psi]
+        return [(X, degs, sorted(range(len(degs)), key=degs.__getitem__))
+                for X, degs in ((psi, M.gen_degs), (M.presentation, M.rel_degs))]
+
+    def _factorization_step(self, i: int, row_degs: Sequence[int], stop: int) -> Step:
+        """F_i -> F_{i-1}, i >= 2, of a factorization cokernel: psi (even i) or phi, its rows
+        in F_{i-1}'s order, its columns in the stable ascending order of their degrees."""
+        X, degs, cols = self._factorization_matrices[i % 2]
+        rows = self._factorization_matrices[(i - 1) % 2][2] if i > 2 else range(len(row_degs))
+        shift = i // 2 * self.minimal._factorization.f.degree
+        return Step(tuple(row_degs), tuple(degs[c] + shift for c in cols),
+                    tuple(tuple(X[r][c] for c in cols) for r in rows), stop, True)
 
     def betti_table(self, H: int) -> List[Tuple[int, int, Tuple[int, ...]]]:
         """Rows (i, beta_i, generator degrees of F_i)."""

@@ -172,6 +172,15 @@ def test_syzygy_roundtrip(tmp_path):
     assert M.num_gens == 2
 
 
+def test_syzygy_of_a_catalog_module_is_presented_by_its_factorization(capsys):
+    # Syz_1(N+) = coker psi = N-: the resolution's second step is psi, x + 3y^2,
+    # where a kernel scan found its own basis, 2x + y^2 = 2(x + 3y^2) mod 5
+    assert main(["syzygy", "--module", "ade:A3:dim1/N+", "--n", "1"]) == 0
+    module = json.loads(capsys.readouterr().out)["module"]
+    assert module["presentation"] == [["x + 3*y^2"]]
+    assert (module["gen_degs"], module["rel_degs"]) == ([4], [8])
+
+
 def test_module_json_roundtrip():
     M = load_module("ade:A4:dim1/I2")
     M2 = load_module(module_to_json(M))

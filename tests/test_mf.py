@@ -66,6 +66,22 @@ def test_coker_is_mcm():
         assert mcm_test(M), name
 
 
+def test_coker_module_rejects_a_ring_other_than_the_hypersurface():
+    # over A = S/(x^2) coker phi has projective dimension 1, so depth 0: stamping
+    # the hypersurface's depth 1 on it, or its 2-periodic resolution, is wrong
+    R = WeightedPolyRing(5, ["x", "y"], [4, 2])
+    phi = [["x", "y"], ["y^3", "-x"]]
+    mf = MatrixFactorization(R, "x^2+y^4", phi, phi)
+    other = WeightedPolyRing(5, ["x", "y"], [2, 1])
+    for ring in (R.quotient(["x^2"]), R.quotient(["x^2+y^4", "x*y"]), R.relation_free,
+                 other.quotient(["x^2+y^4"])):
+        with pytest.raises(UsageError, match="factorization of f is a module over S/"):
+            coker_module(mf, ring=ring)
+    # a nonzero scalar multiple of f gives the same ring
+    M = coker_module(mf, ring=R.quotient(["2*x^2+2*y^4"]))
+    assert M._depth == 1 and resolve(M, 4).betti_numbers(4) == [2, 2, 2, 2, 2]
+
+
 def test_block_diagonal_coker_splits():
     R = WeightedPolyRing(7, ["x"])
     phi = [["x", "0"], ["0", "x"]]
