@@ -36,14 +36,18 @@ infinite length and unknown depth, rings with neither bound) the scan is
 windowed: it stops once a stall window passes with nothing new.
 ``FreeResolution.certified`` tells the two apart.
 
-A cokernel M = coker phi of a reduced matrix factorization (phi, psi) of f
-(``GradedModule._factorization``) has the minimal resolution
-... -psi-> A^n -phi-> A^n -psi-> A^n -phi-> A^n -> M over A = S/(f), with
-F_{i+2} = F_i(-deg f): phi psi = f Id over the domain S gives ker phi = im psi
-and ker psi = im phi, and neither has a unit entry (Eisenbud, Trans. AMS 260,
-1980).  Its steps from F_2 on are read off (phi, psi) with no scan, columns
-sorted by degree as a scan lists them, whenever, as for a reused step below,
-the scan would stop at a certified ``stop`` within the step's degree cap.
+Two kinds of module have a known minimal resolution, whose steps from F_2 on
+``FreeResolution.extend`` reads with no scan, columns sorted by degree as a
+scan lists them, whenever, as for a reused step below, the scan would stop
+at a certified ``stop`` within the step's degree cap.  A cokernel
+M = coker phi of a reduced matrix factorization (phi, psi) of f
+(``GradedModule._factorization``) has ... -psi-> A^n -phi-> A^n -> M over
+A = S/(f): phi psi = f Id over the domain S gives ker phi = im psi and
+ker psi = im phi, and neither has a unit entry (Eisenbud, Trans. AMS 260,
+1980).  Over a certified CI whose relations f_k all lie in m^2, k presented
+by the variables has Tate's G = A<e_1..e_n; T_1..T_c> above, de_j = x_j and
+dT_k = sum_j a_kj e_j for f_k = sum_j a_kj x_j, as its minimal resolution
+(Tate, 1957): f_k in m^2 puts every a_kj, so every entry of G, in m.
 
 Kernel capture reads only degree differences, so a step whose input
 equals an earlier step's input with every degree shifted by s has the
@@ -62,6 +66,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations, product
+from operator import itemgetter, mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import UsageError
@@ -105,8 +111,9 @@ class Step:
     col_degs: Tuple[int, ...]
     entries: Tuple[Tuple[RingElement, ...], ...]  # len(row_degs) x len(col_degs)
     # last degree the kernel scan reached; a reused step reports the end its scan would
-    # have reached (its certified stop, if any), a factorization step its certified stop;
-    # None for the presentation and zero steps
+    # have reached (its certified stop, if any), a step read off a known resolution
+    # (a factorization's or Tate's) its certified stop; None for the presentation and
+    # zero steps
     scanned_to: Optional[int] = None
     certified: bool = True  # False when the scan stopped by the stall rule
 
@@ -220,8 +227,8 @@ class FreeResolution:
         earlier scan end plus s.  It is reused only if that end is within
         this step's cap, and a windowed earlier scan serves a certified step
         only if it reached the stop; otherwise kernel_step runs and raises
-        as it would have.  Steps i >= 2 of a factorization cokernel are read
-        off its factorization under the same rule (``_factorization_step``).
+        as it would have.  Steps i >= 2 of a known resolution, a factorization
+        cokernel's or k's over a CI, are read off it under the same rule.
         """
         while len(self.steps) < H:
             prev = self.steps[-1]
@@ -232,8 +239,8 @@ class FreeResolution:
             i = len(self.steps) + 1  # this step finds the generators of F_i
             stop = self.stop(i, prev.col_degs)
             cap = self._auto_cap(i, stop)
-            if stop is not None and stop <= cap and self.minimal._factorization is not None:
-                self.steps.append(self._factorization_step(i, prev.col_degs, stop))
+            if stop is not None and stop <= cap and self._known_step is not None:
+                self.steps.append(self._known_step(i, prev.col_degs, stop))
                 continue
             base = prev.col_degs[0]
             key = (tuple(r - base for r in prev.row_degs),
@@ -255,6 +262,53 @@ class FreeResolution:
             if nxt.scanned_to is not None:
                 self._outputs[key] = len(self.steps)
             self.steps.append(nxt)
+
+    @cached_property
+    def _known_step(self):
+        """The builder of steps i >= 2 off a known minimal resolution of M, or None (module doc)."""
+        M, A = self.minimal, self.ring
+        tate = (A.is_certified_ci and all(sum(m) > 1 for f in A.relations for m in f)
+                and tuple(M.gen_degs) == (0,) and tuple(M.presentation[0]) == A.gens())
+        return (self._factorization_step if M._factorization is not None
+                else self._tate_step if tate else None)
+
+    @cached_property
+    def _tate(self):
+        """[(j, a_kj)] of each dT_k = sum_j a_kj e_j, where f_k = sum_j a_kj x_j divides each
+        monomial by its first variable, scaled so that f_k's lex-first monomial reads 1."""
+        A, out = self.ring, []
+        for f, deg in zip(A.relations, A.relation_degrees):
+            a: Dict[int, dict] = {}
+            for m, c in f.items():
+                j = next(j for j, e in enumerate(m) if e)
+                a.setdefault(j, {})[m[:j] + (m[j] - 1,) + m[j + 1:]] = c
+            out.append([(j, A.element(p, deg - A.weights[j]).scale(A.field.inv(f[max(f)])))
+                        for j, p in sorted(a.items())])
+        return out
+
+    def _tate_basis(self, i: int):
+        """(degree, I, b) of each e_I T^(b) with |I| + 2|b| = i, Tate's basis of G_i: G_1 in the
+        variables' order, as k's presentation has it, later ones stably sorted by degree."""
+        A = self.ring
+        out = [(sum(A.weights[j] for j in I) + sum(map(mul, b, A.relation_degrees)), I, b)
+               for b in product(range(i // 2 + 1), repeat=len(A.relations)) if 2 * sum(b) <= i
+               for I in combinations(range(len(A.variables)), i - 2 * sum(b))]
+        return out if i == 1 else sorted(out, key=itemgetter(0))
+
+    def _tate_step(self, i: int, row_degs: Sequence[int], stop: int) -> Step:
+        """F_i -> F_{i-1} of k, d(e_I T^(b)) = d(e_I) T^(b) + (-1)^|I| sum_k e_I dT_k T^(b-1_k)."""
+        A, x, cols = self.ring, self.ring.gens(), self._tate_basis(i)
+        rows = {(I, b): r for r, (_, I, b) in enumerate(self._tate_basis(i - 1))}
+        grid = [[A.zero()] * len(cols) for _ in rows]
+        for c, (_, I, b) in enumerate(cols):
+            for p, j in enumerate(I):
+                grid[rows[I[:p] + I[p + 1:], b]][c] = x[j].scale((-1) ** p)
+            for k in (k for k, bk in enumerate(b) if bk):
+                for j, a in self._tate[k]:
+                    if j not in I:  # e_I e_j = (-1)^#{t in I: t > j} e_{I + j}
+                        row = rows[tuple(sorted(I + (j,))), b[:k] + (b[k] - 1,) + b[k + 1:]]
+                        grid[row][c] = a.scale((-1) ** (len(I) + sum(t > j for t in I)))
+        return Step(tuple(row_degs), tuple(e[0] for e in cols), tuple(map(tuple, grid)), stop, True)
 
     @cached_property
     def _factorization_matrices(self):

@@ -187,11 +187,10 @@ def test_from_resolution_tail_extends_only_as_far_as_it_inspects(which, request)
     calls = request.getfixturevalue("kernel_step_calls")
     got = _tail_data(*from_resolution_tail(fresh(), H=8))
     assert got == want
+    # I1's steps are read off its factorization and k's off Tate's complex: no scan
+    assert calls == []
     if which == "I1":
         assert got[0] == 0
-        assert calls == []
-    else:
-        assert 0 < len(calls) <= got[0]
 
 
 def test_catalog_a1_curve_two_indecomposables():

@@ -27,7 +27,7 @@ from mcmkit.resolution import (
     ulrich_test,
 )
 from mcmkit.rings import BlockSystem, WeightedPolyRing, grid_mul, poly_key
-from conftest import factorization_free
+from conftest import factorization_free, tate_free
 
 
 def dual_numbers(p=7):
@@ -370,14 +370,14 @@ def step_data(step):
 
 
 def reuse_cases():
-    # the factorization cokernels without their factorizations, so that every step is
-    # scanned or reused
+    # the factorization cokernels without their factorizations, and k presented by
+    # (2x, y, ...) rather than Tate's complex, so that every step is scanned or reused
     out = []
     for name in ("ade:A3:dim1", "ade:A2:dim2"):
         cat = load_catalog(name)
         out.extend(pytest.param(factorization_free(M), id=f"{name}/{label}")
                    for label, M in cat.modules())
-        out.append(pytest.param(residue_field_module(cat.ring), id=f"{name}/k"))
+        out.append(pytest.param(tate_free(residue_field_module(cat.ring)), id=f"{name}/k"))
         out.append(pytest.param(maximal_ideal_module(cat.ring), id=f"{name}/m"))
     R = WeightedPolyRing(0, ["x", "y"], [4, 2])
     f = "x^2+y^4"
