@@ -12,13 +12,11 @@ to exact polynomial matrix products.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from .errors import Inconclusive, UsageError
-from .linalg import DenseMatrix
 from .modules import GradedModule, _depth_as, _factorization_as, _minimal_as
-from .rings import (BlockSystem, QuotientRing, RingElement, WeightedPolyRing, grid_mul,
-                    poly_key, poly_scale)
+from .rings import QuotientRing, WeightedPolyRing, grid_mul, poly_key, poly_scale
 
 __all__ = [
     "MatrixFactorization",
@@ -138,8 +136,8 @@ def coker_module(mf: MatrixFactorization, ring: Optional[QuotientRing] = None) -
     It is maximal Cohen-Macaulay by construction (Eisenbud, Trans. AMS 260,
     1980): its depth is dim Q/(f), one less than the number of variables.
     ``ring``, when given, must be Q/(c f) for a nonzero scalar c.  A reduced
-    factorization stays on the module, and ``resolution`` reads M's
-    resolution off it (``GradedModule._factorization``).
+    factorization of A's relation itself (c = 1) stays on the module, and
+    ``resolution`` reads M's resolution off it (``GradedModule._factorization``).
     """
     if not mf.validate():
         raise UsageError("matrix factorization does not multiply to f . Id")
@@ -156,66 +154,34 @@ def coker_module(mf: MatrixFactorization, ring: Optional[QuotientRing] = None) -
     _depth_as(M, len(A.variables) - 1)
     # a reduced factorization presents its cokernel minimally (Eisenbud, Trans. AMS 260,
     # 1980): phi has no unit entry, and ker phi = im psi lies in m A^n
-    return _minimal_as(M, _factorization_as(M, mf)) if mf.is_reduced() else M.minimized()
+    if not mf.is_reduced():
+        return M.minimized()
+    return _minimal_as(M, _factorization_as(M, mf if poly_key(f) == poly_key(g) else None))
 
 
 def from_resolution_tail(M: GradedModule, H: int = 8,
                          degree_cap: Optional[int] = None) -> Tuple[MatrixFactorization, int]:
     """Extract a matrix factorization from the 2-periodic resolution tail.
 
-    Returns (mf, n) with coker(mf) isomorphic to Syz_n(M).  The lift of
-    the differential to the polynomial ring is the normal form itself;
-    the companion matrix is solved from phi psi = f . Id, which succeeds
-    exactly once the resolution has stabilized.  The resolution is
-    extended only as far as the differentials inspected, so steps beyond
-    the one returned are never computed and cannot raise
-    ``DegreeBoundExceeded``.
+    Returns (mf, n), n <= H - 2, from the resolution's periodic-tail record
+    (``resolution.FreeResolution.tail``): coker(mf) is isomorphic to Syz_n(M).
+    The resolution is extended only until the record exists, so steps beyond the
+    one returned are never computed and cannot raise ``DegreeBoundExceeded``.
     """
     from .resolution import resolve
 
     ring = M.ring
     if len(ring.relations) != 1:
         raise UsageError("resolution-tail extraction needs a hypersurface ring")
-    fpoly = ring.relations[0]
-    poly_ring = ring.ambient.relation_free
-    f = poly_ring.element(fpoly)
     res = resolve(M, 1, degree_cap=degree_cap)
-    for n in range(H - 1):
-        step = res.differential(n + 1)
-        bn, bn1 = len(step.row_degs), len(step.col_degs)
-        if bn == 0 or bn != bn1:
-            continue
-        phi = [[poly_ring.element(step.entries[i][j].poly)
-                for j in range(bn1)] for i in range(bn)]
-        psi = _solve_companion(poly_ring, f, phi, step.row_degs, step.col_degs)
-        if psi is None:
-            continue
-        mf = MatrixFactorization(poly_ring, f.poly,
-                                 [[e.poly for e in row] for row in phi],
-                                 [[e.poly for e in row] for row in psi],
-                                 label=f"tail{n}({M.label})" if M.label else f"tail{n}")
-        if mf.validate():
-            return mf, n
-    raise Inconclusive(
-        f"resolution did not stabilize to a matrix factorization within {H} steps",
-        bound=H, flag="--hom-bound")
-
-
-def _solve_companion(poly_ring: QuotientRing, f: RingElement, phi,
-                     row_degs: Sequence[int], col_degs: Sequence[int]):
-    """Solve phi psi = f . Id for psi over the polynomial ring, one column at a time,
-    with phi compiled once and f's coordinates in row block j as column j's right side."""
-    n = len(phi)
-    system = BlockSystem(poly_ring, phi, row_degs, col_degs)
-    zero = poly_ring.zero()
-    columns = []
-    for j in range(n):
-        # psi[k][j] has degree d - col_degs[k], and (phi psi)[i][j] degree d - row_degs[i]
-        d = f.degree + row_degs[j]
-        rhs = poly_ring.join_coords([f if i == j else zero for i in range(n)],
-                                    [d - r for r in row_degs])
-        sol = system.at(d).solve(DenseMatrix._of_array(poly_ring.field, rhs[:, None]))
-        if sol is None:
-            return None
-        columns.append(poly_ring.split_coords(sol._array()[:, 0], [d - c for c in col_degs]))
-    return [[col[k] for col in columns] for k in range(n)]
+    res.extend(H - 1, until_tail=True)
+    tail = res.tail()
+    if tail is None or tail[0] > H - 2:
+        raise Inconclusive(
+            f"resolution did not stabilize to a matrix factorization within {H} steps",
+            bound=H, flag="--hom-bound")
+    n, phi, psi = tail
+    return MatrixFactorization(ring.ambient.relation_free, ring.relations[0],
+                               [[e.poly for e in row] for row in phi],
+                               [[e.poly for e in row] for row in psi],
+                               label=f"tail{n}({M.label})" if M.label else f"tail{n}"), n

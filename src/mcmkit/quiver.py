@@ -93,6 +93,8 @@ class ARQuiver:
         self.arrow_degrees = arrow_degrees
         self.residue_flag = residue_flags  # a residue algebra exceeded k somewhere
         self.sequences = sequences  # vertex name -> the AR sequence ending there
+        # "dual", "link" -> {vertex: the vertex its image is, or None}, set by closure_check
+        self.images: Optional[Dict[str, Dict[int, Optional[int]]]] = None
 
     @property
     def free_index(self) -> int:
@@ -126,7 +128,7 @@ class ARQuiver:
 
     def match_vertex(self, module: GradedModule) -> Optional[int]:
         """Index of the catalog vertex isomorphic to the module, if any."""
-        return _match_vertex(self.vertices, module)
+        return _named(*_multiplicities(self.vertices, module))
 
     def to_dot(self) -> str:
         lines = ["digraph ar_quiver {"]
@@ -146,9 +148,8 @@ class ARQuiver:
         return "\n".join(lines) + "\n"
 
 
-def _match_vertex(vertices: List[ARVertex], module: GradedModule) -> Optional[int]:
-    """i when the module's vector is complete and {(i, t): 1}, so the module is X_i shifted."""
-    found, complete = _multiplicities(vertices, module)
+def _named(found: Dict[Tuple[int, int], int], complete: bool) -> Optional[int]:
+    """i when the vector is complete and {(i, t): 1}, so the module is X_i shifted."""
     return next(iter(found))[0] if complete and list(found.values()) == [1] else None
 
 
@@ -208,7 +209,7 @@ def _ar_sequence(vertices: List[ARVertex], j: int, d: int,
     what = f"AR sequence ending at {v.name}"
     res = resolve(v.module, 2)
     omega, N = res.syzygy_module(1), tau(v.module, d)
-    ti = _match_vertex(vertices, N)
+    ti = _named(*_multiplicities(vertices, N))
     if ti is None:
         raise Inconclusive(f"catalog incomplete: tau({v.name}) not found")
     N = N.degree_shift(t_star)
@@ -292,15 +293,19 @@ def closure_check(q: ARQuiver, catalog: CatalogData) -> List[str]:
     An image is in the catalog when its multiplicity vector is complete and
     names at most one non-free vertex, once.  The translate is not tried
     again: each AR sequence matched it already, and on curves it is Syz1 too.
+    The vertex each image names is kept as ``q.images`` for ``reverse_iso_check``.
     """
     problems = []
-    for v in q.vertices:
+    q.images = {"dual": {}, "link": {}}
+    for j, v in enumerate(q.vertices):
         if v.is_free:
             continue
         images = {} if q.d == 1 else {"Syz1": syzygy_signed(v.module, 1)}
         images.update(dual=dual(v.module), link=link(v.module))
         for fname, img in images.items():
             found, complete = _multiplicities(q.vertices, img)
+            if fname in q.images:
+                q.images[fname][j] = _named(found, complete)
             if not complete or sum(m for (i, _), m in found.items()
                                    if not q.vertices[i].is_free) > 1:
                 inv = invariants(img)
@@ -321,15 +326,17 @@ def reverse_iso_check(q: ARQuiver, functor: str) -> Tuple[bool, Dict[str, str]]:
     """Does the functor reverse all stable arrows with equal multiplicities?
 
     functor is "D" (dual) or "lambda" (horizontal linkage).  Returns the
-    vertex bijection on success.
+    vertex bijection on success.  The images are those ``closure_check`` named,
+    run here first on a quiver it has not checked.
     """
-    fn = {"D": dual, "lambda": link, "link": link}.get(functor)
-    if fn is None:
+    if functor not in ("D", "lambda", "link"):
         raise UsageError("functor must be 'D' or 'lambda'")
+    if q.images is None:
+        closure_check(q, None)
+    named = q.images["dual" if functor == "D" else "link"]
     mapping: Dict[int, int] = {}
     for i in q.stable_indices():
-        img = fn(q.vertices[i].module)
-        ti = q.match_vertex(img)
+        ti = named[i]
         if ti is None or q.vertices[ti].is_free:
             raise Inconclusive(
                 f"catalog incomplete: {functor}({q.vertices[i].name}) escaped the stable quiver")

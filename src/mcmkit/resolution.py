@@ -36,25 +36,22 @@ infinite length and unknown depth, rings with neither bound) the scan is
 windowed: it stops once a stall window passes with nothing new.
 ``FreeResolution.certified`` tells the two apart.
 
-Two kinds of module have a known minimal resolution, whose steps from F_2 on
+Two kinds of module have a known minimal resolution, whose steps
 ``FreeResolution.extend`` reads with no scan, columns sorted by degree as a
-scan lists them, whenever, as for a reused step below, the scan would stop
-at a certified ``stop`` within the step's degree cap.  A cokernel
-M = coker phi of a reduced matrix factorization (phi, psi) of f
-(``GradedModule._factorization``) has ... -psi-> A^n -phi-> A^n -> M over
-A = S/(f): phi psi = f Id over the domain S gives ker phi = im psi and
-ker psi = im phi, and neither has a unit entry (Eisenbud, Trans. AMS 260,
-1980).  Over a certified CI whose relations f_k all lie in m^2, k presented
-by the variables has Tate's G = A<e_1..e_n; T_1..T_c> above, de_j = x_j and
-dT_k = sum_j a_kj e_j for f_k = sum_j a_kj x_j, as its minimal resolution
-(Tate, 1957): f_k in m^2 puts every a_kj, so every entry of G, in m.
-
-Kernel capture reads only degree differences, so a step whose input
-equals an earlier step's input with every degree shifted by s has the
-earlier output shifted by s as its output.  ``FreeResolution.extend``
-reuses such a step instead of capturing its kernel again, whenever the
-shifted scan stays within the step's degree cap; over a hypersurface an
-MCM module's scans so end after a few steps.
+scan lists them, where the scan would stop at a certified ``stop`` within the
+step's cap (else the scan runs and raises at the cap).  Over a certified CI
+whose relations f_k all lie in m^2, k presented by the variables has Tate's
+G = A<e_1..e_n; T_1..T_c> above, de_j = x_j and dT_k = sum_j a_kj e_j for
+f_k = sum_j a_kj x_j (Tate, 1957): f_k in m^2 puts every entry of G in m.  Over
+A = S/(f), a reduced matrix factorization phi psi = f Id over S with
+Syz_n(M) = coker phi gives ... -psi-> A^n -phi-> A^n -> Syz_n(M): over the domain
+S, ker phi = im psi, ker psi = im phi, and neither has a unit entry (Eisenbud,
+Trans. AMS 260, 1980).  ``FreeResolution.tail`` keeps one such record, read off
+a factorization cokernel's memo at n = 0 (``GradedModule._factorization``) or
+solved for once when f lies in m^2, on the first square certified step at
+n >= d - delta: from there on Syz_n(M) is maximal Cohen-Macaulay; with a square
+presentation it has no free summand, so it is a factorization cokernel and the
+solve must succeed.
 
 The dualized complex gives Ext^i(M, A), the depth test, and the MCM
 test (Ext^i(M, A) = 0 for 1 <= i <= dim A over a Gorenstein quotient).
@@ -70,7 +67,10 @@ from itertools import combinations, product
 from operator import itemgetter, mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import UsageError
+import numpy as np
+
+from .errors import Inconclusive, UsageError
+from .linalg import DenseMatrix
 from .modules import (
     GradedModule,
     MElem,
@@ -85,7 +85,7 @@ from .modules import (
     submodule_presentation,
     top_degree_bound,
 )
-from .rings import BlockSystem, QuotientRing, RingElement, poly_key
+from .rings import BlockSystem, QuotientRing, RingElement
 
 __all__ = [
     "FreeResolution",
@@ -110,9 +110,8 @@ class Step:
     row_degs: Tuple[int, ...]
     col_degs: Tuple[int, ...]
     entries: Tuple[Tuple[RingElement, ...], ...]  # len(row_degs) x len(col_degs)
-    # last degree the kernel scan reached; a reused step reports the end its scan would
-    # have reached (its certified stop, if any), a step read off a known resolution
-    # (a factorization's or Tate's) its certified stop; None for the presentation and
+    # last degree the kernel scan reached; a step read off a known resolution (Tate's or
+    # the periodic tail's) reports its certified stop; None for the presentation and
     # zero steps
     scanned_to: Optional[int] = None
     certified: bool = True  # False when the scan stopped by the stall rule
@@ -162,6 +161,28 @@ def kernel_step(ring: QuotientRing, row_degs: Sequence[int], col_degs: Sequence[
     return Step(tuple(col_degs), gen_degs, grid, scanned_to, stop is not None)
 
 
+def _solve_companion(S: QuotientRing, f: RingElement, phi,
+                     row_degs: Sequence[int], col_degs: Sequence[int]):
+    """Solve phi psi = f . Id for psi over the polynomial ring S: phi compiled once, and one
+    elimination for all columns j of a degree d = deg f + row_degs[j], f's coordinates in
+    row block j the right side of column j; None when some column has no solution."""
+    n, zero = len(phi), S.zero()
+    system = BlockSystem(S, phi, row_degs, col_degs)
+    psi = [[zero] * n for _ in range(n)]
+    for d in {f.degree + r for r in row_degs}:
+        # psi[k][j] has degree d - col_degs[k], and (phi psi)[i][j] degree d - row_degs[i]
+        cols = [j for j, r in enumerate(row_degs) if f.degree + r == d]
+        rhs = [S.join_coords([f if i == j else zero for i in range(n)], [d - r for r in row_degs])
+               for j in cols]
+        sol = system.at(d).solve(DenseMatrix._of_array(S.field, np.stack(rhs, axis=1)))
+        if sol is None:
+            return None
+        for j, x in zip(cols, sol._array().T):
+            for k, e in enumerate(S.split_coords(x, [d - c for c in col_degs])):
+                psi[k][j] = e
+    return psi
+
+
 class FreeResolution:
     """A minimal free resolution window of a module."""
 
@@ -177,8 +198,16 @@ class FreeResolution:
             self.minimal.presentation,
         )
         self.steps: List[Step] = [first]
-        # scanned kernel_step input, shifted so that col_degs[0] = 0 -> index of its output
-        self._outputs: Dict[tuple, int] = {}
+        # the periodic-tail record (n, phi, psi) (``tail``); steps[:_tried + 1] were tried
+        mf = self.minimal._factorization
+        self._tail = None if mf is None else (0, mf.phi, mf.psi)
+        self._tried = -1
+        # Tate's complex and the tail's solve need a certified CI with every relation in m^2:
+        # the first resolves k presented by the variables, the second needs a hypersurface
+        A, M = self.ring, self.minimal
+        in_m2 = A.is_certified_ci and all(sum(m) > 1 for f in A.relations for m in f)
+        self._is_k = in_m2 and tuple(M.gen_degs) == (0,) and tuple(M.presentation[0]) == A.gens()
+        self._solvable = in_m2 and len(A.relations) == 1
 
     @cached_property
     def _top(self) -> Optional[int]:
@@ -218,19 +247,12 @@ class FreeResolution:
         """Whether every step computed so far is exact: each scan stopped at a certified bound."""
         return all(s.certified for s in self.steps)
 
-    def extend(self, H: int):
-        """Ensure differentials up to step H are computed.
-
-        A step whose input repeats an earlier input shifted by s is the
-        earlier output shifted by s (see the module docstring).  It reports
-        the scan end a cold step would: its certified stop, or else the
-        earlier scan end plus s.  It is reused only if that end is within
-        this step's cap, and a windowed earlier scan serves a certified step
-        only if it reached the stop; otherwise kernel_step runs and raises
-        as it would have.  Steps i >= 2 of a known resolution, a factorization
-        cokernel's or k's over a CI, are read off it under the same rule.
+    def extend(self, H: int, until_tail: bool = False):
+        """Ensure differentials up to step H are computed, or with ``until_tail`` until
+        the tail record exists.  Step i is read off Tate's complex or, for i >= n + 2,
+        the tail record (n, phi, psi) as the module docstring says; else it is scanned.
         """
-        while len(self.steps) < H:
+        while len(self.steps) < H and not (until_tail and self.tail()):
             prev = self.steps[-1]
             if not prev.col_degs:
                 # already hit a zero step: free tail
@@ -239,38 +261,36 @@ class FreeResolution:
             i = len(self.steps) + 1  # this step finds the generators of F_i
             stop = self.stop(i, prev.col_degs)
             cap = self._auto_cap(i, stop)
-            if stop is not None and stop <= cap and self._known_step is not None:
-                self.steps.append(self._known_step(i, prev.col_degs, stop))
-                continue
-            base = prev.col_degs[0]
-            key = (tuple(r - base for r in prev.row_degs),
-                   tuple(c - base for c in prev.col_degs),
-                   tuple(tuple(poly_key(e.poly) for e in row) for row in prev.entries))
-            seen = self._outputs.get(key)
-            if seen is not None:
-                old = self.steps[seen]
-                shift = base - old.row_degs[0]
-                end, certified = old.scanned_to + shift, old.certified
-                if stop is not None and (certified or end >= stop):
-                    end, certified = stop, True
-                if end <= cap and certified == (stop is not None):
-                    self.steps.append(Step(prev.col_degs, tuple(c + shift for c in old.col_degs),
-                                           old.entries, end, certified))
-                    continue
-            nxt = kernel_step(self.ring, prev.row_degs, prev.col_degs, prev.entries,
-                              degree_cap=cap, stall=self.stall, stop=stop)
-            if nxt.scanned_to is not None:
-                self._outputs[key] = len(self.steps)
-            self.steps.append(nxt)
+            known = (self._tate_step if self._is_k
+                     else self._factorization_step if self.tail() else None)
+            if stop is not None and stop <= cap and known is not None:
+                self.steps.append(known(i, prev.col_degs, stop))
+            else:
+                self.steps.append(kernel_step(self.ring, prev.row_degs, prev.col_degs, prev.entries,
+                                              degree_cap=cap, stall=self.stall, stop=stop))
 
-    @cached_property
-    def _known_step(self):
-        """The builder of steps i >= 2 off a known minimal resolution of M, or None (module doc)."""
-        M, A = self.minimal, self.ring
-        tate = (A.is_certified_ci and all(sum(m) > 1 for f in A.relations for m in f)
-                and tuple(M.gen_degs) == (0,) and tuple(M.presentation[0]) == A.gens())
-        return (self._factorization_step if M._factorization is not None
-                else self._tate_step if tate else None)
+    def tail(self) -> Optional[Tuple[int, list, list]]:
+        """The periodic-tail record (n, phi, psi) once the steps so far give it, else None:
+        phi psi = f Id over S, phi lifting steps[n] (module docstring).  Without a memo it
+        is solved for once, on the first square certified step at n >= d - delta (delta =
+        0 when unknown), where a failed solve raises."""
+        A = self.ring
+        # Syz_n(M) is maximal Cohen-Macaulay from n = mcm on, by the depth lemma
+        mcm = len(A.variables) - 1 - (self.minimal._depth or 0)
+        while self._tail is None and self._solvable and self._tried < len(self.steps) - 1:
+            n = self._tried + 1
+            step = self.steps[n]
+            if len(step.row_degs) == len(step.col_degs) > 0 and n >= mcm and step.certified:
+                S = A.ambient.relation_free
+                phi = [[S.element(e.poly) for e in row] for row in step.entries]
+                psi = _solve_companion(S, S.element(A.relations[0]), phi, step.row_degs,
+                                       step.col_degs)
+                if psi is None or any(e.is_unit() for row in psi for e in row):
+                    raise Inconclusive(f"Syz{n}({self.module.label}) is maximal Cohen-Macaulay and "
+                                       f"square, but phi psi = f Id has no reduced solution psi")
+                self._tail = (n, phi, psi)
+            self._tried = n
+        return self._tail
 
     @cached_property
     def _tate(self):
@@ -312,20 +332,22 @@ class FreeResolution:
 
     @cached_property
     def _factorization_matrices(self):
-        """(X, degrees of X's columns less a multiple of deg f, their stable ascending
-        order) for X = psi, phi over A, the matrix of the even and odd steps; psi is
-        converted here, on first use."""
-        M = self.minimal
-        psi = [[self.ring.element(e.poly) for e in row] for row in M._factorization.psi]
+        """(X, degrees of X's columns less a multiple of deg f, their stable ascending order)
+        for X = psi over A, converted here on first use, and steps[n], which phi lifts."""
+        n, _, psi = self._tail
+        step, A = self.steps[n], self.ring
         return [(X, degs, sorted(range(len(degs)), key=degs.__getitem__))
-                for X, degs in ((psi, M.gen_degs), (M.presentation, M.rel_degs))]
+                for X, degs in (([[A.element(e.poly) for e in row] for row in psi], step.row_degs),
+                                (step.entries, step.col_degs))]
 
     def _factorization_step(self, i: int, row_degs: Sequence[int], stop: int) -> Step:
-        """F_i -> F_{i-1}, i >= 2, of a factorization cokernel: psi (even i) or phi, its rows
-        in F_{i-1}'s order, its columns in the stable ascending order of their degrees."""
-        X, degs, cols = self._factorization_matrices[i % 2]
-        rows = self._factorization_matrices[(i - 1) % 2][2] if i > 2 else range(len(row_degs))
-        shift = i // 2 * self.minimal._factorization.f.degree
+        """F_i -> F_{i-1}, i >= n + 2, off the tail record (n, phi, psi): psi (i - n even) or
+        phi, its rows in F_{i-1}'s order, its columns in the stable ascending order of
+        their degrees."""
+        n, matrices = self._tail[0], self._factorization_matrices
+        X, degs, cols = matrices[(i - n) % 2]
+        rows = matrices[(i - n - 1) % 2][2] if i > n + 2 else range(len(row_degs))
+        shift = (i - n) // 2 * self.ring.relation_degrees[0]
         return Step(tuple(row_degs), tuple(degs[c] + shift for c in cols),
                     tuple(tuple(X[r][c] for c in cols) for r in rows), stop, True)
 

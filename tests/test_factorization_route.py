@@ -3,10 +3,10 @@
 M = coker phi of a reduced factorization (phi, psi) of f has the minimal
 resolution ... -> A^n -phi-> A^n -psi-> A^n -phi-> A^n -> M over A = S/(f)
 (Eisenbud, Trans. AMS 260, 1980), so ``FreeResolution.extend`` builds its
-steps from the factorization with no kernel scan.  Each test compares that
-route with the scan on a copy of M without its factorization
-(``conftest.factorization_free``): the same ring, degrees, presentation and
-depth.
+steps from the factorization with no kernel scan: read off the memo M keeps
+(``GradedModule._factorization``) or, for a copy of M without it
+(``conftest.factorization_free``), solved for on M's square presentation.
+Each test compares both with the scan (``conftest.cold_chain``).
 """
 
 import pytest
@@ -17,7 +17,7 @@ from mcmkit.homs import is_isomorphic
 from mcmkit.mf import MatrixFactorization, coker_module
 from mcmkit.resolution import resolve
 from mcmkit.rings import WeightedPolyRing, grid_mul
-from conftest import factorization_free
+from conftest import cold_chain, factorization_free, step_shape
 
 H = 12
 
@@ -40,31 +40,34 @@ def route_cases():
 
 @pytest.mark.parametrize("M", route_cases())
 def test_the_route_resolves_as_the_scan_does(M, kernel_step_calls):
-    scan = resolve(factorization_free(M), H)
-    kernel_step_calls.clear()
-    res = resolve(M, H)
-    assert not kernel_step_calls
-    assert res.certified
-    assert res.betti_table(H) == scan.betti_table(H)
-    # a complex: each composite of two differentials vanishes over A
-    for a, b in zip(res.steps, res.steps[1:]):
-        assert all(e.is_zero() for row in grid_mul(M.ring, a.entries, b.entries) for e in row)
-    for n in (1, 2):
-        assert is_isomorphic(res.syzygy_module(n), scan.syzygy_module(n)), n
+    scan = cold_chain(M, H)
+    for copy in (M, factorization_free(M)):
+        kernel_step_calls.clear()
+        res = resolve(copy, H)
+        assert not kernel_step_calls
+        assert res.tail()[0] == 0
+        assert [step_shape(s) for s in res.steps] == [step_shape(s) for s in scan.steps]
+        assert res.betti_table(H) == scan.betti_table(H)
+        # a complex: each composite of two differentials vanishes over A
+        for a, b in zip(res.steps, res.steps[1:]):
+            assert all(e.is_zero() for row in grid_mul(M.ring, a.entries, b.entries) for e in row)
+        for n in (1, 2):
+            assert is_isomorphic(res.syzygy_module(n), scan.syzygy_module(n)), n
 
 
 @pytest.mark.parametrize("name,label", [("ade:A3:dim1", "N+"), ("ade:A4:dim2", "M1")])
 def test_the_route_raises_at_exactly_the_caps_the_scan_does(name, label):
-    def outcome(M, cap):
+    def outcome(resolver, M, cap):
         try:
-            return resolve(M, H, degree_cap=cap).betti_table(H)
+            return resolver(M, H, degree_cap=cap).betti_table(H)
         except DegreeBoundExceeded as exc:
             return str(exc)
 
     raised = set()
     for cap in range(1, 76):
         M = dict(load_catalog(name).modules())[label]
-        want = outcome(factorization_free(M), cap)
-        assert outcome(M, cap) == want, cap
+        want = outcome(cold_chain, M, cap)
+        assert outcome(resolve, M, cap) == want, cap
+        assert outcome(resolve, factorization_free(M), cap) == want, cap
         raised.add(isinstance(want, str))
     assert raised == {True, False}

@@ -1,10 +1,11 @@
 import pytest
 
+import mcmkit.quiver
 import quiver_reference
-from mcmkit.catalog import load_catalog
+from mcmkit.catalog import catalog_names, load_catalog
 from mcmkit.errors import Inconclusive
 from mcmkit.homs import is_isomorphic
-from mcmkit.functors import lift_map
+from mcmkit.functors import dual, lift_map, link
 from mcmkit.quiver import (
     build_quiver,
     component_classify,
@@ -138,6 +139,21 @@ def test_kleinian_self_linkage_bijection_is_identity():
     ok, bij = reverse_iso_check(q, "lambda")
     assert ok
     assert bij == {"M1": "M1", "M2": "M2"}
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_reverse_checks_read_the_images_the_closure_check_named(name, monkeypatch):
+    # the reference: each stable vertex's dual and link computed again and matched
+    q = quiver(name)
+    want = {functor: {q.vertices[i].name: q.vertices[q.match_vertex(fn(q.vertices[i].module))].name
+                      for i in q.stable_indices()}
+            for functor, fn in (("D", dual), ("lambda", link))}
+    calls = []
+    monkeypatch.setattr(mcmkit.quiver, "dual", lambda *args, **kw: calls.append("dual"))
+    monkeypatch.setattr(mcmkit.quiver, "link", lambda *args, **kw: calls.append("link"))
+    for functor in ("D", "lambda"):
+        assert reverse_iso_check(q, functor) == (True, want[functor]), functor
+    assert calls == []
 
 
 def test_single_vertex_stable_quiver_trivially_reverse_iso():

@@ -14,7 +14,6 @@ from mcmkit.modules import (
 from mcmkit.mf import MatrixFactorization, coker_module
 from mcmkit.resolution import (
     FreeResolution,
-    Step,
     depth,
     detect_period,
     ext_is_zero,
@@ -26,8 +25,8 @@ from mcmkit.resolution import (
     syzygy,
     ulrich_test,
 )
-from mcmkit.rings import BlockSystem, WeightedPolyRing, grid_mul, poly_key
-from conftest import factorization_free, tate_free
+from mcmkit.rings import BlockSystem, WeightedPolyRing, grid_mul
+from conftest import cold_chain, factorization_free, step_shape, tate_free
 
 
 def dual_numbers(p=7):
@@ -341,37 +340,10 @@ def test_resolve_cache_reused_under_the_same_bounds():
     assert resolve(M, 4) is not res
 
 
-def cold_chain(M, H, degree_cap=None, stall=None, windowed=False):
-    """The first H steps rebuilt by kernel_step on each previous step, without reuse.
-
-    Each step gets the cap and the certified stop (None when windowed) the
-    resolution gives the scan for F_i's generators, i = len(steps) + 1, and
-    F_{i-1}'s degrees.  ``windowed`` drops every stop, so each scan ends by
-    the stall rule.
-    """
-    res = FreeResolution(M, degree_cap, stall)
-    steps = [res.steps[0]]
-    while len(steps) < H:
-        prev = steps[-1]
-        if not prev.col_degs:
-            steps.append(Step(prev.col_degs, (), ()))
-            continue
-        i = len(steps) + 1
-        stop = res.stop(i, prev.col_degs)
-        steps.append(kernel_step(M.ring, prev.row_degs, prev.col_degs, prev.entries,
-                                 degree_cap=res._auto_cap(i, stop), stall=stall,
-                                 stop=None if windowed else stop))
-    return steps
-
-
-def step_data(step):
-    entries = tuple(tuple(poly_key(e.poly) for e in row) for row in step.entries)
-    return step.row_degs, step.col_degs, entries, step.scanned_to, step.certified
-
-
-def reuse_cases():
-    # the factorization cokernels without their factorizations, and k presented by
-    # (2x, y, ...) rather than Tate's complex, so that every step is scanned or reused
+def solved_tail_cases():
+    # modules whose resolutions solve for their periodic tails: the factorization
+    # cokernels without their factorizations, k presented by (2x, y, ...) rather than
+    # by Tate's complex, and m
     out = []
     for name in ("ade:A3:dim1", "ade:A2:dim2"):
         cat = load_catalog(name)
@@ -387,40 +359,43 @@ def reuse_cases():
     return out
 
 
-@pytest.mark.parametrize("M", reuse_cases())
-def test_reused_steps_match_the_cold_chain(M, request):
-    want = [step_data(s) for s in cold_chain(M, 12)]
+@pytest.mark.parametrize("M", solved_tail_cases())
+def test_solved_tails_match_the_cold_chain(M, request):
+    scan = cold_chain(M, 12)
     calls = request.getfixturevalue("kernel_step_calls")
-    got = [step_data(s) for s in resolve(M, 12).steps]
-    assert got == want
-    # every input here is periodic up to shift from step 4 on at the latest
-    assert len(calls) <= 5
+    res = resolve(M, 12)
+    assert [step_shape(s) for s in res.steps] == [step_shape(s) for s in scan.steps]
+    for n in (1, 2):
+        assert is_isomorphic(res.syzygy_module(n), scan.syzygy_module(n)), n
+    # the tail is solved by Syz_2 at the latest: k over a surface scans F_2 and F_3
+    assert res.tail()[0] <= 2 and len(calls) <= 2
 
 
-@pytest.mark.parametrize("name,label", [("ade:A3:dim1", "N+"), ("ade:A4:dim1", "k")])
-def test_reuse_raises_at_exactly_the_caps_the_cold_chain_does(name, label):
+@pytest.mark.parametrize("name,label", [("ade:A3:dim1", "N+"), ("ade:A4:dim2", "M1"),
+                                        ("ade:A3:dim2", "m"), ("ade:A4:dim1", "k")])
+def test_solved_tails_raise_at_exactly_the_caps_the_cold_chain_does(name, label):
     def fresh():
-        # N+ without its factorization, so that its steps are reused
+        # N+ and M1 without their factorizations, so that their tails are solved;
+        # k is read off Tate's complex
         cat = load_catalog(name)
+        if label == "m":
+            return maximal_ideal_module(cat.ring)
         if label == "k":
             return residue_field_module(cat.ring)
         return factorization_free(dict(cat.modules())[label])
 
-    outcomes = set()
-    for cap in range(24, 76):
+    def outcome(resolver, cap):
         try:
-            cold_chain(fresh(), 12, degree_cap=cap)
-            cold = "ok"
-        except DegreeBoundExceeded:
-            cold = "raises"
-        try:
-            resolve(fresh(), 12, degree_cap=cap)
-            reused = "ok"
-        except DegreeBoundExceeded:
-            reused = "raises"
-        assert reused == cold, cap
-        outcomes.add(cold)
-    assert outcomes == {"ok", "raises"}
+            return resolver(fresh(), 12, degree_cap=cap).betti_table(12)
+        except DegreeBoundExceeded as exc:
+            return str(exc)
+
+    raised = set()
+    for cap in range(1, 76):
+        want = outcome(cold_chain, cap)
+        assert outcome(resolve, cap) == want, cap
+        raised.add(isinstance(want, str))
+    assert raised == {True, False}
 
 
 def catalog_inputs():
@@ -443,24 +418,18 @@ def test_artinian_reduction_stop_agrees_with_a_three_times_wider_window(M):
     d = M.ring.artinian_reduction[0]
     res = resolve(M, H)
     wide = cold_chain(M, H, stall=3 * default_stall(M.ring), windowed=True)
-    assert res.betti_table(H)[1:] == [(i, len(st.col_degs), st.col_degs)
-                                      for i, st in enumerate(wide, start=1)]
+    assert res.betti_table(H) == wide.betti_table(H)
     assert all(st.certified for st in res.steps[d - M._depth:])
 
 
 @pytest.mark.parametrize("name", catalog_names())
 def test_catalog_resolutions_reach_their_period_within_a_bounded_number_of_scans(
         name, kernel_step_calls):
-    # a catalog module is resolved from its factorization with no scan; without it a
-    # step is reused once its input repeats an earlier one up to shift, which takes a
-    # few scans from a catalog presentation, and the longer window scans no more
-    # than the shorter one
+    # a catalog module is resolved from its factorization with no scan; without it the
+    # factorization is solved for on its square presentation, with no scan either
     for label, _ in load_catalog(name).modules():
-        for copy, most in ((lambda M: M, 0), (factorization_free, 5)):
-            counts = []
+        for copy in (lambda M: M, factorization_free):
             for H in (12, 20):
-                kernel_step_calls.clear()
                 res = resolve(copy(dict(load_catalog(name).modules())[label]), H)
-                counts.append(len(kernel_step_calls))
                 assert res.certified and len(res.steps) == H
-            assert counts[0] == counts[1] <= most, label
+            assert kernel_step_calls == [], label

@@ -4,9 +4,8 @@ Over a certified complete intersection A = S/(f_1..f_c) with every f_k in
 m^2, Tate's complex A<e_1..e_n; T_1..T_c>, de_j = x_j, dT_k = sum_j a_kj e_j
 for f_k = sum_j a_kj x_j, is the minimal resolution of k (Tate, Illinois J.
 Math. 1, 1957), so ``FreeResolution.extend`` builds k's steps from it with
-no kernel scan.  Each test compares that route with the scan on k presented
-by (2 x_1, x_2, ..., x_n) (``conftest.tate_free``), which the route does not
-serve.
+no kernel scan.  Each test compares that route with the scan
+(``conftest.cold_chain``).
 """
 
 from pathlib import Path
@@ -20,8 +19,7 @@ from mcmkit.homs import is_isomorphic
 from mcmkit.modules import residue_field_module
 from mcmkit.resolution import resolve
 from mcmkit.rings import WeightedPolyRing, grid_mul
-from conftest import tate_free
-from test_resolution import cold_chain, step_data
+from conftest import cold_chain, step_data, step_shape
 
 QQ = Path(__file__).parent / "data" / "qq"
 SMALL_CIS = [  # the small complete intersections of the resolve benchmark, over GF(7)
@@ -45,12 +43,12 @@ def route_cases():
 @pytest.mark.parametrize("A", route_cases())
 def test_the_route_resolves_k_as_the_scan_does(A, kernel_step_calls):
     H = 12 if len(A.relations) == 2 and len(A.variables) == 2 else 8
-    scan = resolve(tate_free(residue_field_module(A)), H)
-    assert kernel_step_calls
+    scan = cold_chain(residue_field_module(A), H)
     kernel_step_calls.clear()
     res = resolve(residue_field_module(A), H)
     assert not kernel_step_calls
     assert res.certified
+    assert [step_shape(s) for s in res.steps] == [step_shape(s) for s in scan.steps]
     assert res.betti_table(H) == scan.betti_table(H)
     assert all(not e.is_unit() for s in res.steps for row in s.entries for e in row)
     # a complex: each composite of two differentials vanishes over A
@@ -77,7 +75,7 @@ def test_tates_differential_over_the_cusp():
 ])
 def test_outside_the_route_k_is_scanned_as_before(A, kernel_step_calls):
     H = 5
-    want = [step_data(s) for s in cold_chain(residue_field_module(A), H)]
+    want = [step_data(s) for s in cold_chain(residue_field_module(A), H).steps]
     kernel_step_calls.clear()
     res = resolve(residue_field_module(A), H)
     assert [step_data(s) for s in res.steps] == want
@@ -86,16 +84,16 @@ def test_outside_the_route_k_is_scanned_as_before(A, kernel_step_calls):
 
 
 def test_the_route_raises_at_exactly_the_caps_the_scan_does():
-    def outcome(k, cap):
+    def outcome(resolver, cap):
         try:
-            return resolve(k, 8, degree_cap=cap).betti_table(8)
+            return resolver(residue_field_module(A), 8, degree_cap=cap).betti_table(8)
         except DegreeBoundExceeded as exc:
             return str(exc)
 
     A = load_catalog("ade:A4:dim1").ring
     raised = set()
     for cap in range(1, 60):
-        want = outcome(tate_free(residue_field_module(A)), cap)
-        assert outcome(residue_field_module(A), cap) == want, cap
+        want = outcome(cold_chain, cap)
+        assert outcome(resolve, cap) == want, cap
         raised.add(isinstance(want, str))
     assert raised == {True, False}
