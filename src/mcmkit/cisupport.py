@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from .errors import UsageError
 from .linalg import DenseMatrix, RowSpace, intersect_rowspaces
 from .modules import GradedModule
@@ -130,27 +132,27 @@ def eisenbud_operators(ci: CIPresentation, M: GradedModule, H: int,
         s_hi = res.differential(pos)
         s_lo = res.differential(pos - 1)
         D2 = grid_mul(Q, lift(s_lo.entries), lift(s_hi.entries))
-        # scalar parts of the operators at this position
+        # scalar parts of the operators at this position: one solve per entry degree D,
+        # with every nonzero entry of D2 in that degree a right-hand column
         t_arrays = [DenseMatrix.zeros(field, len(s_hi.col_degs), len(s_lo.row_degs))._array()
                     for _ in range(c)]
+        by_degree: Dict[int, list] = {}
         for r, row in enumerate(D2):
             for s, acc in enumerate(row):
-                if acc.is_zero():
-                    continue
-                D = acc.degree
-                mat = u_system.at(D)
-                if mat.ncols == 0:
-                    raise UsageError(
-                        "square of lifted differential has no u-decomposition: "
-                        "not a regular sequence presentation")
-                sol = mat.solve(DenseMatrix._of_array(field, Q.join_coords([acc], [D])[:, None]))
-                if sol is None:
-                    raise UsageError(
-                        "square of lifted differential is not in (u): "
-                        "not a regular sequence presentation")
-                # constant part of each t_j entry (r, s)
-                for j, t in enumerate(Q.split_coords(sol._array()[:, 0], [D - e for e in u_degs])):
-                    t_arrays[j][s, r] = t.constant_coefficient()
+                if not acc.is_zero():
+                    by_degree.setdefault(acc.degree, []).append((s, r, acc))
+        for D, found in by_degree.items():
+            rhs = np.stack([Q.join_coords([acc], [D]) for _, _, acc in found], axis=1)
+            sol = u_system.at(D).solve(DenseMatrix._of_array(field, rhs))
+            if sol is None:  # also where no t_j has degree D - deg u_j >= 0
+                raise UsageError(
+                    "square of lifted differential is not in (u): "
+                    "not a regular sequence presentation")
+            # t_j's constant part is its one coordinate in degree D - deg u_j = 0; it is
+            # unique, since the Koszul relations of the u_j have entries in m
+            offsets, (cols, rows, _) = Q.block_offsets([D - e for e in u_degs]), zip(*found)
+            for j in (j for j, e in enumerate(u_degs) if e == D):
+                t_arrays[j][list(cols), list(rows)] = sol._array()[offsets[j]]
         for j in range(c):
             operators[j][pos - 2] = DenseMatrix._of_array(field, t_arrays[j])
     return ExtTModule(ci, M, H, betti, operators)

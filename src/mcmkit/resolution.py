@@ -40,9 +40,16 @@ Two kinds of module have a known minimal resolution, whose steps
 ``FreeResolution.extend`` reads with no scan, columns sorted by degree as a
 scan lists them, where the scan would stop at a certified ``stop`` within the
 step's cap (else the scan runs and raises at the cap).  Over a certified CI
-whose relations f_k all lie in m^2, k presented by the variables has Tate's
-G = A<e_1..e_n; T_1..T_c> above, de_j = x_j and dT_k = sum_j a_kj e_j for
-f_k = sum_j a_kj x_j (Tate, 1957): f_k in m^2 puts every entry of G in m.  Over
+A = S/(f_1..f_c), S a polynomial ring in n variables, let M = A(-s)/(g_1..g_r)
+be cyclic and minimally presented.  Solving f_k = sum_j a_kj g_j over S splits
+the relations into F_in, where it solves with no a_kj a unit, and F_out.  If
+r + |F_out| = n and M has a top-degree bound, h = g + F_out are n forms with
+S/(h) = M of finite length: a system of parameters of S, so S-regular.  Then
+g is regular on R = S/(F_out), F_in is R-regular (the f_k are), and Tate's
+G = A<e_1..e_r; T_k for f_k in F_in>, de_j = g_j and dT_k = sum_j a_kj e_j,
+resolves R/(g) = M over R/(F_in) = A (Tate, 1957, Theorem 4), minimally, as g
+and every a_kj lie in m: k presented by the variables when every f_k lies in
+m^2, A/(x^a, y^b) over k[x,y,z]/(z^2), A/(x) over k[x,y]/(x^2, y^2).  Over
 A = S/(f), a reduced matrix factorization phi psi = f Id over S with
 Syz_n(M) = coker phi gives ... -psi-> A^n -phi-> A^n -> Syz_n(M): over the domain
 S, ker phi = im psi, ker psi = im phi, and neither has a unit entry (Eisenbud,
@@ -64,8 +71,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
-from operator import itemgetter, mul
-from typing import Dict, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -202,12 +209,10 @@ class FreeResolution:
         mf = self.minimal._factorization
         self._tail = None if mf is None else (0, mf.phi, mf.psi)
         self._tried = -1
-        # Tate's complex and the tail's solve need a certified CI with every relation in m^2:
-        # the first resolves k presented by the variables, the second needs a hypersurface
-        A, M = self.ring, self.minimal
-        in_m2 = A.is_certified_ci and all(sum(m) > 1 for f in A.relations for m in f)
-        self._is_k = in_m2 and tuple(M.gen_degs) == (0,) and tuple(M.presentation[0]) == A.gens()
-        self._solvable = in_m2 and len(A.relations) == 1
+        # the tail's solve needs a hypersurface S/(f), certified, with f in m^2
+        A = self.ring
+        self._solvable = (A.is_certified_ci and len(A.relations) == 1
+                          and all(sum(m) > 1 for m in A.relations[0]))
 
     @cached_property
     def _top(self) -> Optional[int]:
@@ -261,7 +266,7 @@ class FreeResolution:
             i = len(self.steps) + 1  # this step finds the generators of F_i
             stop = self.stop(i, prev.col_degs)
             cap = self._auto_cap(i, stop)
-            known = (self._tate_step if self._is_k
+            known = (self._tate_step if self._tate
                      else self._factorization_step if self.tail() else None)
             if stop is not None and stop <= cap and known is not None:
                 self.steps.append(known(i, prev.col_degs, stop))
@@ -294,37 +299,48 @@ class FreeResolution:
 
     @cached_property
     def _tate(self):
-        """[(j, a_kj)] of each dT_k = sum_j a_kj e_j, where f_k = sum_j a_kj x_j divides each
-        monomial by its first variable, scaled so that f_k's lex-first monomial reads 1."""
-        A, out = self.ring, []
+        """(g, deg g, [(deg f_k, [(j, a_kj)]) for f_k in F_in]) of Tate's complex of
+        M = A(-s)/(g_1..g_r) where the module docstring's certificate holds, else None:
+        f_k = sum_j a_kj g_j solved over S, scaled so that f_k's lex-first monomial reads 1."""
+        A, M = self.ring, self.minimal
+        if not A.is_certified_ci or M.num_gens != 1 or self._top is None:
+            return None
+        S, g = A.ambient.relation_free, M.presentation[0]
+        g_degs = [r - M.gen_degs[0] for r in M.rel_degs]
+        system, f_in, f_out = BlockSystem(S, [[S.element(e.poly) for e in g]], [0], g_degs), [], 0
         for f, deg in zip(A.relations, A.relation_degrees):
-            a: Dict[int, dict] = {}
-            for m, c in f.items():
-                j = next(j for j, e in enumerate(m) if e)
-                a.setdefault(j, {})[m[:j] + (m[j] - 1,) + m[j + 1:]] = c
-            out.append([(j, A.element(p, deg - A.weights[j]).scale(A.field.inv(f[max(f)])))
-                        for j, p in sorted(a.items())])
-        return out
+            rhs = S.join_coords([S.element(f)], [deg])[:, None]
+            sol = system.at(deg).solve(DenseMatrix._of_array(S.field, rhs))
+            if sol is None:
+                f_out += 1
+                continue
+            a = S.split_coords(sol._array()[:, 0], [deg - e for e in g_degs])
+            if any(e.is_unit() for e in a):
+                return None
+            f_in.append((deg, [(j, A.element(e.poly, deg - g_degs[j]).scale(A.field.inv(f[max(f)])))
+                               for j, e in enumerate(a) if e.poly]))
+        return (g, g_degs, f_in) if len(g) + f_out == len(A.variables) else None
 
     def _tate_basis(self, i: int):
-        """(degree, I, b) of each e_I T^(b) with |I| + 2|b| = i, Tate's basis of G_i: G_1 in the
-        variables' order, as k's presentation has it, later ones stably sorted by degree."""
-        A = self.ring
-        out = [(sum(A.weights[j] for j in I) + sum(map(mul, b, A.relation_degrees)), I, b)
-               for b in product(range(i // 2 + 1), repeat=len(A.relations)) if 2 * sum(b) <= i
-               for I in combinations(range(len(A.variables)), i - 2 * sum(b))]
+        """(degree, I, b) of each e_I T^(b) with |I| + 2|b| = i, Tate's basis of G_i: G_1 in
+        g's order, as M's presentation has it, later ones stably sorted by degree."""
+        _, g_degs, f_in = self._tate
+        s = self.minimal.gen_degs[0]
+        out = [(s + sum(g_degs[j] for j in I) + sum(b_k * f[0] for b_k, f in zip(b, f_in)), I, b)
+               for b in product(range(i // 2 + 1), repeat=len(f_in)) if 2 * sum(b) <= i
+               for I in combinations(range(len(g_degs)), i - 2 * sum(b))]
         return out if i == 1 else sorted(out, key=itemgetter(0))
 
     def _tate_step(self, i: int, row_degs: Sequence[int], stop: int) -> Step:
-        """F_i -> F_{i-1} of k, d(e_I T^(b)) = d(e_I) T^(b) + (-1)^|I| sum_k e_I dT_k T^(b-1_k)."""
-        A, x, cols = self.ring, self.ring.gens(), self._tate_basis(i)
+        """F_i -> F_{i-1} of M, d(e_I T^(b)) = d(e_I) T^(b) + (-1)^|I| sum_k e_I dT_k T^(b-1_k)."""
+        A, (g, _, f_in), cols = self.ring, self._tate, self._tate_basis(i)
         rows = {(I, b): r for r, (_, I, b) in enumerate(self._tate_basis(i - 1))}
         grid = [[A.zero()] * len(cols) for _ in rows]
         for c, (_, I, b) in enumerate(cols):
             for p, j in enumerate(I):
-                grid[rows[I[:p] + I[p + 1:], b]][c] = x[j].scale((-1) ** p)
+                grid[rows[I[:p] + I[p + 1:], b]][c] = g[j].scale((-1) ** p)
             for k in (k for k, bk in enumerate(b) if bk):
-                for j, a in self._tate[k]:
+                for j, a in f_in[k][1]:
                     if j not in I:  # e_I e_j = (-1)^#{t in I: t > j} e_{I + j}
                         row = rows[tuple(sorted(I + (j,))), b[:k] + (b[k] - 1,) + b[k + 1:]]
                         grid[row][c] = a.scale((-1) ** (len(I) + sum(t > j for t in I)))

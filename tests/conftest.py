@@ -49,17 +49,6 @@ def factorization_free(M):
     return _minimal_as(C, C) if M._minimal is M else C
 
 
-def tate_free(k):
-    """k presented by (2 x_1, x_2, ..., x_n) instead of the variables: still A/m, of
-    depth 0, but its resolution does not read Tate's complex: it captures each
-    kernel by a scan, or over a hypersurface solves for its periodic tail once
-    Syz_d(k) is maximal Cohen-Macaulay.  The characteristic must not be 2."""
-    A = k.ring
-    row = [x.scale(2) if j == 0 else x for j, x in enumerate(A.gens())]
-    assert row[0] != A.gens()[0]
-    return _depth_as(GradedModule(A, [0], list(A.weights), [row], label=k.label, check=False), 0)
-
-
 @pytest.fixture
 def kernel_step_calls(monkeypatch):
     """A list that grows by one on every call of ``resolution.kernel_step``."""

@@ -7,8 +7,10 @@ from mcmkit.cisupport import (
     support_annihilator_window,
 )
 from mcmkit.errors import UsageError
+from mcmkit.linalg import DenseMatrix
 from mcmkit.modules import GradedModule, free_module, residue_field_module
-from mcmkit.rings import WeightedPolyRing
+from mcmkit.resolution import resolve
+from mcmkit.rings import BlockSystem, WeightedPolyRing, grid_mul
 
 
 def two_squares(p=7):
@@ -54,6 +56,46 @@ def test_defining_identity_exact():
     for j in range(2):
         for n in range(0, 9):
             assert ext.operator(j, n).shape == (n + 3, n + 1)
+
+
+def reference_operators(ci, M, H):
+    """The operators' matrices as lists, one solve per nonzero entry of each lifted d^2."""
+    Q = ci.ambient.relation_free
+    us = [Q.element(u) for u in ci.regular_sequence]
+    u_degs = [u.degree for u in us]
+    system = BlockSystem(Q, [us], [0], u_degs)
+    res = resolve(M, H + 2)
+    out = [{} for _ in us]
+    for pos in range(2, H + 3):
+        hi, lo = res.differential(pos), res.differential(pos - 1)
+        D2 = grid_mul(Q, *[[[Q.element(e.poly) for e in row] for row in step.entries]
+                           for step in (lo, hi)])
+        for j in range(len(us)):
+            out[j][pos - 2] = [[0] * len(lo.row_degs) for _ in hi.col_degs]
+        for r, row in enumerate(D2):
+            for s, acc in enumerate(row):
+                if acc.is_zero():
+                    continue
+                rhs = Q.join_coords([acc], [acc.degree])[:, None]
+                sol = system.at(acc.degree).solve(DenseMatrix._of_array(Q.field, rhs))
+                ts = Q.split_coords(sol._array()[:, 0], [acc.degree - e for e in u_degs])
+                for j, t in enumerate(ts):
+                    out[j][pos - 2][s][r] = int(t.constant_coefficient())
+    return out
+
+
+@pytest.mark.parametrize("p", [7, 101])
+@pytest.mark.parametrize("module,H", [
+    (lambda A: residue_field_module(A), 12),
+    (lambda A: GradedModule(A, [0], [1], [["x"]]), 10),
+], ids=["k", "A/(x)"])
+def test_operators_solve_each_degree_once_as_entry_by_entry(module, H, p):
+    A = two_squares(p)
+    ci = CIPresentation.from_ring(A)
+    ext = eisenbud_operators(ci, module(A), H)
+    want = reference_operators(ci, module(A), H)
+    for j in range(2):
+        assert {n: m.numpy().tolist() for n, m in ext.operators[j].items()} == want[j], j
 
 
 def test_operators_commute_exactly():

@@ -26,7 +26,7 @@ from mcmkit.resolution import (
     ulrich_test,
 )
 from mcmkit.rings import BlockSystem, WeightedPolyRing, grid_mul
-from conftest import cold_chain, factorization_free, step_shape, tate_free
+from conftest import cold_chain, factorization_free, step_shape
 
 
 def dual_numbers(p=7):
@@ -342,14 +342,14 @@ def test_resolve_cache_reused_under_the_same_bounds():
 
 def solved_tail_cases():
     # modules whose resolutions solve for their periodic tails: the factorization
-    # cokernels without their factorizations, k presented by (2x, y, ...) rather than
-    # by Tate's complex, and m
+    # cokernels without their factorizations, m, and k, whose steps Tate's complex
+    # gives and whose tail is solved on them when asked for
     out = []
     for name in ("ade:A3:dim1", "ade:A2:dim2"):
         cat = load_catalog(name)
         out.extend(pytest.param(factorization_free(M), id=f"{name}/{label}")
                    for label, M in cat.modules())
-        out.append(pytest.param(tate_free(residue_field_module(cat.ring)), id=f"{name}/k"))
+        out.append(pytest.param(residue_field_module(cat.ring), id=f"{name}/k"))
         out.append(pytest.param(maximal_ideal_module(cat.ring), id=f"{name}/m"))
     R = WeightedPolyRing(0, ["x", "y"], [4, 2])
     f = "x^2+y^4"
@@ -367,7 +367,7 @@ def test_solved_tails_match_the_cold_chain(M, request):
     assert [step_shape(s) for s in res.steps] == [step_shape(s) for s in scan.steps]
     for n in (1, 2):
         assert is_isomorphic(res.syzygy_module(n), scan.syzygy_module(n)), n
-    # the tail is solved by Syz_2 at the latest: k over a surface scans F_2 and F_3
+    # the tail is solved by Syz_2 at the latest (k over a surface), after at most two scans
     assert res.tail()[0] <= 2 and len(calls) <= 2
 
 

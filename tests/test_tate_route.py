@@ -1,11 +1,15 @@
-"""The resolution of k over a complete intersection read off Tate's complex.
+"""Minimal resolutions of cyclic modules read off Tate's complex.
 
-Over a certified complete intersection A = S/(f_1..f_c) with every f_k in
-m^2, Tate's complex A<e_1..e_n; T_1..T_c>, de_j = x_j, dT_k = sum_j a_kj e_j
-for f_k = sum_j a_kj x_j, is the minimal resolution of k (Tate, Illinois J.
-Math. 1, 1957), so ``FreeResolution.extend`` builds k's steps from it with
-no kernel scan.  Each test compares that route with the scan
-(``conftest.cold_chain``).
+Let A = S/(f_1..f_c) be a certified complete intersection, S a polynomial
+ring in n variables, and M = A(-s)/(g_1..g_r) cyclic and minimally
+presented.  The relations f_k = sum_j a_kj g_j that solve over S, with no
+a_kj a unit, form F_in; the others form F_out.  When r + |F_out| = n and M
+has a top-degree bound, g and F_out are a system of parameters of S, and
+Tate's complex A<e_1..e_r; T_k for f_k in F_in>, de_j = g_j and
+dT_k = sum_j a_kj e_j, is M's minimal resolution (Tate, Illinois J. Math. 1,
+1957).  k presented by the variables, A/(x^a, y^b) and A/(x) are such
+modules, so ``FreeResolution.extend`` builds their steps with no kernel
+scan.  Each test compares that route with the scan (``conftest.cold_chain``).
 """
 
 from pathlib import Path
@@ -16,7 +20,7 @@ from mcmkit.catalog import catalog_names, load_catalog, nonci_gorenstein_ring
 from mcmkit.cli import load_module
 from mcmkit.errors import DegreeBoundExceeded
 from mcmkit.homs import is_isomorphic
-from mcmkit.modules import residue_field_module
+from mcmkit.modules import GradedModule, residue_field_module
 from mcmkit.resolution import resolve
 from mcmkit.rings import WeightedPolyRing, grid_mul
 from conftest import cold_chain, step_data, step_shape
@@ -37,15 +41,19 @@ def route_cases():
             for v, rels in SMALL_CIS]
     out += [pytest.param(load_module(str(QQ / f"{name}.json")).ring, id=f"QQ:{name}")
             for name in ("cusp_k", "squares_k")]
+    # x - y^2 has a linear term: k's minimal presentation is (y) alone, and x - y^2 lies
+    # in F_out, so k is resolved by the Koszul complex on y
+    out.append(pytest.param(WeightedPolyRing(5, ["x", "y"], [2, 1]).quotient(["x-y^2"]),
+                            id="linear-term"))
     return out
 
 
-@pytest.mark.parametrize("A", route_cases())
-def test_the_route_resolves_k_as_the_scan_does(A, kernel_step_calls):
-    H = 12 if len(A.relations) == 2 and len(A.variables) == 2 else 8
-    scan = cold_chain(residue_field_module(A), H)
+def assert_read_off_tate(fresh, H, kernel_step_calls):
+    """The module fresh() gives resolves to H with no kernel scan, as cold_chain does."""
+    A = fresh().ring
+    scan = cold_chain(fresh(), H)
     kernel_step_calls.clear()
-    res = resolve(residue_field_module(A), H)
+    res = resolve(fresh(), H)
     assert not kernel_step_calls
     assert res.certified
     assert [step_shape(s) for s in res.steps] == [step_shape(s) for s in scan.steps]
@@ -58,6 +66,64 @@ def test_the_route_resolves_k_as_the_scan_does(A, kernel_step_calls):
         assert is_isomorphic(res.syzygy_module(n), scan.syzygy_module(n)), n
 
 
+@pytest.mark.parametrize("A", route_cases())
+def test_the_route_resolves_k_as_the_scan_does(A, kernel_step_calls):
+    H = 12 if len(A.relations) == 2 and len(A.variables) == 2 else 8
+    assert_read_off_tate(lambda: residue_field_module(A), H, kernel_step_calls)
+
+
+def koszul(a, b, shift=0):
+    """A(-shift)/(x^a, y^b) over A = GF(7)[x,y,z]/(z^2): z^2 lies in F_out."""
+    A = WeightedPolyRing(7, ["x", "y", "z"]).quotient(["z^2"])
+    return GradedModule(A, [shift], [a + shift, b + shift], [[f"x^{a}", f"y^{b}"]])
+
+
+def take_x(p):
+    """A/(x) over A = GF(p)[x,y]/(x^2, y^2): x^2 = x.x lies in F_in, y^2 in F_out."""
+    A = WeightedPolyRing(p, ["x", "y"]).quotient(["x^2", "y^2"])
+    return GradedModule(A, [0], [1], [["x"]])
+
+
+def cyclic(variables, weights, relations, gens):
+    A = WeightedPolyRing(7, variables, weights).quotient(relations)
+    return GradedModule(A, [0], [A.element(g).degree for g in gens], [gens])
+
+
+def served_cases():
+    out = [pytest.param(lambda a=a, b=b, s=s: koszul(a, b, s), 4, id=f"koszul({a},{b})+{s}")
+           for a in range(1, 6) for b in range(a, 6) for s in (0, 3)]
+    out += [pytest.param(lambda p=p: take_x(p), 12, id=f"A/(x)@{p}") for p in (7, 101)]
+    # F_in and F_out both nonempty: z^3 = z^2 . z, and x^2 lies outside (y, z)
+    out.append(pytest.param(lambda: cyclic("xyz", [1, 1, 1], ["x^2", "z^3"], ["y", "z"]), 8,
+                            id="(y,z)/(x^2,z^3)"))
+    # weighted: x^6 + y^3 = x^5 . x + y^2 . y, and z^2 lies outside (x, y)
+    out.append(pytest.param(lambda: cyclic("xyz", [1, 2, 3], ["x^6+y^3", "z^2"], ["x", "y"]), 8,
+                            id="(x,y)/(x^6+y^3,z^2)"))
+    return out
+
+
+@pytest.mark.parametrize("fresh,H", served_cases())
+def test_the_route_resolves_a_cyclic_module_as_the_scan_does(fresh, H, kernel_step_calls):
+    assert_read_off_tate(fresh, H, kernel_step_calls)
+
+
+@pytest.mark.parametrize("fresh", [
+    # xy: neither x^2 nor y^2 lies in (xy), so r + |F_out| = 3 > 2
+    pytest.param(lambda: cyclic("xy", [1, 1], ["x^2", "y^2"], ["x*y"]), id="(xy)/(x^2,y^2)"),
+    # M = GF(7)[x]/(x^6) has no bound from top_degree_bound, so no certified Tor stop
+    pytest.param(lambda: cyclic("xyz", [1, 2, 3], ["x^6+y^3", "z^2"], ["y", "z"]),
+                 id="(y,z)/(x^6+y^3,z^2)"),
+])
+def test_outside_the_route_a_cyclic_module_is_scanned(fresh, kernel_step_calls):
+    H = 5
+    want = [step_data(s) for s in cold_chain(fresh(), H).steps]
+    kernel_step_calls.clear()
+    res = resolve(fresh(), H)
+    assert [step_data(s) for s in res.steps] == want
+    assert len(kernel_step_calls) == sum(1 for s in res.steps[1:] if s.scanned_to is not None)
+    assert kernel_step_calls
+
+
 def test_tates_differential_over_the_cusp():
     # A = QQ[x, y]/(x^2 + y^3), weights (3, 2): dT = x e_x + y^2 e_y, and over
     # F_2 = <e_x e_y, T> the sign (-1)^|I| of d(e_I T) = d(e_I) T - e_I dT gives
@@ -68,11 +134,7 @@ def test_tates_differential_over_the_cusp():
     assert [[str(e) for e in row] for row in res.steps[2].entries] == [["x", "-1*y^2"], ["y", "x"]]
 
 
-@pytest.mark.parametrize("A", [
-    # x - y^2 has a linear term: k's minimal presentation is (y) alone, A = k[y]
-    pytest.param(WeightedPolyRing(5, ["x", "y"], [2, 1]).quotient(["x-y^2"]), id="linear-term"),
-    pytest.param(nonci_gorenstein_ring(), id="nonci-gorenstein"),
-])
+@pytest.mark.parametrize("A", [pytest.param(nonci_gorenstein_ring(), id="nonci-gorenstein")])
 def test_outside_the_route_k_is_scanned_as_before(A, kernel_step_calls):
     H = 5
     want = [step_data(s) for s in cold_chain(residue_field_module(A), H).steps]
@@ -84,16 +146,22 @@ def test_outside_the_route_k_is_scanned_as_before(A, kernel_step_calls):
 
 
 def test_the_route_raises_at_exactly_the_caps_the_scan_does():
-    def outcome(resolver, cap):
+    def outcome(resolver, fresh, H, cap):
         try:
-            return resolver(residue_field_module(A), 8, degree_cap=cap).betti_table(8)
+            return resolver(fresh(), H, degree_cap=cap).betti_table(H)
         except DegreeBoundExceeded as exc:
             return str(exc)
 
     A = load_catalog("ade:A4:dim1").ring
-    raised = set()
-    for cap in range(1, 60):
-        want = outcome(cold_chain, cap)
-        assert outcome(resolve, cap) == want, cap
-        raised.add(isinstance(want, str))
-    assert raised == {True, False}
+    for label, fresh, H, caps in [
+        ("k", lambda: residue_field_module(A), 8, range(1, 60)),
+        ("koszul(4,5)+3", lambda: koszul(4, 5, 3), 4, range(1, 30)),
+        ("A/(x)", lambda: take_x(7), 12, range(1, 30)),
+        ("(x,y)", lambda: cyclic("xyz", [1, 2, 3], ["x^6+y^3", "z^2"], ["x", "y"]), 8, range(1, 60)),
+    ]:
+        raised = set()
+        for cap in caps:
+            want = outcome(cold_chain, fresh, H, cap)
+            assert outcome(resolve, fresh, H, cap) == want, (label, cap)
+            raised.add(isinstance(want, str))
+        assert raised == {True, False}, label
