@@ -213,10 +213,6 @@ def _ann_space(ext: ExtTModule, D: int) -> RowSpace:
     c = ext.codimension
     monos = _t_monomials(c, D)
     field = ext.module.ring.field
-    rows = []
-    cols_meta = []
-    for alpha in monos:
-        cols_meta.append(alpha)
     # linear system: for each n and each matrix entry, sum over alpha
     eq_cols: List[List] = [[] for _ in monos]
     for n in range(0, ext.H - 2 * D + 1):

@@ -515,7 +515,7 @@ def _add_common(sp):
     sp.add_argument("--hom-bound", "-H", type=int, default=12, dest="hom_bound")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default=None)
-    sp.add_argument("--format", choices=("csv", "dot", "json"), default=None)
+    sp.add_argument("--format", default=None, help="the command's formats (README); default first")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -578,13 +578,19 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# the --format values each command writes, its default first; a command not listed writes json
+_FORMATS = {"quiver": ("dot", "json"), "resolve": ("csv",), "betti": ("csv",), "verify": ()}
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.format is None:
-        args.format = "dot" if args.command == "quiver" else (
-            "csv" if args.command in ("resolve", "betti") else "json")
+    formats = _FORMATS.get(args.command, ("json",))
     try:
+        if args.format is None:
+            args.format = formats[0] if formats else None
+        elif args.format not in formats:
+            raise UsageError(f"{args.command} takes --format {' or '.join(formats) or 'none'}")
         if args.hom_bound < 1 or (
                 args.degree_bound is not None and args.degree_bound < 1):
             raise UsageError("bounds must be positive")

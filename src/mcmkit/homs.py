@@ -17,6 +17,9 @@ certificate that End(M) is local.  A module whose End(M) is not local is
 split by factoring the minimal polynomials of E's basis endomorphisms
 (an element whose minimal polynomial has two coprime factors yields an
 exact idempotent by CRT).
+
+A free summand needs no idempotent: a map M -> A(-d) with a unit entry
+splits it off, and deleting that generator's row presents the rest.
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ import numpy as np
 
 from .errors import Inconclusive, UsageError
 from .linalg import QQ, DenseMatrix, RowSpace
-from .modules import GradedModule, MElem, submodule_presentation
+from .modules import (GradedModule, MElem, _depth_as, _minimal_as, free_module,
+                      submodule_presentation)
 from .rings import BlockSystem, grid_mul
 
 __all__ = [
@@ -250,9 +254,6 @@ def compose(g: Hom, f: Hom) -> Hom:
 # ---------------------------------------------------------------------------
 # endomorphism algebras and the radical
 # ---------------------------------------------------------------------------
-
-_FREE_ROUNDS = 64  # the most free summands split off one module
-
 
 class EndAlgebra:
     """End(M) as an abstract k-algebra with a multiplication table.
@@ -580,47 +581,24 @@ def decompose(M: GradedModule) -> Decomposition:
 def strip_free_summands(M: GradedModule):
     """Split off free summands; returns (stable_part, free_degrees).
 
-    A free summand A(-d) exists iff the composition pairing
-    Hom(M, A(-d)) x Hom(A(-d), M) -> End(A(-d)) = k is nonzero.
+    A(-d) splits off M = coker P exactly when some f: M -> A(-d) has a
+    nonzero constant entry c at a generator i of degree d.  As f P = 0,
+    trading generator i for f/c is a graded change of basis that zeroes
+    row i of P: M = A(-d) (+) coker P', P' being P without row i, minimal
+    as P is and at least as deep as M.  Each round drops one generator.
     """
-    from .modules import free_module
-
     cur = M.minimized()
     free_degrees: List[int] = []
-    for _ in range(_FREE_ROUNDS):
-        if cur.num_gens == 0:
-            break
-        found = False
-        for d in sorted(set(cur.gen_degs)):
-            F = free_module(cur.ring, [d], label="A")
-            down = hom_space(cur, F)
-            up = hom_space(F, cur)
-            if down.dim == 0 or up.dim == 0:
-                continue
-            pair = None
-            for f in down.basis():
-                for g in up.basis():
-                    c = compose(f, g).phi[0][0].constant_coefficient()
-                    if c != 0:
-                        pair = (f, g, c)
-                        break
-                if pair:
-                    break
-            if pair is None:
-                continue
-            f, g, c = pair
-            # e = g o (f/c) is idempotent with image the free summand
-            f_scaled = Hom(cur, F, tuple(
-                tuple(x.scale(cur.ring.field.inv(c)) for x in row) for row in f.phi))
-            e = compose(g, f_scaled)
-            one_minus = Hom(cur, cur, tuple(tuple(i - x for i, x in zip(ones, row))
-                                            for ones, row in zip(identity_hom(cur).phi, e.phi)))
-            rest = _image_module(cur, one_minus, cur.label)
-            free_degrees.append(d)
-            cur = rest.minimized()
-            found = True
-            break
-        if not found:
-            break
-    return cur, sorted(free_degrees)
-
+    while True:
+        split = next(((d, i) for d in sorted(set(cur.gen_degs))
+                      for f in hom_space(cur, free_module(cur.ring, [d])).basis()
+                      for i, e in enumerate(f.phi[0]) if cur.gen_degs[i] == d and not e.is_zero()),
+                     None)
+        if split is None:
+            return cur, sorted(free_degrees)
+        d, i = split
+        free_degrees.append(d)
+        rest = GradedModule(cur.ring, cur.gen_degs[:i] + cur.gen_degs[i + 1:], cur.rel_degs,
+                            cur.presentation[:i] + cur.presentation[i + 1:], label=cur.label,
+                            check=False)
+        cur = _minimal_as(_depth_as(rest, cur._depth), rest)

@@ -193,12 +193,11 @@ def _solve_companion(S: QuotientRing, f: RingElement, phi,
 class FreeResolution:
     """A minimal free resolution window of a module."""
 
-    def __init__(self, module: GradedModule, degree_cap: Optional[int], stall: Optional[int]):
+    def __init__(self, module: GradedModule, degree_cap: Optional[int]):
         self.module = module
         self.minimal = module.minimized()
         self.ring = module.ring
         self.degree_cap = degree_cap
-        self.stall = stall
         first = Step(
             tuple(self.minimal.gen_degs),
             tuple(self.minimal.rel_degs),
@@ -272,7 +271,7 @@ class FreeResolution:
                 self.steps.append(known(i, prev.col_degs, stop))
             else:
                 self.steps.append(kernel_step(self.ring, prev.row_degs, prev.col_degs, prev.entries,
-                                              degree_cap=cap, stall=self.stall, stop=stop))
+                                              degree_cap=cap, stop=stop))
 
     def tail(self) -> Optional[Tuple[int, list, list]]:
         """The periodic-tail record (n, phi, psi) once the steps so far give it, else None:
@@ -405,16 +404,15 @@ class FreeResolution:
         return _minimal_as(S, S)
 
 
-def resolve(M: GradedModule, H: int, degree_cap: Optional[int] = None,
-            stall: Optional[int] = None) -> FreeResolution:
+def resolve(M: GradedModule, H: int, degree_cap: Optional[int] = None) -> FreeResolution:
     """Minimal resolution window of M with H differentials.
 
     The window is cached on M and reused only by calls with the same
-    ``degree_cap`` and ``stall``; other bounds rebuild it.
+    ``degree_cap``; another cap rebuilds it.
     """
     res = M._resolution
-    if res is None or (res.degree_cap, res.stall) != (degree_cap, stall):
-        res = M._resolution = FreeResolution(M, degree_cap, stall)
+    if res is None or res.degree_cap != degree_cap:
+        res = M._resolution = FreeResolution(M, degree_cap)
     res.extend(H)
     return res
 

@@ -15,7 +15,7 @@ def cold_chain(M, H, degree_cap=None, stall=None, windowed=False):
     F_{i-1}'s degrees.  ``windowed`` drops every stop, so each scan ends by
     the stall rule.
     """
-    res = FreeResolution(M, degree_cap, stall)
+    res = FreeResolution(M, degree_cap)
     while len(res.steps) < H:
         prev = res.steps[-1]
         if not prev.col_degs:

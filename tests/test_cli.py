@@ -312,6 +312,32 @@ def test_cosyzygy_index_below_one_is_an_error(tmp_path, capsys, n):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, fmt", [
+    (["resolve", "--module", "ade:A2:dim1/I1", "-H", "2"], "json"),
+    (["betti", "--module", "ade:A2:dim1/I1", "-H", "2"], "dot"),
+    (["verify", "--catalog", "ade:A2:dim1", "--suite", "periodicity"], "json"),
+    (["verify", "--catalog", "ade:A2:dim1", "--suite", "periodicity"], "csv"),
+    (["dual", "--module", "ade:A2:dim1/I1"], "csv"),
+    (["catalogs"], "dot"),
+    (["quiver", "--catalog", "ade:A2:dim1"], "csv"),
+    (["quiver", "--catalog", "ade:A2:dim1"], "xml"),
+])
+def test_a_format_the_command_does_not_write_is_an_error(tmp_path, capsys, command, fmt):
+    out = tmp_path / "out"
+    err = _error_exit(command + ["--format", fmt, "--out", str(out)], capsys)
+    assert "--format" in err and not out.exists()
+
+
+def test_each_command_writes_its_own_formats(tmp_path):
+    for command, fmt in ((["resolve", "--module", "ade:A2:dim1/I1", "-H", "2"], "csv"),
+                         (["dual", "--module", "ade:A2:dim1/I1"], "json"),
+                         (["quiver", "--catalog", "ade:A2:dim1"], "dot")):
+        named, default = tmp_path / "named", tmp_path / "default"
+        assert main(command + ["--format", fmt, "--out", str(named)]) == 0
+        assert main(command + ["--out", str(default)]) == 0
+        assert named.read_text() == default.read_text()
+
+
 def test_jobs_flag_is_gone():
     with pytest.raises(SystemExit):
         main(["catalogs", "--jobs", "2"])

@@ -6,7 +6,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from mcmkit.catalog import load_catalog
+import mcmkit.modules
+import mcmkit.resolution
+from mcmkit.catalog import catalog_names, load_catalog
 from mcmkit.homs import (
     compose,
     decompose,
@@ -24,6 +26,7 @@ from mcmkit.modules import (
     maximal_ideal_module,
     residue_field_module,
 )
+from mcmkit.resolution import syzygy
 from mcmkit.rings import WeightedPolyRing
 
 
@@ -196,6 +199,67 @@ def test_strip_free_summands_stable_module_unchanged():
     stable, free_degs = strip_free_summands(k)
     assert free_degs == []
     assert is_isomorphic(stable, k)
+
+
+def _free_count(M, d):
+    """How many A(-d) split off M: the rank of the constant entries at M's degree-d
+    generators over a basis of Hom(M, A(-d)), one solve and no splitting."""
+    cols = [i for i, a in enumerate(M.gen_degs) if a == d]
+    rows = [[f.phi[0][i].constant_coefficient() for i in cols]
+            for f in hom_space(M, free_module(M.ring, [d])).basis()]
+    return DenseMatrix.from_rows(M.ring.field, rows, len(cols)).rank()
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_strip_free_summands_deletes_the_free_generators(name):
+    # M + A(-1) + A, A(2) + M and Syz_2(M + k) for every catalog module, k and m
+    cat = load_catalog(name)
+    A = cat.ring
+    for M in [M for _, M in cat.modules()] + [residue_field_module(A), maximal_ideal_module(A)]:
+        sums = [(GradedModule.direct_sum([M, free_module(A, [1]), free_module(A, [0])]), [0, 1]),
+                (GradedModule.direct_sum([free_module(A, [-2]), M]), [-2]),
+                (syzygy(GradedModule.direct_sum([M, residue_field_module(A)]), 2), None)]
+        for S, frees in sums:
+            Sm = S.minimized()
+            stable, got = strip_free_summands(S)
+            assert got == sorted(d for d in set(Sm.gen_degs) for _ in range(_free_count(Sm, d)))
+            if frees is not None:
+                # the free rows are deleted and M's rows kept: M's minimal presentation
+                assert got == frees and stable.key == M.minimized().key
+            # the generators left keep their order, and the relations stay
+            rows = iter(zip(Sm.gen_degs, Sm.presentation))
+            assert all(row in rows for row in zip(stable.gen_degs, stable.presentation))
+            assert sorted(stable.gen_degs + tuple(got)) == sorted(Sm.gen_degs)
+            assert stable.rel_degs == Sm.rel_degs
+            # a summand is at least as deep as the sum, and stays minimal
+            assert stable._depth == Sm._depth and stable.minimized() is stable
+            assert is_isomorphic(
+                GradedModule.direct_sum([stable] + [free_module(A, [d]) for d in got]), Sm)
+
+
+def test_strip_free_summands_over_qq_finds_a_summand_in_another_basis():
+    # coker [[2x, 2y], [3x, 3y]] = k + A: only the map (3, -2) to A is onto, and it
+    # has entries at both generators; deleting the first leaves coker [[3x, 3y]] = k
+    A = circle(0)
+    M = GradedModule(A, [0, 0], [1, 1], [["2*x", "2*y"], ["3*x", "3*y"]])
+    stable, frees = strip_free_summands(M)
+    assert frees == [0]
+    assert stable.gen_degs == (0,) and stable.presentation == M.presentation[1:]
+    assert is_isomorphic(stable, residue_field_module(A))
+
+
+def test_strip_free_summands_captures_no_kernel(monkeypatch):
+    A = ring_squares()
+    k = residue_field_module(A)
+    S = GradedModule.direct_sum([k, free_module(A, [0])])
+    calls = []
+    for layer in (mcmkit.modules, mcmkit.resolution):
+        real = layer.capture_kernel
+        monkeypatch.setattr(layer, "capture_kernel",
+                            lambda *a, real=real, **kw: calls.append(1) or real(*a, **kw))
+    stable, frees = strip_free_summands(S)
+    assert frees == [0] and stable.key == k.key
+    assert calls == []
 
 
 def span_one_at_a_time(hs, phis):

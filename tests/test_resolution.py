@@ -249,7 +249,7 @@ def test_verify_exactness_finds_a_stall_that_stopped_short():
     # a kernel_step with no stop ends by the stall at degree 7, before the
     # Koszul syzygy in degree 8: d . d = 0 holds, but rank d_2 = 0 < dim ker d_1
     # in degree 8
-    res = FreeResolution(koszul_quotient(4, 4), None, None)
+    res = FreeResolution(koszul_quotient(4, 4), None)
     first = res.steps[0]
     short = kernel_step(res.ring, first.row_degs, first.col_degs, first.entries, degree_cap=100)
     assert (short.col_degs, short.scanned_to, short.certified) == ((), 7, False)
@@ -266,13 +266,14 @@ def windowed_ring():
     return WeightedPolyRing(7, ["x", "y"]).quotient(["x^2", "x*y"])
 
 
-def test_resolve_cache_rebuilds_for_another_stall():
+def test_a_zero_stall_stops_before_the_next_generators():
     # with stall 0 the scan for F_2 ends in F_1's degree, before F_2's generators
     M = residue_field_module(windowed_ring())
-    assert resolve(M, 3, stall=0).betti_numbers(3) == [1, 2, 0, 0]  # stopped short
-    fresh = resolve(residue_field_module(windowed_ring()), 3, stall=10)
-    assert fresh.betti_numbers(3) == [1, 2, 3, 5] and not fresh.certified
-    assert resolve(M, 3, stall=10).betti_numbers(3) == fresh.betti_numbers(3)
+    assert cold_chain(M, 3, stall=0).betti_numbers(3) == [1, 2, 0, 0]  # stopped short
+    wide = cold_chain(M, 3, stall=10)
+    assert wide.betti_numbers(3) == [1, 2, 3, 5] and not wide.certified
+    # the default stall finds the same window
+    assert resolve(M, 3).betti_numbers(3) == wide.betti_numbers(3)
 
 
 @pytest.mark.parametrize("a", range(2, 7))
@@ -312,7 +313,7 @@ def test_top_degree_bound_rules_and_what_they_certify():
 
 def test_a_large_stall_no_longer_outruns_the_cap():
     # a certified scan reads no stall, and the automatic cap is at least its stop
-    res = resolve(koszul_quotient(4, 4), 3, stall=24)
+    res = cold_chain(koszul_quotient(4, 4), 3, stall=24)
     assert res.betti_numbers(3) == [1, 2, 1, 0] and res.certified
 
 
@@ -335,8 +336,8 @@ def test_resolve_cache_without_cap_does_not_serve_an_explicit_cap():
 
 def test_resolve_cache_reused_under_the_same_bounds():
     M = koszul_quotient(2, 2)
-    res = resolve(M, 3, stall=6)
-    assert resolve(M, 4, stall=6) is res
+    res = resolve(M, 3, degree_cap=20)
+    assert resolve(M, 4, degree_cap=20) is res
     assert resolve(M, 4) is not res
 
 
