@@ -18,8 +18,8 @@ split by factoring the minimal polynomials of E's basis endomorphisms
 (an element whose minimal polynomial has two coprime factors yields an
 exact idempotent by CRT).
 
-A free summand needs no idempotent: a map M -> A(-d) with a unit entry
-splits it off, and deleting that generator's row presents the rest.
+A free summand needs no idempotent: generators where maps M -> A(-d)
+have independent unit entries split off; deleting their rows leaves the rest.
 """
 
 from __future__ import annotations
@@ -581,24 +581,25 @@ def decompose(M: GradedModule) -> Decomposition:
 def strip_free_summands(M: GradedModule):
     """Split off free summands; returns (stable_part, free_degrees).
 
-    A(-d) splits off M = coker P exactly when some f: M -> A(-d) has a
-    nonzero constant entry c at a generator i of degree d.  As f P = 0,
-    trading generator i for f/c is a graded change of basis that zeroes
-    row i of P: M = A(-d) (+) coker P', P' being P without row i, minimal
-    as P is and at least as deep as M.  Each round drops one generator.
+    Let the constant entries of a basis of Hom(M, A(-d)) at M's degree-d
+    generators have rank r and pivot generators I.  Then r of the maps send
+    the generators I onto A(-d)^r isomorphically, so they span a free
+    summand: M = A(-d)^r (+) coker(P without rows I) for M = coker P,
+    minimal as P is and at least as deep as M.  Splitting leaves the
+    constant entries at every other degree as they were (each correction
+    term has a factor of negative degree): one Hom space per degree.
     """
-    cur = M.minimized()
-    free_degrees: List[int] = []
-    while True:
-        split = next(((d, i) for d in sorted(set(cur.gen_degs))
-                      for f in hom_space(cur, free_module(cur.ring, [d])).basis()
-                      for i, e in enumerate(f.phi[0]) if cur.gen_degs[i] == d and not e.is_zero()),
-                     None)
-        if split is None:
-            return cur, sorted(free_degrees)
-        d, i = split
-        free_degrees.append(d)
-        rest = GradedModule(cur.ring, cur.gen_degs[:i] + cur.gen_degs[i + 1:], cur.rel_degs,
-                            cur.presentation[:i] + cur.presentation[i + 1:], label=cur.label,
-                            check=False)
-        cur = _minimal_as(_depth_as(rest, cur._depth), rest)
+    Mm = M.minimized()
+    free = set()
+    for d in sorted(set(Mm.gen_degs)):
+        gens = [i for i, a in enumerate(Mm.gen_degs) if a == d]
+        consts = [[f.phi[0][i].constant_coefficient() for i in gens]
+                  for f in hom_space(Mm, free_module(Mm.ring, [d])).basis()]
+        pivots = DenseMatrix.from_rows(Mm.ring.field, consts, len(gens)).rref()[1]
+        free.update(gens[p] for p in pivots)
+    if not free:
+        return Mm, []
+    keep = [i for i in range(len(Mm.gen_degs)) if i not in free]
+    rest = GradedModule(Mm.ring, [Mm.gen_degs[i] for i in keep], Mm.rel_degs,
+                        [Mm.presentation[i] for i in keep], label=Mm.label, check=False)
+    return _minimal_as(_depth_as(rest, Mm._depth), rest), sorted(Mm.gen_degs[i] for i in free)

@@ -6,6 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import mcmkit.homs
 import mcmkit.modules
 import mcmkit.resolution
 from mcmkit.catalog import catalog_names, load_catalog
@@ -223,6 +224,8 @@ def test_strip_free_summands_deletes_the_free_generators(name):
             Sm = S.minimized()
             stable, got = strip_free_summands(S)
             assert got == sorted(d for d in set(Sm.gen_degs) for _ in range(_free_count(Sm, d)))
+            # no free summand is left at any degree
+            assert all(_free_count(stable, d) == 0 for d in set(stable.gen_degs))
             if frees is not None:
                 # the free rows are deleted and M's rows kept: M's minimal presentation
                 assert got == frees and stable.key == M.minimized().key
@@ -260,6 +263,20 @@ def test_strip_free_summands_captures_no_kernel(monkeypatch):
     stable, frees = strip_free_summands(S)
     assert frees == [0] and stable.key == k.key
     assert calls == []
+
+
+def test_strip_free_summands_solves_one_hom_space_per_degree(monkeypatch):
+    # k + A(-1) + A + A: two generator degrees, two Hom spaces, three free summands
+    A = ring_squares()
+    k = residue_field_module(A)
+    S = GradedModule.direct_sum([k, free_module(A, [1, 0, 0])])
+    seen = []
+    real = mcmkit.homs.hom_space
+    monkeypatch.setattr(mcmkit.homs, "hom_space",
+                        lambda M, N: seen.append(N.gen_degs) or real(M, N))
+    stable, frees = strip_free_summands(S)
+    assert frees == [0, 0, 1] and stable.key == k.key
+    assert seen == [(0,), (1,)]
 
 
 def span_one_at_a_time(hs, phis):
