@@ -7,6 +7,16 @@ are solved exactly, one entry degree at a time; reduced against k they
 become degree-2 operators on Ext*(M, k) whose pieces are k^(beta_n).
 The operators commute exactly on Ext because the resolution is minimal.
 
+On a resolution read off Tate's complex G = A<e; T_k for f_k in F_in>
+(``resolution``), with u the ring's relations f in order, they are known:
+t_k = c_k^-1 d/dT_k sends e_I T^(b) to c_k^-1 e_I T^(b - 1_k), c_k the
+lex-first coefficient of f_k, and t_k = 0 for f_k in F_out.  Over Q the
+lifted d~ is an odd derivation of Q<e; T>, so d~^2 is a derivation.  It
+kills every e_j and sends T_k to f~_k = sum_j a~_kj g_j, which is c_k^-1 f_k
+modulo I m (a~_kj is a normal form of c_k^-1 a_kj; g_j lies in m).  So
+d~^2 = sum_k f~_k d/dT_k, and the constant parts of the t_j are unique, as
+the Koszul relations of the u_j have entries in m.
+
 The support variety is probed through a window: homogeneous forms in
 the operators that kill every piece up to the homological bound give
 the annihilator up to the chosen t-degree, and the variety dimension is
@@ -109,7 +119,8 @@ def eisenbud_operators(ci: CIPresentation, M: GradedModule, H: int,
     """Lift the resolution to the ambient ring and split off the operators.
 
     The decomposition d~^2 = sum u_j t_j is solved degreewise; failure of
-    the solve means the presentation was not a regular sequence.
+    the solve means the presentation was not a regular sequence.  On Tate's
+    complex, with u the ring's relations in order, they are read off instead.
     """
     A = ci.quotient
     if M.ring.key != A.key:
@@ -119,6 +130,8 @@ def eisenbud_operators(ci: CIPresentation, M: GradedModule, H: int,
     c = len(us)
     res = resolve(M, H + 2, degree_cap=degree_cap)
     betti = res.betti_numbers(H + 2)
+    tate = list(ci.regular_sequence) == list(A.relations) and all(
+        s.route == "tate" for s in res.steps[1:H + 2])
     operators: List[Dict[int, DenseMatrix]] = [dict() for _ in range(c)]
     field = Q.field
     u_degs = [u.degree for u in us]
@@ -128,31 +141,36 @@ def eisenbud_operators(ci: CIPresentation, M: GradedModule, H: int,
         return [[RingElement(Q, e.poly, e.degree) for e in row] for row in entries]
 
     for pos in range(2, H + 3):
-        # D2 = lift(d_{pos-1}) . lift(d_pos): F_pos -> F_{pos-2}
-        s_hi = res.differential(pos)
-        s_lo = res.differential(pos - 1)
-        D2 = grid_mul(Q, lift(s_lo.entries), lift(s_hi.entries))
-        # scalar parts of the operators at this position: one solve per entry degree D,
-        # with every nonzero entry of D2 in that degree a right-hand column
-        t_arrays = [DenseMatrix.zeros(field, len(s_hi.col_degs), len(s_lo.row_degs))._array()
-                    for _ in range(c)]
-        by_degree: Dict[int, list] = {}
-        for r, row in enumerate(D2):
-            for s, acc in enumerate(row):
-                if not acc.is_zero():
-                    by_degree.setdefault(acc.degree, []).append((s, r, acc))
-        for D, found in by_degree.items():
-            rhs = np.stack([Q.join_coords([acc], [D]) for _, _, acc in found], axis=1)
-            sol = u_system.at(D).solve(DenseMatrix._of_array(field, rhs))
-            if sol is None:  # also where no t_j has degree D - deg u_j >= 0
-                raise UsageError(
-                    "square of lifted differential is not in (u): "
-                    "not a regular sequence presentation")
-            # t_j's constant part is its one coordinate in degree D - deg u_j = 0; it is
-            # unique, since the Koszul relations of the u_j have entries in m
-            offsets, (cols, rows, _) = Q.block_offsets([D - e for e in u_degs]), zip(*found)
-            for j in (j for j, e in enumerate(u_degs) if e == D):
-                t_arrays[j][list(cols), list(rows)] = sol._array()[offsets[j]]
+        t_arrays = [field.zeros((betti[pos], betti[pos - 2])) for _ in range(c)]
+        if tate:  # t_k = c_k^-1 d/dT_k on Tate's bases of G_pos and G_{pos-2}
+            index = {(I, b): r for r, (_, I, b) in enumerate(res._tate_basis(pos - 2))}
+            for s, (_, I, b) in enumerate(res._tate_basis(pos)):
+                for k, (l, inv, _, _) in enumerate(res._tate[2]):
+                    if b[k]:
+                        t_arrays[l][s, index[I, b[:k] + (b[k] - 1,) + b[k + 1:]]] = inv
+        else:
+            # D2 = lift(d_{pos-1}) . lift(d_pos): F_pos -> F_{pos-2}
+            D2 = grid_mul(Q, lift(res.differential(pos - 1).entries),
+                          lift(res.differential(pos).entries))
+            # scalar parts of the operators at this position: one solve per entry degree D,
+            # with every nonzero entry of D2 in that degree a right-hand column
+            by_degree: Dict[int, list] = {}
+            for r, row in enumerate(D2):
+                for s, acc in enumerate(row):
+                    if not acc.is_zero():
+                        by_degree.setdefault(acc.degree, []).append((s, r, acc))
+            for D, found in by_degree.items():
+                rhs = np.stack([Q.join_coords([acc], [D]) for _, _, acc in found], axis=1)
+                sol = u_system.at(D).solve(DenseMatrix._of_array(field, rhs))
+                if sol is None:  # also where no t_j has degree D - deg u_j >= 0
+                    raise UsageError(
+                        "square of lifted differential is not in (u): "
+                        "not a regular sequence presentation")
+                # t_j's constant part is its one coordinate in degree D - deg u_j = 0; it is
+                # unique, since the Koszul relations of the u_j have entries in m
+                offsets, (cols, rows, _) = Q.block_offsets([D - e for e in u_degs]), zip(*found)
+                for j in (j for j, e in enumerate(u_degs) if e == D):
+                    t_arrays[j][list(cols), list(rows)] = sol._array()[offsets[j]]
         for j in range(c):
             operators[j][pos - 2] = DenseMatrix._of_array(field, t_arrays[j])
     return ExtTModule(ci, M, H, betti, operators)

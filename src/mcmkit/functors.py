@@ -159,7 +159,7 @@ def lift_map(h: Hom, degree_cap: Optional[int] = None) -> Hom:
         DenseMatrix._of_array(ring.field, rhs[:, None]))
     if sol is None:
         raise UsageError("input map does not carry relations into relations")
-    entries = ring.split_coords(sol._array()[:, 0], [-d for d in col_degs])
+    entries = ring.split_coords(sol._array().T, [-d for d in col_degs])[0]
     n = Mm.num_rels
     phi = tuple(tuple(entries[l * n:(l + 1) * n]) for l in range(Nm.num_rels))
     return Hom(SM, SN, phi)

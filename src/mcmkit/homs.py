@@ -135,7 +135,7 @@ class HomSpace:
 
     def from_flat(self, flat) -> Hom:
         flat = self.trivial.reduce(flat)
-        entries = self.ring.split_coords(flat, self._entry_degs)
+        entries = self.ring.split_coords(flat[None], self._entry_degs)[0]
         n = self.source.num_gens
         phi = tuple(tuple(entries[k * n:(k + 1) * n]) for k in range(self.target.num_gens))
         return Hom(self.source, self.target, phi)

@@ -486,10 +486,10 @@ def capture_kernel(ring: QuotientRing, col_degs: Sequence[int], matrix_at, degre
             if images:
                 coords = DenseMatrix._of_array(field, np.vstack(images)[:, ::-1])
                 reached = {len(free) - 1 - p for p in coords.rref()[1]}
-            for j, vec in enumerate(kernels[d]):
-                if j not in reached:
-                    found.append((d, vec.copy()))
-                    last_event = d
+            new = [j for j in range(len(kernels[d])) if j not in reached]
+            if new:
+                found.append((d, kernels[d][new]))
+                last_event = d
         kernels.pop(d - maxw, None)  # degree d + 1 reads back to d + 1 - max_weight
         offsets.pop(d - maxw, None)
         if d >= (stop if stop is not None else max(last_event, max(col_degs)) + stall):
@@ -498,9 +498,10 @@ def capture_kernel(ring: QuotientRing, col_degs: Sequence[int], matrix_at, degre
     else:
         raise DegreeBoundExceeded(f"degree bound (kernel capture still active at degree "
                                   f"{degree_cap})", bound=degree_cap, flag="--degree-bound")
-    columns = [ring.split_coords(vec, [e - c for c in col_degs]) for e, vec in found]
+    columns = [column for e, rows in found
+               for column in ring.split_coords(rows, [e - c for c in col_degs])]
     grid = tuple(tuple(col[k] for col in columns) for k in range(len(col_degs)))
-    return tuple(e for e, _ in found), grid, d
+    return tuple(e for e, rows in found for _ in rows), grid, d
 
 
 def submodule_presentation(C: GradedModule, elements: Sequence[MElem],
@@ -519,7 +520,8 @@ def submodule_presentation(C: GradedModule, elements: Sequence[MElem],
     """
     ring = C.ring
     # element g goes to column g of a grid over C's free cover
-    images = [ring.split_coords(e.vec, [e.degree - a for a in C.gen_degs]) for e in elements]
+    images = [ring.split_coords(e.vec[None], [e.degree - a for a in C.gen_degs])[0]
+              for e in elements]
     system = BlockSystem(ring, [[img[i] for img in images] for i in range(C.num_gens)],
                          C.gen_degs, [e.degree for e in elements])
 

@@ -39,7 +39,9 @@ windowed: it stops once a stall window passes with nothing new.
 Two kinds of module have a known minimal resolution, whose steps
 ``FreeResolution.extend`` reads with no scan, columns sorted by degree as a
 scan lists them, where the scan would stop at a certified ``stop`` within the
-step's cap (else the scan runs and raises at the cap).  Over a certified CI
+step's cap (else the scan runs and raises at the cap).  A known step has its
+degrees at once and builds its entries on first read, so a Betti table builds
+none; ``Step.route`` names where each step came from.  Over a certified CI
 A = S/(f_1..f_c), S a polynomial ring in n variables, let M = A(-s)/(g_1..g_r)
 be cyclic and minimally presented.  Solving f_k = sum_j a_kj g_j over S splits
 the relations into F_in, where it solves with no a_kj a unit, and F_out.  If
@@ -72,7 +74,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
 from operator import itemgetter
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -116,12 +118,19 @@ class Step:
 
     row_degs: Tuple[int, ...]
     col_degs: Tuple[int, ...]
-    entries: Tuple[Tuple[RingElement, ...], ...]  # len(row_degs) x len(col_degs)
+    # the entries, len(row_degs) x len(col_degs), or a known step's builder of them
+    grid: Union[Tuple[Tuple[RingElement, ...], ...], Callable[[], tuple]]
     # last degree the kernel scan reached; a step read off a known resolution (Tate's or
     # the periodic tail's) reports its certified stop; None for the presentation and
     # zero steps
     scanned_to: Optional[int] = None
     certified: bool = True  # False when the scan stopped by the stall rule
+    # presentation, scan, tate or tail; a zero step after an empty one keeps its route
+    route: str = "scan"
+
+    @cached_property
+    def entries(self) -> Tuple[Tuple[RingElement, ...], ...]:
+        return self.grid() if callable(self.grid) else self.grid
 
     def transpose_data(self):
         return tuple(tuple(row[c] for row in self.entries) for c in range(len(self.col_degs)))
@@ -184,8 +193,8 @@ def _solve_companion(S: QuotientRing, f: RingElement, phi,
         sol = system.at(d).solve(DenseMatrix._of_array(S.field, np.stack(rhs, axis=1)))
         if sol is None:
             return None
-        for j, x in zip(cols, sol._array().T):
-            for k, e in enumerate(S.split_coords(x, [d - c for c in col_degs])):
+        for j, column in zip(cols, S.split_coords(sol._array().T, [d - c for c in col_degs])):
+            for k, e in enumerate(column):
                 psi[k][j] = e
     return psi
 
@@ -198,12 +207,10 @@ class FreeResolution:
         self.minimal = module.minimized()
         self.ring = module.ring
         self.degree_cap = degree_cap
-        first = Step(
-            tuple(self.minimal.gen_degs),
-            tuple(self.minimal.rel_degs),
-            self.minimal.presentation,
-        )
+        first = Step(tuple(self.minimal.gen_degs), tuple(self.minimal.rel_degs),
+                     self.minimal.presentation, route="presentation")
         self.steps: List[Step] = [first]
+        self._tate_bases: Dict[int, list] = {}  # i -> Tate's basis of G_i (``_tate_basis``)
         # the periodic-tail record (n, phi, psi) (``tail``); steps[:_tried + 1] were tried
         mf = self.minimal._factorization
         self._tail = None if mf is None else (0, mf.phi, mf.psi)
@@ -215,8 +222,9 @@ class FreeResolution:
 
     @cached_property
     def _top(self) -> Optional[int]:
-        """``top_degree_bound`` of M, computed once and only over a certified CI."""
-        return top_degree_bound(self.minimal)
+        """``top_degree_bound`` of M, computed once; at depth >= 1 (infinite length) None, with
+        no piece computed."""
+        return None if self.minimal._depth else top_degree_bound(self.minimal)
 
     def stop(self, i: int, prev_degs: Sequence[int]) -> Optional[int]:
         """Where the scan for F_i's generators stops, certified; None when windowed.
@@ -260,7 +268,7 @@ class FreeResolution:
             prev = self.steps[-1]
             if not prev.col_degs:
                 # already hit a zero step: free tail
-                self.steps.append(Step(prev.col_degs, (), ()))
+                self.steps.append(Step(prev.col_degs, (), (), route=prev.route))
                 continue
             i = len(self.steps) + 1  # this step finds the generators of F_i
             stop = self.stop(i, prev.col_degs)
@@ -298,73 +306,85 @@ class FreeResolution:
 
     @cached_property
     def _tate(self):
-        """(g, deg g, [(deg f_k, [(j, a_kj)]) for f_k in F_in]) of Tate's complex of
-        M = A(-s)/(g_1..g_r) where the module docstring's certificate holds, else None:
-        f_k = sum_j a_kj g_j solved over S, scaled so that f_k's lex-first monomial reads 1."""
+        """(g, deg g, F_in) of Tate's complex of M = A(-s)/(g_1..g_r) where the module docstring's
+        certificate holds, else None.  F_in lists (l, c_l^-1, deg f_l, [(j, a_lj)]) for each f_l =
+        sum_j a_lj g_j solved over S, scaled by c_l^-1 for f_l's lex-first coefficient c_l; each
+        g_j and a_lj comes with its negative, as (x, -x)."""
         A, M = self.ring, self.minimal
         if not A.is_certified_ci or M.num_gens != 1 or self._top is None:
             return None
         S, g = A.ambient.relation_free, M.presentation[0]
         g_degs = [r - M.gen_degs[0] for r in M.rel_degs]
         system, f_in, f_out = BlockSystem(S, [[S.element(e.poly) for e in g]], [0], g_degs), [], 0
-        for f, deg in zip(A.relations, A.relation_degrees):
+        for l, (f, deg) in enumerate(zip(A.relations, A.relation_degrees)):
             rhs = S.join_coords([S.element(f)], [deg])[:, None]
             sol = system.at(deg).solve(DenseMatrix._of_array(S.field, rhs))
             if sol is None:
                 f_out += 1
                 continue
-            a = S.split_coords(sol._array()[:, 0], [deg - e for e in g_degs])
+            a = S.split_coords(sol._array().T, [deg - e for e in g_degs])[0]
             if any(e.is_unit() for e in a):
                 return None
-            f_in.append((deg, [(j, A.element(e.poly, deg - g_degs[j]).scale(A.field.inv(f[max(f)])))
-                               for j, e in enumerate(a) if e.poly]))
-        return (g, g_degs, f_in) if len(g) + f_out == len(A.variables) else None
+            inv = A.field.inv(f[max(f)])
+            f_in.append((l, inv, deg, [(j, (x := A.element(e.poly, deg - g_degs[j]).scale(inv), -x))
+                                       for j, e in enumerate(a) if e.poly]))
+        return ([(e, -e) for e in g], g_degs, f_in) if len(g) + f_out == len(A.variables) else None
 
     def _tate_basis(self, i: int):
-        """(degree, I, b) of each e_I T^(b) with |I| + 2|b| = i, Tate's basis of G_i: G_1 in
-        g's order, as M's presentation has it, later ones stably sorted by degree."""
-        _, g_degs, f_in = self._tate
-        s = self.minimal.gen_degs[0]
-        out = [(s + sum(g_degs[j] for j in I) + sum(b_k * f[0] for b_k, f in zip(b, f_in)), I, b)
-               for b in product(range(i // 2 + 1), repeat=len(f_in)) if 2 * sum(b) <= i
-               for I in combinations(range(len(g_degs)), i - 2 * sum(b))]
-        return out if i == 1 else sorted(out, key=itemgetter(0))
+        """(degree, I, b) of each e_I T^(b) with |I| + 2|b| = i, Tate's basis of G_i, computed
+        once: G_1 in g's order, as M's presentation has it, later ones stably sorted by degree."""
+        if i not in self._tate_bases:
+            _, g_degs, f_in = self._tate
+            s = self.minimal.gen_degs[0]
+            out = [(s + sum(g_degs[j] for j in I) + sum(bk * f[2] for bk, f in zip(b, f_in)), I, b)
+                   for b in product(range(i // 2 + 1), repeat=len(f_in)) if 2 * sum(b) <= i
+                   for I in combinations(range(len(g_degs)), i - 2 * sum(b))]
+            self._tate_bases[i] = out if i == 1 else sorted(out, key=itemgetter(0))
+        return self._tate_bases[i]
 
     def _tate_step(self, i: int, row_degs: Sequence[int], stop: int) -> Step:
-        """F_i -> F_{i-1} of M, d(e_I T^(b)) = d(e_I) T^(b) + (-1)^|I| sum_k e_I dT_k T^(b-1_k)."""
-        A, (g, _, f_in), cols = self.ring, self._tate, self._tate_basis(i)
-        rows = {(I, b): r for r, (_, I, b) in enumerate(self._tate_basis(i - 1))}
-        grid = [[A.zero()] * len(cols) for _ in rows]
-        for c, (_, I, b) in enumerate(cols):
-            for p, j in enumerate(I):
-                grid[rows[I[:p] + I[p + 1:], b]][c] = g[j].scale((-1) ** p)
-            for k in (k for k, bk in enumerate(b) if bk):
-                for j, a in f_in[k][1]:
-                    if j not in I:  # e_I e_j = (-1)^#{t in I: t > j} e_{I + j}
-                        row = rows[tuple(sorted(I + (j,))), b[:k] + (b[k] - 1,) + b[k + 1:]]
-                        grid[row][c] = a.scale((-1) ** (len(I) + sum(t > j for t in I)))
-        return Step(tuple(row_degs), tuple(e[0] for e in cols), tuple(map(tuple, grid)), stop, True)
+        """F_i -> F_{i-1} of M, d(e_I T^(b)) = d(e_I) T^(b) + (-1)^|I| sum_k e_I dT_k T^(b-1_k),
+        its entries built on first read."""
+        A, (g, _, f_in) = self.ring, self._tate
+        cols, rows = self._tate_basis(i), self._tate_basis(i - 1)
+
+        def build():
+            index = {(I, b): r for r, (_, I, b) in enumerate(rows)}
+            grid = [[A.zero()] * len(cols) for _ in rows]
+            for c, (_, I, b) in enumerate(cols):
+                for p, j in enumerate(I):
+                    grid[index[I[:p] + I[p + 1:], b]][c] = g[j][p % 2]
+                for k in (k for k, bk in enumerate(b) if bk):
+                    for j, a in f_in[k][3]:
+                        if j not in I:  # e_I e_j = (-1)^#{t in I: t > j} e_{I + j}
+                            row = index[tuple(sorted(I + (j,))), b[:k] + (b[k] - 1,) + b[k + 1:]]
+                            grid[row][c] = a[(len(I) + sum(t > j for t in I)) % 2]
+            return tuple(map(tuple, grid))
+
+        return Step(tuple(row_degs), tuple(e[0] for e in cols), build, stop, True, "tate")
 
     @cached_property
-    def _factorization_matrices(self):
-        """(X, degrees of X's columns less a multiple of deg f, their stable ascending order)
-        for X = psi over A, converted here on first use, and steps[n], which phi lifts."""
-        n, _, psi = self._tail
-        step, A = self.steps[n], self.ring
-        return [(X, degs, sorted(range(len(degs)), key=degs.__getitem__))
-                for X, degs in (([[A.element(e.poly) for e in row] for row in psi], step.row_degs),
-                                (step.entries, step.col_degs))]
+    def _psi(self):
+        """The tail record's psi over A, converted on the first read of a step it gives."""
+        return [[self.ring.element(e.poly) for e in row] for row in self._tail[2]]
 
     def _factorization_step(self, i: int, row_degs: Sequence[int], stop: int) -> Step:
         """F_i -> F_{i-1}, i >= n + 2, off the tail record (n, phi, psi): psi (i - n even) or
         phi, its rows in F_{i-1}'s order, its columns in the stable ascending order of
-        their degrees."""
-        n, matrices = self._tail[0], self._factorization_matrices
-        X, degs, cols = matrices[(i - n) % 2]
-        rows = matrices[(i - n - 1) % 2][2] if i > n + 2 else range(len(row_degs))
+        their degrees, its entries built on first read."""
+        n = self._tail[0]
+        both = (self.steps[n].row_degs, self.steps[n].col_degs)  # psi's, phi's columns' degrees
+        degs, last = both[(i - n) % 2], both[(i - n - 1) % 2]  # less a multiple of deg f
+        cols = sorted(range(len(degs)), key=degs.__getitem__)
+        rows = sorted(range(len(last)), key=last.__getitem__) if i > n + 2 else range(len(row_degs))
         shift = (i - n) // 2 * self.ring.relation_degrees[0]
-        return Step(tuple(row_degs), tuple(degs[c] + shift for c in cols),
-                    tuple(tuple(X[r][c] for c in cols) for r in rows), stop, True)
+
+        def build():
+            X = self._psi if (i - n) % 2 == 0 else self.steps[n].entries
+            return tuple(tuple(X[r][c] for c in cols) for r in rows)
+
+        return Step(tuple(row_degs), tuple(degs[c] + shift for c in cols), build, stop, True,
+                    "tail")
 
     def betti_table(self, H: int) -> List[Tuple[int, int, Tuple[int, ...]]]:
         """Rows (i, beta_i, generator degrees of F_i)."""

@@ -14,6 +14,7 @@ Polynomials are dicts mapping exponent tuples to nonzero coefficients.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from functools import cached_property
 from itertools import accumulate, combinations
 from operator import add, mul
@@ -560,24 +561,28 @@ class QuotientRing:
             got = self._offsets[key] = tuple(accumulate(map(self.hilbert_function, key), initial=0))
         return got
 
-    def split_coords(self, vec, degs: Sequence[int]) -> List["RingElement"]:
-        """The ring elements of degrees degs whose coordinates, block after block, are vec.
+    def split_coords(self, rows, degs: Sequence[int]) -> List[List["RingElement"]]:
+        """Per row of a matrix, the ring elements of degrees degs whose coordinates, block
+        after block, are that row.
 
-        The inverse of ``join_coords``.  One ``flatnonzero`` over the whole
-        vector finds every nonzero coordinate, and each goes to the block it
-        falls in as the coefficient of that block's standard monomial, in
-        ascending order.  Every zero block is the ring's one zero of degree
-        None.
+        The inverse of ``join_coords``; one vector is a matrix of one row.  One
+        ``flatnonzero`` over the whole matrix finds every nonzero coordinate,
+        and each goes to the block it falls in as the coefficient of that
+        block's standard monomial, in ascending order.  Every zero block is the
+        ring's one zero of degree None.
         """
         offsets = self.block_offsets(degs)
-        vec = self.field.vector(vec[:offsets[-1]])
-        nonzero = np.flatnonzero(vec)
-        blocks = np.searchsorted(offsets, nonzero, side="right") - 1
-        polys: List[Poly] = [{} for _ in degs]
-        for i, j, c in zip(nonzero.tolist(), blocks.tolist(), vec[nonzero].tolist()):
+        rows = self.field.vector(np.asarray(rows)[:, :offsets[-1]])
+        width, flat = rows.shape[1], rows.ravel()
+        nonzero = np.flatnonzero(flat)
+        polys: List[List[Poly]] = [[{} for _ in degs] for _ in range(len(rows))]
+        for k, c in zip(nonzero.tolist(), flat[nonzero].tolist()):
+            r, i = divmod(k, width)
+            j = bisect_right(offsets, i) - 1
             pc = self._pieces[degs[j]]
-            polys[j][pc.monos[pc.std[i - offsets[j]]]] = c
-        return [RingElement(self, poly, d) if poly else self._zero for poly, d in zip(polys, degs)]
+            polys[r][j][pc.monos[pc.std[i - offsets[j]]]] = c
+        return [[RingElement(self, poly, d) if poly else self._zero for poly, d in zip(row, degs)]
+                for row in polys]
 
     def join_coords(self, elements: Sequence["RingElement"], degs: Sequence[int]):
         """The coordinates of ring elements of degrees degs, block after block, as one vector.

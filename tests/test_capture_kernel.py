@@ -49,7 +49,7 @@ def reference_capture_kernel(ring, col_degs, matrix_at, degree_cap, stall=None, 
                 if span.contains(vec):
                     continue
                 span.add(vec)  # a generator of degree d is its own degree-d image
-                found.append((d, ring.split_coords(vec, [d - c for c in col_degs])))
+                found.append((d, ring.split_coords([vec], [d - c for c in col_degs])[0]))
                 last_event = d
         if stop is not None and d >= stop:
             break

@@ -1,5 +1,9 @@
+from fractions import Fraction
+
 import pytest
 
+import mcmkit.cisupport
+from mcmkit.catalog import catalog_names, load_catalog
 from mcmkit.cisupport import (
     CIPresentation,
     direct_sum_annihilator_test,
@@ -11,6 +15,7 @@ from mcmkit.linalg import DenseMatrix
 from mcmkit.modules import GradedModule, free_module, residue_field_module
 from mcmkit.resolution import resolve
 from mcmkit.rings import BlockSystem, WeightedPolyRing, grid_mul
+from test_tate_route import SMALL_CIS, cyclic, koszul, take_x
 
 
 def two_squares(p=7):
@@ -78,9 +83,9 @@ def reference_operators(ci, M, H):
                     continue
                 rhs = Q.join_coords([acc], [acc.degree])[:, None]
                 sol = system.at(acc.degree).solve(DenseMatrix._of_array(Q.field, rhs))
-                ts = Q.split_coords(sol._array()[:, 0], [acc.degree - e for e in u_degs])
+                ts = Q.split_coords(sol._array().T, [acc.degree - e for e in u_degs])[0]
                 for j, t in enumerate(ts):
-                    out[j][pos - 2][s][r] = int(t.constant_coefficient())
+                    out[j][pos - 2][s][r] = t.constant_coefficient()
     return out
 
 
@@ -96,6 +101,88 @@ def test_operators_solve_each_degree_once_as_entry_by_entry(module, H, p):
     want = reference_operators(ci, module(A), H)
     for j in range(2):
         assert {n: m.numpy().tolist() for n, m in ext.operators[j].items()} == want[j], j
+
+
+@pytest.fixture
+def grid_muls(monkeypatch):
+    """A list that grows by one on every ``grid_mul`` call ``eisenbud_operators`` makes."""
+    calls = []
+    real = mcmkit.cisupport.grid_mul
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(mcmkit.cisupport, "grid_mul", counting)
+    return calls
+
+
+def matrices(ext):
+    return [{n: m.numpy().tolist() for n, m in t.items()} for t in ext.operators]
+
+
+def closed_form_cases():
+    out = [pytest.param(lambda name=name: residue_field_module(load_catalog(name).ring), 6,
+                        id=f"{name}/k") for name in catalog_names()]
+    out += [pytest.param(lambda v=v, rels=rels: residue_field_module(
+        WeightedPolyRing(5, list(v)).quotient(rels)), 6, id=f"k/({','.join(rels)})")
+        for v, rels in SMALL_CIS]
+    out += [
+        # F_in = {x^2}, F_out = {y^2}: t_2 = 0
+        pytest.param(lambda: take_x(101), 8, id="A/(x)"),
+        # F_in = {z^3} is the second relation and F_out = {x^2} the first: t_1 = 0
+        pytest.param(lambda: cyclic("xyz", [1, 1, 1], ["x^2", "z^3"], ["y", "z"]), 6,
+                     id="(y,z)/(x^2,z^3)"),
+        # F_in is empty: the Koszul complex on x^a, y^b, and every operator is 0
+        pytest.param(lambda: koszul(1, 1), 5, id="koszul(1,1)"),
+        pytest.param(lambda: koszul(2, 3), 5, id="koszul(2,3)"),
+    ]
+    return out
+
+
+@pytest.mark.parametrize("module,H", closed_form_cases())
+def test_operators_on_tates_complex_are_read_off_with_no_product(module, H, grid_muls):
+    M = module()
+    ci = CIPresentation.from_ring(M.ring)
+    ext = eisenbud_operators(ci, M, H)
+    assert not grid_muls
+    assert all(s.route == "tate" for s in resolve(M, H + 2).steps[1:])
+    assert matrices(ext) == reference_operators(ci, module(), H)
+
+
+def test_operators_keep_the_inverse_of_each_lex_first_coefficient(grid_muls):
+    # QQ[x, y]/(2x^2, 3y^2): t_1 = (1/2) d/dT_1 and t_2 = (1/3) d/dT_2
+    A = WeightedPolyRing(0, ["x", "y"]).quotient(["2*x^2", "3*y^2"])
+    ci = CIPresentation.from_ring(A)
+    ext = eisenbud_operators(ci, residue_field_module(A), 6)
+    assert not grid_muls
+    assert matrices(ext) == reference_operators(ci, residue_field_module(A), 6)
+    # from G_2 = <e_x e_y, T_2, T_1>, in the basis order of Tate's complex, to G_0
+    assert matrices(ext)[0][0] == [[0], [0], [Fraction(1, 2)]]
+    assert matrices(ext)[1][0] == [[0], [Fraction(1, 3)], [0]]
+
+
+def test_operators_vanish_on_the_relations_outside_f_in(grid_muls):
+    A = two_squares()
+    ext = eisenbud_operators(CIPresentation.from_ring(A), GradedModule(A, [0], [1], [["x"]]), 6)
+    assert not grid_muls
+    assert all(m.is_zero() for m in ext.operators[1].values())
+    assert not any(m.is_zero() for m in ext.operators[0].values())
+
+
+def test_operators_off_tates_complex_are_solved_as_before(grid_muls):
+    # a factorization cokernel, resolved off its periodic tail
+    _, M = load_catalog("ade:A3:dim1").modules()[0]
+    ci = CIPresentation.from_ring(M.ring)
+    assert matrices(eisenbud_operators(ci, M, 6)) == reference_operators(ci, M, 6)
+    assert len(grid_muls) == 7
+    # k on Tate's complex, but with the relations reordered: the solve runs
+    grid_muls.clear()
+    A = two_squares()
+    ci = CIPresentation(A.ambient, tuple(reversed(A.relations)), A)
+    k = residue_field_module(A)
+    assert matrices(eisenbud_operators(ci, k, 6)) == reference_operators(ci, k, 6)
+    assert len(grid_muls) == 7
 
 
 def test_operators_commute_exactly():

@@ -298,7 +298,7 @@ def test_span_equals_adding_grids_one_at_a_time(p):
         field, n = hs.field, M.num_gens
 
         def grid(flat):  # the phi grid of a flat vector, not reduced modulo trivial
-            entries = A.split_coords(flat, hs._entry_degs)
+            entries = A.split_coords([flat], hs._entry_degs)[0]
             return [entries[i * n:(i + 1) * n] for i in range(N.num_gens)]
 
         def coeffs(size):

@@ -164,7 +164,7 @@ def test_split_coords_zero_blocks_are_the_ring_zero(char):
     degs = [-1, 0, 2, 9, 3]
     vec = A.field.zeros(sum(A.hilbert_function(d) for d in degs))
     vec[0] = A.field.element(1)  # A_{-1} = 0, so coordinate 0 is A_0: the element 1
-    got = A.split_coords(vec, degs)
+    got = A.split_coords([vec], degs)[0]
     assert got[1] == A.one() and got[1].degree == 0
     for e in got[:1] + got[2:]:
         assert e.is_zero() and e.degree is None and e == A.zero()
@@ -180,7 +180,7 @@ def test_split_coords_inverts_a_one_column_block_matrix(char):
         d = 4
         column = [[random_element(A, e, rng)] for e in degs]
         coords = BlockSystem(A, column, [d - e for e in degs], [d]).at(d)
-        back = A.split_coords(coords._array()[:, 0], degs)
+        back = A.split_coords(coords._array().T, degs)[0]
         assert back == [row[0] for row in column]
         assert all(e.degree == (None if e.is_zero() else deg) for e, deg in zip(back, degs))
 

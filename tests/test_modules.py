@@ -211,7 +211,7 @@ def _kept_by_definition(C, elements):
     for e in sorted(elements, key=lambda e: e.degree):
         span = RowSpace(ring.field, C.piece(e.degree).dim)
         for g in kept:
-            parts = ring.split_coords(g.vec, [g.degree - a for a in C.gen_degs])
+            parts = ring.split_coords([g.vec], [g.degree - a for a in C.gen_degs])[0]
             for u in ring.ambient.monomials(e.degree - g.degree):
                 u = ring.element({u: ring.field.element(1)})
                 vec = ring.join_coords([u * x for x in parts], [e.degree - a for a in C.gen_degs])

@@ -285,6 +285,7 @@ def test_split_coords_matches_the_block_by_block_read_back(char):
     degs = [-1, 0, 3, 1, -2, 2, 4, 9, 3, 0, 12]
     n = sum(A.hilbert_function(d) for d in degs)
     assert A.hilbert_function(12) == 0 and n > 10
+    arrays = []
     for trial in range(12):
         ints = [rng.choice([0, 0, 0, 1, 2, -3, 7 * char + 1]) for _ in range(n)]
         if trial == 0:
@@ -297,13 +298,20 @@ def test_split_coords_matches_the_block_by_block_read_back(char):
                                      dtype=object)]
         for vec in inputs:
             want = _split_block_by_block(A, vec, degs)
-            got = A.split_coords(vec, degs)
+            got = A.split_coords([vec], degs)[0]
             # the same dicts, in the same insertion order, with the same coefficient types
             assert [(list(e.poly.items()), e.degree) for e in got] == \
                 [(list(poly.items()), d) for poly, d in want]
             assert [type(c) for e in got for c in e.poly.values()] == \
                 [type(c) for poly, _ in want for c in poly.values()]
             assert list(A.join_coords(got, degs)) == [A.field.element(x) for x in vec]
+        arrays.append(inputs[1])
+    # a matrix is split row by row, all rows by one nonzero
+    def read(rows):
+        return [[(list(e.poly.items()), e.degree) for e in row] for row in rows]
+
+    assert read(A.split_coords(np.stack(arrays), degs)) == \
+        [read(A.split_coords([vec], degs))[0] for vec in arrays]
 
 
 @pytest.mark.parametrize("weights", [(1,), (3,), (1, 1), (3, 2), (1, 1, 2), (5, 5, 2), (1, 1, 1, 1)])
