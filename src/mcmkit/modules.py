@@ -357,9 +357,12 @@ def free_module(ring: QuotientRing, gen_degs: Sequence[int], label: str = "") ->
 
 
 def residue_field_module(ring: QuotientRing) -> GradedModule:
-    """k = A/m as a graded module (generator in degree 0), of depth 0."""
-    k = GradedModule(ring, [0], list(ring.weights), [list(ring.gens())], label="k", check=False)
-    return _depth_as(k, 0)
+    """k = A/m as a graded module (generator in degree 0), of depth 0.  When every relation
+    lies in m^2 (no monomial of total exponent 1), the variables are a basis of m/m^2, so
+    they generate m minimally (graded Nakayama) and k is its own minimal form."""
+    k = _depth_as(GradedModule(ring, [0], list(ring.weights), [list(ring.gens())], label="k",
+                               check=False), 0)
+    return _minimal_as(k, k) if all(sum(mu) > 1 for f in ring.relations for mu in f) else k
 
 
 def maximal_ideal_module(ring: QuotientRing) -> GradedModule:

@@ -43,7 +43,8 @@ step's cap (else the scan runs and raises at the cap).  A known step has its
 degrees at once and builds its entries on first read, so a Betti table builds
 none; ``Step.route`` names where each step came from.  Over a certified CI
 A = S/(f_1..f_c), S a polynomial ring in n variables, let M = A(-s)/(g_1..g_r)
-be cyclic and minimally presented.  Solving f_k = sum_j a_kj g_j over S splits
+be cyclic and minimally presented.  Solving f_k = sum_j a_kj g_j over S (by
+monomial division when every g_j is one term: ``FreeResolution._tate``) splits
 the relations into F_in, where it solves with no a_kj a unit, and F_out.  If
 r + |F_out| = n and M has a top-degree bound, h = g + F_out are n forms with
 S/(h) = M of finite length: a system of parameters of S, so S-regular.  Then
@@ -73,7 +74,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
-from operator import itemgetter
+from operator import ge, itemgetter, sub
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -308,26 +309,55 @@ class FreeResolution:
     def _tate(self):
         """(g, deg g, F_in) of Tate's complex of M = A(-s)/(g_1..g_r) where the module docstring's
         certificate holds, else None.  F_in lists (l, c_l^-1, deg f_l, [(j, a_lj)]) for each f_l =
-        sum_j a_lj g_j solved over S, scaled by c_l^-1 for f_l's lex-first coefficient c_l; each
-        g_j and a_lj comes with its negative, as (x, -x)."""
+        sum_j a_lj g_j over S, scaled by c_l^-1 for f_l's lex-first coefficient c_l; each g_j and
+        a_lj comes with its negative, as (x, -x).
+
+        The a_lj are the particular solution that ``solve`` returns for the columns u g_j of
+        ``BlockSystem(S, [g], [0], deg g).at(deg f_l)``, u the monomials, block by block.  When
+        every g_j is one term c_j x^alpha_j they are read off by division: over S, which has no
+        relations, column u g_j is c_j times the unit vector of u x^alpha_j, so ``rref`` pivots
+        each monomial x^mu on the first column hitting it, that of the first j (in g's order)
+        with x^alpha_j | x^mu, and the solution puts (c / c_j) x^(mu - alpha_j) there for each
+        term c x^mu of f_l and 0 in every other column; the system is inconsistent exactly when
+        some term is hit by no column, and then f_l lies in F_out.  Other g take the solve."""
         A, M = self.ring, self.minimal
         if not A.is_certified_ci or M.num_gens != 1 or self._top is None:
             return None
-        S, g = A.ambient.relation_free, M.presentation[0]
+        g, field = M.presentation[0], A.field
         g_degs = [r - M.gen_degs[0] for r in M.rel_degs]
-        system, f_in, f_out = BlockSystem(S, [[S.element(e.poly) for e in g]], [0], g_degs), [], 0
+        if all(len(e.poly) == 1 for e in g):
+            terms = [next(iter(e.poly.items())) for e in g]
+
+            def expand(f, deg):
+                a = [{} for _ in g]
+                for mu, c in f.items():
+                    for j, (alpha, c_j) in enumerate(terms):  # the first g_j dividing c x^mu
+                        if all(map(ge, mu, alpha)):
+                            a[j][tuple(map(sub, mu, alpha))] = field.element(c * field.inv(c_j))
+                            break
+                    else:
+                        return None
+                return a
+        else:
+            S = A.ambient.relation_free
+            system = BlockSystem(S, [[S.element(e.poly) for e in g]], [0], g_degs)
+
+            def expand(f, deg):
+                rhs = S.join_coords([S.element(f)], [deg])[:, None]
+                sol = system.at(deg).solve(DenseMatrix._of_array(S.field, rhs))
+                return None if sol is None else [e.poly for e in S.split_coords(
+                    sol._array().T, [deg - e for e in g_degs])[0]]
+        f_in, f_out = [], 0
         for l, (f, deg) in enumerate(zip(A.relations, A.relation_degrees)):
-            rhs = S.join_coords([S.element(f)], [deg])[:, None]
-            sol = system.at(deg).solve(DenseMatrix._of_array(S.field, rhs))
-            if sol is None:
+            a = expand(f, deg)
+            if a is None:
                 f_out += 1
                 continue
-            a = S.split_coords(sol._array().T, [deg - e for e in g_degs])[0]
-            if any(e.is_unit() for e in a):
+            if any(p and deg == g_degs[j] for j, p in enumerate(a)):  # a unit a_lj
                 return None
-            inv = A.field.inv(f[max(f)])
-            f_in.append((l, inv, deg, [(j, (x := A.element(e.poly, deg - g_degs[j]).scale(inv), -x))
-                                       for j, e in enumerate(a) if e.poly]))
+            inv = field.inv(f[max(f)])
+            f_in.append((l, inv, deg, [(j, (x := A.element(p, deg - g_degs[j]).scale(inv), -x))
+                                       for j, p in enumerate(a) if p]))
         return ([(e, -e) for e in g], g_degs, f_in) if len(g) + f_out == len(A.variables) else None
 
     def _tate_basis(self, i: int):
