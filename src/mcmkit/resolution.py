@@ -43,16 +43,19 @@ step's cap (else the scan runs and raises at the cap).  A known step has its
 degrees at once and builds its entries on first read, so a Betti table builds
 none; ``Step.route`` names where each step came from.  Over a certified CI
 A = S/(f_1..f_c), S a polynomial ring in n variables, let M = A(-s)/(g_1..g_r)
-be cyclic and minimally presented.  Solving f_k = sum_j a_kj g_j over S (by
-monomial division when every g_j is one term: ``FreeResolution._tate``) splits
-the relations into F_in, where it solves with no a_kj a unit, and F_out.  If
+be cyclic and minimally presented, every g_j one term.  Solving f_k = sum_j
+a_kj g_j over S by monomial division (``FreeResolution._tate``) splits the
+relations into F_in, where it solves with no a_kj a unit, and F_out.  If
 r + |F_out| = n and M has a top-degree bound, h = g + F_out are n forms with
 S/(h) = M of finite length: a system of parameters of S, so S-regular.  Then
 g is regular on R = S/(F_out), F_in is R-regular (the f_k are), and Tate's
 G = A<e_1..e_r; T_k for f_k in F_in>, de_j = g_j and dT_k = sum_j a_kj e_j,
 resolves R/(g) = M over R/(F_in) = A (Tate, 1957, Theorem 4), minimally, as g
 and every a_kj lie in m: k presented by the variables when every f_k lies in
-m^2, A/(x^a, y^b) over k[x,y,z]/(z^2), A/(x) over k[x,y]/(x^2, y^2).  Over
+m^2, A/(x^a, y^b) over k[x,y,z]/(z^2), A/(x) over k[x,y]/(x^2, y^2).  Tate's
+complex resolves M for any such expansion, but a g_j of several terms is not
+divided: M is scanned, and the scan is certified by Tor balance, as M has a
+top-degree bound.  Over
 A = S/(f), a reduced matrix factorization phi psi = f Id over S with
 Syz_n(M) = coker phi gives ... -psi-> A^n -phi-> A^n -> Syz_n(M): over the domain
 S, ker phi = im psi, ker psi = im phi, and neither has a unit entry (Eisenbud,
@@ -312,44 +315,36 @@ class FreeResolution:
         sum_j a_lj g_j over S, scaled by c_l^-1 for f_l's lex-first coefficient c_l; each g_j and
         a_lj comes with its negative, as (x, -x).
 
-        The a_lj are the particular solution that ``solve`` returns for the columns u g_j of
-        ``BlockSystem(S, [g], [0], deg g).at(deg f_l)``, u the monomials, block by block.  When
-        every g_j is one term c_j x^alpha_j they are read off by division: over S, which has no
-        relations, column u g_j is c_j times the unit vector of u x^alpha_j, so ``rref`` pivots
-        each monomial x^mu on the first column hitting it, that of the first j (in g's order)
-        with x^alpha_j | x^mu, and the solution puts (c / c_j) x^(mu - alpha_j) there for each
-        term c x^mu of f_l and 0 in every other column; the system is inconsistent exactly when
-        some term is hit by no column, and then f_l lies in F_out.  Other g take the solve."""
+        Every g_j must be one term c_j x^alpha_j, and the a_lj are read off by division.  They
+        are the particular solution that ``solve`` returns for the columns u g_j of
+        ``BlockSystem(S, [g], [0], deg g).at(deg f_l)``, u the monomials, block by block: over S,
+        which has no relations, column u g_j is c_j times the unit vector of u x^alpha_j, so
+        ``rref`` pivots each monomial x^mu on the first column hitting it, that of the first j
+        (in g's order) with x^alpha_j | x^mu, and the solution puts (c / c_j) x^(mu - alpha_j)
+        there for each term c x^mu of f_l and 0 in every other column; the system is
+        inconsistent exactly when some term is hit by no column, and then f_l lies in F_out."""
         A, M = self.ring, self.minimal
         if not A.is_certified_ci or M.num_gens != 1 or self._top is None:
             return None
         g, field = M.presentation[0], A.field
         g_degs = [r - M.gen_degs[0] for r in M.rel_degs]
-        if all(len(e.poly) == 1 for e in g):
-            terms = [next(iter(e.poly.items())) for e in g]
+        if any(len(e.poly) != 1 for e in g):
+            return None
+        terms = [next(iter(e.poly.items())) for e in g]
 
-            def expand(f, deg):
-                a = [{} for _ in g]
-                for mu, c in f.items():
-                    for j, (alpha, c_j) in enumerate(terms):  # the first g_j dividing c x^mu
-                        if all(map(ge, mu, alpha)):
-                            a[j][tuple(map(sub, mu, alpha))] = field.element(c * field.inv(c_j))
-                            break
-                    else:
-                        return None
-                return a
-        else:
-            S = A.ambient.relation_free
-            system = BlockSystem(S, [[S.element(e.poly) for e in g]], [0], g_degs)
-
-            def expand(f, deg):
-                rhs = S.join_coords([S.element(f)], [deg])[:, None]
-                sol = system.at(deg).solve(DenseMatrix._of_array(S.field, rhs))
-                return None if sol is None else [e.poly for e in S.split_coords(
-                    sol._array().T, [deg - e for e in g_degs])[0]]
+        def expand(f):
+            a = [{} for _ in g]
+            for mu, c in f.items():
+                for j, (alpha, c_j) in enumerate(terms):  # the first g_j dividing c x^mu
+                    if all(map(ge, mu, alpha)):
+                        a[j][tuple(map(sub, mu, alpha))] = field.element(c * field.inv(c_j))
+                        break
+                else:
+                    return None
+            return a
         f_in, f_out = [], 0
         for l, (f, deg) in enumerate(zip(A.relations, A.relation_degrees)):
-            a = expand(f, deg)
+            a = expand(f)
             if a is None:
                 f_out += 1
                 continue

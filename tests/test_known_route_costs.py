@@ -6,7 +6,7 @@ one with the computation it replaces, kept test-side as the reference:
 - Tate's F_in by monomial division: when every g_j is one term, each term
   of f_l goes to the first g_j whose monomial divides it, which is the
   particular solution ``solve`` returns over S (``FreeResolution._tate``);
-  other g still take the solve.
+  other g are scanned, certified by Tor balance.
 - k minimal by construction: when every relation lies in m^2, the
   variables minimally generate m, so ``residue_field_module`` records k as
   its own minimal form and ``minimized()`` runs no ``minimal_columns``.
@@ -133,14 +133,16 @@ def test_f_in_takes_the_first_dividing_generator():
                                                                              (1, [(2, "w")])]
 
 
-def test_a_term_of_several_monomials_takes_the_solve(block_systems):
-    # x^3 = (x + y)(x^2 - xy + y^2) - y . y^2 and z^2 lies outside (x + y, y^2)
+def test_a_term_of_several_monomials_takes_the_certified_scan():
+    # x^3 = (x + y)(x^2 - xy + y^2) - y . y^2 would give Tate's complex, but x + y is not
+    # divided by: the module is scanned, each scan stopped by Tor balance
     fresh = lambda: cyclic("xyz", ["x^3", "z^2"], ["x+y", "y^2"])  # noqa: E731
-    res = resolve(fresh(), 4)
-    assert block_systems
-    assert [s.route for s in res.steps] == ["presentation"] + ["tate"] * 3
-    assert as_data(res._tate) == as_data(solved_tate(FreeResolution(fresh(), None)))
-    assert res.betti_numbers(4) == [1, 2, 2, 2, 2]
+    res = resolve(fresh(), 6)
+    assert res._tate is None and solved_tate(FreeResolution(fresh(), None)) is not None
+    assert [s.route for s in res.steps] == ["presentation"] + ["scan"] * 5
+    assert res.certified
+    assert res.betti_table(6) == [(0, 1, (0,)), (1, 2, (1, 2)), (2, 2, (3, 3)), (3, 2, (4, 5)),
+                                  (4, 2, (6, 6)), (5, 2, (7, 8)), (6, 2, (9, 9))]
 
 
 def test_without_a_top_degree_bound_the_two_term_ideal_is_scanned():
