@@ -26,14 +26,14 @@ the growth eventually polynomial).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .errors import UsageError
-from .linalg import DenseMatrix, RowSpace, intersect_rowspaces
+from .linalg import DenseMatrix, RowSpace
 from .modules import GradedModule
 from .resolution import growth_report, resolve
 from .rings import BlockSystem, QuotientRing, RingElement, WeightedPolyRing, grid_mul
@@ -44,9 +44,6 @@ __all__ = [
     "eisenbud_operators",
     "SupportVarietyReport",
     "support_annihilator_window",
-    "annihilator_windows_agree",
-    "direct_sum_annihilator_test",
-    "variety_component_check",
 ]
 
 
@@ -183,7 +180,6 @@ class SupportVarietyReport:
     tdeg_max: int
     H: int
     ann_window: Dict[int, List[str]]           # degree -> generator strings
-    ann_spaces: Dict[int, RowSpace] = field(repr=False, default=None)
     dim_estimate: int = -1
     cx_from_variety: int = 0
     is_point: Optional[bool] = None
@@ -304,49 +300,8 @@ def support_annihilator_window(ext: ExtTModule, tdeg_max: int = 2) -> SupportVar
         tdeg_max=tdeg_max,
         H=ext.H,
         ann_window=window,
-        ann_spaces=spaces,
         dim_estimate=max(cx - 1, -1),
         cx_from_variety=cx,
         is_point=is_point,
         confident=rep.cx_confident,
     )
-
-
-def annihilator_windows_agree(r1: SupportVarietyReport, r2: SupportVarietyReport) -> bool:
-    """Same annihilator solution space in every common t-degree."""
-    degs = set(r1.ann_spaces) & set(r2.ann_spaces)
-    return all(r1.ann_spaces[D] == r2.ann_spaces[D] for D in degs)
-
-
-def direct_sum_annihilator_test(ci: CIPresentation, M1: GradedModule, M2: GradedModule,
-                                H: int = 10, tdeg_max: int = 2) -> bool:
-    """ann(M1 + M2) equals ann(M1) intersect ann(M2), degree by degree."""
-    S = GradedModule.direct_sum([M1, M2], label="sum")
-    exts = [eisenbud_operators(ci, X, H) for X in (M1, M2, S)]
-    reps = [support_annihilator_window(e, tdeg_max) for e in exts]
-    field = ci.quotient.field
-    for D in range(1, tdeg_max + 1):
-        monos = _t_monomials(ci.codimension, D)
-        inter = intersect_rowspaces(reps[0].ann_spaces[D], reps[1].ann_spaces[D],
-                                    field, len(monos))
-        if inter != reps[2].ann_spaces[D]:
-            return False
-    return True
-
-
-def variety_component_check(q, ci: CIPresentation, H: int = 10, tdeg_max: int = 2) -> Dict:
-    """Per stable component: do all vertices share the annihilator window?"""
-    out = []
-    for comp in q.stable_components():
-        reports = []
-        for vi in comp:
-            ext = eisenbud_operators(ci, q.vertices[vi].module, H)
-            reports.append((q.vertices[vi].name, support_annihilator_window(ext, tdeg_max)))
-        base = reports[0][1]
-        agree = all(annihilator_windows_agree(base, r) for _, r in reports[1:])
-        out.append({
-            "vertices": [name for name, _ in reports],
-            "windows_agree": agree,
-            "reports": [r.as_dict() for _, r in reports],
-        })
-    return {"components": out, "all_agree": all(c["windows_agree"] for c in out)}

@@ -6,12 +6,12 @@ import mcmkit.cisupport
 from mcmkit.catalog import catalog_names, load_catalog
 from mcmkit.cisupport import (
     CIPresentation,
-    direct_sum_annihilator_test,
+    _ann_space,
     eisenbud_operators,
     support_annihilator_window,
 )
 from mcmkit.errors import UsageError
-from mcmkit.linalg import DenseMatrix
+from mcmkit.linalg import DenseMatrix, intersect_rowspaces
 from mcmkit.modules import GradedModule, free_module, residue_field_module
 from mcmkit.resolution import resolve
 from mcmkit.rings import BlockSystem, WeightedPolyRing, grid_mul
@@ -261,19 +261,19 @@ def test_direct_sum_annihilator_intersection():
     ci = CIPresentation.from_ring(A)
     M1 = GradedModule(A, [0], [1], [["x"]], label="A/(x)")
     M2 = GradedModule(A, [0], [1], [["y"]], label="A/(y)")
-    assert direct_sum_annihilator_test(ci, M1, M2, H=8, tdeg_max=2)
+    exts = [eisenbud_operators(ci, X, H=8) for X in (M1, M2, GradedModule.direct_sum([M1, M2]))]
+    for D, n in ((1, 2), (2, 3)):  # n t-monomials of degree D
+        ann1, ann2, ann_sum = (_ann_space(e, D) for e in exts)
+        assert intersect_rowspaces(ann1, ann2, A.field, n) == ann_sum
 
 
 def test_distinct_points_have_distinct_windows():
-    from mcmkit.cisupport import annihilator_windows_agree
-
     A = two_squares()
     ci = CIPresentation.from_ring(A)
     M1 = GradedModule(A, [0], [1], [["x"]], label="A/(x)")
     M2 = GradedModule(A, [0], [1], [["y"]], label="A/(y)")
-    r1 = support_annihilator_window(eisenbud_operators(ci, M1, H=8), 2)
-    r2 = support_annihilator_window(eisenbud_operators(ci, M2, H=8), 2)
-    assert not annihilator_windows_agree(r1, r2)
+    ann1, ann2 = (_ann_space(eisenbud_operators(ci, M, H=8), 1) for M in (M1, M2))
+    assert ann1.dim == ann2.dim == 1 and ann1 != ann2
 
 
 def test_gulliksen_growth_matches_cx():
