@@ -81,10 +81,11 @@ class HomSpace:
     another row by row, each as its coordinates over the standard
     monomials.  ``trivial`` is the span of the maps Q Theta, and
     ``space`` holds the Phi parts of the kernel of Phi P - Q Psi reduced
-    modulo it: its canonical basis is ``basis``.  ``beta_dim``/
-    ``beta_space`` give the subspace of maps factoring through a free
-    module, the Phi with Phi P = 0.  Coordinates of arbitrary maps are
-    read off after reduction modulo the trivial span.
+    modulo it: its canonical basis is ``basis``.  ``beta_space`` is the
+    subspace of maps factoring through a free module, the Phi with
+    Phi P = 0, so the stable Hom has dimension ``dim - beta_space().dim``.
+    Coordinates of arbitrary maps are read off after reduction modulo the
+    trivial span.
     """
 
     def __init__(self, source: GradedModule, target: GradedModule):
@@ -189,12 +190,6 @@ class HomSpace:
             self._beta = RowSpace(self.field, self.phi_dim)
             self._beta.add_matrix(self.trivial.reduce_rows(ker.transpose()))
         return self._beta
-
-    def beta_dim(self) -> int:
-        return self.beta_space().dim
-
-    def stable_dim(self) -> int:
-        return self.dim - self.beta_dim()
 
 
 def _pair_degs(xs, ys) -> List[int]:

@@ -80,8 +80,7 @@ def test_stable_hom_k_k_dual_numbers():
     k = residue_field_module(A)
     hs = hom_space(k, k)
     assert hs.dim == 1
-    assert hs.beta_dim() == 0
-    assert hs.stable_dim() == 1
+    assert hs.beta_space().dim == 0
 
 
 def test_stable_hom_from_free_is_zero():
@@ -89,8 +88,7 @@ def test_stable_hom_from_free_is_zero():
     F = free_module(A, [0])
     m = maximal_ideal_module(A)
     hs = hom_space(F, m)
-    assert hs.dim == hs.beta_dim()
-    assert hs.stable_dim() == 0
+    assert hs.dim - hs.beta_space().dim == 0
 
 
 def test_is_isomorphic_reflexive():
