@@ -83,9 +83,8 @@ class HomSpace:
     ``space`` holds the Phi parts of the kernel of Phi P - Q Psi reduced
     modulo it: its canonical basis is ``basis``.  ``beta_space`` is the
     subspace of maps factoring through a free module, the Phi with
-    Phi P = 0, so the stable Hom has dimension ``dim - beta_space().dim``.
-    Coordinates of arbitrary maps are read off after reduction modulo the
-    trivial span.
+    Phi P = 0; the stable Hom is the quotient.  Coordinates of arbitrary
+    maps are read off after reduction modulo the trivial span.
     """
 
     def __init__(self, source: GradedModule, target: GradedModule):

@@ -391,11 +391,6 @@ class DenseMatrix:
             raise UsageError("hstack row mismatch")
         return DenseMatrix._of_array(self.field, np.hstack([self._a, other._a]))
 
-    def vstack(self, other: "DenseMatrix") -> "DenseMatrix":
-        if self.ncols != other.ncols:
-            raise UsageError("vstack column mismatch")
-        return DenseMatrix._of_array(self.field, np.vstack([self._a, other._a]))
-
     def is_zero(self) -> bool:
         return not self._a.any()
 
@@ -502,11 +497,6 @@ class RowSpace:
     @property
     def dim(self) -> int:
         return len(self._pivots)
-
-    def copy(self) -> "RowSpace":
-        s = RowSpace(self.field, self.ncols)
-        s._basis, s._pivots = self._basis, self._pivots
-        return s
 
     def reduce_rows(self, m: DenseMatrix) -> DenseMatrix:
         """Canonical residue of every row of m modulo the space.

@@ -43,19 +43,17 @@ step's cap (else the scan runs and raises at the cap).  A known step has its
 degrees at once and builds its entries on first read, so a Betti table builds
 none; ``Step.route`` names where each step came from.  Over a certified CI
 A = S/(f_1..f_c), S a polynomial ring in n variables, let M = A(-s)/(g_1..g_r)
-be cyclic and minimally presented, every g_j one term.  Solving f_k = sum_j
-a_kj g_j over S by monomial division (``FreeResolution._tate``) splits the
-relations into F_in, where it solves with no a_kj a unit, and F_out.  If
+be cyclic and minimally presented, every g_j one term (other g are scanned,
+certified by Tor balance).  Monomial division (``FreeResolution._tate``) solves
+f_k = sum_j a_kj g_j over S, splitting the relations into F_in, where it
+solves with no a_kj a unit, and F_out.  If
 r + |F_out| = n and M has a top-degree bound, h = g + F_out are n forms with
 S/(h) = M of finite length: a system of parameters of S, so S-regular.  Then
 g is regular on R = S/(F_out), F_in is R-regular (the f_k are), and Tate's
 G = A<e_1..e_r; T_k for f_k in F_in>, de_j = g_j and dT_k = sum_j a_kj e_j,
 resolves R/(g) = M over R/(F_in) = A (Tate, 1957, Theorem 4), minimally, as g
 and every a_kj lie in m: k presented by the variables when every f_k lies in
-m^2, A/(x^a, y^b) over k[x,y,z]/(z^2), A/(x) over k[x,y]/(x^2, y^2).  Tate's
-complex resolves M for any such expansion, but a g_j of several terms is not
-divided: M is scanned, and the scan is certified by Tor balance, as M has a
-top-degree bound.  Over
+m^2, A/(x^a, y^b) over k[x,y,z]/(z^2), A/(x) over k[x,y]/(x^2, y^2).  Over
 A = S/(f), a reduced matrix factorization phi psi = f Id over S with
 Syz_n(M) = coker phi gives ... -psi-> A^n -phi-> A^n -> Syz_n(M): over the domain
 S, ker phi = im psi, ker psi = im phi, and neither has a unit entry (Eisenbud,

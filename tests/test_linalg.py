@@ -139,7 +139,6 @@ def test_rowspace_reduce_and_membership():
     assert s.contains([2, 4, 6, 1])
     r = s.reduce([0, 0, 1, 0])
     assert r.any()
-    assert s.copy().dim == 2
 
 
 def test_rowspace_canonical_reduction_is_idempotent():
@@ -367,8 +366,8 @@ def test_every_matrix_is_a_two_dim_array_of_the_field_dtype(field):
         DenseMatrix.column(field, [1, 2]),
         a.kernel_rows()[0], DenseMatrix.zeros(field, 0, 3).kernel_rows()[0],
         DenseMatrix._of_array(field, field.zeros((2, 2))),
-        a + a, a - c.vstack(c), a.scale(3), a.transpose(), a.take_columns([2, 0]),
-        a.hstack(a), a.vstack(b), a @ a.transpose(),
+        a + a, a - a.scale(2), a.scale(3), a.transpose(), a.take_columns([2, 0]),
+        a.hstack(a), a @ a.transpose(), c.transpose() @ b,
         DenseMatrix.zeros(field, 2, 0) @ DenseMatrix.zeros(field, 0, 3),
         a.rref()[0], a.kernel_basis(), DenseMatrix.zeros(field, 0, 3).kernel_basis(),
         a.solve(DenseMatrix.column(field, [1, 2])), a.solve(DenseMatrix.zeros(field, 2, 0)),
@@ -384,7 +383,6 @@ def test_every_matrix_is_a_two_dim_array_of_the_field_dtype(field):
     check_space(s)
     s.add_matrix(DenseMatrix(field, [[0, 1, 1], [1, 3, 1]]))
     check_space(s)
-    check_space(s.copy())
     check(s.reduce_rows(a))
     r = s.reduce([4, 0, 1])
     assert isinstance(r, np.ndarray) and r.ndim == 1 and r.dtype == field.dtype
