@@ -357,7 +357,10 @@ def component_classify(q: ARQuiver, prop: str, value=None,
     """Per-component constancy report for a module property.
 
     Violations are reported verbatim: they falsify the catalog or the
-    implementation, not the theorem.
+    implementation, not the theorem.  ``curv_leq`` X is True over a
+    certified complete intersection when X >= 1, since Betti numbers grow
+    polynomially there (Gulliksen, Math. Scand. 34, 1974), so curv M <= 1;
+    it is None (partial) everywhere else, never read off an estimate.
     """
     if prop not in _PROPERTIES:
         raise UsageError(f"unknown property {prop!r}; known: {_PROPERTIES}")
@@ -378,8 +381,7 @@ def component_classify(q: ARQuiver, prop: str, value=None,
             target = value if value is not None else 1
             return rep.cx_estimate == target if rep.cx_confident else None
         if prop == "curv_leq":
-            rep = growth_report(M, H=H)
-            return rep.curv_estimate <= (value if value is not None else 1.0) + 1e-9
+            return True if M.ring.is_certified_ci and (1 if value is None else value) >= 1 else None
         return None
 
     comps = []

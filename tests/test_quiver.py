@@ -211,6 +211,21 @@ def test_component_classify_cx_equals_one():
     assert rep["all_constant"]
 
 
+@pytest.mark.parametrize("name", catalog_names())
+def test_curvature_at_most_one_on_every_hypersurface_component(name):
+    # over a complete intersection Betti numbers grow polynomially, so curv M <= 1
+    rep = component_classify(quiver(name), "curv_leq", value=1.0)
+    assert rep["all_constant"]
+    for comp in rep["components"]:
+        assert not comp["partial"] and all(v is True for v in comp["flags"].values())
+
+
+def test_curvature_below_one_is_left_undecided():
+    rep = component_classify(quiver("ade:A3:dim1"), "curv_leq", value=0.5)
+    for comp in rep["components"]:
+        assert comp["partial"] and all(v is None for v in comp["flags"].values())
+
+
 def test_arrow_to_free_vertex_only_from_x_m_summands():
     # arrows M -> A exist only for summands of X(m)
     from mcmkit.modules import maximal_ideal_module
