@@ -570,10 +570,18 @@ class ModuleInvariants:
 
 
 def module_length(M: GradedModule) -> Optional[int]:
-    """Total k-dimension, or None when the module is infinite length."""
+    """Total k-dimension, or None when the module is infinite length.
+
+    When ``top_degree_bound`` gives T, the length is the Hilbert function summed up to T,
+    certified.  Otherwise the scan stops at a run of max_weight zero pieces past max_gen,
+    after which M vanishes, and returns None at a horizon.
+    """
     if M.num_gens == 0:
         return 0
     lo = M.min_gen_degree()
+    top = top_degree_bound(M)
+    if top is not None:
+        return sum(M.hilbert_function(d) for d in range(lo, top + 1))
     maxw = M.ring.max_weight
     horizon = M.max_gen_degree() + sum(M.ring.relation_degrees) + 8 * maxw + 10
     total = 0

@@ -39,6 +39,15 @@ def test_residue_field_hilbert():
     assert module_length(k) == 1
 
 
+def test_length_past_the_scan_horizon_is_read_to_the_top_degree_bound():
+    # A/(x^30) over k[x,y]/(y^2) has x^a, x^a y for a < 30 as a basis: top degree 30
+    A = WeightedPolyRing(7, ["x", "y"]).quotient(["y^2"])
+    M = GradedModule(A, [0], [30], [["x^30"]])
+    assert module_length(M) == 60
+    inv = invariants(M)
+    assert (inv.length, inv.dim, inv.multiplicity_e, inv.rank) == (60, 0, 60, 0)
+
+
 def test_free_module_hilbert_matches_ring():
     A = circle()
     F = free_module(A, [0, 1])
