@@ -31,6 +31,7 @@ __all__ = [
     "residue_field_module",
     "maximal_ideal_module",
     "submodule_presentation",
+    "invariants",
 ]
 
 

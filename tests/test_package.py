@@ -1,10 +1,13 @@
 """The package loads its layers lazily: a command pays only for what it uses."""
 
+import importlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import mcmkit
 
@@ -55,3 +58,13 @@ def test_star_import_binds_all_names():
     assert not missing
     assert namespace["resolve"] is mcmkit.resolution.resolve
     assert namespace["GF"] is mcmkit.linalg.GF
+
+
+@pytest.mark.parametrize("name", sorted(mcmkit._EXPORTS))
+def test_every_name_a_module_lists_in_all_is_live(name):
+    listed = vars(importlib.import_module(f"mcmkit.{name}")).get("__all__")
+    bound = {}
+    exec(f"from mcmkit.{name} import *", bound)  # raises on a name the module lacks
+    assert set(listed or ()) <= set(bound)
+    if listed is not None:  # the package exports only what the module lists
+        assert set(mcmkit._EXPORTS[name]) <= set(listed)
