@@ -571,16 +571,11 @@ class ModuleInvariants:
 
 
 def module_length(M: GradedModule) -> Optional[int]:
-    """Total k-dimension, or None when the module is infinite length.
-
-    When ``top_degree_bound`` gives T, the length is the Hilbert function summed up to T,
-    certified.  Otherwise the scan stops at a run of max_weight zero pieces past max_gen,
-    after which M vanishes, and returns None at a horizon.
-    """
+    """Total k-dimension, or None when the module is infinite length: the Hilbert function summed
+    to ``top_degree_bound`` when there is one, else scanned to max_weight zeros past max_gen."""
     if M.num_gens == 0:
         return 0
-    lo = M.min_gen_degree()
-    top = top_degree_bound(M)
+    lo, top = M.min_gen_degree(), top_degree_bound(M)
     if top is not None:
         return sum(M.hilbert_function(d) for d in range(lo, top + 1))
     maxw = M.ring.max_weight

@@ -357,10 +357,9 @@ def component_classify(q: ARQuiver, prop: str, value=None,
     """Per-component constancy report for a module property.
 
     Violations are reported verbatim: they falsify the catalog or the
-    implementation, not the theorem.  ``curv_leq`` X is True over a
-    certified complete intersection when X >= 1, since Betti numbers grow
-    polynomially there (Gulliksen, Math. Scand. 34, 1974), so curv M <= 1;
-    it is None (partial) everywhere else, never read off an estimate.
+    implementation, not the theorem.  ``curv_leq`` X is True for X >= 1 over
+    a certified complete intersection, where Betti numbers grow polynomially
+    (Gulliksen, Math. Scand. 34, 1974), and None (partial) everywhere else.
     """
     if prop not in _PROPERTIES:
         raise UsageError(f"unknown property {prop!r}; known: {_PROPERTIES}")
