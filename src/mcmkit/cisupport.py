@@ -127,8 +127,9 @@ def eisenbud_operators(ci: CIPresentation, M: GradedModule, H: int,
     c = len(us)
     res = resolve(M, H + 2, degree_cap=degree_cap)
     betti = res.betti_numbers(H + 2)
+    # the closed form indexes Tate's bases by position: not m's, which are k's one step on
     tate = list(ci.regular_sequence) == list(A.relations) and all(
-        s.route == "tate" for s in res.steps[1:H + 2])
+        s.route == "tate" for s in res.steps[1:H + 2]) and res._tate[3] is None
     operators: List[Dict[int, DenseMatrix]] = [dict() for _ in range(c)]
     field = Q.field
     u_degs = [u.degree for u in us]

@@ -36,7 +36,7 @@ infinite length and unknown depth, rings with neither bound) the scan is
 windowed: it stops once a stall window passes with nothing new.
 ``FreeResolution.certified`` tells the two apart.
 
-Two kinds of module have a known minimal resolution, whose steps
+Three kinds of module have a known minimal resolution, whose steps
 ``FreeResolution.extend`` reads with no scan, columns sorted by degree as a
 scan lists them, where the scan would stop at a certified ``stop`` within the
 step's cap (else the scan runs and raises at the cap).  A known step has its
@@ -53,7 +53,10 @@ g is regular on R = S/(F_out), F_in is R-regular (the f_k are), and Tate's
 G = A<e_1..e_r; T_k for f_k in F_in>, de_j = g_j and dT_k = sum_j a_kj e_j,
 resolves R/(g) = M over R/(F_in) = A (Tate, 1957, Theorem 4), minimally, as g
 and every a_kj lie in m: k presented by the variables when every f_k lies in
-m^2, A/(x^a, y^b) over k[x,y,z]/(z^2), A/(x) over k[x,y]/(x^2, y^2).  Over
+m^2, A/(x^a, y^b) over k[x,y,z]/(z^2), A/(x) over k[x,y]/(x^2, y^2).  If M's
+presentation is k's d_2 up to a permutation of its rows within equal degrees and
+a signed one of its columns (``FreeResolution._transport``), M = coker d_2 = m
+and F_i is k's G_{i+1}, step 2's rows mapped back: m over the catalogs.  Over
 A = S/(f), a reduced matrix factorization phi psi = f Id over S with
 Syz_n(M) = coker phi gives ... -psi-> A^n -phi-> A^n -> Syz_n(M): over the domain
 S, ker phi = im psi, ker psi = im phi, and neither has a unit entry (Eisenbud,
@@ -92,11 +95,12 @@ from .modules import (
     free_module,
     invariants,
     is_mcm_by_construction,
+    residue_field_module,
     ring_depth,
     submodule_presentation,
     top_degree_bound,
 )
-from .rings import BlockSystem, QuotientRing, RingElement
+from .rings import BlockSystem, QuotientRing, RingElement, poly_key
 
 __all__ = [
     "FreeResolution",
@@ -308,10 +312,11 @@ class FreeResolution:
 
     @cached_property
     def _tate(self):
-        """(g, deg g, F_in) of Tate's complex of M = A(-s)/(g_1..g_r) where the module docstring's
-        certificate holds, else None.  F_in lists (l, c_l^-1, deg f_l, [(j, a_lj)]) for each f_l =
-        sum_j a_lj g_j over S, scaled by c_l^-1 for f_l's lex-first coefficient c_l; each g_j and
-        a_lj comes with its negative, as (x, -x).
+        """(g, deg g, F_in, perm) of Tate's complex where the module docstring's certificate holds,
+        else None.  F_in lists (l, c_l^-1, deg f_l, [(j, a_lj)]) for each f_l = sum_j a_lj g_j
+        over S, scaled by c_l^-1 for f_l's lex-first coefficient c_l; each g_j and a_lj comes
+        with its negative, as (x, -x).  perm is None for a cyclic M, and for M = m
+        ``_transport``'s signed permutation, with g, deg g and F_in those of k.
 
         Every g_j must be one term c_j x^alpha_j, and the a_lj are read off by division.  They
         are the particular solution that ``solve`` returns for the columns u g_j of
@@ -322,7 +327,9 @@ class FreeResolution:
         there for each term c x^mu of f_l and 0 in every other column; the system is
         inconsistent exactly when some term is hit by no column, and then f_l lies in F_out."""
         A, M = self.ring, self.minimal
-        if not A.is_certified_ci or M.num_gens != 1 or self._top is None:
+        if A.is_certified_ci and M.num_gens != 1:
+            return self._transport()
+        if not A.is_certified_ci or self._top is None:
             return None
         g, field = M.presentation[0], A.field
         g_degs = [r - M.gen_degs[0] for r in M.rel_degs]
@@ -351,14 +358,43 @@ class FreeResolution:
             inv = field.inv(f[max(f)])
             f_in.append((l, inv, deg, [(j, (x := A.element(p, deg - g_degs[j]).scale(inv), -x))
                                        for j, p in enumerate(a) if p]))
-        return ([(e, -e) for e in g], g_degs, f_in) if len(g) + f_out == len(A.variables) else None
+        return (([(e, -e) for e in g], g_degs, f_in, None) if len(g) + f_out == len(A.variables)
+                else None)
+
+    def _transport(self):
+        """k's (g, deg g, F_in) and perm when M's presentation is Tate's d_2 of k with its rows
+        permuted within equal degrees and its columns c permuted by pi and multiplied by signs
+        eps_c, checked entry by entry; else None.  perm lists (pi(c), eps_c == -1) by c.  Then
+        M = coker d_2 = m, and F_i of M is G_{i+1} of k, step 2's rows mapped back through perm."""
+        A, M = self.ring, self.minimal
+        if sorted(M.gen_degs) != sorted(A.weights):
+            return None
+        k = FreeResolution(residue_field_module(A), None)
+        if k._tate is None or len(k._tate[0]) != len(A.weights):  # G_1 must be the variables
+            return None
+        D, P = k._tate_step(2, A.weights, None).entries, M.presentation
+
+        def key(v):  # v up to sign
+            return min(tuple(poly_key(e.poly) for e in v), tuple(poly_key((-e).poly) for e in v))
+
+        def by_row(degs, X):  # a guess at the row permutation, which the columns then check
+            return sorted(range(len(X)), key=lambda r: (degs[r], sorted(key([e]) for e in X[r])))
+        rows = [r for _, r in sorted(zip(by_row(A.weights, D), by_row(M.gen_degs, P)))]
+        cols, perm = {key(col): t for t, col in enumerate(zip(*D))}, []
+        for c in range(len(M.rel_degs)):
+            v = [P[r][c] for r in rows]  # M's column c in D's row order
+            t = cols.pop(key(v), None)
+            if t is None:
+                return None
+            perm.append((t, [e.poly for e in v] != [row[t].poly for row in D]))
+        return None if cols else k._tate[:3] + (perm,)
 
     def _tate_basis(self, i: int):
         """(degree, I, b) of each e_I T^(b) with |I| + 2|b| = i, Tate's basis of G_i, computed
-        once: G_1 in g's order, as M's presentation has it, later ones stably sorted by degree."""
+        once: G_1 in g's order (M's, or k's for m), later ones stably sorted by degree."""
         if i not in self._tate_bases:
-            _, g_degs, f_in = self._tate
-            s = self.minimal.gen_degs[0]
+            _, g_degs, f_in, perm = self._tate
+            s = 0 if perm else self.minimal.gen_degs[0]  # m's bases are k's
             out = [(s + sum(g_degs[j] for j in I) + sum(bk * f[2] for bk, f in zip(b, f_in)), I, b)
                    for b in product(range(i // 2 + 1), repeat=len(f_in)) if 2 * sum(b) <= i
                    for I in combinations(range(len(g_degs)), i - 2 * sum(b))]
@@ -367,9 +403,10 @@ class FreeResolution:
 
     def _tate_step(self, i: int, row_degs: Sequence[int], stop: int) -> Step:
         """F_i -> F_{i-1} of M, d(e_I T^(b)) = d(e_I) T^(b) + (-1)^|I| sum_k e_I dT_k T^(b-1_k),
-        its entries built on first read."""
-        A, (g, _, f_in) = self.ring, self._tate
-        cols, rows = self._tate_basis(i), self._tate_basis(i - 1)
+        its entries built on first read: G_i -> G_{i-1}, or G_{i+1} -> G_i for M = m."""
+        A, (g, _, f_in, perm) = self.ring, self._tate
+        shift = perm is not None
+        cols, rows = self._tate_basis(i + shift), self._tate_basis(i - 1 + shift)
 
         def build():
             index = {(I, b): r for r, (_, I, b) in enumerate(rows)}
@@ -382,6 +419,8 @@ class FreeResolution:
                         if j not in I:  # e_I e_j = (-1)^#{t in I: t > j} e_{I + j}
                             row = index[tuple(sorted(I + (j,))), b[:k] + (b[k] - 1,) + b[k + 1:]]
                             grid[row][c] = a[(len(I) + sum(t > j for t in I)) % 2]
+            if perm and i == 2:
+                grid = [[-e if neg else e for e in grid[t]] for t, neg in perm]
             return tuple(map(tuple, grid))
 
         return Step(tuple(row_degs), tuple(e[0] for e in cols), build, stop, True, "tate")

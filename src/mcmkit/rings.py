@@ -569,20 +569,21 @@ class QuotientRing:
         ``flatnonzero`` over the whole matrix finds every nonzero coordinate,
         and each goes to the block it falls in as the coefficient of that
         block's standard monomial, in ascending order.  Every zero block is the
-        ring's one zero of degree None.
+        ring's one zero of degree None; a block's element is made at its first nonzero.
         """
         offsets = self.block_offsets(degs)
         rows = self.field.vector(np.asarray(rows)[:, :offsets[-1]])
         width, flat = rows.shape[1], rows.ravel()
         nonzero = np.flatnonzero(flat)
-        polys: List[List[Poly]] = [[{} for _ in degs] for _ in range(len(rows))]
+        out = [[self._zero] * len(degs) for _ in range(len(rows))]
         for k, c in zip(nonzero.tolist(), flat[nonzero].tolist()):
             r, i = divmod(k, width)
             j = bisect_right(offsets, i) - 1
             pc = self._pieces[degs[j]]
-            polys[r][j][pc.monos[pc.std[i - offsets[j]]]] = c
-        return [[RingElement(self, poly, d) if poly else self._zero for poly, d in zip(row, degs)]
-                for row in polys]
+            if out[r][j] is self._zero:
+                out[r][j] = RingElement(self, {}, degs[j])
+            out[r][j].poly[pc.monos[pc.std[i - offsets[j]]]] = c
+        return out
 
     def join_coords(self, elements: Sequence["RingElement"], degs: Sequence[int]):
         """The coordinates of ring elements of degrees degs, block after block, as one vector.

@@ -61,3 +61,19 @@ def kernel_step_calls(monkeypatch):
 
     monkeypatch.setattr(mcmkit.resolution, "kernel_step", counting)
     return calls
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """A list that grows by one on every call of ``resolution._solve_companion``,
+    holding whether that solve found psi."""
+    calls = []
+    real = mcmkit.resolution._solve_companion
+
+    def counting(*args):
+        psi = real(*args)
+        calls.append(psi is not None)
+        return psi
+
+    monkeypatch.setattr(mcmkit.resolution, "_solve_companion", counting)
+    return calls

@@ -12,7 +12,7 @@ from mcmkit.cisupport import (
 )
 from mcmkit.errors import UsageError
 from mcmkit.linalg import DenseMatrix, intersect_rowspaces
-from mcmkit.modules import GradedModule, free_module, residue_field_module
+from mcmkit.modules import GradedModule, free_module, maximal_ideal_module, residue_field_module
 from mcmkit.resolution import resolve
 from mcmkit.rings import BlockSystem, WeightedPolyRing, grid_mul
 from test_tate_route import SMALL_CIS, cyclic, koszul, take_x
@@ -168,6 +168,22 @@ def test_operators_vanish_on_the_relations_outside_f_in(grid_muls):
     assert not grid_muls
     assert all(m.is_zero() for m in ext.operators[1].values())
     assert not any(m.is_zero() for m in ext.operators[0].values())
+
+
+@pytest.mark.parametrize("ring,betti,cx", [
+    (two_squares, list(range(2, 11)), 2),
+    (lambda: load_catalog("ade:A3:dim1").ring, [2] * 9, 1),
+], ids=["(x^2,y^2)", "ade:A3:dim1"])
+def test_operators_of_m_are_solved_on_k_s_complex_one_step_on(ring, betti, cx, grid_muls):
+    # m's steps are Tate's complex of k one step on, its F_0 and F_1 in m's own order:
+    # the closed form, which indexes Tate's bases by position, is not taken
+    A = ring()
+    ci, m = CIPresentation.from_ring(A), maximal_ideal_module(A)
+    ext = eisenbud_operators(ci, m, 6)
+    assert all(s.route == "tate" for s in resolve(m, 8).steps[1:]) and grid_muls
+    assert ext.betti == betti and ext.commute_exactly()
+    assert support_annihilator_window(ext, tdeg_max=2).cx_from_variety == cx
+    assert matrices(ext) == reference_operators(ci, maximal_ideal_module(A), 6)
 
 
 def test_operators_off_tates_complex_are_solved_as_before(grid_muls):

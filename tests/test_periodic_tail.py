@@ -5,7 +5,8 @@ summand is the cokernel of a reduced matrix factorization (Eisenbud, Trans.
 AMS 260, 1980).  So once Syz_n(M) is maximal Cohen-Macaulay with a square
 presentation phi, ``FreeResolution.tail`` solves phi psi = f Id once, and the
 steps after it are psi and phi in turn, with no kernel scan.  Each test
-compares the resolution with the scan (``conftest.cold_chain``).
+compares the resolution with the scan (``conftest.cold_chain``), but m's: m
+is read off Tate's complex of k, and its tail is solved only when asked.
 """
 
 import pytest
@@ -21,22 +22,6 @@ from mcmkit.rings import WeightedPolyRing
 from conftest import cold_chain, step_data, step_shape
 
 
-@pytest.fixture
-def solves(monkeypatch):
-    """A list that grows by one on every call of ``resolution._solve_companion``,
-    holding whether that solve found psi."""
-    calls = []
-    real = mcmkit.resolution._solve_companion
-
-    def counting(*args):
-        psi = real(*args)
-        calls.append(psi is not None)
-        return psi
-
-    monkeypatch.setattr(mcmkit.resolution, "_solve_companion", counting)
-    return calls
-
-
 def assert_matches_the_scan(res, scan):
     assert [step_shape(s) for s in res.steps] == [step_shape(s) for s in scan.steps]
     for n in (1, 2):
@@ -44,18 +29,18 @@ def assert_matches_the_scan(res, scan):
 
 
 @pytest.mark.parametrize("name", catalog_names())
-def test_m_scans_only_until_its_syzygy_is_maximal_cohen_macaulay(name, kernel_step_calls, solves):
-    # m has depth 1: MCM over a curve, where its 2 x 2 presentation solves; over a
-    # surface F_2 is scanned and Syz_1(m)'s 4 x 4 presentation solves
+def test_m_resolves_with_no_scan_and_solves_its_tail_only_when_asked(name, kernel_step_calls,
+                                                                     solves):
+    # m = Syz_1(k) is read off Tate's complex of k; the tail record is solved only on
+    # request, on the first square step at n = d - 1: m's 2 x 2 presentation over a
+    # curve, Syz_1(m)'s 4 x 4 one over a surface
     A = load_catalog(name).ring
-    scan = cold_chain(maximal_ideal_module(A), 7)
-    kernel_step_calls.clear()
     res = resolve(maximal_ideal_module(A), 7)
+    assert [s.route for s in res.steps] == ["presentation"] + ["tate"] * 6
+    assert res.certified and not kernel_step_calls and not solves
     d = A.artinian_reduction[0]
-    assert len(kernel_step_calls) == d - 1
     assert res.tail()[0] == d - 1 and solves == [True]
-    assert res.certified
-    assert_matches_the_scan(res, scan)
+    assert not kernel_step_calls
 
 
 def test_a_square_presentation_below_d_minus_depth_is_not_solved_and_keeps_scanning(

@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 from mcmkit.catalog import catalog_names, load_catalog, nonci_gorenstein_ring
 from mcmkit.errors import Inconclusive, UsageError
 from mcmkit.linalg import QQ
-from mcmkit.rings import MAX_INTERNAL_DEGREE, WeightedPolyRing, fit_hilbert_samuel, poly_mul
+from mcmkit.rings import (MAX_INTERNAL_DEGREE, RingElement, WeightedPolyRing,
+                          fit_hilbert_samuel, poly_mul)
 
 
 def circle_ring(p=7):
@@ -312,6 +314,52 @@ def test_split_coords_matches_the_block_by_block_read_back(char):
 
     assert read(A.split_coords(np.stack(arrays), degs)) == \
         [read(A.split_coords([vec], degs))[0] for vec in arrays]
+
+
+def _split_with_a_dict_per_block(A, rows, degs):
+    """``split_coords`` as it was: an empty dict for every (row, block), filled from one
+    ``flatnonzero``, and each empty one replaced by the ring's zero."""
+    offsets = A.block_offsets(degs)
+    rows = A.field.vector(np.asarray(rows)[:, :offsets[-1]])
+    width, flat = rows.shape[1], rows.ravel()
+    nonzero = np.flatnonzero(flat)
+    polys = [[{} for _ in degs] for _ in range(len(rows))]
+    for k, c in zip(nonzero.tolist(), flat[nonzero].tolist()):
+        r, i = divmod(k, width)
+        j = bisect_right(offsets, i) - 1
+        pc = A.piece(degs[j])
+        polys[r][j][pc.monos[pc.std[i - offsets[j]]]] = c
+    return [[RingElement(A, poly, d) if poly else A.zero() for poly, d in zip(row, degs)]
+            for row in polys]
+
+
+@pytest.mark.parametrize("char", [5, 0])
+def test_split_coords_allocates_only_the_blocks_it_fills(char):
+    A = WeightedPolyRing(char, ["x", "y", "z"], [1, 1, 2]).quotient(
+        ["x^2-y^2", "x*y*z", "z^2+x^3*y", "y^3"])
+    rng = random.Random(char + 11)
+    degs = [2, -1, 0, 3, 1, 12, 2, 4]
+    n = sum(A.hilbert_function(d) for d in degs)
+    for _ in range(20):
+        # about a third of the rows zero, and each block zero in about half the rest
+        rows = np.zeros((rng.randint(1, 6), n), dtype=np.int64 if char else object)
+        for row in rows:
+            if rng.random() < 0.35:
+                continue
+            for r0, r1 in zip(A.block_offsets(degs), A.block_offsets(degs)[1:]):
+                if rng.random() < 0.5:
+                    row[r0:r1] = [rng.choice([0, 1, 2, 4]) for _ in range(r1 - r0)]
+        if not char:
+            rows = rows * Fraction(1, 3)
+        want = _split_with_a_dict_per_block(A, rows, degs)
+        got = A.split_coords(rows, degs)
+        assert [[(list(e.poly.items()), e.degree) for e in row] for row in got] == \
+            [[(list(e.poly.items()), e.degree) for e in row] for row in want]
+        # every zero block is the ring's one zero, and no two blocks share a dict
+        assert all((e is A.zero()) == (not w.poly) for row, wrow in zip(got, want)
+                   for e, w in zip(row, wrow))
+        polys = [id(e.poly) for row in got for e in row if e.poly]
+        assert len(polys) == len(set(polys))
 
 
 @pytest.mark.parametrize("weights", [(1,), (3,), (1, 1), (3, 2), (1, 1, 2), (5, 5, 2), (1, 1, 1, 1)])

@@ -9,7 +9,10 @@ Tate's complex A<e_1..e_r; T_k for f_k in F_in>, de_j = g_j and
 dT_k = sum_j a_kj e_j, is M's minimal resolution (Tate, Illinois J. Math. 1,
 1957).  k presented by the variables, A/(x^a, y^b) and A/(x) are such
 modules, so ``FreeResolution.extend`` builds their steps with no kernel
-scan.  Each test compares that route with the scan (``conftest.cold_chain``).
+scan.  So is m = Syz_1(k) when its presentation is Tate's d_2 of k up to a
+permutation of its rows within equal degrees and a signed permutation of its
+columns: its steps from F_2 on are Tate's from G_3 on.  Each test compares
+that route with the scan (``conftest.cold_chain``).
 """
 
 from pathlib import Path
@@ -20,8 +23,9 @@ from mcmkit.catalog import catalog_names, load_catalog, nonci_gorenstein_ring
 from mcmkit.cli import load_module
 from mcmkit.errors import DegreeBoundExceeded
 from mcmkit.homs import is_isomorphic
-from mcmkit.modules import GradedModule, residue_field_module
-from mcmkit.resolution import resolve
+from mcmkit.modules import (GradedModule, _depth_as, _minimal_as, maximal_ideal_module,
+                            residue_field_module)
+from mcmkit.resolution import FreeResolution, resolve
 from mcmkit.rings import WeightedPolyRing, grid_mul
 from conftest import cold_chain, step_data, step_shape
 
@@ -48,7 +52,7 @@ def route_cases():
     return out
 
 
-def assert_read_off_tate(fresh, H, kernel_step_calls):
+def assert_read_off_tate(fresh, H, kernel_step_calls, syzygies=(1, 2, 3)):
     """The module fresh() gives resolves to H with no kernel scan, as cold_chain does."""
     A = fresh().ring
     scan = cold_chain(fresh(), H)
@@ -62,7 +66,7 @@ def assert_read_off_tate(fresh, H, kernel_step_calls):
     # a complex: each composite of two differentials vanishes over A
     for a, b in zip(res.steps, res.steps[1:]):
         assert all(e.is_zero() for row in grid_mul(A, a.entries, b.entries) for e in row)
-    for n in (1, 2, 3):
+    for n in syzygies:
         assert is_isomorphic(res.syzygy_module(n), scan.syzygy_module(n)), n
 
 
@@ -134,6 +138,58 @@ def test_tates_differential_over_the_cusp():
     assert [[str(e) for e in row] for row in res.steps[2].entries] == [["x", "-1*y^2"], ["y", "x"]]
 
 
+def m_cases():
+    # (x*y, z*w) and (x*y, z^2) present m with x e_y and y e_x where Tate's d_2 has
+    # the Koszul relation y e_x - x e_y: not a signed permutation, so m is scanned
+    out = [pytest.param(load_catalog(name).ring, id=name) for name in catalog_names()]
+    out += [pytest.param(WeightedPolyRing(7, list(v)).quotient(rels), id=",".join(rels))
+            for v, rels in SMALL_CIS if "x*y" not in rels]
+    out += [pytest.param(load_module(str(QQ / f"{name}.json")).ring, id=f"QQ:{name}")
+            for name in ("cusp_m", "squares_k")]
+    return out
+
+
+@pytest.mark.parametrize("A", m_cases())
+def test_m_is_read_off_tates_complex_of_k_one_step_on(A, kernel_step_calls, solves):
+    H = 4
+    assert_read_off_tate(lambda: maximal_ideal_module(A), H, kernel_step_calls, (1, 2))
+    assert [s.route for s in resolve(maximal_ideal_module(A), H).steps] == \
+        ["presentation"] + ["tate"] * (H - 1)
+    assert not solves
+
+
+def doubled(M):
+    """M with its first relation doubled: the same module, presented as minimally, with
+    the same depth, but no longer a signed permutation of Tate's d_2."""
+    P = [[e.scale(2) if c == 0 else e for c, e in enumerate(row)] for row in M.presentation]
+    N = _depth_as(GradedModule(M.ring, M.gen_degs, M.rel_degs, P, label=M.label, check=False),
+                  M._depth)
+    return _minimal_as(N, N)
+
+
+def test_outside_the_transport_m_keeps_its_steps(kernel_step_calls, solves):
+    # over a ring that is not a complete intersection, every step is scanned
+    A = nonci_gorenstein_ring()
+    want = [step_data(s) for s in cold_chain(maximal_ideal_module(A), 4).steps]
+    kernel_step_calls.clear()
+    res = resolve(maximal_ideal_module(A), 4)
+    assert res._tate is None and [step_data(s) for s in res.steps] == want
+    assert len(kernel_step_calls) == 3
+    # doubled m over a surface: F_2 scanned, then the tail solved on Syz_1's 4 x 4 presentation
+    A = load_catalog("ade:A3:dim2").ring
+    scan = cold_chain(doubled(maximal_ideal_module(A)), 5)
+    kernel_step_calls.clear()
+    res = resolve(doubled(maximal_ideal_module(A)), 5)
+    assert res._tate is None and res.certified
+    assert [s.route for s in res.steps] == ["presentation", "scan", "tail", "tail", "tail"]
+    assert len(kernel_step_calls) == 1 and solves == [True]
+    assert [step_shape(s) for s in res.steps] == [step_shape(s) for s in scan.steps]
+    assert step_data(res.steps[1]) == step_data(scan.steps[1])
+    # over x - y^2, k's G_1 is <e_y> alone: no free module of the weights' degrees is m
+    A = WeightedPolyRing(5, ["x", "y"], [2, 1]).quotient(["x-y^2"])
+    assert FreeResolution(GradedModule(A, [1, 2], [], [[], []]), None)._tate is None
+
+
 @pytest.mark.parametrize("A", [pytest.param(nonci_gorenstein_ring(), id="nonci-gorenstein")])
 def test_outside_the_route_k_is_scanned_as_before(A, kernel_step_calls):
     H = 5
@@ -155,6 +211,7 @@ def test_the_route_raises_at_exactly_the_caps_the_scan_does():
     A = load_catalog("ade:A4:dim1").ring
     for label, fresh, H, caps in [
         ("k", lambda: residue_field_module(A), 8, range(1, 60)),
+        ("m", lambda: maximal_ideal_module(A), 4, range(1, 40)),
         ("koszul(4,5)+3", lambda: koszul(4, 5, 3), 4, range(1, 30)),
         ("A/(x)", lambda: take_x(7), 12, range(1, 30)),
         ("(x,y)", lambda: cyclic("xyz", [1, 2, 3], ["x^6+y^3", "z^2"], ["x", "y"]), 8, range(1, 60)),
