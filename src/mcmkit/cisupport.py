@@ -129,7 +129,7 @@ def eisenbud_operators(ci: CIPresentation, M: GradedModule, H: int,
     betti = res.betti_numbers(H + 2)
     # the closed form indexes Tate's bases by position: not m's, which are k's one step on
     tate = list(ci.regular_sequence) == list(A.relations) and all(
-        s.route == "tate" for s in res.steps[1:H + 2]) and res._tate[3] is None
+        s.route == "tate" for s in res.steps[1:H + 2]) and not res._shifted
     operators: List[Dict[int, DenseMatrix]] = [dict() for _ in range(c)]
     field = Q.field
     u_degs = [u.degree for u in us]

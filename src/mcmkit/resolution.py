@@ -55,8 +55,8 @@ resolves R/(g) = M over R/(F_in) = A (Tate, 1957, Theorem 4), minimally, as g
 and every a_kj lie in m: k presented by the variables when every f_k lies in
 m^2, A/(x^a, y^b) over k[x,y,z]/(z^2), A/(x) over k[x,y]/(x^2, y^2).  If M's
 presentation is k's d_2 up to a permutation of its rows within equal degrees and
-a signed one of its columns (``FreeResolution._transport``), M = coker d_2 = m
-and F_i is k's G_{i+1}, step 2's rows mapped back: m over the catalogs.  Over
+a signed one of its columns (``FreeResolution._transport``), M = coker d_2 = m:
+F_i is k's G_{i+1}, d_2's rows mapped back, stop g_{i+1}: m over the catalogs.  Over
 A = S/(f), a reduced matrix factorization phi psi = f Id over S with
 Syz_n(M) = coker phi gives ... -psi-> A^n -phi-> A^n -> Syz_n(M): over the domain
 S, ker phi = im psi, ker psi = im phi, and neither has a unit entry (Eisenbud,
@@ -239,12 +239,13 @@ class FreeResolution:
         a certified CI), and max(F_{i-1}) + s once i - 1 >= d - depth(M), for
         the ring's ``artinian_reduction`` (d, s) and the depth M has by
         construction (0 when none is known).  prev_degs are F_{i-1}'s
-        generator degrees.
+        generator degrees.  For M = m read off k's complex (``_shifted``),
+        Tor_i(m, k) = Tor_{i+1}(k, k) gives g_{i+1}, as k has T = 0.
         """
         stops = []
-        g = tate_degree(self.ring, i)
-        if g is not None and self._top is not None:
-            stops.append(self._top + g)
+        g = tate_degree(self.ring, i + self._shifted)
+        if g is not None and (top := 0 if self._shifted else self._top) is not None:
+            stops.append(top + g)
         reduction = self.ring.artinian_reduction
         if reduction is not None and i - 1 >= reduction[0] - (self.minimal._depth or 0):
             stops.append(max(prev_degs) + reduction[1])
@@ -361,6 +362,11 @@ class FreeResolution:
         return (([(e, -e) for e in g], g_degs, f_in, None) if len(g) + f_out == len(A.variables)
                 else None)
 
+    @cached_property
+    def _shifted(self) -> int:
+        """1 when M is m and its steps are k's Tate complex one step on (``_transport``), else 0."""
+        return int(bool(self._tate) and self._tate[3] is not None)
+
     def _transport(self):
         """k's (g, deg g, F_in) and perm when M's presentation is Tate's d_2 of k with its rows
         permuted within equal degrees and its columns c permuted by pi and multiplied by signs
@@ -383,8 +389,7 @@ class FreeResolution:
         cols, perm = {key(col): t for t, col in enumerate(zip(*D))}, []
         for c in range(len(M.rel_degs)):
             v = [P[r][c] for r in rows]  # M's column c in D's row order
-            t = cols.pop(key(v), None)
-            if t is None:
+            if (t := cols.pop(key(v), None)) is None:
                 return None
             perm.append((t, [e.poly for e in v] != [row[t].poly for row in D]))
         return None if cols else k._tate[:3] + (perm,)
@@ -393,8 +398,8 @@ class FreeResolution:
         """(degree, I, b) of each e_I T^(b) with |I| + 2|b| = i, Tate's basis of G_i, computed
         once: G_1 in g's order (M's, or k's for m), later ones stably sorted by degree."""
         if i not in self._tate_bases:
-            _, g_degs, f_in, perm = self._tate
-            s = 0 if perm else self.minimal.gen_degs[0]  # m's bases are k's
+            _, g_degs, f_in, _ = self._tate
+            s = 0 if self._shifted else self.minimal.gen_degs[0]  # m's bases are k's
             out = [(s + sum(g_degs[j] for j in I) + sum(bk * f[2] for bk, f in zip(b, f_in)), I, b)
                    for b in product(range(i // 2 + 1), repeat=len(f_in)) if 2 * sum(b) <= i
                    for I in combinations(range(len(g_degs)), i - 2 * sum(b))]
@@ -404,8 +409,7 @@ class FreeResolution:
     def _tate_step(self, i: int, row_degs: Sequence[int], stop: int) -> Step:
         """F_i -> F_{i-1} of M, d(e_I T^(b)) = d(e_I) T^(b) + (-1)^|I| sum_k e_I dT_k T^(b-1_k),
         its entries built on first read: G_i -> G_{i-1}, or G_{i+1} -> G_i for M = m."""
-        A, (g, _, f_in, perm) = self.ring, self._tate
-        shift = perm is not None
+        A, (g, _, f_in, perm), shift = self.ring, self._tate, self._shifted
         cols, rows = self._tate_basis(i + shift), self._tate_basis(i - 1 + shift)
 
         def build():
@@ -419,7 +423,7 @@ class FreeResolution:
                         if j not in I:  # e_I e_j = (-1)^#{t in I: t > j} e_{I + j}
                             row = index[tuple(sorted(I + (j,))), b[:k] + (b[k] - 1,) + b[k + 1:]]
                             grid[row][c] = a[(len(I) + sum(t > j for t in I)) % 2]
-            if perm and i == 2:
+            if shift and i == 2:
                 grid = [[-e if neg else e for e in grid[t]] for t, neg in perm]
             return tuple(map(tuple, grid))
 

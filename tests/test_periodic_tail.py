@@ -35,9 +35,12 @@ def test_m_resolves_with_no_scan_and_solves_its_tail_only_when_asked(name, kerne
     # request, on the first square step at n = d - 1: m's 2 x 2 presentation over a
     # curve, Syz_1(m)'s 4 x 4 one over a surface
     A = load_catalog(name).ring
+    scan = cold_chain(maximal_ideal_module(A), 7)
+    kernel_step_calls.clear()
     res = resolve(maximal_ideal_module(A), 7)
     assert [s.route for s in res.steps] == ["presentation"] + ["tate"] * 6
     assert res.certified and not kernel_step_calls and not solves
+    assert_matches_the_scan(res, scan)
     d = A.artinian_reduction[0]
     assert res.tail()[0] == d - 1 and solves == [True]
     assert not kernel_step_calls

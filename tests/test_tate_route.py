@@ -146,6 +146,9 @@ def m_cases():
             for v, rels in SMALL_CIS if "x*y" not in rels]
     out += [pytest.param(load_module(str(QQ / f"{name}.json")).ring, id=f"QQ:{name}")
             for name in ("cusp_m", "squares_k")]
+    # dimension 3: m has depth 1, so F_2 is certified by Tor balance alone, k's one step on
+    out.append(pytest.param(WeightedPolyRing(7, list("xyzw")).quotient(["x^3+y^3+z^3+w^3"]),
+                            id="x^3+y^3+z^3+w^3"))
     return out
 
 
