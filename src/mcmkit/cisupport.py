@@ -127,9 +127,9 @@ def eisenbud_operators(ci: CIPresentation, M: GradedModule, H: int,
     c = len(us)
     res = resolve(M, H + 2, degree_cap=degree_cap)
     betti = res.betti_numbers(H + 2)
-    # the closed form indexes Tate's bases by position: not m's, which are k's one step on
+    # the closed form indexes M's own Tate bases by position: m's steps are k's (``_k``)
     tate = list(ci.regular_sequence) == list(A.relations) and all(
-        s.route == "tate" for s in res.steps[1:H + 2]) and not res._shifted
+        s.route == "tate" for s in res.steps[1:H + 2]) and res._tate
     operators: List[Dict[int, DenseMatrix]] = [dict() for _ in range(c)]
     field = Q.field
     u_degs = [u.degree for u in us]

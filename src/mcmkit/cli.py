@@ -51,7 +51,7 @@ def _poly_ring(spec, modulus: Optional[int]):
         raise UsageError("ring description must be a JSON object")
     char = modulus if modulus is not None else spec.get("char", 7)
     vars_ = spec.get("vars")
-    if not vars_:
+    if not vars_ or not isinstance(vars_, list):
         raise UsageError("ring description needs a 'vars' list")
     return WeightedPolyRing(char, vars_, spec.get("weights")), spec
 

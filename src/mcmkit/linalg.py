@@ -224,6 +224,8 @@ def GF(p: int) -> PrimeField:
 
 
 def field_of_characteristic(char: int):
+    if type(char) is not int:  # bool and float too: the characteristic is read from JSON
+        raise UsageError(f"characteristic must be an integer, not {char!r}")
     return QQ if char == 0 else GF(char)
 
 

@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import DegreeBoundExceeded, UsageError
 from .linalg import DenseMatrix, RowSpace
-from .rings import BlockSystem, QuotientRing, RingElement, fit_hilbert_samuel, poly_key
+from .rings import (BlockSystem, QuotientRing, RingElement, fit_hilbert_samuel, poly_key,
+                    zero_run_top)
 
 __all__ = [
     "GradedModule",
@@ -572,28 +573,18 @@ class ModuleInvariants:
 
 def module_length(M: GradedModule) -> Optional[int]:
     """Total k-dimension, or None when the module is infinite length: the Hilbert function summed
-    to ``top_degree_bound`` when there is one, else scanned to max_weight zeros past max_gen."""
+    to ``top_degree_bound`` when there is one, else to the last nonzero degree before a run of
+    max_weight zeros past max_gen (``rings.zero_run_top``)."""
     if M.num_gens == 0:
         return 0
-    lo, top = M.min_gen_degree(), top_degree_bound(M)
-    if top is not None:
-        return sum(M.hilbert_function(d) for d in range(lo, top + 1))
-    maxw = M.ring.max_weight
-    horizon = M.max_gen_degree() + sum(M.ring.relation_degrees) + 8 * maxw + 10
-    total = 0
-    zeros = 0
-    d = lo
-    while d <= horizon:
-        h = M.hilbert_function(d)
-        total += h
-        if h == 0:
-            zeros += 1
-            if zeros >= maxw and d > M.max_gen_degree():
-                return total
-        else:
-            zeros = 0
-        d += 1
-    return None
+    top, maxw, past = top_degree_bound(M), M.ring.max_weight, M.max_gen_degree() + 1
+    if top is None:
+        horizon = past + sum(M.ring.relation_degrees) + 8 * maxw + 10
+        run = zero_run_top(map(M.hilbert_function, range(past, horizon)), maxw)
+        if run is None:
+            return None
+        top = past + run
+    return sum(M.hilbert_function(d) for d in range(M.min_gen_degree(), top + 1))
 
 
 def hs_lengths(M: GradedModule, s_max: int) -> List[int]:

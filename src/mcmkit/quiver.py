@@ -281,13 +281,13 @@ def build_quiver(catalog: CatalogData) -> ARQuiver:
     arrows = {key: sum(per.values()) for key, per in arrow_degrees.items()}
     q = ARQuiver(ring, d, verts, arrows, arrow_degrees, any(v.residue_degree > 1 for v in verts),
                  sequences)
-    report = closure_check(q, catalog)
+    report = closure_check(q)
     if report:
         raise Inconclusive("catalog incomplete: " + "; ".join(report))
     return q
 
 
-def closure_check(q: ARQuiver, catalog: CatalogData) -> List[str]:
+def closure_check(q: ARQuiver) -> List[str]:
     """Names of functor images that escape the catalog (empty = closed).
 
     An image is in the catalog when its multiplicity vector is complete and
@@ -332,7 +332,7 @@ def reverse_iso_check(q: ARQuiver, functor: str) -> Tuple[bool, Dict[str, str]]:
     if functor not in ("D", "lambda", "link"):
         raise UsageError("functor must be 'D' or 'lambda'")
     if q.images is None:
-        closure_check(q, None)
+        closure_check(q)
     named = q.images["dual" if functor == "D" else "link"]
     mapping: Dict[int, int] = {}
     for i in q.stable_indices():

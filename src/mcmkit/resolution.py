@@ -54,9 +54,9 @@ G = A<e_1..e_r; T_k for f_k in F_in>, de_j = g_j and dT_k = sum_j a_kj e_j,
 resolves R/(g) = M over R/(F_in) = A (Tate, 1957, Theorem 4), minimally, as g
 and every a_kj lie in m: k presented by the variables when every f_k lies in
 m^2, A/(x^a, y^b) over k[x,y,z]/(z^2), A/(x) over k[x,y]/(x^2, y^2).  If M's
-presentation is k's d_2 up to a permutation of its rows within equal degrees and
-a signed one of its columns (``FreeResolution._transport``), M = coker d_2 = m:
-F_i is k's G_{i+1}, d_2's rows mapped back, stop g_{i+1}: m over the catalogs.  Over
+presentation is k's d_2, rows stably sorted by degree, up to a signed permutation
+of its columns (``FreeResolution._k``), M = coker d_2 = m: F_i is k's G_{i+1} and
+stops where k's does, step 2's rows mapped back: m over the catalogs.  Over
 A = S/(f), a reduced matrix factorization phi psi = f Id over S with
 Syz_n(M) = coker phi gives ... -psi-> A^n -phi-> A^n -> Syz_n(M): over the domain
 S, ker phi = im psi, ker psi = im phi, and neither has a unit entry (Eisenbud,
@@ -239,13 +239,15 @@ class FreeResolution:
         a certified CI), and max(F_{i-1}) + s once i - 1 >= d - depth(M), for
         the ring's ``artinian_reduction`` (d, s) and the depth M has by
         construction (0 when none is known).  prev_degs are F_{i-1}'s
-        generator degrees.  For M = m read off k's complex (``_shifted``),
-        Tor_i(m, k) = Tor_{i+1}(k, k) gives g_{i+1}, as k has T = 0.
+        generator degrees.  For M = m read off k's complex (``_k``), it is k's stop for
+        G_{i+1}, as Tor_i(m, k) = Tor_{i+1}(k, k).
         """
+        if self._k:
+            return self._k[0].stop(i + 1, prev_degs)
         stops = []
-        g = tate_degree(self.ring, i + self._shifted)
-        if g is not None and (top := 0 if self._shifted else self._top) is not None:
-            stops.append(top + g)
+        g = tate_degree(self.ring, i)
+        if g is not None and self._top is not None:
+            stops.append(self._top + g)
         reduction = self.ring.artinian_reduction
         if reduction is not None and i - 1 >= reduction[0] - (self.minimal._depth or 0):
             stops.append(max(prev_degs) + reduction[1])
@@ -280,7 +282,7 @@ class FreeResolution:
             i = len(self.steps) + 1  # this step finds the generators of F_i
             stop = self.stop(i, prev.col_degs)
             cap = self._auto_cap(i, stop)
-            known = (self._tate_step if self._tate
+            known = (self._tate_step if self._tate else self._k_step if self._k
                      else self._factorization_step if self.tail() else None)
             if stop is not None and stop <= cap and known is not None:
                 self.steps.append(known(i, prev.col_degs, stop))
@@ -313,11 +315,10 @@ class FreeResolution:
 
     @cached_property
     def _tate(self):
-        """(g, deg g, F_in, perm) of Tate's complex where the module docstring's certificate holds,
-        else None.  F_in lists (l, c_l^-1, deg f_l, [(j, a_lj)]) for each f_l = sum_j a_lj g_j
-        over S, scaled by c_l^-1 for f_l's lex-first coefficient c_l; each g_j and a_lj comes
-        with its negative, as (x, -x).  perm is None for a cyclic M, and for M = m
-        ``_transport``'s signed permutation, with g, deg g and F_in those of k.
+        """(g, deg g, F_in) of M's own Tate complex where the module docstring's certificate
+        holds, else None.  F_in lists (l, c_l^-1, deg f_l, [(j, a_lj)]) for each
+        f_l = sum_j a_lj g_j over S, scaled by c_l^-1 for f_l's lex-first coefficient c_l; each
+        g_j and a_lj comes with its negative, as (x, -x).
 
         Every g_j must be one term c_j x^alpha_j, and the a_lj are read off by division.  They
         are the particular solution that ``solve`` returns for the columns u g_j of
@@ -328,9 +329,7 @@ class FreeResolution:
         there for each term c x^mu of f_l and 0 in every other column; the system is
         inconsistent exactly when some term is hit by no column, and then f_l lies in F_out."""
         A, M = self.ring, self.minimal
-        if A.is_certified_ci and M.num_gens != 1:
-            return self._transport()
-        if not A.is_certified_ci or self._top is None:
+        if M.num_gens != 1 or not A.is_certified_ci or self._top is None:
             return None
         g, field = M.presentation[0], A.field
         g_degs = [r - M.gen_degs[0] for r in M.rel_degs]
@@ -359,21 +358,17 @@ class FreeResolution:
             inv = field.inv(f[max(f)])
             f_in.append((l, inv, deg, [(j, (x := A.element(p, deg - g_degs[j]).scale(inv), -x))
                                        for j, p in enumerate(a) if p]))
-        return (([(e, -e) for e in g], g_degs, f_in, None) if len(g) + f_out == len(A.variables)
-                else None)
+        return ([(e, -e) for e in g], g_degs, f_in) if len(g) + f_out == len(A.variables) else None
 
     @cached_property
-    def _shifted(self) -> int:
-        """1 when M is m and its steps are k's Tate complex one step on (``_transport``), else 0."""
-        return int(bool(self._tate) and self._tate[3] is not None)
-
-    def _transport(self):
-        """k's (g, deg g, F_in) and perm when M's presentation is Tate's d_2 of k with its rows
-        permuted within equal degrees and its columns c permuted by pi and multiplied by signs
-        eps_c, checked entry by entry; else None.  perm lists (pi(c), eps_c == -1) by c.  Then
-        M = coker d_2 = m, and F_i of M is G_{i+1} of k, step 2's rows mapped back through perm."""
+    def _k(self):
+        """(k's resolution, perm) when M's presentation is Tate's d_2 of k with its rows paired
+        with d_2's by a stable sort on degree (the order ``maximal_ideal_module`` lists m's
+        generators in) and its columns c permuted by pi and multiplied by signs eps_c, checked
+        entry by entry; else None.  perm lists (pi(c), eps_c == -1) by c.  Then M = coker d_2 = m,
+        and F_i of M is G_{i+1} of k (``_k_step``), each of k's bases built once, on k."""
         A, M = self.ring, self.minimal
-        if sorted(M.gen_degs) != sorted(A.weights):
+        if M.num_gens == 1 or not A.is_certified_ci or sorted(M.gen_degs) != sorted(A.weights):
             return None
         k = FreeResolution(residue_field_module(A), None)
         if k._tate is None or len(k._tate[0]) != len(A.weights):  # G_1 must be the variables
@@ -383,23 +378,23 @@ class FreeResolution:
         def key(v):  # v up to sign
             return min(tuple(poly_key(e.poly) for e in v), tuple(poly_key((-e).poly) for e in v))
 
-        def by_row(degs, X):  # a guess at the row permutation, which the columns then check
-            return sorted(range(len(X)), key=lambda r: (degs[r], sorted(key([e]) for e in X[r])))
-        rows = [r for _, r in sorted(zip(by_row(A.weights, D), by_row(M.gen_degs, P)))]
+        def by_degree(degs):
+            return sorted(range(len(degs)), key=degs.__getitem__)
+        rows = [r for _, r in sorted(zip(by_degree(k._tate[1]), by_degree(M.gen_degs)))]
         cols, perm = {key(col): t for t, col in enumerate(zip(*D))}, []
         for c in range(len(M.rel_degs)):
             v = [P[r][c] for r in rows]  # M's column c in D's row order
             if (t := cols.pop(key(v), None)) is None:
                 return None
             perm.append((t, [e.poly for e in v] != [row[t].poly for row in D]))
-        return None if cols else k._tate[:3] + (perm,)
+        return None if cols else (k, perm)
 
     def _tate_basis(self, i: int):
         """(degree, I, b) of each e_I T^(b) with |I| + 2|b| = i, Tate's basis of G_i, computed
-        once: G_1 in g's order (M's, or k's for m), later ones stably sorted by degree."""
+        once: G_1 in g's order, later ones stably sorted by degree."""
         if i not in self._tate_bases:
-            _, g_degs, f_in, _ = self._tate
-            s = 0 if self._shifted else self.minimal.gen_degs[0]  # m's bases are k's
+            _, g_degs, f_in = self._tate
+            s = self.minimal.gen_degs[0]
             out = [(s + sum(g_degs[j] for j in I) + sum(bk * f[2] for bk, f in zip(b, f_in)), I, b)
                    for b in product(range(i // 2 + 1), repeat=len(f_in)) if 2 * sum(b) <= i
                    for I in combinations(range(len(g_degs)), i - 2 * sum(b))]
@@ -408,9 +403,9 @@ class FreeResolution:
 
     def _tate_step(self, i: int, row_degs: Sequence[int], stop: int) -> Step:
         """F_i -> F_{i-1} of M, d(e_I T^(b)) = d(e_I) T^(b) + (-1)^|I| sum_k e_I dT_k T^(b-1_k),
-        its entries built on first read: G_i -> G_{i-1}, or G_{i+1} -> G_i for M = m."""
-        A, (g, _, f_in, perm), shift = self.ring, self._tate, self._shifted
-        cols, rows = self._tate_basis(i + shift), self._tate_basis(i - 1 + shift)
+        its entries built on first read: G_i -> G_{i-1}."""
+        A, (g, _, f_in) = self.ring, self._tate
+        cols, rows = self._tate_basis(i), self._tate_basis(i - 1)
 
         def build():
             index = {(I, b): r for r, (_, I, b) in enumerate(rows)}
@@ -423,11 +418,17 @@ class FreeResolution:
                         if j not in I:  # e_I e_j = (-1)^#{t in I: t > j} e_{I + j}
                             row = index[tuple(sorted(I + (j,))), b[:k] + (b[k] - 1,) + b[k + 1:]]
                             grid[row][c] = a[(len(I) + sum(t > j for t in I)) % 2]
-            if shift and i == 2:
-                grid = [[-e if neg else e for e in grid[t]] for t, neg in perm]
             return tuple(map(tuple, grid))
 
         return Step(tuple(row_degs), tuple(e[0] for e in cols), build, stop, True, "tate")
+
+    def _k_step(self, i: int, row_degs: Sequence[int], stop: int) -> Step:
+        """F_i -> F_{i-1} of M = m (``_k``): k's G_{i+1} -> G_i, step 2's rows mapped back
+        through perm, its entries built on first read."""
+        k, perm = self._k
+        step = k._tate_step(i + 1, row_degs, stop)
+        return step if i > 2 else Step(step.row_degs, step.col_degs, lambda: tuple(
+            tuple(-e if neg else e for e in step.entries[t]) for t, neg in perm), stop, True, "tate")
 
     @cached_property
     def _psi(self):
@@ -596,8 +597,6 @@ def growth_report(M: GradedModule, H: int = 12, degree_cap: Optional[int] = None
         curv = max(b ** (1.0 / n) for n, b in enumerate(betti, start=0) if n >= max(1, 2 * H // 3))
         report = GrowthReport(cx, confident, curv, window, False)
     if compare_with_k:
-        from .modules import residue_field_module
-
         k = residue_field_module(M.ring)
         kr = growth_report(k, H=H, degree_cap=degree_cap)
         if M.ring.is_complete_intersection():

@@ -17,6 +17,7 @@ import re
 from bisect import bisect_right
 from functools import cached_property
 from itertools import accumulate, combinations
+from numbers import Rational
 from operator import add, mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -204,9 +205,9 @@ class WeightedPolyRing:
 
     def __init__(self, characteristic: int, variables: Sequence[str], weights: Optional[Sequence[int]] = None):
         self.field = field_of_characteristic(characteristic)
-        self.variables = tuple(variables)
-        if len(set(self.variables)) != len(self.variables):
-            raise UsageError("variable names must be distinct")
+        names = self.variables = tuple(variables)
+        if not all(isinstance(v, str) for v in names) or len(set(names)) != len(names):
+            raise UsageError("variable names must be distinct strings")
         try:
             self.weights = tuple(int(w) for w in (weights if weights is not None else [1] * len(self.variables)))
         except (TypeError, ValueError):
@@ -338,6 +339,8 @@ class QuotientRing:
         self.field = ambient.field
         rels: List[Poly] = []
         for rel in relations:
+            if not isinstance(rel, (str, dict)):
+                raise UsageError(f"relation {rel!r} is not a polynomial")
             poly = ambient.parse(rel) if isinstance(rel, str) else dict(rel)
             if not poly:
                 raise UsageError("zero relation")
@@ -494,9 +497,11 @@ class QuotientRing:
             poly = self.ambient.parse(value)
         elif isinstance(value, dict):
             poly = dict(value)
-        else:  # scalar
+        elif isinstance(value, Rational) and not isinstance(value, bool):  # an exact scalar
             c = self.field.element(value)
             poly = {self.ambient.unit_mono: c} if c else {}
+        else:
+            raise UsageError(f"{value!r} is not a polynomial or an exact number")
         degs: List[int] = []
         poly = self.normal_form(poly, degs)
         if len(degs) > 1:

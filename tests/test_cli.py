@@ -113,6 +113,34 @@ def test_degrees_that_are_not_integers_are_an_error(tmp_path, capsys):
     assert "degrees" in _error_exit(["invariants", "--module", bad_degs], capsys)
 
 
+SQUARES = {"char": 7, "vars": ["x", "y"], "relations": ["x^2", "y^2"]}
+CUSP_MF = {"ring": {"char": 7, "vars": ["x", "y"], "weights": [3, 2]}, "f": "x^2+y^3",
+           "phi": [["x", "y"], ["y^2", "-x"]], "psi": [["x", "y"], ["y^2", "-x"]]}
+
+
+def _presented(entry, rel_deg=1):
+    return {"ring": SQUARES, "gen_degs": [0], "rel_degs": [rel_deg], "presentation": [[entry]]}
+
+
+@pytest.mark.parametrize("command,data,message", [
+    ("invariants", {"ring": {**SQUARES, "char": "7"}, "builtin": "k"}, "characteristic"),
+    ("invariants", {"ring": {**SQUARES, "char": 7.0}, "builtin": "k"}, "characteristic"),
+    ("invariants", {"ring": {**SQUARES, "vars": [1, "y"], "relations": ["y^2"]}, "builtin": "k"},
+     "variable names"),
+    ("invariants", {"ring": {**SQUARES, "vars": 5}, "builtin": "k"}, "vars"),
+    ("invariants", {"ring": {**SQUARES, "relations": [5]}, "builtin": "k"}, "relation 5"),
+    ("invariants", _presented(["x"]), "['x']"),
+    ("invariants", _presented(1.5, 0), "1.5"),  # not truncated to 1 over GF(7)
+    ("mf-validate", {**CUSP_MF, "f": ["x^2+y^3"]}, "['x^2+y^3']"),
+    ("mf-validate", {**CUSP_MF, "phi": [[["x"], "y"], ["y^2", "-x"]]}, "['x']"),
+], ids=["char-string", "char-float", "variable-number", "vars-number", "relation-number",
+        "entry-list", "entry-float", "f-list", "phi-list"])
+def test_malformed_json_is_an_error(tmp_path, capsys, command, data, message):
+    path = _json_file(tmp_path, "bad.json", data)
+    flag = "--mf" if command == "mf-validate" else "--module"
+    assert message in _error_exit([command, flag, path], capsys)
+
+
 def test_presentation_with_too_few_rows_is_an_error(tmp_path, capsys):
     short = _json_file(tmp_path, "short.json", {
         "ring": {"char": 7, "vars": ["x", "y"], "relations": ["x^2", "y^2"]},

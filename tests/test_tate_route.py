@@ -9,10 +9,11 @@ Tate's complex A<e_1..e_r; T_k for f_k in F_in>, de_j = g_j and
 dT_k = sum_j a_kj e_j, is M's minimal resolution (Tate, Illinois J. Math. 1,
 1957).  k presented by the variables, A/(x^a, y^b) and A/(x) are such
 modules, so ``FreeResolution.extend`` builds their steps with no kernel
-scan.  So is m = Syz_1(k) when its presentation is Tate's d_2 of k up to a
-permutation of its rows within equal degrees and a signed permutation of its
-columns: its steps from F_2 on are Tate's from G_3 on.  Each test compares
-that route with the scan (``conftest.cold_chain``).
+scan.  So is m = Syz_1(k) when its presentation is Tate's d_2 of k, its rows
+paired with d_2's by a stable sort on degree, up to a signed permutation of its
+columns: its steps from F_2 on are Tate's from G_3 on, read off k's own
+resolution (``FreeResolution._k``).  Each test compares that route with the
+scan (``conftest.cold_chain``).
 """
 
 from pathlib import Path
@@ -161,6 +162,52 @@ def test_m_is_read_off_tates_complex_of_k_one_step_on(A, kernel_step_calls, solv
     assert not solves
 
 
+@pytest.fixture
+def bases_built(monkeypatch):
+    """A list that grows by i each time a resolution builds Tate's basis of G_i."""
+    built = []
+    real = FreeResolution._tate_basis
+
+    def counting(res, i):
+        if i not in res._tate_bases:
+            built.append(i)
+        return real(res, i)
+
+    monkeypatch.setattr(FreeResolution, "_tate_basis", counting)
+    return built
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_m_builds_each_of_ks_bases_once(name, bases_built):
+    res = resolve(maximal_ideal_module(load_catalog(name).ring), 7)
+    assert sorted(bases_built) == list(range(1, 9))
+    assert res._tate is None and res._k is not None
+
+
+def swapped(M):
+    """M with its first two rows, of equal degree, swapped: the same module, presented as
+    minimally, with the same depth, but its rows no longer meet d_2's in degree order."""
+    assert M.gen_degs[0] == M.gen_degs[1]
+    P = [M.presentation[1], M.presentation[0]] + list(M.presentation[2:])
+    N = _depth_as(GradedModule(M.ring, M.gen_degs, M.rel_degs, P, label=M.label, check=False),
+                  M._depth)
+    return _minimal_as(N, N)
+
+
+@pytest.mark.parametrize("variables,relations", [("xy", ["x^2", "y^2"]),
+                                                 ("xyz", ["x^3+y^3+z^3"])])
+def test_a_row_swapped_m_falls_back_to_the_scan(variables, relations):
+    # over (x^2, y^2) the rows of d_2 have the same entries up to sign, over x^3 + y^3 + z^3
+    # they do not; either way a swapped m is not read off k's complex
+    A, H = WeightedPolyRing(7, list(variables)).quotient(relations), 5
+    scan = cold_chain(swapped(maximal_ideal_module(A)), H)
+    res = resolve(swapped(maximal_ideal_module(A)), H)
+    assert res._k is None and "tate" not in [s.route for s in res.steps]
+    assert res.betti_table(H) == scan.betti_table(H)
+    for n in (1, 2):
+        assert is_isomorphic(res.syzygy_module(n), scan.syzygy_module(n)), n
+
+
 def doubled(M):
     """M with its first relation doubled: the same module, presented as minimally, with
     the same depth, but no longer a signed permutation of Tate's d_2."""
@@ -170,27 +217,27 @@ def doubled(M):
     return _minimal_as(N, N)
 
 
-def test_outside_the_transport_m_keeps_its_steps(kernel_step_calls, solves):
+def test_off_ks_complex_m_keeps_its_steps(kernel_step_calls, solves):
     # over a ring that is not a complete intersection, every step is scanned
     A = nonci_gorenstein_ring()
     want = [step_data(s) for s in cold_chain(maximal_ideal_module(A), 4).steps]
     kernel_step_calls.clear()
     res = resolve(maximal_ideal_module(A), 4)
-    assert res._tate is None and [step_data(s) for s in res.steps] == want
+    assert res._k is None and [step_data(s) for s in res.steps] == want
     assert len(kernel_step_calls) == 3
     # doubled m over a surface: F_2 scanned, then the tail solved on Syz_1's 4 x 4 presentation
     A = load_catalog("ade:A3:dim2").ring
     scan = cold_chain(doubled(maximal_ideal_module(A)), 5)
     kernel_step_calls.clear()
     res = resolve(doubled(maximal_ideal_module(A)), 5)
-    assert res._tate is None and res.certified
+    assert res._k is None and res.certified
     assert [s.route for s in res.steps] == ["presentation", "scan", "tail", "tail", "tail"]
     assert len(kernel_step_calls) == 1 and solves == [True]
     assert [step_shape(s) for s in res.steps] == [step_shape(s) for s in scan.steps]
     assert step_data(res.steps[1]) == step_data(scan.steps[1])
     # over x - y^2, k's G_1 is <e_y> alone: no free module of the weights' degrees is m
     A = WeightedPolyRing(5, ["x", "y"], [2, 1]).quotient(["x-y^2"])
-    assert FreeResolution(GradedModule(A, [1, 2], [], [[], []]), None)._tate is None
+    assert FreeResolution(GradedModule(A, [1, 2], [], [[], []]), None)._k is None
 
 
 @pytest.mark.parametrize("A", [pytest.param(nonci_gorenstein_ring(), id="nonci-gorenstein")])

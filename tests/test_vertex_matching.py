@@ -94,9 +94,8 @@ def test_a_catalog_missing_a_vertex_is_incomplete(dropped):
 
 def test_closure_check_reports_an_image_outside_the_vertex_list():
     # over x^2 + y^4, linkage swaps N+ and N-, while I1 and N+ are their own duals
-    cat = load_catalog("ade:A3:dim1")
-    assert closure_check(quiver("ade:A3:dim1"), cat) == []
-    report = closure_check(without(quiver("ade:A3:dim1"), "N-"), cat)
+    assert closure_check(quiver("ade:A3:dim1")) == []
+    report = closure_check(without(quiver("ade:A3:dim1"), "N-"))
     assert len(report) == 1
     assert report[0].startswith("link(N+) has mu=1, ") and report[0].endswith("outside the catalog")
 
