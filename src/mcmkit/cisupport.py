@@ -252,6 +252,8 @@ def support_annihilator_window(ext: ExtTModule, tdeg_max: int = 2) -> SupportVar
     lower ones.  The variety dimension comes from the Betti growth fit
     and is cross-checked as cx = dim + 1.
     """
+    if tdeg_max < 1:
+        raise UsageError(f"--tdeg-max must be >= 1, got {tdeg_max}")
     if 2 * tdeg_max > ext.H:
         raise UsageError("homological window too short for the requested t-degree")
     field = ext.module.ring.field

@@ -16,7 +16,9 @@ From it come rad(A, B), isomorphism tests by a dimension count, and the
 certificate that End(M) is local.  A module whose End(M) is not local is
 split by factoring the minimal polynomials of E's basis endomorphisms
 (an element whose minimal polynomial has two coprime factors yields an
-exact idempotent by CRT).
+exact idempotent e by CRT).  Each summand is an exact cokernel:
+eM = M/(1 - e)M, presented by M's relations and the columns of 1 - e,
+so no kernel is scanned.
 
 A free summand needs no idempotent: generators where maps M -> A(-d)
 have independent unit entries split off; deleting their rows leaves the rest.
@@ -31,8 +33,7 @@ import numpy as np
 
 from .errors import Inconclusive, UsageError
 from .linalg import QQ, DenseMatrix, RowSpace
-from .modules import (GradedModule, MElem, _depth_as, _minimal_as, free_module,
-                      submodule_presentation)
+from .modules import GradedModule, _depth_as, _minimal_as, free_module
 from .rings import BlockSystem, grid_mul
 
 __all__ = [
@@ -54,23 +55,12 @@ __all__ = [
 class Hom:
     """A degree-0 homomorphism, with its witness on relations."""
 
-    __slots__ = ("source", "target", "phi", "_system")
+    __slots__ = ("source", "target", "phi")
 
     def __init__(self, source: GradedModule, target: GradedModule, phi):
         self.source = source
         self.target = target
         self.phi = phi  # target.num_gens x source.num_gens ring-element grid
-        self._system = None  # phi as a BlockSystem, compiled by the first apply
-
-    def apply(self, elem: MElem) -> MElem:
-        """Image of a module element."""
-        M, N = self.source, self.target
-        if elem.module is not M:
-            raise UsageError("element not in the source module")
-        if self._system is None:
-            self._system = BlockSystem(M.ring, self.phi, N.gen_degs, M.gen_degs)
-        images = self._system.at(elem.degree)._array()
-        return N.element(elem.degree, M.ring.field.matmul(images, elem.vec))
 
 
 class HomSpace:
@@ -516,12 +506,6 @@ class Decomposition:
         return f"Decomposition[{items}]{flag}"
 
 
-def _image_module(M: GradedModule, h: Hom, label: str) -> GradedModule:
-    gens = [h.apply(g) for g in M.generators()]
-    N, _ = submodule_presentation(M, gens, label=label)
-    return N
-
-
 def decompose(M: GradedModule) -> Decomposition:
     """Split into indecomposables with multiplicities (Krull-Schmidt).
 
@@ -544,12 +528,16 @@ def decompose(M: GradedModule) -> Decomposition:
             break
     else:
         return Decomposition([(Mm, 1)], False, [0])
-    e_hom = E.hs.element_from_coords(idem)
-    one_minus = E.hs.element_from_coords(E.scale_add(-1, idem, E.one))
-    part1 = _image_module(Mm, e_hom, f"{Mm.label}.1" if Mm.label else "part1")
-    part2 = _image_module(Mm, one_minus, f"{Mm.label}.2" if Mm.label else "part2")
-    d1 = decompose(part1)
-    d2 = decompose(part2)
+    # M = eM (+) hM for h = 1 - e, so eM = M/hM = coker[P | h]: column i of h, of degree
+    # gen_degs[i], is h of generator i.  Part 1 is eM, part 2 is (1 - e)M = coker[P | e].
+    parts = []
+    for tag, h in ((1, E.scale_add(-1, idem, E.one)), (2, idem)):
+        phi = E.hs.element_from_coords(h).phi
+        rows = [row + h_row for row, h_row in zip(Mm.presentation, phi)]
+        label = f"{Mm.label}.{tag}" if Mm.label else f"part{tag}"
+        parts.append(GradedModule(Mm.ring, Mm.gen_degs, Mm.rel_degs + Mm.gen_degs, rows,
+                                  label=label, check=False).minimized())
+    d1, d2 = map(decompose, parts)
     merged: List[Tuple[GradedModule, int]] = []
     residue: List[int] = []
     for dec in (d1, d2):

@@ -6,8 +6,10 @@ has degree rel_degs[j] - gen_degs[i].  The degree-d piece of the module
 is the quotient of the degree-d piece of the free cover by the span of
 the relation columns, computed once and cached.
 
-Elements carry their canonical reduced coordinate vector on the free
-cover, so equality, membership and multiplication are all exact.
+A list of module elements is a grid of ring elements, column j holding
+element j's coordinates over the generators, as in a presentation; its
+image in a degree is a ``BlockSystem`` evaluation, and membership is
+decided in the quotient coordinates of that degree's piece.
 """
 
 from __future__ import annotations
@@ -21,12 +23,11 @@ import numpy as np
 
 from .errors import DegreeBoundExceeded, UsageError
 from .linalg import DenseMatrix, RowSpace
-from .rings import (BlockSystem, QuotientRing, RingElement, fit_hilbert_samuel, poly_key,
-                    zero_run_top)
+from .rings import (BlockSystem, QuotientRing, RingElement, fit_hilbert_samuel, integers,
+                    poly_key, zero_run_top)
 
 __all__ = [
     "GradedModule",
-    "MElem",
     "ModuleInvariants",
     "free_module",
     "residue_field_module",
@@ -39,45 +40,21 @@ __all__ = [
 class _ModulePiece:
     """Degree-d data of a module: free-cover size and relation span."""
 
-    __slots__ = ("degree", "total", "rel_space", "std", "std_index")
+    __slots__ = ("degree", "total", "rel_space", "std")
 
     def __init__(self, degree, total, rel_space, std):
         self.degree = degree
         self.total = total
         self.rel_space = rel_space
         self.std = std
-        self.std_index = {c: i for i, c in enumerate(std)}
 
     @property
     def dim(self) -> int:
         return len(self.std)
 
-    def reduce(self, vec):
-        return self.rel_space.reduce(vec)
-
     def coords(self, vec):
         """Quotient coordinates of a vector on the free cover."""
         return self.rel_space.reduce(vec)[list(self.std)]
-
-
-class MElem:
-    """Homogeneous element of a module, as a reduced free-cover vector."""
-
-    __slots__ = ("module", "degree", "vec")
-
-    def __init__(self, module: "GradedModule", degree: int, vec):
-        self.module = module
-        self.degree = degree
-        self.vec = vec
-
-    def is_zero(self) -> bool:
-        return not self.vec.any()
-
-    def coords(self):
-        return self.module.piece(self.degree).coords(self.vec)
-
-    def __repr__(self):
-        return f"MElem(deg={self.degree})"
 
 
 class GradedModule:
@@ -86,11 +63,8 @@ class GradedModule:
     def __init__(self, ring: QuotientRing, gen_degs: Sequence[int], rel_degs: Sequence[int],
                  presentation, label: str = "", check: bool = True):
         self.ring = ring
-        try:
-            self.gen_degs = tuple(int(d) for d in gen_degs)
-            self.rel_degs = tuple(int(d) for d in rel_degs)
-        except (TypeError, ValueError):
-            raise UsageError("generator and relation degrees must be integers")
+        self.gen_degs = integers(gen_degs, "generator degrees")
+        self.rel_degs = integers(rel_degs, "relation degrees")
         self.label = label
         g, r = len(self.gen_degs), len(self.rel_degs)
         if len(presentation) != g or any(len(row) != r for row in presentation):
@@ -180,21 +154,6 @@ class GradedModule:
 
     def hilbert_window(self, lo: int, hi: int) -> Dict[int, int]:
         return {d: self.hilbert_function(d) for d in range(lo, hi + 1)}
-
-    # -- elements -----------------------------------------------------------
-
-    def element(self, degree: int, fvec) -> MElem:
-        pc = self.piece(degree)
-        return MElem(self, degree, pc.reduce(fvec))
-
-    def generator(self, i: int) -> MElem:
-        d = self.gen_degs[i]
-        one, zero = self.ring.one(), self.ring.zero()
-        column = [one if k == i else zero for k in range(self.num_gens)]
-        return self.element(d, self.ring.join_coords(column, [d - a for a in self.gen_degs]))
-
-    def generators(self) -> List[MElem]:
-        return [self.generator(i) for i in range(self.num_gens)]
 
     # -- constructions ---------------------------------------------------------
 
@@ -377,9 +336,8 @@ def maximal_ideal_module(ring: QuotientRing) -> GradedModule:
     m has depth min(1, depth A), from 0 -> m -> A -> k -> 0.
     """
     A = free_module(ring, [0], label="A")
-    gens = [A.element(w, ring.std_coords(x.poly, w)) for x, w in zip(ring.gens(), ring.weights)]
     stop = max(sum(sorted(ring.weights)[-2:]), max(ring.relation_degrees, default=0))
-    N, _ = submodule_presentation(A, gens, label="m", stop=stop)
+    N, _ = submodule_presentation(A, [list(ring.gens())], ring.weights, label="m", stop=stop)
     depth = ring_depth(ring)
     return _depth_as(N, None if depth is None else min(1, depth))
 
@@ -509,33 +467,31 @@ def capture_kernel(ring: QuotientRing, col_degs: Sequence[int], matrix_at, degre
     return tuple(e for e, rows in found for _ in rows), grid, d
 
 
-def submodule_presentation(C: GradedModule, elements: Sequence[MElem],
-                           label: str = "", degree_cap: Optional[int] = None,
-                           stop: Optional[int] = None) -> Tuple[GradedModule, List[MElem]]:
-    """Minimal presentation of the submodule of C generated by elements.
+def submodule_presentation(C: GradedModule, grid, degs: Sequence[int], label: str = "",
+                           degree_cap: Optional[int] = None,
+                           stop: Optional[int] = None) -> Tuple[GradedModule, List[int]]:
+    """Minimal presentation of the submodule of C generated by the columns of grid.
 
-    The elements are tried by degree, in input order within a degree: one
-    is kept when it is not in the span of the monomial multiples of the
-    elements kept before it (``minimal_columns``, in C's quotient
-    coordinates), so zero and repeated elements are dropped.  The
-    relations are the kernel of the evaluation map from the kept
-    elements' free cover to C, captured by ``capture_kernel``: up to a
-    certified ``stop`` when the caller gives one, else windowed by the
-    stall rule.  Returns ``(N, kept)``: kept[g] is generator g of N.
+    Column j holds an element of degree degs[j] by its ring-element
+    coordinates over C's generators.  The columns are tried by degree, in
+    input order within a degree: one is kept when it is not in the span of
+    the monomial multiples of the columns kept before it
+    (``minimal_columns``, in C's quotient coordinates), so zero and
+    repeated columns are dropped.  The relations are the kernel of the
+    evaluation map from the kept columns' free cover to C, captured by
+    ``capture_kernel``: up to a certified ``stop`` when the caller gives
+    one, else windowed by the stall rule.  Returns ``(N, kept)``: generator
+    g of N is column kept[g].
     """
     ring = C.ring
-    # element g goes to column g of a grid over C's free cover
-    images = [ring.split_coords(e.vec[None], [e.degree - a for a in C.gen_degs])[0]
-              for e in elements]
-    system = BlockSystem(ring, [[img[i] for img in images] for i in range(C.num_gens)],
-                         C.gen_degs, [e.degree for e in elements])
+    system = BlockSystem(ring, grid, C.gen_degs, degs)
 
     def to_quotient(d: int, cover: DenseMatrix) -> DenseMatrix:
         """A map into C's free cover in degree d, into the quotient coordinates of C_d."""
         tgt = C.piece(d)
         return tgt.rel_space.reduce_rows(cover.transpose()).take_columns(tgt.std).transpose()
 
-    keep = minimal_columns(system, range(len(elements)), to_quotient)
+    keep = minimal_columns(system, range(len(degs)), to_quotient)
     gen_degs, rel_degs, rows = (), (), ()
     if keep:
         system = system.columns(keep)
@@ -546,7 +502,7 @@ def submodule_presentation(C: GradedModule, elements: Sequence[MElem],
         rel_degs, rows, _ = capture_kernel(ring, gen_degs, lambda d: to_quotient(d, system.at(d)),
                                            degree_cap, stop=stop)
     N = GradedModule(ring, gen_degs, rel_degs, rows, label=label, check=False)
-    return _minimal_as(N, N), [elements[j] for j in keep]
+    return _minimal_as(N, N), keep
 
 
 @dataclass

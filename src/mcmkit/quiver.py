@@ -42,7 +42,7 @@ from .catalog import CatalogData
 from .errors import Inconclusive, UsageError
 from .homs import end_algebra, hom_radical, hom_space, local_certificate
 from .modules import GradedModule, _depth_as, invariants, maximal_ideal_module, ring_depth
-from .resolution import detect_period, growth_report, resolve, ulrich_test
+from .resolution import check_period_bounds, detect_period, growth_report, resolve, ulrich_test
 from .functors import dual, link, mcm_approx, syzygy_signed, tau
 
 __all__ = [
@@ -363,6 +363,7 @@ def component_classify(q: ARQuiver, prop: str, value=None,
     """
     if prop not in _PROPERTIES:
         raise UsageError(f"unknown property {prop!r}; known: {_PROPERTIES}")
+    check_period_bounds(p_max, n_max)
 
     def flag(vertex: ARVertex):
         M = vertex.module

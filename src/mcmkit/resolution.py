@@ -70,7 +70,8 @@ solve must succeed.
 The dualized complex gives Ext^i(M, A), the depth test, and the MCM
 test (Ext^i(M, A) = 0 for 1 <= i <= dim A over a Gorenstein quotient).
 For M maximal Cohen-Macaulay by construction, both scans of M* = Ext^0(M, A)
-stop at certified bounds (``_dual_kernel_elements``, ``ext_module``).
+stop at certified bounds (``_dual_kernel_elements``, ``ext_module``).  The
+kernel step's columns go on to ``modules.submodule_presentation`` as they are.
 """
 
 from __future__ import annotations
@@ -87,7 +88,6 @@ from .errors import Inconclusive, UsageError
 from .linalg import DenseMatrix
 from .modules import (
     GradedModule,
-    MElem,
     _depth_as,
     _minimal_as,
     capture_kernel,
@@ -511,6 +511,12 @@ def syzygy(M: GradedModule, n: int, degree_cap: Optional[int] = None) -> GradedM
     return resolve(M, n + 1, degree_cap=degree_cap).syzygy_module(n)
 
 
+def check_period_bounds(p_max: int, n_max: int):
+    """Refuse bounds under which a period search tries no pair (n0, p)."""
+    if p_max < 1 or n_max < 0:
+        raise UsageError(f"--p-max must be >= 1 and --n-max >= 0, got {p_max} and {n_max}")
+
+
 def detect_period(M: GradedModule, p_max: int = 2, n_max: int = 6,
                   degree_cap: Optional[int] = None):
     """Smallest (n0, p) with Syz_{n0+p}(M) isomorphic to Syz_{n0}(M).
@@ -520,6 +526,7 @@ def detect_period(M: GradedModule, p_max: int = 2, n_max: int = 6,
     """
     from .homs import is_isomorphic
 
+    check_period_bounds(p_max, n_max)
     res = resolve(M, n_max + p_max + 1, degree_cap=degree_cap)
     syzygies = {n: res.syzygy_module(n) for n in range(n_max + p_max + 1)}
     for n0 in range(n_max + 1):
@@ -628,13 +635,13 @@ def _dual_cokernel(res: FreeResolution, i: int) -> GradedModule:
 
 
 def _dual_kernel_elements(res: FreeResolution, i: int, degree_cap: Optional[int],
-                          target: GradedModule) -> List[MElem]:
-    """Kernel generators of T_{i+1}: F_i* -> F_{i+1}*, as elements of target.
+                          target: GradedModule) -> Tuple[list, List[int]]:
+    """Kernel generators of T_{i+1}: F_i* -> F_{i+1}* nonzero in target, as (grid, degrees).
 
-    target must be a module whose free cover is F_i* (e.g. the cokernel
-    of T_i); the returned elements are reduced there.  For i = 0 the kernel
-    is M*, and when M is maximal Cohen-Macaulay by construction the scan
-    stops, certified, at s - min gen(M) = s + max(src_degs): for the
+    target must be a module whose free cover is F_i* (e.g. the cokernel of
+    T_i); a column is kept when it reduces to nonzero there.  For i = 0 the
+    kernel is M*, and when M is maximal Cohen-Macaulay by construction the
+    scan stops, certified, at s - min gen(M) = s + max(src_degs): for the
     ``artinian_reduction`` (d, s), l is regular on A and Ext^1(M, A) = 0
     over the Gorenstein ring, so M*/lM* = Hom_B(M/lM, B) lies inside
     (+)_a B(a) over M's generator degrees a, and graded Nakayama bounds
@@ -651,11 +658,11 @@ def _dual_kernel_elements(res: FreeResolution, i: int, degree_cap: Optional[int]
     if cap is None:
         cap = max(src_degs, default=0) + 4 * default_stall(ring) + 8
         cap = cap if stop is None else max(cap, stop)
-    ker_step = kernel_step(ring, tgt_degs, src_degs, step.transpose_data(), degree_cap=cap,
-                           stop=stop)
-    return [target.element(d, ring.join_coords([row[g] for row in ker_step.entries],
-                                               [d - r for r in src_degs]))
-            for g, d in enumerate(ker_step.col_degs)]
+    ker = kernel_step(ring, tgt_degs, src_degs, step.transpose_data(), degree_cap=cap, stop=stop)
+    keep = [g for g, d in enumerate(ker.col_degs)
+            if target.piece(d).coords(ring.join_coords([row[g] for row in ker.entries],
+                                                       [d - r for r in src_degs])).any()]
+    return [[row[g] for g in keep] for row in ker.entries], [ker.col_degs[g] for g in keep]
 
 
 def ext_is_zero(M: GradedModule, i: int, degree_cap: Optional[int] = None) -> bool:
@@ -664,8 +671,7 @@ def ext_is_zero(M: GradedModule, i: int, degree_cap: Optional[int] = None) -> bo
         raise UsageError("negative Ext index")
     res = resolve(M, i + 1, degree_cap=degree_cap)
     target = _dual_cokernel(res, i)
-    gens = _dual_kernel_elements(res, i, degree_cap, target)
-    return all(g.is_zero() for g in gens)
+    return not _dual_kernel_elements(res, i, degree_cap, target)[1]
 
 
 def ext_module(M: GradedModule, i: int, degree_cap: Optional[int] = None) -> GradedModule:
@@ -678,14 +684,14 @@ def ext_module(M: GradedModule, i: int, degree_cap: Optional[int] = None) -> Gra
     """
     res = resolve(M, i + 1, degree_cap=degree_cap)
     target = _dual_cokernel(res, i)
-    gens = [g for g in _dual_kernel_elements(res, i, degree_cap, target) if not g.is_zero()]
-    if not gens:
+    grid, degs = _dual_kernel_elements(res, i, degree_cap, target)
+    if not degs:
         return GradedModule(M.ring, [], [], [], label=f"Ext{i}", check=False)
     stop = None
     if i == 0 and is_mcm_by_construction(res.minimal):
-        stop = max(g.degree for g in gens) + M.ring.artinian_reduction[1]
-    N, _ = submodule_presentation(target, gens, label=f"Ext{i}({M.label})" if M.label else f"Ext{i}",
-                                  degree_cap=degree_cap, stop=stop)
+        stop = max(degs) + M.ring.artinian_reduction[1]
+    label = f"Ext{i}({M.label})" if M.label else f"Ext{i}"
+    N, _ = submodule_presentation(target, grid, degs, label, degree_cap, stop)
     return N
 
 

@@ -18,7 +18,7 @@ from bisect import bisect_right
 from functools import cached_property
 from itertools import accumulate, combinations
 from numbers import Rational
-from operator import add, mul
+from operator import add, index, mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -200,6 +200,17 @@ class _Parser:
         return out
 
 
+def integers(values, what: str) -> Tuple[int, ...]:
+    """values as ints: each must be taken by ``operator.index`` and not be a bool, so a
+    float, a numeral string or JSON's true is refused, and a numpy integer passes."""
+    try:
+        if not any(isinstance(v, bool) for v in values):
+            return tuple(map(index, values))
+    except TypeError:
+        pass
+    raise UsageError(f"{what} must be integers, not {values!r}")
+
+
 class WeightedPolyRing:
     """Polynomial ring with positive integer weights on the variables."""
 
@@ -208,10 +219,7 @@ class WeightedPolyRing:
         names = self.variables = tuple(variables)
         if not all(isinstance(v, str) for v in names) or len(set(names)) != len(names):
             raise UsageError("variable names must be distinct strings")
-        try:
-            self.weights = tuple(int(w) for w in (weights if weights is not None else [1] * len(self.variables)))
-        except (TypeError, ValueError):
-            raise UsageError("weights must be integers")
+        self.weights = integers([1] * len(names) if weights is None else weights, "weights")
         if len(self.weights) != len(self.variables):
             raise UsageError("one weight per variable required")
         if any(w < 1 for w in self.weights):
@@ -477,14 +485,6 @@ class QuotientRing:
             if degrees is not None and len(out) > size:
                 degrees.append(d)
         return out
-
-    def std_coords(self, poly: Poly, d: int):
-        """Coordinates of a (normal-form) degree-d polynomial over the basis."""
-        pc = self.piece(d)
-        vec = [self.field.element(0)] * pc.dim
-        for m, c in poly.items():
-            vec[pc.std_index[pc.index[m]]] = c
-        return vec
 
     # -- elements ---------------------------------------------------------
 

@@ -113,6 +113,28 @@ def test_degrees_that_are_not_integers_are_an_error(tmp_path, capsys):
     assert "degrees" in _error_exit(["invariants", "--module", bad_degs], capsys)
 
 
+@pytest.mark.parametrize("value", [1.5, 0.7, "2", True], ids=["1.5", "0.7", "'2'", "true"])
+def test_weights_and_degrees_are_not_truncated(tmp_path, capsys, value):
+    # int() would read each as a valid integer: 1, 0, 2 and 1
+    ring = {"char": 7, "vars": ["x", "y"], "relations": ["x^2", "y^2"]}
+    weights = _json_file(tmp_path, "w.json", {
+        "ring": {**ring, "weights": [value, 1]}, "builtin": "k"})
+    assert "weights" in _error_exit(["invariants", "--module", weights], capsys)
+    degs = _json_file(tmp_path, "g.json", {
+        "ring": ring, "gen_degs": [value], "rel_degs": [int(value) + 1], "presentation": [["x"]]})
+    assert "degrees" in _error_exit(["invariants", "--module", degs], capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--catalog", "ade:A2:dim1", "--property", "periodic", "--p-max", "0"],
+    ["period", "--module", "ade:A2:dim1/I1", "--p-max", "0"],
+    ["period", "--module", "ade:A2:dim1/I1", "--n-max", "-2"],
+    ["support", "--module", "ade:A3:dim2/k", "--tdeg-max", "0"],
+], ids=["classify-p-max-0", "period-p-max-0", "period-n-max-negative", "support-tdeg-max-0"])
+def test_a_search_bound_that_searches_nothing_is_an_error(capsys, argv):
+    assert "max" in _error_exit(argv, capsys)
+
+
 SQUARES = {"char": 7, "vars": ["x", "y"], "relations": ["x^2", "y^2"]}
 CUSP_MF = {"ring": {"char": 7, "vars": ["x", "y"], "weights": [3, 2]}, "f": "x^2+y^3",
            "phi": [["x", "y"], ["y^2", "-x"]], "psi": [["x", "y"], ["y^2", "-x"]]}

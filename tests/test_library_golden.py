@@ -23,6 +23,8 @@ from pathlib import Path
 
 import pytest
 
+import mcmkit.modules
+import mcmkit.resolution
 from mcmkit.catalog import load_catalog, nonci_gorenstein_ring
 from mcmkit.homs import decompose
 from mcmkit.modules import (
@@ -162,6 +164,23 @@ def test_betti_records_match_golden():
 
 def test_decompose_records_match_golden():
     assert decompose_records() == json.loads(LIBRARY.read_text())["decompose"]
+
+
+def test_decompose_scans_no_kernel(monkeypatch):
+    # each summand eM is the cokernel M/(1 - e)M, presented with no kernel scan
+    modules = [build() for _, build in DECOMPOSE_INPUTS]  # m's own scan happens here
+    calls = []
+
+    def counted(scan):
+        def wrapper(*args, **kwargs):
+            calls.append(args[1])
+            return scan(*args, **kwargs)
+        return wrapper
+
+    for layer in (mcmkit.modules, mcmkit.resolution):
+        monkeypatch.setattr(layer, "capture_kernel", counted(layer.capture_kernel))
+    split = [len(decompose(M).summands) > 1 for M in modules]
+    assert calls == [] and sum(split) >= 10
 
 
 if __name__ == "__main__":

@@ -50,7 +50,7 @@ def block_by_definition(A, grid, row_degs, col_degs, d):
             for j, c in enumerate(col_degs):
                 for mono in standard_monomials(A, d - c):
                     prod = poly_mul(grid[k][j].poly, {mono: A.field.element(1)}, A.field)
-                    row.append(A.std_coords(A.normal_form(prod), d - r)[t])
+                    row.append(A.join_coords([A.element(prod)], [d - r])[t])
             rows.append(row)
     return rows
 

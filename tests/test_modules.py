@@ -120,21 +120,17 @@ def test_submodule_presentation_socle():
     A = ring_xy_squares()
     F = free_module(A, [0], label="A")
     # the socle element x*y generates a copy of k in degree 2
-    xy = A.std_coords(A.normal_form(A.ambient.parse("x*y")), 2)
-    e = F.element(2, list(xy))
-    N, gens = submodule_presentation(F, [e])
-    assert N.num_gens == 1
+    N, kept = submodule_presentation(F, [[A.element("x*y")]], [2])
+    assert N.num_gens == 1 and kept == [0]
     assert module_length(N) == 1
 
 
 def test_submodule_redundant_generators_pruned():
     A = circle()
     F = free_module(A, [0])
-    x = F.element(1, list(A.std_coords(A.normal_form(A.ambient.parse("x")), 1)))
-    y = F.element(1, list(A.std_coords(A.normal_form(A.ambient.parse("y")), 1)))
-    x2 = F.element(2, list(A.std_coords(A.normal_form(A.ambient.parse("x*y")), 2)))
-    N, gens = submodule_presentation(F, [x, y, x2])
-    assert len(gens) == 2  # x*y = x . y is redundant
+    N, kept = submodule_presentation(F, [[A.element("x"), A.element("y"), A.element("x*y")]],
+                                     [1, 1, 2])
+    assert kept == [0, 1]  # x*y = x . y is redundant
 
 
 def test_invariants_residue_field():
@@ -201,32 +197,39 @@ def _module_id(M):
     return f"{M.label}{list(M.gen_degs)}-char{M.ring.characteristic}"
 
 
+def _quotient_coords(C, d, column):
+    """The coordinates in C_d of the element with ring-element coordinates column."""
+    return C.piece(d).coords(C.ring.join_coords(column, [d - a for a in C.gen_degs]))
+
+
 def _random_elements(M, degrees, seed):
+    """Random elements nonzero in M, as (degree, ring-element column) pairs."""
     rng = random.Random(seed)
     out = []
     for d in degrees:
         total = M.piece(d).total
-        e = M.element(d, [rng.choice([0, 1, 2, 3]) for _ in range(total)])
-        if not e.is_zero():
-            out.append(e)
+        fvec = M.ring.field.vector([rng.choice([0, 1, 2, 3]) for _ in range(total)])
+        if M.piece(d).coords(fvec).any():
+            out.append((d, M.ring.split_coords(fvec[None], [d - a for a in M.gen_degs])[0]))
     return out
 
 
 def _kept_by_definition(C, elements):
     """By degree, in input order within a degree: an element is kept unless it lies in
-    the span of every monomial multiple of the elements kept before it."""
+    the span of every monomial multiple of the elements kept before it.  Returns the
+    kept positions in elements, a list of (degree, ring-element column) pairs."""
     ring = C.ring
     kept = []
-    for e in sorted(elements, key=lambda e: e.degree):
-        span = RowSpace(ring.field, C.piece(e.degree).dim)
+    for j in sorted(range(len(elements)), key=lambda j: elements[j][0]):
+        d, column = elements[j]
+        span = RowSpace(ring.field, C.piece(d).dim)
         for g in kept:
-            parts = ring.split_coords([g.vec], [g.degree - a for a in C.gen_degs])[0]
-            for u in ring.ambient.monomials(e.degree - g.degree):
+            e, parts = elements[g]
+            for u in ring.ambient.monomials(d - e):
                 u = ring.element({u: ring.field.element(1)})
-                vec = ring.join_coords([u * x for x in parts], [e.degree - a for a in C.gen_degs])
-                span.add(C.element(e.degree, vec).coords())
-        if not span.contains(e.coords()):
-            kept.append(e)
+                span.add(_quotient_coords(C, d, [u * x for x in parts]))
+        if not span.contains(_quotient_coords(C, d, column)):
+            kept.append(j)
     return kept
 
 
@@ -238,13 +241,14 @@ def test_submodule_presentation_keeps_the_greedy_generators(M):
         rng = random.Random(seed)
         elems = _random_elements(M, [lo + 3, lo, lo + 1, lo, lo + 3, lo + 4, lo + 2],
                                  seed=M.ring.characteristic + seed)
-        # zero elements, repeats and scaled repeats, all distinct objects
-        elems += [M.element(lo + 1, [0] * M.piece(lo + 1).total)]
-        elems += [M.element(e.degree, field.reduce(e.vec * field.element(c)))
-                  for e, c in zip(rng.sample(elems, 3), (1, 2, 3))]
+        # zero elements, repeats and scaled repeats
+        elems += [(lo + 1, [M.ring.zero()] * M.num_gens)]
+        elems += [(d, [x.scale(field.element(c)) for x in column])
+                  for (d, column), c in zip(rng.sample(elems, 3), (1, 2, 3))]
         rng.shuffle(elems)
-        _, kept = submodule_presentation(M, elems)
-        assert [id(e) for e in kept] == [id(e) for e in _kept_by_definition(M, elems)]
+        grid = [[column[i] for _, column in elems] for i in range(M.num_gens)]
+        _, kept = submodule_presentation(M, grid, [d for d, _ in elems])
+        assert kept == _kept_by_definition(M, elems)
 
 
 def _drop_redundant_relations(M):
@@ -376,7 +380,7 @@ def _hs_lengths_by_brute_force(M, s_max):
                     fvec = [ring.field.element(0)] * pc.total
                     for k, c in enumerate(normal_forms[u]):
                         fvec[offsets[i] + k] = c
-                    span.add(M.element(d, fvec).coords())
+                    span.add(M.piece(d).coords(fvec))
             if d == hi + s * maxw:  # past the sum's range m^s M fills M_d
                 assert span.dim == pc.dim, (s, d)
             else:
@@ -427,8 +431,7 @@ def test_constructors_minimal_by_construction_equal_a_fresh_minimization():
     A = load_catalog("ade:A2:dim2").ring
     m = maximal_ideal_module(A)
     C = free_module(A, [0])
-    N, _ = submodule_presentation(C, [C.element(e.degree, A.std_coords(e.poly, e.degree))
-                                      for e in A.gens()[:2]])  # the ideal (x, y)
+    N, _ = submodule_presentation(C, [list(A.gens()[:2])], A.weights[:2])  # the ideal (x, y)
     res = resolve(residue_field_module(A), 4)
     for M in [m, N] + [res.syzygy_module(n) for n in (1, 2, 3)]:
         assert M.minimized() is M

@@ -227,14 +227,14 @@ def _mult_matrix_by_definition(A, poly, d):
 
     Reduces against the ideal's echelon rows, not through the normal-form
     matrix that ``mult_matrix`` and ``normal_form`` share, and checks that
-    ``normal_form`` -> ``std_coords`` gives the same coordinates.
+    ``normal_form`` -> ``join_coords`` gives the same coordinates.
     """
     e = A.ambient.poly_degree(poly)
     cols = []
     for m in standard_monomials(A, d):
         prod = poly_mul(poly, {m: A.field.element(1)}, A.field)
         cols.append(_reduced_coords(A, prod, d + e))
-        assert A.std_coords(A.normal_form(prod), d + e) == cols[-1]
+        assert A.join_coords([A.element(prod)], [d + e]).tolist() == cols[-1]
     return [[col[i] for col in cols] for i in range(A.hilbert_function(d + e))]
 
 
