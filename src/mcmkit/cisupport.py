@@ -17,17 +17,18 @@ modulo I m (a~_kj is a normal form of c_k^-1 a_kj; g_j lies in m).  So
 d~^2 = sum_k f~_k d/dT_k, and the constant parts of the t_j are unique, as
 the Koszul relations of the u_j have entries in m.
 
-The support variety is probed through a window: homogeneous forms in
-the operators that kill every piece up to the homological bound give
-the annihilator up to the chosen t-degree, and the variety dimension is
-read from Betti growth (finite generation over the operator ring makes
-the growth eventually polynomial).
+The support variety is probed through a window: the degree-D forms of
+k[t_1..t_c] (``ExtTModule.forms``) that kill every piece Ext^n, n <= H - 2D,
+make an ideal up to the chosen t-degree.  Its generators in degree D are those
+forms reduced modulo the degree-D piece of the ideal generated below D.  The
+variety dimension is read from Betti growth (finite generation over the
+operator ring makes the growth eventually polynomial).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -84,6 +85,12 @@ class ExtTModule:
     @property
     def codimension(self) -> int:
         return self.ci.codimension
+
+    @cached_property
+    def forms(self) -> WeightedPolyRing:
+        """k[t_1..t_c], the ring the operators generate, over the module's field."""
+        return WeightedPolyRing(self.module.ring.characteristic,
+                                [f"t{j + 1}" for j in range(self.codimension)])
 
     def operator(self, j: int, n: int) -> DenseMatrix:
         return self.operators[j][n]
@@ -202,95 +209,45 @@ class SupportVarietyReport:
         }
 
 
-def _t_monomials(c: int, D: int) -> List[Tuple[int, ...]]:
-    out = []
-    for combo in combinations_with_replacement(range(c), D):
-        alpha = [0] * c
-        for j in combo:
-            alpha[j] += 1
-        out.append(tuple(alpha))
-    return sorted(set(out), reverse=True)
-
-
-def _monomial_str(alpha: Tuple[int, ...], coeff) -> str:
-    factors = []
-    for j, e in enumerate(alpha):
-        if e == 1:
-            factors.append(f"t{j + 1}")
-        elif e > 1:
-            factors.append(f"t{j + 1}^{e}")
-    body = "*".join(factors) if factors else "1"
-    return body if coeff == 1 else f"{coeff}*{body}"
-
-
 def _ann_space(ext: ExtTModule, D: int) -> RowSpace:
-    """Coefficient vectors of degree-D forms annihilating the window."""
-    c = ext.codimension
-    monos = _t_monomials(c, D)
+    """Coefficient vectors, over ``ext.forms.monomials(D)``, of the degree-D forms
+    annihilating the window: the kernel of one equation per window entry."""
+    monos = ext.forms.monomials(D)
     field = ext.module.ring.field
-    # linear system: for each n and each matrix entry, sum over alpha
-    eq_cols: List[List] = [[] for _ in monos]
-    for n in range(0, ext.H - 2 * D + 1):
-        for ai, alpha in enumerate(monos):
-            op = ext.monomial_operator(alpha, n)
-            eq_cols[ai].extend(op.numpy().reshape(-1).tolist())
-    if not eq_cols[0]:
-        space = RowSpace(field, len(monos))
-        space.add_matrix(DenseMatrix.identity(field, len(monos)))
-        return space
-    mat = DenseMatrix.from_rows(field, eq_cols, len(eq_cols[0])).transpose()
-    ker = mat.kernel_basis()
+    # column alpha: the entries of t^alpha from every piece Ext^n, n <= H - 2D
+    eqs = np.stack([np.concatenate([ext.monomial_operator(alpha, n)._array().ravel()
+                                    for n in range(ext.H - 2 * D + 1)]) for alpha in monos], 1)
     space = RowSpace(field, len(monos))
-    space.add_matrix(ker.transpose())
+    space.add_matrix(DenseMatrix._of_array(field, eqs).kernel_rows()[0])
     return space
 
 
 def support_annihilator_window(ext: ExtTModule, tdeg_max: int = 2) -> SupportVarietyReport:
     """Annihilator forms up to a t-degree bound, plus the dimension read.
 
-    New generators at each degree are reported modulo multiples of the
-    lower ones.  The variety dimension comes from the Betti growth fit
-    and is cross-checked as cx = dim + 1.
+    The window is an ideal of k[t_1..t_c] (``ext.forms``).  Its generators in
+    degree D are its degree-D forms reduced modulo the degree-D piece of the
+    ideal generated below D.  The variety dimension comes from the Betti
+    growth fit and is cross-checked as cx = dim + 1.
     """
     if tdeg_max < 1:
         raise UsageError(f"--tdeg-max must be >= 1, got {tdeg_max}")
     if 2 * tdeg_max > ext.H:
         raise UsageError("homological window too short for the requested t-degree")
-    field = ext.module.ring.field
-    c = ext.codimension
-    spaces: Dict[int, RowSpace] = {}
+    forms, c = ext.forms, ext.codimension
+    lower: List[dict] = []  # the generators found so far, as polynomials
     window: Dict[int, List[str]] = {}
     for D in range(1, tdeg_max + 1):
-        space = _ann_space(ext, D)
-        spaces[D] = space
-        monos = _t_monomials(c, D)
-        # multiples of lower-degree annihilators
-        known = RowSpace(field, len(monos))
-        for D0 in range(1, D):
-            lower_monos = _t_monomials(c, D0)
-            for row in spaces[D0].basis_matrix().rows():
-                for shift in _t_monomials(c, D - D0):
-                    vec = [field.element(0)] * len(monos)
-                    for mi, alpha in enumerate(lower_monos):
-                        coef = row[mi]
-                        if coef == 0:
-                            continue
-                        target = tuple(a + s for a, s in zip(alpha, shift))
-                        vec[monos.index(target)] = vec[monos.index(target)] + coef
-                    known.add(vec)
+        monos = forms.monomials(D)
+        known = RowSpace(forms.field, len(monos))
+        known.add_matrix(forms.quotient(lower).piece(D).rel_space.basis_matrix())
         gens = []
-        for row in space.basis_matrix().rows():
+        for row in _ann_space(ext, D).basis_matrix().rows():
             red = known.reduce(row)
-            nz = red.tolist()
-            if not any(nz):
-                continue
-            known.add(red)
-            terms = [
-                _monomial_str(alpha, nz[mi])
-                for mi, alpha in enumerate(monos) if nz[mi] != 0
-            ]
-            gens.append(" + ".join(terms))
-        window[D] = gens
+            if known.add(red):
+                gens.append({mono: x for mono, x in zip(monos, red.tolist()) if x})
+        lower += gens
+        window[D] = [forms.poly_to_str(g) for g in gens]
     rep = growth_report(ext.module, H=ext.H)
     cx = rep.cx_estimate
     is_point = None

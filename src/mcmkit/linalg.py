@@ -567,16 +567,3 @@ class RowSpace:
     def pivots(self):
         return self._pivots
 
-
-def intersect_rowspaces(U: RowSpace, V: RowSpace, field, n: int) -> RowSpace:
-    """Intersection of two row spaces inside k^n."""
-    out = RowSpace(field, n)
-    BU = U.basis_matrix()
-    BV = V.basis_matrix()
-    if BU.nrows == 0 or BV.nrows == 0:
-        return out
-    stacked = BU.transpose().hstack(BV.transpose().scale(-1))
-    # each kernel column (a, b) gives a @ BU = b @ BV, a vector of both spaces
-    a = stacked.kernel_basis().transpose().take_columns(range(BU.nrows))
-    out.add_matrix(a @ BU)
-    return out

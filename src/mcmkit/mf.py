@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 
 from .errors import Inconclusive, UsageError
 from .modules import GradedModule, _depth_as, _factorization_as, _minimal_as
-from .rings import QuotientRing, WeightedPolyRing, grid_mul, poly_key, poly_scale
+from .rings import QuotientRing, WeightedPolyRing, grid_mul, poly_key, poly_scale, sequence
 
 __all__ = [
     "MatrixFactorization",
@@ -70,6 +70,8 @@ class MatrixFactorization:
         self.f = self.poly_ring.element(f)
         if self.f.is_zero() or self.f.degree is None:
             raise UsageError("hypersurface equation must be nonzero and homogeneous")
+        phi, psi = ([sequence(row, f"a row of {name}") for row in sequence(grid, name)]
+                    for grid, name in ((phi, "phi"), (psi, "psi")))
         n = len(phi)
         if n == 0 or any(len(r) != n for r in phi) or len(psi) != n or any(len(r) != n for r in psi):
             raise UsageError("phi and psi must be square of the same size")

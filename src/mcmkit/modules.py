@@ -24,7 +24,7 @@ import numpy as np
 from .errors import DegreeBoundExceeded, UsageError
 from .linalg import DenseMatrix, RowSpace
 from .rings import (BlockSystem, QuotientRing, RingElement, fit_hilbert_samuel, integers,
-                    poly_key, zero_run_top)
+                    poly_key, sequence, zero_run_top)
 
 __all__ = [
     "GradedModule",
@@ -67,6 +67,8 @@ class GradedModule:
         self.rel_degs = integers(rel_degs, "relation degrees")
         self.label = label
         g, r = len(self.gen_degs), len(self.rel_degs)
+        presentation = [sequence(row, "a presentation row")
+                        for row in sequence(presentation, "the presentation")]
         if len(presentation) != g or any(len(row) != r for row in presentation):
             raise UsageError(f"presentation must have {g} rows of {r} entries")
         rows: List[List[RingElement]] = []
@@ -313,6 +315,7 @@ def minimal_columns(system: BlockSystem, order: Sequence[int], to_target=None) -
 
 def free_module(ring: QuotientRing, gen_degs: Sequence[int], label: str = "") -> GradedModule:
     """A free module, of depth d over a ring whose ``artinian_reduction`` certifies depth A = d."""
+    gen_degs = integers(gen_degs, "generator degrees")
     F = GradedModule(ring, gen_degs, [], [[] for _ in gen_degs], label=label or "free", check=False)
     return _depth_as(F, ring_depth(ring))
 
@@ -528,14 +531,16 @@ class ModuleInvariants:
 
 
 def module_length(M: GradedModule) -> Optional[int]:
-    """Total k-dimension, or None when the module is infinite length: the Hilbert function summed
-    to ``top_degree_bound`` when there is one, else to the last nonzero degree before a run of
-    max_weight zeros past max_gen (``rings.zero_run_top``)."""
+    """Total k-dimension: the Hilbert function summed to ``top_degree_bound`` when there is
+    one, else to the last nonzero degree before a run of max_weight zeros past max_gen
+    (``rings.zero_run_top``).  Such a run is certified: M is generated below it, so it is
+    zero from there on.  The run is looked for up to a horizon past M's relations and the
+    ring's, and None (infinite length) means that none was found there: a window."""
     if M.num_gens == 0:
         return 0
     top, maxw, past = top_degree_bound(M), M.ring.max_weight, M.max_gen_degree() + 1
     if top is None:
-        horizon = past + sum(M.ring.relation_degrees) + 8 * maxw + 10
+        horizon = max([past, *M.rel_degs]) + sum(M.ring.relation_degrees) + 8 * maxw + 10
         run = zero_run_top(map(M.hilbert_function, range(past, horizon)), maxw)
         if run is None:
             return None

@@ -24,13 +24,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DegreeBoundExceeded, UsageError
-from .linalg import (
-    QQ,
-    DenseMatrix,
-    RowSpace,
-    field_of_characteristic,
-    intersect_rowspaces,
-)
+from .linalg import QQ, DenseMatrix, RowSpace, field_of_characteristic
 
 Mono = Tuple[int, ...]
 Poly = Dict[Mono, object]
@@ -211,6 +205,13 @@ def integers(values, what: str) -> Tuple[int, ...]:
     raise UsageError(f"{what} must be integers, not {values!r}")
 
 
+def sequence(value, what: str):
+    """value when it is a list or tuple: a string would be read character by character."""
+    if isinstance(value, (list, tuple)):
+        return value
+    raise UsageError(f"{what} must be a list, not {value!r}")
+
+
 class WeightedPolyRing:
     """Polynomial ring with positive integer weights on the variables."""
 
@@ -346,7 +347,7 @@ class QuotientRing:
         self.ambient = ambient
         self.field = ambient.field
         rels: List[Poly] = []
-        for rel in relations:
+        for rel in sequence(relations, "relations"):
             if not isinstance(rel, (str, dict)):
                 raise UsageError(f"relation {rel!r} is not a polynomial")
             poly = ambient.parse(rel) if isinstance(rel, str) else dict(rel)
@@ -704,20 +705,14 @@ class QuotientRing:
         return self.hilbert_samuel_fit()[0]
 
     def socle_dimension(self) -> int:
-        """dim of (0 : m) for an Artinian quotient."""
+        """dim of (0 : m) for an Artinian quotient: in each degree d, the kernel of the
+        variables' stacked multiplication maps out of A_d."""
         total = 0
         for d in range(self._horizon() + 1):
-            pc = self.piece(d)
-            if pc.dim == 0:
-                continue
-            space = None
-            for x in self.gens():
-                ker = self.mult_matrix(x.poly, d).kernel_basis()
-                ks = RowSpace(self.field, pc.dim)
-                ks.add_matrix(ker.transpose())
-                space = ks if space is None else intersect_rowspaces(space, ks, self.field, pc.dim)
-            if space is not None:
-                total += space.dim
+            dim = self.hilbert_function(d)
+            if dim:
+                stacked = np.vstack([self.mult_matrix(x.poly, d)._array() for x in self.gens()])
+                total += dim - DenseMatrix._of_array(self.field, stacked).rank()
         return total
 
     def is_gorenstein(self) -> bool:

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -11,7 +12,7 @@ from mcmkit.cisupport import (
     support_annihilator_window,
 )
 from mcmkit.errors import UsageError
-from mcmkit.linalg import DenseMatrix, intersect_rowspaces
+from mcmkit.linalg import DenseMatrix, RowSpace
 from mcmkit.modules import GradedModule, free_module, maximal_ideal_module, residue_field_module
 from mcmkit.resolution import resolve
 from mcmkit.rings import BlockSystem, WeightedPolyRing, grid_mul
@@ -232,6 +233,8 @@ def test_free_module_trivial_operators():
     F = free_module(A, [0])
     ext = eisenbud_operators(ci, F, H=6)
     assert ext.betti[1:] == [0] * (len(ext.betti) - 1)
+    # no window entry gives an equation, so every form annihilates: the window is (t1, t2)
+    assert support_annihilator_window(ext, tdeg_max=2).ann_window == {1: ["t1", "t2"], 2: []}
 
 
 def test_support_k_codim_two_full_variety():
@@ -272,15 +275,21 @@ def test_support_hypersurface_point_trivially():
 
 
 def test_direct_sum_annihilator_intersection():
-    # A/(x) and A/(y) have distinct point supports; the sum sees both
+    # A/(x) and A/(y) have distinct point supports; the sum sees both: its annihilating
+    # forms are those of both summands, U n V, of dimension dim U + dim V - dim(U + V)
     A = two_squares()
     ci = CIPresentation.from_ring(A)
     M1 = GradedModule(A, [0], [1], [["x"]], label="A/(x)")
     M2 = GradedModule(A, [0], [1], [["y"]], label="A/(y)")
     exts = [eisenbud_operators(ci, X, H=8) for X in (M1, M2, GradedModule.direct_sum([M1, M2]))]
-    for D, n in ((1, 2), (2, 3)):  # n t-monomials of degree D
+    for D in (1, 2):
         ann1, ann2, ann_sum = (_ann_space(e, D) for e in exts)
-        assert intersect_rowspaces(ann1, ann2, A.field, n) == ann_sum
+        both = RowSpace(A.field, ann1.ncols)
+        both.add_matrix(ann1.basis_matrix())
+        both.add_matrix(ann2.basis_matrix())
+        assert ann_sum.dim == ann1.dim + ann2.dim - both.dim
+        assert all(ann1.contains(row) and ann2.contains(row)
+                   for row in ann_sum.basis_matrix().rows())
 
 
 def test_distinct_points_have_distinct_windows():
@@ -300,3 +309,91 @@ def test_gulliksen_growth_matches_cx():
 
     rep = growth_report(k, H=10)
     assert rep.cx_estimate - 1 == 1
+
+
+def reference_window(ext, tdeg_max):
+    """The annihilator window as first computed: t-monomials enumerated here, the degree-D
+    multiples of every lower annihilating form built monomial by monomial, and each
+    generator printed term by term."""
+    c, field = ext.codimension, ext.module.ring.field
+
+    def monomials(D):
+        return sorted((tuple(combo.count(j) for j in range(c))
+                       for combo in combinations_with_replacement(range(c), D)), reverse=True)
+
+    def term(alpha, coeff):
+        body = "*".join(f"t{j + 1}" + (f"^{e}" if e > 1 else "") for j, e in enumerate(alpha) if e)
+        return body if coeff == 1 else f"{coeff}*{body}"
+
+    spaces, window = {}, {}
+    for D in range(1, tdeg_max + 1):
+        monos = monomials(D)
+        eq_cols = [[] for _ in monos]
+        for n in range(ext.H - 2 * D + 1):
+            for ai, alpha in enumerate(monos):
+                eq_cols[ai].extend(ext.monomial_operator(alpha, n).numpy().reshape(-1).tolist())
+        spaces[D] = RowSpace(field, len(monos))
+        if eq_cols[0]:
+            mat = DenseMatrix.from_rows(field, eq_cols).transpose()
+            spaces[D].add_matrix(mat.kernel_basis().transpose())
+        else:
+            spaces[D].add_matrix(DenseMatrix.identity(field, len(monos)))
+        known = RowSpace(field, len(monos))
+        for D0 in range(1, D):
+            lower = monomials(D0)
+            for row in spaces[D0].basis_matrix().rows():
+                for shift in monomials(D - D0):
+                    vec = [field.element(0)] * len(monos)
+                    for alpha, coef in zip(lower, row.tolist()):
+                        mi = monos.index(tuple(a + s for a, s in zip(alpha, shift)))
+                        vec[mi] = vec[mi] + coef
+                    known.add(vec)
+        window[D] = []
+        for row in spaces[D].basis_matrix().rows():
+            red = known.reduce(row)
+            if red.any():
+                known.add(red)
+                window[D].append(" + ".join(
+                    term(alpha, x) for alpha, x in zip(monos, red.tolist()) if x != 0))
+    return window
+
+
+WINDOW_RINGS = {"x2,y2": ("xy", ["x^2", "y^2"]), "x2,y2,z2": ("xyz", ["x^2", "y^2", "z^2"]),
+                "x2+y2,xy": ("xy", ["x^2+y^2", "x*y"])}
+
+
+def window_cases():
+    """(ring, summands): each summand A/(g_1, ..., g_r) given by its g's."""
+    per_field = [
+        ("x2,y2", [["x", "y"]]), ("x2,y2", [["x"], ["y"]]), ("x2,y2", [["x"], ["x+2*y"]]),
+        ("x2,y2,z2", [["x"]]), ("x2,y2,z2", [["x"], ["y"]]), ("x2,y2,z2", [["x"], ["y+z"]]),
+        ("x2+y2,xy", [["x+y"]]), ("x2+y2,xy", [["x"], ["x+2*y"]]),
+    ]
+    return [pytest.param(p, ring, summands, id=f"{p}:{ring}:{summands}")
+            for p in (7, 0) for ring, summands in per_field]
+
+
+@pytest.mark.parametrize("p,ring,summands", window_cases())
+def test_window_is_the_reference_window(p, ring, summands):
+    variables, relations = WINDOW_RINGS[ring]
+    A = WeightedPolyRing(p, list(variables)).quotient(relations)
+    M = GradedModule.direct_sum([GradedModule(A, [0], [1] * len(gs), [gs]) for gs in summands])
+    ext = eisenbud_operators(CIPresentation.from_ring(A), M, H=8)
+    # over QQ the reference printed a negative coefficient as "+ -c"; polynomials print "- c"
+    want = {D: [g.replace("+ -", "- ") for g in gens]
+            for D, gens in reference_window(ext, 3).items()}
+    assert support_annihilator_window(ext, tdeg_max=3).ann_window == want
+
+
+def test_a_window_form_over_qq_prints_as_a_polynomial():
+    A = WeightedPolyRing(0, ["x", "y"]).quotient(["x^2+y^2", "x*y"])
+    M = GradedModule(A, [0], [1], [["x+y"]])
+    rep = support_annihilator_window(eisenbud_operators(CIPresentation.from_ring(A), M, H=8), 1)
+    assert rep.ann_window[1] == ["t1 - 1/2*t2"]
+
+
+def test_forms_are_the_operator_ring_built_on_first_use():
+    A = two_squares(11)
+    ext = eisenbud_operators(CIPresentation.from_ring(A), residue_field_module(A), H=4)
+    assert "forms" not in vars(ext)
+    assert ext.forms == WeightedPolyRing(11, ["t1", "t2"]) and ext.forms is ext.forms

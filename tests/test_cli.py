@@ -155,8 +155,18 @@ def _presented(entry, rel_deg=1):
     ("invariants", _presented(1.5, 0), "1.5"),  # not truncated to 1 over GF(7)
     ("mf-validate", {**CUSP_MF, "f": ["x^2+y^3"]}, "['x^2+y^3']"),
     ("mf-validate", {**CUSP_MF, "phi": [[["x"], "y"], ["y^2", "-x"]]}, "['x']"),
+    # a string where a list belongs is not read character by character
+    ("resolve", {"ring": {**SQUARES, "relations": "xy"}, "builtin": "k"}, "relations must be"),
+    ("resolve", {"ring": SQUARES, "gen_degs": [0], "rel_degs": [1, 1], "presentation": ["xy"]},
+     "'xy'"),
+    ("mf-validate", {**CUSP_MF, "phi": ["xy", ["y^2", "-x"]]}, "'xy'"),
+    # nor is a number where a list belongs a traceback
+    ("resolve", {"ring": SQUARES, "gen_degs": [0], "rel_degs": [1], "presentation": 5},
+     "presentation must be"),
+    ("resolve", {"ring": SQUARES, "builtin": "A", "gen_degs": 0}, "generator degrees"),
 ], ids=["char-string", "char-float", "variable-number", "vars-number", "relation-number",
-        "entry-list", "entry-float", "f-list", "phi-list"])
+        "entry-list", "entry-float", "f-list", "phi-list", "relations-string",
+        "presentation-row-string", "phi-row-string", "presentation-number", "gen-degs-number"])
 def test_malformed_json_is_an_error(tmp_path, capsys, command, data, message):
     path = _json_file(tmp_path, "bad.json", data)
     flag = "--mf" if command == "mf-validate" else "--module"

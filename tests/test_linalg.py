@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcmkit.errors import UsageError
-from mcmkit.linalg import GF, QQ, DenseMatrix, RowSpace, _is_prime, intersect_rowspaces
+from mcmkit.linalg import GF, QQ, DenseMatrix, RowSpace, _is_prime
 
 
 def test_rref_identity_gf5():
@@ -386,27 +386,6 @@ def test_every_matrix_is_a_two_dim_array_of_the_field_dtype(field):
     check(s.reduce_rows(a))
     r = s.reduce([4, 0, 1])
     assert isinstance(r, np.ndarray) and r.ndim == 1 and r.dtype == field.dtype
-    t = RowSpace(field, 3)
-    t.add([0, 0, 1])
-    check_space(intersect_rowspaces(s, t, field, 3))
-
-
-@pytest.mark.parametrize("field", [GF(5), GF(2**31 - 1), QQ], ids=repr)
-def test_intersection_lies_in_both_spaces_with_the_right_dimension(field):
-    rng = random.Random(23)
-    n = 6
-    for _ in range(20):
-        shared = [[rng.choice([0, 1, 2, -1]) for _ in range(n)] for _ in range(rng.randrange(0, 3))]
-        U, V, both = RowSpace(field, n), RowSpace(field, n), RowSpace(field, n)
-        for space in (U, V):
-            for row in shared + [[rng.choice([0, 1, 3]) for _ in range(n)]
-                                 for _ in range(rng.randrange(0, 3))]:
-                space.add(row)
-                both.add(row)
-        inter = intersect_rowspaces(U, V, field, n)
-        assert inter.dim == U.dim + V.dim - both.dim
-        for row in inter.basis_matrix().rows():
-            assert U.contains(row) and V.contains(row)
 
 
 def _is_prime_by_trial_division(n):

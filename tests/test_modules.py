@@ -48,6 +48,17 @@ def test_length_past_the_scan_horizon_is_read_to_the_top_degree_bound():
     assert (inv.length, inv.dim, inv.multiplicity_e, inv.rank) == (60, 0, 60, 0)
 
 
+@pytest.mark.parametrize("n", [20, 30])
+def test_length_is_read_past_the_module_s_own_relations(n):
+    # A/(x^n + x^(n-1) y) over k[x,y]/(y^2) has length 2n (Hilbert function 1, 2, ..., 2, 1
+    # to degree n); its relation acts only from degree n, past a horizon read off A alone
+    A = WeightedPolyRing(7, ["x", "y"]).quotient(["y^2"])
+    M = GradedModule(A, [0], [n], [[f"x^{n} + x^{n - 1}*y"]])
+    assert module_length(M) == 2 * n
+    inv = invariants(M)
+    assert (inv.length, inv.dim, inv.multiplicity_e, inv.rank) == (2 * n, 0, 2 * n, 0)
+
+
 def test_free_module_hilbert_matches_ring():
     A = circle()
     F = free_module(A, [0, 1])

@@ -7,7 +7,7 @@ import pytest
 
 from mcmkit.catalog import catalog_names, load_catalog, nonci_gorenstein_ring
 from mcmkit.errors import Inconclusive, UsageError
-from mcmkit.linalg import QQ
+from mcmkit.linalg import QQ, DenseMatrix
 from mcmkit.rings import (MAX_INTERNAL_DEGREE, RingElement, WeightedPolyRing,
                           fit_hilbert_samuel, poly_mul)
 
@@ -402,3 +402,23 @@ def test_the_gorenstein_flag_is_kept_per_ring(monkeypatch):
         assert mcm_test(k)
         assert depth(k) == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("A", [
+    nonci_gorenstein_ring(),
+    WeightedPolyRing(7, ["x", "y"]).quotient(["x^2", "y^2"]),
+    WeightedPolyRing(7, ["x", "y"]).quotient(["x^2", "x*y", "y^3"]),
+    WeightedPolyRing(7, ["x", "y", "z"]).quotient(["x^2", "y^2", "z^2", "x*y"]),
+    WeightedPolyRing(0, ["x", "y"], [2, 3]).quotient(["x^3", "y^2", "x*y"]),
+], ids=["nonci_gorenstein", "x2,y2", "x2,xy,y3", "x2,y2,z2,xy", "qq-weighted"])
+def test_socle_is_the_common_kernel_of_the_variables(A):
+    expected = 0
+    for d in range(A._horizon() + 1):
+        # the vectors of A_d that every variable kills, cut down one variable at a time:
+        # the rows of ``common`` recombined by the left kernel of their images under x
+        common = DenseMatrix.identity(A.field, A.hilbert_function(d))
+        for x in A.gens():
+            images = common @ A.mult_matrix(x.poly, d).transpose()
+            common = images.transpose().kernel_rows()[0] @ common
+        expected += common.nrows
+    assert A.socle_dimension() == expected
