@@ -10,7 +10,10 @@ lifted-arrow records come from the test-side reference
 sequences, so the slices check both routes.  Under ``"betti"``
 it holds graded Betti tables (the number of generators of F_i in each
 degree) of k and m over two complete intersections and of k over a
-ring that is not one, from ``BETTI_INPUTS``.  Under ``"decompose"`` it
+ring that is not one, from ``BETTI_INPUTS``.  Under ``"m"`` it holds, per
+ring of ``M_RINGS``, the maximal ideal's sorted generator and relation
+degrees and its Betti table to H = 6, each F_i's degrees sorted.  Under
+``"decompose"`` it
 holds, per module of ``DECOMPOSE_INPUTS``, whether ``decompose`` certifies
 its split, the residue degrees, and per summand its sorted generator and
 relation degrees with its multiplicity.  Regenerate the
@@ -25,7 +28,7 @@ import pytest
 
 import mcmkit.modules
 import mcmkit.resolution
-from mcmkit.catalog import load_catalog, nonci_gorenstein_ring
+from mcmkit.catalog import catalog_names, load_catalog, nonci_gorenstein_ring
 from mcmkit.homs import decompose
 from mcmkit.modules import (
     GradedModule,
@@ -47,6 +50,16 @@ BETTI_INPUTS = [  # (ring name, ring builder, {module: homological window H})
      {"k": 6, "m": 6}),
     ("nonci", nonci_gorenstein_ring, {"k": 5}),
 ]
+
+M_RINGS = (  # (name, ring builder): each call builds a fresh ring
+    [(name, lambda name=name: load_catalog(name).ring) for name in catalog_names()]
+    + [(f"ci({','.join(rels)})", lambda v=v, rels=rels: WeightedPolyRing(7, list(v)).quotient(rels))
+       for v, rels in (("xy", ["x^2", "y^2"]), ("xyzw", ["x*y", "z*w"]), ("xyz", ["x*y", "z^2"]),
+                       ("xyz", ["x^2", "y^2", "z^2"]), ("xyz", ["x^3+y^3+z^3"]),
+                       ("xyzw", ["x^3+y^3+z^3+w^3"]))]
+    + [("QQ:cusp", lambda: WeightedPolyRing(0, ["x", "y"], [3, 2]).quotient(["x^2+y^3"])),
+       ("QQ:squares", lambda: WeightedPolyRing(0, ["x", "y"]).quotient(["x^2", "y^2"])),
+       ("nonci", nonci_gorenstein_ring)])
 
 
 def _squares(p):
@@ -137,6 +150,17 @@ def betti_records() -> dict:
     return out
 
 
+def m_records(H: int = 6) -> dict:
+    """Per ring of ``M_RINGS``: m's sorted generator and relation degrees, and its Betti
+    table to H with each F_i's degrees sorted, none of which depends on a basis."""
+    out = {}
+    for name, build in M_RINGS:
+        m = maximal_ideal_module(build())
+        out[name] = {"gen_degs": sorted(m.gen_degs), "rel_degs": sorted(m.rel_degs),
+                     "betti": [sorted(degs) for _, _, degs in resolve(m, H).betti_table(H)]}
+    return out
+
+
 def decompose_records() -> dict:
     """Per module of ``DECOMPOSE_INPUTS``: its Krull-Schmidt split, in basis-free terms."""
     out = {}
@@ -154,12 +178,16 @@ def decompose_records() -> dict:
 @pytest.mark.parametrize("catalog", LIBRARY_CATALOGS)
 def test_quiver_records_match_golden(catalog):
     golden = json.loads(LIBRARY.read_text())
-    assert sorted(golden) == sorted(LIBRARY_CATALOGS + ("betti", "decompose"))
+    assert sorted(golden) == sorted(LIBRARY_CATALOGS + ("betti", "decompose", "m"))
     assert quiver_records(catalog) == golden[catalog]
 
 
 def test_betti_records_match_golden():
     assert betti_records() == json.loads(LIBRARY.read_text())["betti"]
+
+
+def test_m_records_match_golden():
+    assert m_records() == json.loads(LIBRARY.read_text())["m"]
 
 
 def test_decompose_records_match_golden():
@@ -187,4 +215,5 @@ if __name__ == "__main__":
     data = {name: quiver_records(name) for name in LIBRARY_CATALOGS}
     data["betti"] = betti_records()
     data["decompose"] = decompose_records()
+    data["m"] = m_records()
     LIBRARY.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
