@@ -134,9 +134,11 @@ def eisenbud_operators(ci: CIPresentation, M: GradedModule, H: int,
     c = len(us)
     res = resolve(M, H + 2, degree_cap=degree_cap)
     betti = res.betti_numbers(H + 2)
-    # the closed form indexes M's own Tate bases by position: m's steps are k's (``_k``)
+    # the closed form indexes Tate's bases by position: M's own, or for M = Syz_1(k) k's one
+    # position on, as m's F_0 is k's G_1 in order and its steps are k's
+    base, on = (res._k, 1) if res._k else (res, 0)
     tate = list(ci.regular_sequence) == list(A.relations) and all(
-        s.route == "tate" for s in res.steps[1:H + 2]) and res._tate
+        s.route == "tate" for s in res.steps[1:H + 2]) and base._tate
     operators: List[Dict[int, DenseMatrix]] = [dict() for _ in range(c)]
     field = Q.field
     u_degs = [u.degree for u in us]
@@ -148,9 +150,9 @@ def eisenbud_operators(ci: CIPresentation, M: GradedModule, H: int,
     for pos in range(2, H + 3):
         t_arrays = [field.zeros((betti[pos], betti[pos - 2])) for _ in range(c)]
         if tate:  # t_k = c_k^-1 d/dT_k on Tate's bases of G_pos and G_{pos-2}
-            index = {(I, b): r for r, (_, I, b) in enumerate(res._tate_basis(pos - 2))}
-            for s, (_, I, b) in enumerate(res._tate_basis(pos)):
-                for k, (l, inv, _, _) in enumerate(res._tate[2]):
+            index = {(I, b): r for r, (_, I, b) in enumerate(base._tate_basis(pos - 2 + on))}
+            for s, (_, I, b) in enumerate(base._tate_basis(pos + on)):
+                for k, (l, inv, _, _) in enumerate(base._tate[2]):
                     if b[k]:
                         t_arrays[l][s, index[I, b[:k] + (b[k] - 1,) + b[k + 1:]]] = inv
         else:

@@ -90,6 +90,7 @@ class GradedModule:
         self._minimal: Optional["GradedModule"] = None  # minimized(), written by _minimal_as
         self._depth: Optional[int] = None  # a depth known by construction, written by _depth_as
         self._factorization: Optional["MatrixFactorization"] = None  # written by _factorization_as
+        self._syzygy_of_k: Optional["FreeResolution"] = None  # written by _syzygy_of_k_as
 
     def _validate(self):
         for i, a in enumerate(self.gen_degs):
@@ -277,6 +278,14 @@ def _factorization_as(M: GradedModule, mf: Optional["MatrixFactorization"]) -> G
     return M
 
 
+def _syzygy_of_k_as(M: GradedModule, k: "FreeResolution") -> GradedModule:
+    # the one writer of ``_syzygy_of_k``: M is Syz_1 of k's resolution k, presented by its
+    # d_2, so M's resolution is k's one step on (``resolution.FreeResolution``);
+    # ``maximal_ideal_module`` sets it, and shifts and copies do not carry it
+    M._syzygy_of_k = k
+    return M
+
+
 def ring_depth(ring: QuotientRing) -> Optional[int]:
     """depth A = dim A = d when the ring's ``artinian_reduction`` certifies A
     Cohen-Macaulay of dimension d; None otherwise."""
@@ -330,19 +339,18 @@ def residue_field_module(ring: QuotientRing) -> GradedModule:
 
 
 def maximal_ideal_module(ring: QuotientRing) -> GradedModule:
-    """The maximal ideal m as a module: submodule of A generated by the variables.
-
-    Over A = S/I the syzygies of the variables are generated by the Koszul
-    relations x_j e_i - x_i e_j and by a lift sum g_i e_i of each generator
-    f = sum g_i x_i of I, so the kernel scan stops, certified, at the larger
-    of w1 + w2 (the two largest weights) and I's largest generator degree.
-    m has depth min(1, depth A), from 0 -> m -> A -> k -> 0.
+    """The maximal ideal m = Syz_1(k), the cokernel of d_2 of k's resolution, certified
+    (``resolution.FreeResolution.stop``): generators k's F_1 (the variables in the ring's
+    order when every relation lies in m^2), relations k's F_2 in that order.  m keeps k's
+    resolution (``_syzygy_of_k``), and has depth min(1, depth A), from 0 -> m -> A -> k -> 0.
     """
-    A = free_module(ring, [0], label="A")
-    stop = max(sum(sorted(ring.weights)[-2:]), max(ring.relation_degrees, default=0))
-    N, _ = submodule_presentation(A, [list(ring.gens())], ring.weights, label="m", stop=stop)
-    depth = ring_depth(ring)
-    return _depth_as(N, None if depth is None else min(1, depth))
+    from .resolution import resolve
+
+    k, depth = resolve(residue_field_module(ring), 2), ring_depth(ring)
+    d2 = k.steps[1]
+    m = GradedModule(ring, d2.row_degs, d2.col_degs, d2.entries, label="m", check=False)
+    _depth_as(m, None if depth is None else min(1, depth))
+    return _minimal_as(m, _syzygy_of_k_as(m, k))
 
 
 def default_stall(ring: QuotientRing) -> int:

@@ -29,11 +29,14 @@ construction (``GradedModule._depth``: a matrix-factorization cokernel has
 depth d, m depth 1, a dual min(2, d), Syz_n(M) min(d, delta + n)), Syz_{i-1}(M)
 has depth at least min(d, delta + i - 1) by the depth lemma, so the bound
 holds once i - 1 >= d - delta: every step of an MCM module is certified.
-The scan stops at the least bound that applies (``FreeResolution.stop``),
-so every resolution over the catalog rings is certified past its first
-d - delta steps.  Everywhere else (the first d steps of a module of
-infinite length and unknown depth, rings with neither bound) the scan is
-windowed: it stops once a stall window passes with nothing new.
+For k presented by the variables, F_2's scan stops at max(w1 + w2, largest
+relation degree): over A = S/I the syzygies of the variables are generated by the
+Koszul relations x_j e_i - x_i e_j and a lift sum g_i e_i of each generator
+f = sum g_i x_i of I.  The scan stops at the least bound that applies
+(``FreeResolution.stop``), so every resolution over the catalog rings is
+certified past its first d - delta steps.  Everywhere else (the first d steps
+of a module of infinite length and unknown depth, rings with neither bound) the
+scan is windowed: it stops once a stall window passes with nothing new.
 ``FreeResolution.certified`` tells the two apart.
 
 Three kinds of module have a known minimal resolution, whose steps
@@ -53,10 +56,9 @@ g is regular on R = S/(F_out), F_in is R-regular (the f_k are), and Tate's
 G = A<e_1..e_r; T_k for f_k in F_in>, de_j = g_j and dT_k = sum_j a_kj e_j,
 resolves R/(g) = M over R/(F_in) = A (Tate, 1957, Theorem 4), minimally, as g
 and every a_kj lie in m: k presented by the variables when every f_k lies in
-m^2, A/(x^a, y^b) over k[x,y,z]/(z^2), A/(x) over k[x,y]/(x^2, y^2).  If M's
-presentation is k's d_2, rows stably sorted by degree, up to a signed permutation
-of its columns (``FreeResolution._k``), M = coker d_2 = m: F_i is k's G_{i+1} and
-stops where k's does, step 2's rows mapped back: m over the catalogs.  Over
+m^2, A/(x^a, y^b) over k[x,y,z]/(z^2), A/(x) over k[x,y]/(x^2, y^2).  m = Syz_1(k)
+keeps the resolution of k it is coker d_2 of (``GradedModule._syzygy_of_k``): its
+F_i is k's F_{i+1}, the same ``Step`` whatever k's route, stopping where k's does.  Over
 A = S/(f), a reduced matrix factorization phi psi = f Id over S with
 Syz_n(M) = coker phi gives ... -psi-> A^n -phi-> A^n -> Syz_n(M): over the domain
 S, ker phi = im psi, ker psi = im phi, and neither has a unit entry (Eisenbud,
@@ -100,7 +102,7 @@ from .modules import (
     submodule_presentation,
     top_degree_bound,
 )
-from .rings import BlockSystem, QuotientRing, RingElement, poly_key
+from .rings import BlockSystem, QuotientRing, RingElement
 
 __all__ = [
     "FreeResolution",
@@ -221,6 +223,7 @@ class FreeResolution:
         mf = self.minimal._factorization
         self._tail = None if mf is None else (0, mf.phi, mf.psi)
         self._tried = -1
+        self._k = self.minimal._syzygy_of_k  # k's resolution when M is Syz_1(k), else None
         # the tail's solve needs a hypersurface S/(f), certified, with f in m^2
         A = self.ring
         self._solvable = (A.is_certified_ci and len(A.relations) == 1
@@ -235,22 +238,27 @@ class FreeResolution:
     def stop(self, i: int, prev_degs: Sequence[int]) -> Optional[int]:
         """Where the scan for F_i's generators stops, certified; None when windowed.
 
-        The least of two bounds, where they apply: T + g_i (Tor balance, over
-        a certified CI), and max(F_{i-1}) + s once i - 1 >= d - depth(M), for
-        the ring's ``artinian_reduction`` (d, s) and the depth M has by
-        construction (0 when none is known).  prev_degs are F_{i-1}'s
-        generator degrees.  For M = m read off k's complex (``_k``), it is k's stop for
-        G_{i+1}, as Tor_i(m, k) = Tor_{i+1}(k, k).
+        The least of the bounds that apply (module docstring): T + g_i (Tor
+        balance, over a certified CI); max(F_{i-1}) + s once i - 1 >= d - depth(M),
+        for the ring's ``artinian_reduction`` (d, s) and the depth M has by
+        construction (0 when none is known); and for M = k(-s) presented by the
+        variables and i = 2, s + max(w1 + w2, largest relation degree).  prev_degs
+        are F_{i-1}'s generator degrees.  For M = Syz_1(k) it is k's stop for
+        F_{i+1}, as Tor_i(m, k) = Tor_{i+1}(k, k).
         """
         if self._k:
-            return self._k[0].stop(i + 1, prev_degs)
-        stops = []
-        g = tate_degree(self.ring, i)
+            return self._k.stop(i + 1, prev_degs)
+        A, M, stops = self.ring, self.module, []
+        g = tate_degree(A, i)
         if g is not None and self._top is not None:
             stops.append(self._top + g)
-        reduction = self.ring.artinian_reduction
+        reduction = A.artinian_reduction
         if reduction is not None and i - 1 >= reduction[0] - (self.minimal._depth or 0):
             stops.append(max(prev_degs) + reduction[1])
+        if i == 2 and M.num_gens == 1 and [e.poly for e in M.presentation[0]] == [
+                x.poly for x in A.gens()]:
+            stops.append(M.gen_degs[0] + max(sum(A.ambient.weights_desc[:2]),
+                                             max(A.relation_degrees, default=0)))
         return min(stops, default=None)
 
     def _auto_cap(self, i: int, stop: Optional[int]) -> int:
@@ -282,7 +290,9 @@ class FreeResolution:
             i = len(self.steps) + 1  # this step finds the generators of F_i
             stop = self.stop(i, prev.col_degs)
             cap = self._auto_cap(i, stop)
-            known = (self._tate_step if self._tate else self._k_step if self._k
+            # m's steps are k's one step on while every step so far is k's
+            known = (self._k_step if self._k and (i == 2 or self._k.steps[i - 1:i] == [prev])
+                     else self._tate_step if self._tate
                      else self._factorization_step if self.tail() else None)
             if stop is not None and stop <= cap and known is not None:
                 self.steps.append(known(i, prev.col_degs, stop))
@@ -360,35 +370,6 @@ class FreeResolution:
                                        for j, p in enumerate(a) if p]))
         return ([(e, -e) for e in g], g_degs, f_in) if len(g) + f_out == len(A.variables) else None
 
-    @cached_property
-    def _k(self):
-        """(k's resolution, perm) when M's presentation is Tate's d_2 of k with its rows paired
-        with d_2's by a stable sort on degree (the order ``maximal_ideal_module`` lists m's
-        generators in) and its columns c permuted by pi and multiplied by signs eps_c, checked
-        entry by entry; else None.  perm lists (pi(c), eps_c == -1) by c.  Then M = coker d_2 = m,
-        and F_i of M is G_{i+1} of k (``_k_step``), each of k's bases built once, on k."""
-        A, M = self.ring, self.minimal
-        if M.num_gens == 1 or not A.is_certified_ci or sorted(M.gen_degs) != sorted(A.weights):
-            return None
-        k = FreeResolution(residue_field_module(A), None)
-        if k._tate is None or len(k._tate[0]) != len(A.weights):  # G_1 must be the variables
-            return None
-        D, P = k._tate_step(2, A.weights, None).entries, M.presentation
-
-        def key(v):  # v up to sign
-            return min(tuple(poly_key(e.poly) for e in v), tuple(poly_key((-e).poly) for e in v))
-
-        def by_degree(degs):
-            return sorted(range(len(degs)), key=degs.__getitem__)
-        rows = [r for _, r in sorted(zip(by_degree(k._tate[1]), by_degree(M.gen_degs)))]
-        cols, perm = {key(col): t for t, col in enumerate(zip(*D))}, []
-        for c in range(len(M.rel_degs)):
-            v = [P[r][c] for r in rows]  # M's column c in D's row order
-            if (t := cols.pop(key(v), None)) is None:
-                return None
-            perm.append((t, [e.poly for e in v] != [row[t].poly for row in D]))
-        return None if cols else (k, perm)
-
     def _tate_basis(self, i: int):
         """(degree, I, b) of each e_I T^(b) with |I| + 2|b| = i, Tate's basis of G_i, computed
         once: G_1 in g's order, later ones stably sorted by degree."""
@@ -423,12 +404,9 @@ class FreeResolution:
         return Step(tuple(row_degs), tuple(e[0] for e in cols), build, stop, True, "tate")
 
     def _k_step(self, i: int, row_degs: Sequence[int], stop: int) -> Step:
-        """F_i -> F_{i-1} of M = m (``_k``): k's G_{i+1} -> G_i, step 2's rows mapped back
-        through perm, its entries built on first read."""
-        k, perm = self._k
-        step = k._tate_step(i + 1, row_degs, stop)
-        return step if i > 2 else Step(step.row_degs, step.col_degs, lambda: tuple(
-            tuple(-e if neg else e for e in step.entries[t]) for t, neg in perm), stop, True, "tate")
+        """F_i -> F_{i-1} of M = Syz_1(k): k's own step i + 1, the same ``Step``."""
+        self._k.extend(i + 1)
+        return self._k.steps[i]
 
     @cached_property
     def _psi(self):
@@ -720,9 +698,11 @@ def mcm_test(M: GradedModule, degree_cap: Optional[int] = None) -> bool:
 
 
 def _is_mcm(M: GradedModule, degree_cap: Optional[int]) -> bool:
-    """``mcm_test``, skipped over a Gorenstein ring when M is MCM by construction."""
-    if is_mcm_by_construction(M) and M.ring.is_gorenstein():
-        return True
+    """``mcm_test``, skipped over a Gorenstein ring when M is MCM by construction, or is
+    m = Syz_1(k) of known depth: min(1, d) is then exact, from 0 -> m -> A -> k -> 0."""
+    if M.ring.is_gorenstein() and (is_mcm_by_construction(M) or (
+            M._syzygy_of_k is not None and M._depth is not None)):
+        return is_mcm_by_construction(M)
     return mcm_test(M, degree_cap=degree_cap)
 
 

@@ -23,8 +23,10 @@ from mcmkit.modules import (
     GradedModule,
     capture_kernel,
     default_stall,
+    free_module,
     maximal_ideal_module,
     residue_field_module,
+    submodule_presentation,
 )
 from mcmkit.resolution import resolve
 from mcmkit.rings import BlockSystem, WeightedPolyRing
@@ -130,9 +132,10 @@ def test_weighted_ring_over_a_large_prime(compared):
 
 
 def test_maximal_ideal_through_submodule_presentation(compared):
+    # the submodule of A generated by the variables, its scan stopped at max(w1 + w2, 3)
     A = WeightedPolyRing(7, ["x", "y", "z"], [1, 1, 2]).quotient(["x*z-y^3"])
-    m = maximal_ideal_module(A)
-    assert m.gen_degs == (1, 1, 2) and compared
+    m, kept = submodule_presentation(free_module(A, [0]), [list(A.gens())], A.weights, stop=3)
+    assert m.gen_degs == (1, 1, 2) and kept == [0, 1, 2] and compared
 
 
 def test_koszul_family_gets_the_koszul_betti_numbers(compared):

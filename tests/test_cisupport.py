@@ -128,6 +128,12 @@ def closed_form_cases():
     out += [pytest.param(lambda v=v, rels=rels: residue_field_module(
         WeightedPolyRing(5, list(v)).quotient(rels)), 6, id=f"k/({','.join(rels)})")
         for v, rels in SMALL_CIS]
+    # m = Syz_1(k): k's closed form one position on
+    out += [pytest.param(lambda name=name: maximal_ideal_module(load_catalog(name).ring), 6,
+                         id=f"{name}/m") for name in catalog_names()]
+    out += [pytest.param(lambda v=v, rels=rels: maximal_ideal_module(
+        WeightedPolyRing(5, list(v)).quotient(rels)), 6, id=f"m/({','.join(rels)})")
+        for v, rels in SMALL_CIS]
     out += [
         # F_in = {x^2}, F_out = {y^2}: t_2 = 0
         pytest.param(lambda: take_x(101), 8, id="A/(x)"),
@@ -175,16 +181,17 @@ def test_operators_vanish_on_the_relations_outside_f_in(grid_muls):
     (two_squares, list(range(2, 11)), 2),
     (lambda: load_catalog("ade:A3:dim1").ring, [2] * 9, 1),
 ], ids=["(x^2,y^2)", "ade:A3:dim1"])
-def test_operators_of_m_are_solved_on_k_s_complex_one_step_on(ring, betti, cx, grid_muls):
-    # m's steps are Tate's complex of k one step on, its F_0 and F_1 in m's own order:
-    # the closed form, which indexes Tate's bases by position, is not taken
+def test_operators_of_m_are_read_off_k_s_complex_one_step_on(ring, betti, cx, grid_muls):
+    # m's steps are Tate's complex of k one step on, and its F_0 is k's G_1 in order: the
+    # closed form reads t_k off k's bases at positions pos + 1 and pos - 1, with no product
     A = ring()
     ci, m = CIPresentation.from_ring(A), maximal_ideal_module(A)
     ext = eisenbud_operators(ci, m, 6)
-    assert all(s.route == "tate" for s in resolve(m, 8).steps[1:]) and grid_muls
+    assert all(s.route == "tate" for s in resolve(m, 8).steps[1:]) and not grid_muls
     assert ext.betti == betti and ext.commute_exactly()
     assert support_annihilator_window(ext, tdeg_max=2).cx_from_variety == cx
-    assert matrices(ext) == reference_operators(ci, maximal_ideal_module(A), 6)
+    # the solve on the same resolution gives the same matrices
+    assert matrices(ext) == reference_operators(ci, m, 6)
 
 
 def test_operators_off_tates_complex_are_solved_as_before(grid_muls):

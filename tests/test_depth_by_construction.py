@@ -211,3 +211,19 @@ def test_ulrich_test_skips_the_mcm_test_of_a_module_mcm_by_construction(name, mo
     assert tested == []
     copy = fresh_copy(load_catalog(name).modules()[0][1])
     assert ulrich_test(copy) and tested == [copy]
+
+
+@pytest.mark.parametrize("name", [n for n in catalog_names() if n.endswith(":dim2")])
+def test_mcm_approx_of_m_over_a_surface_runs_no_mcm_test(name, monkeypatch):
+    # m = Syz_1(k) has depth 1 < 2 = depth A, so it is not MCM, with no Ext scan
+    from mcmkit.resolution import mcm_test
+
+    tested = []
+    monkeypatch.setattr(mcmkit.resolution, "mcm_test",
+                        lambda M, degree_cap=None: tested.append(M) or mcm_test(M, degree_cap))
+    ring = load_catalog(name).ring
+    X = mcm_approx(maximal_ideal_module(ring))
+    assert tested == []
+    # a copy of m keeps no resolution of k: the test runs, finds it not MCM, and X is the same
+    Y = mcm_approx(fresh_copy(maximal_ideal_module(ring)))
+    assert len(tested) == 1 and presentation(X) == presentation(Y)

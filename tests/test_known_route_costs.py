@@ -122,7 +122,7 @@ def test_division_gives_the_solves_f_in(fresh, block_systems):
     block_systems.clear()
     got = res._tate
     assert got is not None and not block_systems  # read off by division, with no system
-    assert res._k is None  # a cyclic module's own complex, not k's one step on
+    assert res.minimal._syzygy_of_k is None  # its own complex, not k's one step on
     assert as_data(got) == as_data(want)
 
 

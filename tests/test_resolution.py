@@ -262,18 +262,20 @@ def test_verify_exactness_finds_a_stall_that_stopped_short():
 
 
 def windowed_ring():
-    """k[x,y]/(x^2, xy): neither Artinian nor a certified CI, so every scan is windowed."""
+    """k[x,y]/(x^2, xy): neither Artinian nor a certified CI, so every scan past k's F_2
+    (the syzygies of the variables) is windowed."""
     return WeightedPolyRing(7, ["x", "y"]).quotient(["x^2", "x*y"])
 
 
 def test_a_zero_stall_stops_before_the_next_generators():
-    # with stall 0 the scan for F_2 ends in F_1's degree, before F_2's generators
+    # k's F_2 stops, certified, at w1 + w2 = 2; with stall 0 the scan for F_3 ends in
+    # F_2's degree, before F_3's generators
     M = residue_field_module(windowed_ring())
-    assert cold_chain(M, 3, stall=0).betti_numbers(3) == [1, 2, 0, 0]  # stopped short
-    wide = cold_chain(M, 3, stall=10)
-    assert wide.betti_numbers(3) == [1, 2, 3, 5] and not wide.certified
+    assert cold_chain(M, 4, stall=0).betti_numbers(4) == [1, 2, 3, 0, 0]  # stopped short
+    wide = cold_chain(M, 4, stall=10)
+    assert wide.betti_numbers(4) == [1, 2, 3, 5, 8] and not wide.certified
     # the default stall finds the same window
-    assert resolve(M, 3).betti_numbers(3) == wide.betti_numbers(3)
+    assert resolve(M, 4).betti_numbers(4) == wide.betti_numbers(4)
 
 
 @pytest.mark.parametrize("a", range(2, 7))

@@ -9,11 +9,10 @@ Tate's complex A<e_1..e_r; T_k for f_k in F_in>, de_j = g_j and
 dT_k = sum_j a_kj e_j, is M's minimal resolution (Tate, Illinois J. Math. 1,
 1957).  k presented by the variables, A/(x^a, y^b) and A/(x) are such
 modules, so ``FreeResolution.extend`` builds their steps with no kernel
-scan.  So is m = Syz_1(k) when its presentation is Tate's d_2 of k, its rows
-paired with d_2's by a stable sort on degree, up to a signed permutation of its
-columns: its steps from F_2 on are Tate's from G_3 on, read off k's own
-resolution (``FreeResolution._k``).  Each test compares that route with the
-scan (``conftest.cold_chain``).
+scan.  m = Syz_1(k) is built as the cokernel of k's d_2 and keeps k's
+resolution (``GradedModule._syzygy_of_k``), so its steps from F_2 on are
+k's from F_3 on, the same ``Step`` objects, whatever k's route.  Each test
+compares the route with the scan (``conftest.cold_chain``).
 """
 
 from pathlib import Path
@@ -140,26 +139,45 @@ def test_tates_differential_over_the_cusp():
 
 
 def m_cases():
-    # (x*y, z*w) and (x*y, z^2) present m with x e_y and y e_x where Tate's d_2 has
-    # the Koszul relation y e_x - x e_y: not a signed permutation, so m is scanned
     out = [pytest.param(load_catalog(name).ring, id=name) for name in catalog_names()]
     out += [pytest.param(WeightedPolyRing(7, list(v)).quotient(rels), id=",".join(rels))
-            for v, rels in SMALL_CIS if "x*y" not in rels]
+            for v, rels in SMALL_CIS]
     out += [pytest.param(load_module(str(QQ / f"{name}.json")).ring, id=f"QQ:{name}")
             for name in ("cusp_m", "squares_k")]
     # dimension 3: m has depth 1, so F_2 is certified by Tor balance alone, k's one step on
     out.append(pytest.param(WeightedPolyRing(7, list("xyzw")).quotient(["x^3+y^3+z^3+w^3"]),
                             id="x^3+y^3+z^3+w^3"))
+    # not a complete intersection: k's steps are scanned, each certified by the Artinian
+    # reduction, and m's are those same scans
+    out.append(pytest.param(nonci_gorenstein_ring(), id="nonci"))
     return out
 
 
 @pytest.mark.parametrize("A", m_cases())
-def test_m_is_read_off_tates_complex_of_k_one_step_on(A, kernel_step_calls, solves):
+def test_m_is_ks_resolution_one_step_on(A, kernel_step_calls, solves):
     H = 4
-    assert_read_off_tate(lambda: maximal_ideal_module(A), H, kernel_step_calls, (1, 2))
-    assert [s.route for s in resolve(maximal_ideal_module(A), H).steps] == \
-        ["presentation"] + ["tate"] * (H - 1)
-    assert not solves
+    scan = cold_chain(maximal_ideal_module(A), H)
+    kernel_step_calls.clear()
+    k = resolve(residue_field_module(A), H + 1)
+    k_calls = len(kernel_step_calls)
+    m = maximal_ideal_module(A)
+    kernel_step_calls.clear()
+    res = resolve(m, H)
+    # m's own scans are none: each step is k's one step on, the same object
+    assert len(kernel_step_calls) == sum(s.route == "scan" for s in k.steps[2:]) <= k_calls
+    assert all(a is b for a, b in zip(res.steps[1:], m._syzygy_of_k.steps[2:]))
+    assert [(s.route, s.certified) for s in res.steps[1:]] == \
+        [(s.route, s.certified) for s in k.steps[2:]]
+    assert res.certified and not solves
+    if A.is_certified_ci:
+        assert [s.route for s in res.steps] == ["presentation"] + ["tate"] * (H - 1)
+    assert [step_shape(s) for s in res.steps] == [step_shape(s) for s in scan.steps]
+    assert res.betti_table(H) == scan.betti_table(H)
+    assert all(not e.is_unit() for s in res.steps for row in s.entries for e in row)
+    for a, b in zip(res.steps, res.steps[1:]):
+        assert all(e.is_zero() for row in grid_mul(A, a.entries, b.entries) for e in row)
+    for n in (1, 2):
+        assert is_isomorphic(res.syzygy_module(n), scan.syzygy_module(n)), n
 
 
 @pytest.fixture
@@ -181,12 +199,20 @@ def bases_built(monkeypatch):
 def test_m_builds_each_of_ks_bases_once(name, bases_built):
     res = resolve(maximal_ideal_module(load_catalog(name).ring), 7)
     assert sorted(bases_built) == list(range(1, 9))
-    assert res._tate is None and res._k is not None
+    assert res._tate is None and res.minimal._syzygy_of_k is not None
+
+
+def test_shifts_and_copies_of_m_keep_no_resolution_of_k():
+    # k's resolution presents m in m's own degrees, not in a shift's
+    m = maximal_ideal_module(load_catalog("ade:A2:dim2").ring)  # generated in degrees 2, 3
+    assert m._syzygy_of_k is not None and m.minimized() is m
+    for copy in (m.degree_shift(1), m.normalized()[0], GradedModule.direct_sum([m])):
+        assert copy._syzygy_of_k is None
 
 
 def swapped(M):
     """M with its first two rows, of equal degree, swapped: the same module, presented as
-    minimally, with the same depth, but its rows no longer meet d_2's in degree order."""
+    minimally, with the same depth, but not built as Syz_1(k)."""
     assert M.gen_degs[0] == M.gen_degs[1]
     P = [M.presentation[1], M.presentation[0]] + list(M.presentation[2:])
     N = _depth_as(GradedModule(M.ring, M.gen_degs, M.rel_degs, P, label=M.label, check=False),
@@ -197,12 +223,11 @@ def swapped(M):
 @pytest.mark.parametrize("variables,relations", [("xy", ["x^2", "y^2"]),
                                                  ("xyz", ["x^3+y^3+z^3"])])
 def test_a_row_swapped_m_falls_back_to_the_scan(variables, relations):
-    # over (x^2, y^2) the rows of d_2 have the same entries up to sign, over x^3 + y^3 + z^3
-    # they do not; either way a swapped m is not read off k's complex
+    # a copy of m keeps no resolution of k, so it is not read off k's complex
     A, H = WeightedPolyRing(7, list(variables)).quotient(relations), 5
     scan = cold_chain(swapped(maximal_ideal_module(A)), H)
     res = resolve(swapped(maximal_ideal_module(A)), H)
-    assert res._k is None and "tate" not in [s.route for s in res.steps]
+    assert res.minimal._syzygy_of_k is None and "tate" not in [s.route for s in res.steps]
     assert res.betti_table(H) == scan.betti_table(H)
     for n in (1, 2):
         assert is_isomorphic(res.syzygy_module(n), scan.syzygy_module(n)), n
@@ -210,34 +235,24 @@ def test_a_row_swapped_m_falls_back_to_the_scan(variables, relations):
 
 def doubled(M):
     """M with its first relation doubled: the same module, presented as minimally, with
-    the same depth, but no longer a signed permutation of Tate's d_2."""
+    the same depth, but not built as Syz_1(k)."""
     P = [[e.scale(2) if c == 0 else e for c, e in enumerate(row)] for row in M.presentation]
     N = _depth_as(GradedModule(M.ring, M.gen_degs, M.rel_degs, P, label=M.label, check=False),
                   M._depth)
     return _minimal_as(N, N)
 
 
-def test_off_ks_complex_m_keeps_its_steps(kernel_step_calls, solves):
-    # over a ring that is not a complete intersection, every step is scanned
-    A = nonci_gorenstein_ring()
-    want = [step_data(s) for s in cold_chain(maximal_ideal_module(A), 4).steps]
-    kernel_step_calls.clear()
-    res = resolve(maximal_ideal_module(A), 4)
-    assert res._k is None and [step_data(s) for s in res.steps] == want
-    assert len(kernel_step_calls) == 3
+def test_off_ks_complex_m_is_scanned_then_read_off_its_tail(kernel_step_calls, solves):
     # doubled m over a surface: F_2 scanned, then the tail solved on Syz_1's 4 x 4 presentation
     A = load_catalog("ade:A3:dim2").ring
     scan = cold_chain(doubled(maximal_ideal_module(A)), 5)
     kernel_step_calls.clear()
     res = resolve(doubled(maximal_ideal_module(A)), 5)
-    assert res._k is None and res.certified
+    assert res.minimal._syzygy_of_k is None and res.certified
     assert [s.route for s in res.steps] == ["presentation", "scan", "tail", "tail", "tail"]
     assert len(kernel_step_calls) == 1 and solves == [True]
     assert [step_shape(s) for s in res.steps] == [step_shape(s) for s in scan.steps]
     assert step_data(res.steps[1]) == step_data(scan.steps[1])
-    # over x - y^2, k's G_1 is <e_y> alone: no free module of the weights' degrees is m
-    A = WeightedPolyRing(5, ["x", "y"], [2, 1]).quotient(["x-y^2"])
-    assert FreeResolution(GradedModule(A, [1, 2], [], [[], []]), None)._k is None
 
 
 @pytest.mark.parametrize("A", [pytest.param(nonci_gorenstein_ring(), id="nonci-gorenstein")])
